@@ -3,9 +3,10 @@
 Kernel matrices K_IJ = k(p_I, p_J) l_I l_J over edge pairs are partitioned
 into admissible blocks (approximated by the rank-1 outer product of cluster
 length vectors, scaled by the kernel at the aggregate tangent-points) and
-near-field blocks (kept exact, assembled once into a sparse matrix).  Cluster
-sums percolate up the BVH and block contributions percolate back down, so one
-matvec costs O(nodes + blocks + near-field entries).
+near-field blocks (kept exact, assembled once into a sparse matrix).  The far
+field is compiled once into fixed sparse factors, K_far = Up^T K_adm Up with
+Up the length-weighted node-membership matrix and K_adm the block kernel
+values, so one matvec costs O(memberships + blocks + near-field entries).
 
 The two kernels used by the metric are the high-order inverse power
 k0(p, q) = 1/|p-q|^(2 sigma + 1) and the low-order tangent-point compound
@@ -173,11 +174,19 @@ class BlockClusterTree:
         self.adm_b = np.concatenate(adm_b) if adm_b else np.zeros(0, dtype=int)
         self.near = list(zip(np.concatenate(near_a) if near_a else [],
                              np.concatenate(near_b) if near_b else []))
-        # leaf node of each permuted position, for the downward distribution
-        E = len(bvh.order)
-        self.leaf_of_pos = np.empty(E, dtype=int)
-        for node in bvh.leaves_by_start:
-            self.leaf_of_pos[bvh.start[node]:bvh.end[node]] = node
+        # far-field clusters: the nodes in any admissible block, the 0/1
+        # matrix of the edges each contains, and each block as a row pair
+        self.far_nodes, rows = np.unique(
+            np.concatenate([self.adm_a, self.adm_b]), return_inverse=True)
+        self.adm_rows = rows[:len(self.adm_a)]
+        self.adm_cols = rows[len(self.adm_a):]
+        sizes = bvh.end[self.far_nodes] - bvh.start[self.far_nodes]
+        edges = np.concatenate([np.zeros(0, dtype=int)] + [
+            bvh.order[bvh.start[n]:bvh.end[n]] for n in self.far_nodes])
+        self.up = csr_matrix(
+            (np.ones(len(edges)),
+             (np.repeat(np.arange(len(sizes)), sizes), edges)),
+            shape=(len(sizes), len(bvh.order)))
         self._near_pairs = None
 
     def _contains_excluded(self, a, b) -> bool:
@@ -238,7 +247,8 @@ class HierKernelMatrix:
         self.lengths = geom.lengths
         self.n_edges = net.n_edges
 
-        # far field: one kernel evaluation per admissible block
+        # far field: one kernel evaluation per admissible block, compiled
+        # into K_far = Up^T K_adm Up with Up weighted by the edge lengths
         if len(bct.adm_a):
             self.kbar = _kernel_values(
                 spec,
@@ -246,6 +256,12 @@ class HierKernelMatrix:
                 bvh.avg_tangent[bct.adm_a], bvh.avg_tangent[bct.adm_b])
         else:
             self.kbar = np.zeros(0)
+        n_far = len(bct.far_nodes)
+        self.k_adm = coo_matrix((self.kbar, (bct.adm_rows, bct.adm_cols)),
+                                shape=(n_far, n_far)).tocsr()
+        self.up = bct.up.copy()
+        self.up.data = self.lengths[self.up.indices]
+        self.down = self.up.T.tocsr()
 
         # near field: exact trapezoid entries, excluded pairs zeroed
         I, J = bct.near_pair_arrays(net)
@@ -260,35 +276,7 @@ class HierKernelMatrix:
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """K @ psi for psi of shape (E,) or (E, m)."""
         psi = np.asarray(psi, dtype=float)
-        single = psi.ndim == 1
-        if single:
-            psi = psi[:, None]
-        bvh = self.bct.bvh
-        m = psi.shape[1]
-
-        # upward: weighted cluster sums S_N = sum of l_J psi_J over the node,
-        # leaves via segment reduction, internal nodes level by level
-        S = np.zeros((bvh.n_nodes, m))
-        weighted = (self.lengths[:, None] * psi)[bvh.order]
-        leaves = bvh.leaves_by_start
-        S[leaves] = np.add.reduceat(weighted, bvh.start[leaves], axis=0)
-        for lvl in reversed(bvh.internal_by_depth):
-            S[lvl] = S[bvh.left[lvl]] + S[bvh.right[lvl]]
-
-        # block interactions land on the receiving cluster
-        W = np.zeros((bvh.n_nodes, m))
-        if len(self.bct.adm_a):
-            np.add.at(W, self.bct.adm_a,
-                      self.kbar[:, None] * S[self.bct.adm_b])
-
-        # downward: accumulate ancestors, then expand to edges through leaves
-        for lvl in bvh.internal_by_depth:
-            W[bvh.left[lvl]] += W[lvl]
-            W[bvh.right[lvl]] += W[lvl]
-        phi = self.lengths[:, None] \
-            * W[self.bct.leaf_of_pos[bvh.pos_in_order]]
-        phi += self.near @ psi
-        return phi[:, 0] if single else phi
+        return self.down @ (self.k_adm @ (self.up @ psi)) + self.near @ psi
 
     def row_sums(self) -> np.ndarray:
         """K @ ones, cached; the diagonal of the metric decomposition."""
@@ -332,34 +320,34 @@ class HierMetric:
         self.k_low = HierKernelMatrix(
             self.bct, KernelSpec("low", self.sigma), net)
         self.D = derivative_matrix(net)                  # (3E, V)
+        self.DT = self.D.T.tocsr()
         self.E_avg = average_matrix(net)                 # (E, V)
+        self.E_avg_T = self.E_avg.T.tocsr()
         self.n = net.n_vertices
 
     def apply_high(self, u: np.ndarray) -> np.ndarray:
-        """B u for per-vertex scalars u."""
-        t = (self.D @ u).reshape(-1, 3)                  # (E, 3)
+        """B u for per-vertex values u of shape (V,) or (V, m)."""
+        du = self.D @ u                                  # (3E,) or (3E, m)
+        t = du.reshape(self.k_high.n_edges, -1)          # (E, 3) or (E, 3m)
         c = self.k_high.row_sums()
         y = c[:, None] * t - self.k_high.matvec(t)
-        return self.D.T @ y.reshape(-1)
+        return self.DT @ y.reshape(du.shape)
 
     def apply_low(self, u: np.ndarray) -> np.ndarray:
-        """B0 u for per-vertex scalars u."""
-        a = self.E_avg @ u
+        """B0 u for per-vertex values u of shape (V,) or (V, m)."""
+        au = self.E_avg @ u                              # (E,) or (E, m)
+        a = au.reshape(self.k_low.n_edges, -1)
         c = self.k_low.row_sums()
-        y = c * a - self.k_low.matvec(a)
-        return self.E_avg.T @ y
+        y = c[:, None] * a - self.k_low.matvec(a)
+        return self.E_avg_T @ y.reshape(au.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """(B + B0) u for per-vertex scalars u."""
+        """(B + B0) u for per-vertex values u of shape (V,) or (V, m)."""
         return self.apply_high(u) + self.apply_low(u)
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         """blockdiag(A, A, A) @ vec for stacked (3V,) vectors."""
-        X = vec.reshape(3, self.n)
-        out = np.empty_like(X)
-        for c in range(3):
-            out[c] = self.apply(X[c])
-        return out.reshape(-1)
+        return self.apply(vec.reshape(3, self.n).T).T.reshape(-1)
 
 
 def metric_matvec(bct_metric: HierMetric, which: str,

@@ -39,25 +39,6 @@ class EdgeBvh:
         self.pos_in_order = np.empty(E, dtype=int)
         self.pos_in_order[self.order] = np.arange(E)
 
-        # topology helpers for vectorized percolation: nodes grouped by depth
-        # (top-down) and leaves sorted by their contiguous run start
-        depth = np.zeros(self.n_nodes, dtype=int)
-        self.parent = np.full(self.n_nodes, -1, dtype=int)
-        for node in range(self.n_nodes):
-            l, r = self.left[node], self.right[node]
-            if l >= 0:
-                self.parent[l] = self.parent[r] = node
-                depth[l] = depth[r] = depth[node] + 1
-        self.internal_by_depth = []
-        internal = np.flatnonzero(self.left >= 0)
-        if len(internal):
-            for d in range(depth[internal].max() + 1):
-                lvl = internal[depth[internal] == d]
-                if len(lvl):
-                    self.internal_by_depth.append(lvl)
-        leaves = np.flatnonzero(self.left < 0)
-        self.leaves_by_start = leaves[np.argsort(self.start[leaves])]
-
         # permuted positions of each edge and its vertex-sharing neighbors,
         # padded; a node may only be lumped for edge I if it contains none of
         # them (otherwise near-singular excluded pairs would be aggregated)
@@ -161,11 +142,6 @@ class EdgeBvh:
         self.r_T = np.linalg.norm(half[:, :3], axis=1)
         self.r_x = np.linalg.norm(half[:, 3:], axis=1)
         return self
-
-    def contains(self, node: int, edge_positions: np.ndarray) -> np.ndarray:
-        """Mask of edges (given by permuted positions) inside the node's run."""
-        return (edge_positions >= self.start[node]) \
-            & (edge_positions < self.end[node])
 
 
 def build_bvh(net: CurveNetwork, leaf_size: int = 8) -> EdgeBvh:

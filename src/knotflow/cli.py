@@ -1,12 +1,14 @@
 """Command-line front end: run scene files and the acceptance benchmarks.
 
 Exit codes for `solve`: 0 converged, 2 stuck, 3 iteration cap reached.
+
+BLAS thread pools start when numpy loads, before arguments are parsed: set
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before launch.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .flow import run_flow
@@ -65,7 +67,10 @@ def main(argv=None) -> int:
         description="Self-avoiding curve network optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run a scene file")
+    solve_help = ("run a scene file; to cap BLAS threads, set "
+                  "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS "
+                  "before launch")
+    solve = sub.add_parser("solve", help=solve_help, description=solve_help)
     solve.add_argument("scene")
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--stride", type=int, default=None,
@@ -75,8 +80,6 @@ def main(argv=None) -> int:
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--seed", type=int, default=None,
                        help="override the curve seed")
-    solve.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker threads")
     solve.set_defaults(func=_solve)
 
     bench = sub.add_parser("bench", help="run the acceptance benchmark matrix")
@@ -90,10 +93,6 @@ def main(argv=None) -> int:
     bench.set_defaults(func=_bench)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     return args.func(args)
 
 

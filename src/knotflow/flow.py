@@ -5,8 +5,10 @@ Two stepping modes: collision-limited (continuous collision detection yields
 the first crossing time tau_max, the search starts at 2/3 tau_max, so the
 isotopy class is preserved) and normalized backtracking (direction normalized
 in the lumped L2 norm, search starts at tau = 1).  A step is accepted only if
-the Armijo condition holds at the post-projection positions, so recorded
-energies decrease monotonically.
+the Armijo condition holds at the post-projection positions, so with
+accel="exact" recorded energies decrease monotonically.  With accel="bh" they
+decrease only up to the Barnes-Hut error: a recorded energy comes from the
+line search's refitted tree, the next step's start value from a rebuilt one.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class StepReport:
     projection_iters: int
     wall_time: float
     collision_limited: bool
+    mg_cycles: int                      # V-cycles of the step's solves
+    mg_unconverged: int                 # solves stopped at max_vcycles
 
 
 @dataclass
@@ -131,17 +135,18 @@ class Objective:
         self.potentials = tuple(potentials)
         self.accel = accel
         self.bh_eps = bh_eps
-        self._bvh: EdgeBvh | None = None
+        # tree fitted to the last evaluated network (None on the exact path)
+        self.bvh: EdgeBvh | None = None
         self._bvh_net: CurveNetwork | None = None
 
     def _bvh_for(self, net: CurveNetwork, rebuild: bool) -> EdgeBvh:
-        if self._bvh is None or rebuild:
-            self._bvh = EdgeBvh(net)
+        if self.bvh is None or rebuild:
+            self.bvh = EdgeBvh(net)
             self._bvh_net = net
         elif self._bvh_net is not net:
-            self._bvh.refit(net)
+            self.bvh.refit(net)
             self._bvh_net = net
-        return self._bvh
+        return self.bvh
 
     def energy(self, net: CurveNetwork, rebuild: bool = False) -> float:
         if self.accel == "exact":
@@ -171,14 +176,21 @@ class Objective:
 
 
 class StepSolver:
-    """Per-step frozen preconditioner: direction solve + projection solve."""
+    """Per-step frozen preconditioner: direction solve + projection solve.
+
+    `bvh` (optional) is a tree fitted to `net` for the multigrid metric.
+    `mg_cycles`/`mg_unconverged` count V-cycles and unconverged solves.
+    """
 
     def __init__(self, strategy: str, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, config: FlowConfig):
+                 constraints: ConstraintSet, config: FlowConfig,
+                 bvh: EdgeBvh | None = None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.strategy = strategy
         self.constraints = constraints
+        self.mg_cycles = 0
+        self.mg_unconverged = 0
         C = constraints.jacobian(net)
         if C.shape[0] == 0:
             raise ValueError(
@@ -187,7 +199,7 @@ class StepSolver:
         self.C = C
         if strategy == "hs-mg":
             self.hierarchy = MultigridHierarchy(net, params, constraints,
-                                                config.mg)
+                                                config.mg, bvh=bvh)
             self.factor = None
         else:
             if strategy == "hs":
@@ -207,8 +219,13 @@ class StepSolver:
         if self.factor is not None:
             g, _ = self.factor.solve(top, None)
         else:
-            g, _ = self.hierarchy.solve_gradient(top)
+            g, info = self.hierarchy.solve_gradient(top)
+            self._count(info)
         return unstack_fields(g)
+
+    def _count(self, info: dict):
+        self.mg_cycles += info["cycles"]
+        self.mg_unconverged += not info["converged"]
 
     def project(self, net: CurveNetwork, tol: float, max_iters: int):
         """Constraint restoration; returns (net, iterations) or raises."""
@@ -222,7 +239,8 @@ class StepSolver:
         if np.linalg.norm(phi, np.inf) <= tol:
             return current, 0
         for iteration in range(1, max_iters + 1):
-            x, _ = self.hierarchy.solve_projection_step(phi)
+            x, info = self.hierarchy.solve_projection_step(phi)
+            self._count(info)
             current = current.with_positions(current.vertices
                                              + unstack_fields(x))
             phi = self.constraints.evaluate(current)
@@ -442,7 +460,8 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
         tic = time.perf_counter()
         constraints.advance_schedules()
         f0, dE = objective.energy_and_differential(current, rebuild=True)
-        solver = StepSolver(strategy, current, params, constraints, config)
+        solver = StepSolver(strategy, current, params, constraints, config,
+                            bvh=objective.bvh)
         g = solver.direction(dE)
         grad_norm = mass_norm(current, g)
         if grad_norm <= config.stop_tolerance:
@@ -466,7 +485,8 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             if len(phi) else 0.0,
             projection_iters=proj_iters,
             wall_time=time.perf_counter() - tic,
-            collision_limited=limited))
+            collision_limited=limited, mg_cycles=solver.mg_cycles,
+            mg_unconverged=solver.mg_unconverged))
         if keep_frames:
             frames.append(current.vertices.copy())
         if config.stop_energy is not None and f_new <= config.stop_energy:

@@ -219,7 +219,7 @@ class MgLevel:
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
                  constraints: ConstraintSet, config: MgConfig,
-                 use_hier: bool, prolongation=None):
+                 use_hier: bool, prolongation=None, bvh=None):
         self.net = net
         self.J = prolongation          # maps this level's values to the finer
         self.constraints = constraints
@@ -227,7 +227,8 @@ class MgLevel:
         C = constraints.jacobian(net)
         self.C = C
         if use_hier and net.n_vertices > config.dense_cutoff:
-            self.metric = HierMetric(net, params.sigma, eps=config.bct_eps)
+            self.metric = HierMetric(net, params.sigma, bvh=bvh,
+                                     eps=config.bct_eps)
         else:
             self.metric = MetricOperator(net, params)
         k = C.shape[0]
@@ -280,17 +281,21 @@ def restrict(level: "MgLevel", vec_fine: np.ndarray) -> np.ndarray:
 
 
 class MultigridHierarchy:
-    """Level stack plus V-cycle solves for one frozen geometry."""
+    """Level stack plus V-cycle solves for one frozen geometry.
+
+    `bvh` (optional) is a tree fitted to `net` for the finest level's metric.
+    """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
                  constraints: ConstraintSet, config: MgConfig | None = None,
-                 use_hier: bool = True):
+                 use_hier: bool = True, bvh=None):
         self.config = config or MgConfig()
         self.params = params
         keep = {s.vertex for s in constraints.specs
                 if isinstance(s, (PointConstraint, SurfaceConstraint))}
         self.levels: list[MgLevel] = [
-            MgLevel(net, params, constraints, self.config, use_hier)]
+            MgLevel(net, params, constraints, self.config, use_hier,
+                    bvh=bvh)]
         current, cs = net, constraints
         while current.n_vertices > self.config.coarsest_size:
             out = coarsen_network(current, keep=keep)

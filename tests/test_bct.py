@@ -151,6 +151,38 @@ class TestKernelMatvec:
             assert np.allclose(batched[:, c], K.matvec(block[:, c]))
 
 
+def block_sum_oracle(K, net, psi):
+    """K @ psi summing each admissible block explicitly, plus the near CSR."""
+    bvh = K.bct.bvh
+    lengths = net.geometry().lengths
+    cols = psi.reshape(net.n_edges, -1)
+    phi = K.near @ cols
+    for a, b, kbar in zip(K.bct.adm_a, K.bct.adm_b, K.kbar):
+        ia = bvh.order[bvh.start[a]:bvh.end[a]]
+        jb = bvh.order[bvh.start[b]:bvh.end[b]]
+        phi[ia] += lengths[ia, None] * kbar \
+            * (lengths[jb, None] * cols[jb]).sum(axis=0)
+    return phi.reshape(psi.shape)
+
+
+class TestCompiledFarField:
+    @pytest.mark.parametrize("kind", ["high", "low"])
+    @pytest.mark.parametrize("sizes", [(8, 8), (2, 2)])
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_matches_block_sum_oracle(self, kind, sizes, shape):
+        leaf_size, near_size = sizes
+        net = polygon_net(96, seed=24)
+        bvh = build_bvh(net, leaf_size=leaf_size)
+        bct = build_bct(bvh, eps=0.25, near_size=near_size)
+        assert len(bct.adm_a) > 0
+        K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
+        psi = np.random.default_rng(25).normal(size=(net.n_edges, *shape))
+        got = K.matvec(psi)
+        want = block_sum_oracle(K, net, psi)
+        assert got.shape == psi.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestHierMetric:
     def test_constant_annihilated_exactly(self):
         net = polygon_net(64, seed=14)
@@ -205,3 +237,22 @@ class TestHierMetric:
         out = hm.apply_stacked(X.reshape(-1)).reshape(3, -1)
         for c in range(3):
             assert np.allclose(out[c], hm.apply(X[c]))
+
+    def test_stacked_apply_is_three_applies(self):
+        net = polygon_net(128, seed=26)
+        hm = HierMetric(net, SIGMA, eps=0.25)
+        X = np.random.default_rng(27).normal(size=(3, net.n_vertices))
+        out = hm.apply_stacked(X.reshape(-1))
+        want = np.concatenate([hm.apply(X[c]) for c in range(3)])
+        assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_refitting_shared_tree_leaves_metric_unchanged(self):
+        net = polygon_net(96, seed=28)
+        bvh = build_bvh(net)
+        hm = HierMetric(net, SIGMA, bvh=bvh)
+        assert hm.bvh is bvh
+        vec = np.random.default_rng(29).normal(size=3 * net.n_vertices)
+        before = hm.apply_stacked(vec)
+        moved = net.with_positions(net.vertices * 1.5 + 0.1)
+        bvh.refit(moved)
+        assert np.array_equal(hm.apply_stacked(vec), before)

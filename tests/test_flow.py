@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
                            crossings_during_motion, descent_direction,
                            line_search, mass_norm, minimal_projected_crossings,
                            projected_crossing_count, run_flow)
+from knotflow.multigrid import MgConfig
 from knotflow.network import build_network
+from knotflow.scenes import export_frames
 
 from oracles import perturbed_polygon, regular_polygon
 
@@ -177,6 +181,7 @@ class TestRunFlow:
         result = run_flow(net, P36, cs, strategy="hs", config=config)
         for report in result.reports:
             assert report.constraint_residual <= 1e-8
+            assert report.mg_cycles == report.mg_unconverged == 0
         assert np.all(np.diff(result.energies) <= 1e-12)
 
     def test_collision_mode_no_crossings(self):
@@ -200,6 +205,29 @@ class TestRunFlow:
         energies = result.energies
         assert energies[-1] < energies[0]
         assert np.all(np.diff(energies) <= 2e-2 * energies[0])
+
+    def test_unconverged_vcycles_reported(self, tmp_path):
+        net = smooth_perturbed_circle(64, seed=14)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        config = FlowConfig(max_iters=2, mg=MgConfig(max_vcycles=1))
+        result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
+        assert len(result.reports) > 0
+        assert all(r.mg_cycles > 0 for r in result.reports)
+        assert sum(r.mg_unconverged for r in result.reports) > 0
+        export_frames(result, net.edges, tmp_path)
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["mg_unconverged"]) for row in rows] \
+            == [r.mg_unconverged for r in result.reports]
+
+    def test_multigrid_metric_shares_objective_tree(self):
+        net = smooth_perturbed_circle(128, seed=16)
+        cs = ConstraintSet([Barycenter()])
+        objective = Objective(P36, accel="bh")
+        objective.energy_and_differential(net, rebuild=True)
+        solver = StepSolver("hs-mg", net, P36, cs, FlowConfig(accel="bh"),
+                            bvh=objective.bvh)
+        assert solver.hierarchy.levels[0].metric.bvh is objective.bvh
 
 
 class TestCrossingCounts:
