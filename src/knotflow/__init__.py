@@ -9,17 +9,15 @@ from .bct import BlockClusterTree, HierKernelMatrix, HierMetric, KernelSpec, bui
 from .bvh import EdgeBvh, bh_differential, bh_energy, build_bvh
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,
-                          TangentConstraint, TotalLength, project_gradient,
+                          TangentConstraint, TotalLength,
                           project_onto_constraints)
 from .energy import (EnergyParams, ParameterError, SelfContactError,
                      discrete_differential, discrete_energy, kernel,
                      validate_params)
 from .flow import (FlowConfig, FlowResult, StepReport, collision_step_limit,
                    descent_direction, line_search, run_flow)
-from .metric import (MetricOperator, assemble_high_order, assemble_low_order,
-                     assemble_metric, sobolev_gradient_dense)
-from .multigrid import (MgConfig, MultigridHierarchy, coarsen_network,
-                        projected_saddle_solve)
+from .metric import MetricOperator, SaddleFactor
+from .multigrid import MgConfig, MultigridHierarchy, coarsen_network
 from .network import (CurveNetwork, EdgeGeometry, InvalidNetworkError,
                       build_network, edge_average, edge_geometry)
 from .potentials import (ConstantField, FieldPotential,

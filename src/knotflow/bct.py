@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .bvh import EdgeBvh
-from .energy import SelfContactError
+from .energy import SelfContactError, _pair_chunks
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -39,7 +39,6 @@ class KernelSpec:
 
     kind: str            # "high" or "low"
     sigma: float
-    symmetrized: bool = True
 
     def __post_init__(self):
         if self.kind not in ("high", "low"):
@@ -54,8 +53,7 @@ def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
         raise SelfContactError("coincident tangent-points in kernel matrix")
     expo = 2 * spec.sigma + 1
     if spec.kind == "high":
-        base = r2 ** (-expo / 2)
-        return 2.0 * base if spec.symmetrized else base
+        return 2.0 * r2 ** (-expo / 2)
 
     def k2(t, dvec):
         cr2 = np.maximum(
@@ -63,48 +61,54 @@ def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
             - np.einsum("...i,...i->...", t, dvec) ** 2, 0.0)
         return cr2 / r2 ** ((expo + 4) / 2)
 
-    val = k2(ti, d)
-    if spec.symmetrized:
-        val = val + k2(tj, -d)
-    return val
+    return k2(ti, d) + k2(tj, -d)
 
 
-def _trapezoid_entries(spec: KernelSpec, net: CurveNetwork,
-                       I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Exact near-field entries: 4-point trapezoid pair weights, with lengths.
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise dot products of two (3, P) arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-    Near pairs sit where the kernels are steep, so midpoint sampling is far
-    off there; trapezoid entries make the eps -> 0 metric matvec reproduce the
-    dense Gram matrices exactly.
+
+def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
+                      J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both metric kernels at the edge pairs (I, J), with lengths, in one
+    4-point trapezoid pass over the endpoint pairs.
+
+    Returns (high, low): high = 1/2 l_I l_J sum_ab r^-(2 sigma + 1) and
+    low = 1/4 l_I l_J sum_ab r^-(2 sigma + 1) (k24(T_I) + k24(T_J)) with
+    k24(T) = |T x d|^2 / r^4, both symmetric in (I, J).  The dense metric
+    and the exact near field use these entries, so the eps -> 0 metric
+    matvec reproduces the dense Gram matrices exactly.
     """
     geom = net.geometry()
-    gamma = net.vertices
-    edges = net.edges
-    expo = 2 * spec.sigma + 1
-    acc = np.zeros(len(I))
-    for a in range(2):
-        for b in range(2):
-            d = gamma[edges[I, a]] - gamma[edges[J, b]]
-            r2 = np.einsum("pi,pi->p", d, d)
-            if np.any(r2 == 0.0):
-                raise SelfContactError(
-                    "coincident vertices on non-adjacent edges")
-            term = r2 ** (-expo / 2)
-            if spec.kind == "low":
-                def k24(t):
-                    cr2 = np.maximum(
-                        np.einsum("pi,pi->p", t, t) * r2
-                        - np.einsum("pi,pi->p", t, d) ** 2, 0.0)
-                    return cr2 / r2 ** 2
-
-                factor = k24(geom.tangents[I])
-                if spec.symmetrized:
-                    factor = factor + k24(geom.tangents[J])
-                term = term * factor
-            elif spec.symmetrized:
-                term = 2.0 * term
-            acc += term
-    return 0.25 * geom.lengths[I] * geom.lengths[J] * acc
+    expo = 2 * sigma + 1
+    # coordinates in rows: np.take gathers columns and the dot products
+    # below run over contiguous rows; chunks bound the temporaries
+    X = np.ascontiguousarray(net.vertices.T)
+    T = np.ascontiguousarray(geom.tangents.T)
+    high = np.zeros(len(I))
+    low = np.zeros(len(I))
+    for sl in _pair_chunks(len(I), chunk=4096):
+        Ic, Jc = I[sl], J[sl]
+        ti, tj = T.take(Ic, axis=1), T.take(Jc, axis=1)
+        tti, ttj = _dot3(ti, ti), _dot3(tj, tj)
+        for a in range(2):
+            p = X.take(net.edges[Ic, a], axis=1)
+            for b in range(2):
+                d = p - X.take(net.edges[Jc, b], axis=1)
+                r2 = _dot3(d, d)
+                if np.any(r2 == 0.0):
+                    raise SelfContactError(
+                        "coincident vertices on non-adjacent edges")
+                term = r2 ** (-expo / 2)
+                high[sl] += term
+                cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
+                crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
+                low[sl] += term * ((cri + crj) / r2 ** 2)
+    w = 0.25 * geom.lengths[I] * geom.lengths[J]
+    high *= 2.0 * w
+    low *= w
+    return high, low
 
 
 class BlockClusterTree:
@@ -239,7 +243,7 @@ class HierKernelMatrix:
     """Matrix-free K with rank-1 far field and precomputed sparse near field."""
 
     def __init__(self, bct: BlockClusterTree, spec: KernelSpec,
-                 net: CurveNetwork):
+                 net: CurveNetwork, near_entries: np.ndarray | None = None):
         self.bct = bct
         self.spec = spec
         bvh = bct.bvh
@@ -263,14 +267,14 @@ class HierKernelMatrix:
         self.up.data = self.lengths[self.up.indices]
         self.down = self.up.T.tocsr()
 
-        # near field: exact trapezoid entries, excluded pairs zeroed
+        # near field: exact trapezoid entries at bct.near_pair_arrays (given,
+        # or computed here), excluded pairs zeroed
         I, J = bct.near_pair_arrays(net)
-        if len(I):
-            self.near = coo_matrix(
-                (_trapezoid_entries(spec, net, I, J), (I, J)),
-                shape=(self.n_edges, self.n_edges)).tocsr()
-        else:
-            self.near = csr_matrix((self.n_edges, self.n_edges))
+        if near_entries is None:
+            high, low = trapezoid_kernels(net, spec.sigma, I, J)
+            near_entries = high if spec.kind == "high" else low
+        self.near = coo_matrix((near_entries, (I, J)),
+                               shape=(self.n_edges, self.n_edges)).tocsr()
         self._row_sums = None
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
@@ -285,15 +289,28 @@ class HierKernelMatrix:
         return self._row_sums
 
 
-def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:
-    """Exact dense K for oracles: trapezoid entries, excluded pairs zeroed."""
+def dense_kernel_matrices(net: CurveNetwork,
+                          sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact dense (E x E) high- and low-order K, excluded pairs zeroed.
+
+    One trapezoid pass over the I < J half of the network's cached disjoint
+    pairs; both kernels are symmetric, so each entry is mirrored.
+    """
     E = net.n_edges
-    I, J = np.meshgrid(np.arange(E), np.arange(E), indexing="ij")
-    I, J = I.reshape(-1), J.reshape(-1)
-    keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
-    K = np.zeros(E * E)
-    K[np.flatnonzero(keep)] = _trapezoid_entries(spec, net, I[keep], J[keep])
-    return K.reshape(E, E)
+    I, J = net.disjoint_edge_pairs_upper()
+    out = []
+    for vals in trapezoid_kernels(net, sigma, I, J):
+        K = np.zeros((E, E))
+        K[I, J] = vals
+        K[J, I] = vals
+        out.append(K)
+    return out[0], out[1]
+
+
+def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:
+    """Exact dense K of one kind, for oracles and the acceptance bench."""
+    high, low = dense_kernel_matrices(net, spec.sigma)
+    return high if spec.kind == "high" else low
 
 
 class HierMetric:
@@ -315,10 +332,12 @@ class HierMetric:
         self.sigma = float(sigma)
         self.bvh = bvh if bvh is not None else EdgeBvh(net, leaf_size=leaf_size)
         self.bct = BlockClusterTree(self.bvh, eps=eps, near_size=near_size)
+        high, low = trapezoid_kernels(net, self.sigma,
+                                      *self.bct.near_pair_arrays(net))
         self.k_high = HierKernelMatrix(
-            self.bct, KernelSpec("high", self.sigma), net)
+            self.bct, KernelSpec("high", self.sigma), net, near_entries=high)
         self.k_low = HierKernelMatrix(
-            self.bct, KernelSpec("low", self.sigma), net)
+            self.bct, KernelSpec("low", self.sigma), net, near_entries=low)
         self.D = derivative_matrix(net)                  # (3E, V)
         self.DT = self.D.T.tocsr()
         self.E_avg = average_matrix(net)                 # (E, V)
@@ -349,14 +368,3 @@ class HierMetric:
         """blockdiag(A, A, A) @ vec for stacked (3V,) vectors."""
         return self.apply(vec.reshape(3, self.n).T).T.reshape(-1)
 
-
-def metric_matvec(bct_metric: HierMetric, which: str,
-                  u: np.ndarray) -> np.ndarray:
-    """Apply one metric part ("B", "B0", or "A") to per-vertex values."""
-    if which == "B":
-        return bct_metric.apply_high(u)
-    if which == "B0":
-        return bct_metric.apply_low(u)
-    if which == "A":
-        return bct_metric.apply(u)
-    raise ValueError(f"unknown metric part {which!r}")

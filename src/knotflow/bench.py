@@ -19,8 +19,7 @@ from .constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
 from .energy import discrete_differential, discrete_energy, validate_params
 from .flow import (FlowConfig, crossings_during_motion, mass_norm,
                    minimal_projected_crossings, run_flow)
-from .metric import (SaddleFactor, assemble_high_order, assemble_low_order,
-                     assemble_metric)
+from .metric import MetricOperator, SaddleFactor
 from .multigrid import MultigridHierarchy
 from .network import build_network, stack_fields
 from .scenes import generate_test_curve
@@ -164,15 +163,15 @@ def criterion_3(quick=False) -> CriterionResult:
                     * (0.5 * (v[i1] + v[i2]) - 0.5 * (v[j1] + v[j2]))
         return total
 
-    B = assemble_high_order(net, sigma)
-    B0 = assemble_low_order(net, sigma)
+    metric = MetricOperator(net, params)
+    B, B0 = metric.B, metric.B0
     u = rng.normal(size=8)
     v = rng.normal(size=8)
     err_b = abs(u @ B @ v - brute_high(u, v)) / abs(brute_high(u, v))
     err_b0 = abs(u @ B0 @ v - brute_low(u, v)) / abs(brute_low(u, v))
 
     bigger = generate_test_curve("perturbed-circle", 48, seed=1)
-    A = assemble_metric(bigger, params).A
+    A = MetricOperator(bigger, params).A
     eigvals = np.linalg.eigvalsh(A)
     norm = np.abs(eigvals).max()
     psd = eigvals.min() > -1e-10 * norm
@@ -180,8 +179,8 @@ def criterion_3(quick=False) -> CriterionResult:
     const_null = float(np.linalg.norm(A @ np.ones(len(A)))) < 1e-10 * norm
     sym = np.abs(A - A.T).max() <= 1e-12 * norm
 
-    A2 = assemble_metric(bigger.with_positions(2.0 * bigger.vertices),
-                         params).A
+    A2 = MetricOperator(bigger.with_positions(2.0 * bigger.vertices),
+                        params).A
     factor = 2.0 ** (-(2 * sigma + 1))
     scale_err = float(np.abs(A2 - factor * A).max() / np.abs(A).max())
 
@@ -231,9 +230,9 @@ def criterion_4(quick=False) -> CriterionResult:
         hier = MultigridHierarchy(cnet, params, cs)
         dE = stack_fields(discrete_differential(cnet, params))
         x, _ = hier.solve_gradient(dE)
-        metric = assemble_metric(cnet, params)
-        dense_x, _ = SaddleFactor(metric.a_bar(),
-                                  cs.jacobian(cnet).toarray()).solve(dE, None)
+        metric = MetricOperator(cnet, params)
+        dense_x, _ = SaddleFactor(metric.A, cs.jacobian(cnet),
+                                  cnet.dual_masses()).solve(dE, None)
         a_bar = metric.a_bar()
         diff = x - dense_x
         rel = float(np.sqrt(max(diff @ (a_bar @ diff), 0.0))

@@ -42,7 +42,8 @@ def _solve(args) -> int:
                                      "accel": config.accel,
                                      "scene": str(args.scene)})
     last = result.reports[-1] if result.reports else None
-    print(f"{result.stop_reason}: {len(result.reports)} iterations"
+    print(f"{result.stop_reason} ({result.stop_detail}): "
+          f"{len(result.reports)} iterations"
           + (f", energy {last.energy:.6g}, |g| {last.gradient_norm:.3g}"
              if last else ""))
     return {"converged": 0, "target-energy": 0, "stuck": 2,

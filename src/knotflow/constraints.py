@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .metric import SaddleFactor
-from .network import CurveNetwork, stack_fields, unstack_fields
+from .network import CurveNetwork, unstack_fields
 
 
 class RankDeficientConstraintsError(ValueError):
@@ -323,18 +323,6 @@ class ConstraintSet:
         return names or ["(unidentified combination)"]
 
 
-def project_gradient(saddle: SaddleFactor, differential: np.ndarray,
-                     C: csr_matrix | None = None) -> np.ndarray:
-    """Project a gradient onto the constraint tangent space; returns (V, 3).
-
-    Solves [[A_bar, C^T], [C, 0]] [g; lambda] = [dE; 0] using a prebuilt
-    saddle factorization of the metric and Jacobian.
-    """
-    top = stack_fields(differential)
-    g, _ = saddle.solve(top, None)
-    return unstack_fields(g)
-
-
 def project_onto_constraints(saddle: SaddleFactor, constraints: ConstraintSet,
                              net: CurveNetwork, tol: float = 1e-8,
                              max_iters: int = 10,
@@ -342,21 +330,22 @@ def project_onto_constraints(saddle: SaddleFactor, constraints: ConstraintSet,
     """Return positions to the constraint set by repeated metric-nearest steps.
 
     Each iteration solves the saddle system with RHS (0, -Phi(current)) and
-    adds the primal displacement.  The metric and Jacobian stay frozen in the
-    supplied factorization (or custom solver).  Returns (network, iterations).
+    adds the primal displacement x (C x = -Phi).  The metric and Jacobian stay
+    frozen in the supplied factorization, or in `solver`, which maps Phi to x
+    (the multigrid path).  Returns (network, iterations).
 
     Raises ProjectionFailure when the infinity norm of Phi does not reach tol
     within max_iters; callers treat that as a rejected step.
     """
+    if solver is None:
+        def solver(phi):
+            return saddle.solve(None, -phi)[0]
     current = net
     phi = constraints.evaluate(current)
     if phi.size == 0 or np.linalg.norm(phi, np.inf) <= tol:
         return current, 0
     for iteration in range(1, max_iters + 1):
-        if solver is not None:
-            x = solver(phi)
-        else:
-            x, _ = saddle.solve(None, -phi)
+        x = solver(phi)
         current = current.with_positions(
             current.vertices + unstack_fields(x))
         phi = constraints.evaluate(current)

@@ -24,8 +24,7 @@ from .constraints import ConstraintSet, ProjectionFailure
 from .energy import EnergyParams, discrete_differential, discrete_energy
 from .metric import MetricOperator, SaddleFactor
 from .multigrid import MgConfig, MultigridHierarchy
-from .network import (CurveNetwork, edges_share_vertex, stack_fields,
-                      unstack_fields)
+from .network import CurveNetwork, stack_fields, unstack_fields
 
 STRATEGIES = ("hs", "hs-mg", "l2", "h1", "h2")
 ACCEL_MODES = ("exact", "bh", "full")
@@ -72,6 +71,7 @@ class StepReport:
     collision_limited: bool
     mg_cycles: int                      # V-cycles of the step's solves
     mg_unconverged: int                 # solves stopped at max_vcycles
+    mg_residual: float                  # largest final relative residual
 
 
 @dataclass
@@ -80,6 +80,7 @@ class FlowResult:
     net: CurveNetwork
     stop_reason: str                    # "converged", "stuck", "max_iters"
     frames: list                        # vertex snapshots incl. initial
+    stop_detail: str                    # what made the flow stop
 
     @property
     def energies(self):
@@ -127,7 +128,11 @@ def baseline_metric_matrix(net: CurveNetwork, strategy: str) -> np.ndarray:
 
 
 class Objective:
-    """Energy + weighted potentials with exact or Barnes-Hut evaluation."""
+    """Energy + weighted potentials with exact or Barnes-Hut evaluation.
+
+    On the exact path the last evaluated total is kept with its network, so
+    the step start does not recompute the energy of the accepted trial.
+    """
 
     def __init__(self, params: EnergyParams, potentials=(),
                  accel: str = "exact", bh_eps: float = 0.25):
@@ -138,6 +143,7 @@ class Objective:
         # tree fitted to the last evaluated network (None on the exact path)
         self.bvh: EdgeBvh | None = None
         self._bvh_net: CurveNetwork | None = None
+        self._last: tuple[CurveNetwork, float] | None = None
 
     def _bvh_for(self, net: CurveNetwork, rebuild: bool) -> EdgeBvh:
         if self.bvh is None or rebuild:
@@ -157,12 +163,16 @@ class Objective:
         for pot in self.potentials:
             v, _ = pot.value_and_differential(net, self.params)
             value += pot.weight * v
+        if self.accel == "exact":
+            self._last = (net, value)
         return value
 
     def energy_and_differential(self, net: CurveNetwork,
                                 rebuild: bool = True):
+        cached = self._last is not None and self._last[0] is net
         if self.accel == "exact":
-            value = discrete_energy(net, self.params)
+            value = self._last[1] if cached \
+                else discrete_energy(net, self.params)
             grad = discrete_differential(net, self.params)
         else:
             bvh = self._bvh_for(net, rebuild)
@@ -170,8 +180,11 @@ class Objective:
             grad = bh_differential(net, bvh, self.params, eps=self.bh_eps)
         for pot in self.potentials:
             v, g = pot.value_and_differential(net, self.params)
-            value += pot.weight * v
+            if not cached:
+                value += pot.weight * v
             grad = grad + pot.weight * g
+        if self.accel == "exact":
+            self._last = (net, value)
         return value, grad
 
 
@@ -179,7 +192,12 @@ class StepSolver:
     """Per-step frozen preconditioner: direction solve + projection solve.
 
     `bvh` (optional) is a tree fitted to `net` for the multigrid metric.
-    `mg_cycles`/`mg_unconverged` count V-cycles and unconverged solves.
+    `mg_cycles`/`mg_unconverged` count V-cycles and unconverged solves and
+    `mg_residual` is the largest final relative residual among them.  Rank
+    loss of the Jacobian shows in the factorization the solver builds (the
+    constraint block of the saddle factor, the level-0 C C^T factor on
+    "hs-mg"); only then does the SVD of `ConstraintSet.check_rank` run, to
+    name the dependent rows.
     """
 
     def __init__(self, strategy: str, net: CurveNetwork, params: EnergyParams,
@@ -191,27 +209,28 @@ class StepSolver:
         self.constraints = constraints
         self.mg_cycles = 0
         self.mg_unconverged = 0
+        self.mg_residual = 0.0
         C = constraints.jacobian(net)
         if C.shape[0] == 0:
             raise ValueError(
                 "at least one translation-fixing constraint is required")
-        constraints.check_rank(C)
         self.C = C
-        if strategy == "hs-mg":
-            self.hierarchy = MultigridHierarchy(net, params, constraints,
-                                                config.mg, bvh=bvh)
-            self.factor = None
-        else:
-            if strategy == "hs":
-                a_bar = MetricOperator(net, params).a_bar()
+        self.factor = self.hierarchy = None
+        try:
+            if strategy == "hs-mg":
+                self.hierarchy = MultigridHierarchy(net, params, constraints,
+                                                    config.mg, bvh=bvh)
+                suspect = self.hierarchy.levels[0].rank_suspect
             else:
-                A = baseline_metric_matrix(net, strategy)
-                n = net.n_vertices
-                a_bar = np.zeros((3 * n, 3 * n))
-                for c in range(3):
-                    a_bar[c * n:(c + 1) * n, c * n:(c + 1) * n] = A
-            self.factor = SaddleFactor(a_bar, C.toarray())
-            self.hierarchy = None
+                A = MetricOperator(net, params).A if strategy == "hs" \
+                    else baseline_metric_matrix(net, strategy)
+                self.factor = SaddleFactor(A, C, net.dual_masses())
+                suspect = self.factor.rank_suspect
+        except np.linalg.LinAlgError:
+            constraints.check_rank(C)
+            raise
+        if suspect:
+            constraints.check_rank(C)
 
     def direction(self, differential: np.ndarray) -> np.ndarray:
         """Projected preconditioned gradient, (V, 3)."""
@@ -226,29 +245,20 @@ class StepSolver:
     def _count(self, info: dict):
         self.mg_cycles += info["cycles"]
         self.mg_unconverged += not info["converged"]
+        self.mg_residual = max(self.mg_residual, info["residuals"][-1])
 
     def project(self, net: CurveNetwork, tol: float, max_iters: int):
         """Constraint restoration; returns (net, iterations) or raises."""
-        if self.factor is not None:
-            from .constraints import project_onto_constraints
+        from .constraints import project_onto_constraints
 
-            return project_onto_constraints(self.factor, self.constraints,
-                                            net, tol=tol, max_iters=max_iters)
-        current = net
-        phi = self.constraints.evaluate(current)
-        if np.linalg.norm(phi, np.inf) <= tol:
-            return current, 0
-        for iteration in range(1, max_iters + 1):
-            x, info = self.hierarchy.solve_projection_step(phi)
-            self._count(info)
-            current = current.with_positions(current.vertices
-                                             + unstack_fields(x))
-            phi = self.constraints.evaluate(current)
-            if np.linalg.norm(phi, np.inf) <= tol:
-                return current, iteration
-        raise ProjectionFailure(
-            "constraint projection stalled", float(np.linalg.norm(phi, np.inf)),
-            max_iters)
+        return project_onto_constraints(
+            self.factor, self.constraints, net, tol=tol, max_iters=max_iters,
+            solver=None if self.factor is not None else self._mg_correction)
+
+    def _mg_correction(self, phi: np.ndarray) -> np.ndarray:
+        x, info = self.hierarchy.solve_projection_step(phi)
+        self._count(info)
+        return x
 
 
 def descent_direction(strategy: str, net: CurveNetwork, params: EnergyParams,
@@ -291,8 +301,8 @@ def collision_step_limit(net: CurveNetwork, direction: np.ndarray,
                          cap: float = 1e3) -> float:
     """First time tau at which any non-adjacent edge pair crosses while the
     vertices move along gamma - tau * direction; returns cap if none."""
-    hits = _collision_times(net.vertices, -np.asarray(direction, float),
-                            net.edges, cap)
+    hits = _collision_times(net, net.vertices, -np.asarray(direction, float),
+                            cap)
     return float(hits.min()) if len(hits) else cap
 
 
@@ -301,23 +311,22 @@ def crossings_during_motion(net: CurveNetwork, start: np.ndarray,
     """Count edge-pair crossing events along the linear motion start -> end.
 
     Contacts already present at the start frame are not re-counted."""
-    hits = _collision_times(start, end - start, net.edges, 1.0)
+    hits = _collision_times(net, start, end - start, 1.0)
     return int(np.sum(hits > 1e-12))
 
 
-def _collision_times(base: np.ndarray, velocity: np.ndarray,
-                     edges: np.ndarray, cap: float) -> np.ndarray:
-    """First-contact times in (0, cap] over all non-adjacent edge pairs.
+def _collision_times(net: CurveNetwork, base: np.ndarray,
+                     velocity: np.ndarray, cap: float) -> np.ndarray:
+    """First-contact times in (0, cap] over all non-adjacent edge pairs of
+    `net`'s topology, for vertices moving from `base` along `velocity`.
 
     Conservative advancement on linear vertex trajectories: the edge-edge gap
     can shrink at most at the sum of the two segments' maximal relative
     endpoint speeds, so advancing by gap/rate can never skip a crossing.
     Pairs whose swept bounding boxes never overlap are pruned up front.
     """
-    E = len(edges)
-    ii, jj = np.triu_indices(E, k=1)
-    keep = ~edges_share_vertex(edges[ii], edges[jj])
-    ii, jj = ii[keep], jj[keep]
+    edges = net.edges
+    ii, jj = net.disjoint_edge_pairs_upper()
     if len(ii) == 0:
         return np.zeros(0)
 
@@ -441,6 +450,10 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
     reports = []
     current = net
     stop_reason = "max_iters"
+    stop_detail = f"reached max_iters = {config.max_iters}"
+    # the only SVD rank check; steps detect later rank loss from their
+    # factorizations (StepSolver)
+    constraints.check_rank(constraints.jacobian(current))
 
     # restore feasibility once up front so per-step projections only ever
     # handle the small drift introduced by a line-search step
@@ -450,10 +463,11 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
         try:
             current, _ = solver.project(current, config.projection_tol,
                                         3 * config.projection_max_iters)
-        except ProjectionFailure:
+        except ProjectionFailure as exc:
             return FlowResult(reports=[], net=current, stop_reason="stuck",
                               frames=[current.vertices.copy()]
-                              if keep_frames else [])
+                              if keep_frames else [],
+                              stop_detail=f"initial projection: {exc}")
     frames = [current.vertices.copy()] if keep_frames else []
 
     for iteration in range(1, config.max_iters + 1):
@@ -466,16 +480,18 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
         grad_norm = mass_norm(current, g)
         if grad_norm <= config.stop_tolerance:
             stop_reason = "converged"
+            stop_detail = (f"gradient norm {grad_norm:.3g} <= "
+                           f"{config.stop_tolerance:g}")
             break
         slope = float(np.sum(dE * g))
         if slope <= 0.0:
-            stop_reason = "stuck"
+            stop_reason, stop_detail = "stuck", "non-positive slope"
             break
         try:
             tau, current, f_new, proj_iters, limited = line_search(
                 current, g, objective, solver, f0, slope, config)
-        except StuckFlow:
-            stop_reason = "stuck"
+        except StuckFlow as exc:
+            stop_reason, stop_detail = "stuck", str(exc)
             break
         phi = constraints.evaluate(current)
         reports.append(StepReport(
@@ -486,15 +502,17 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             projection_iters=proj_iters,
             wall_time=time.perf_counter() - tic,
             collision_limited=limited, mg_cycles=solver.mg_cycles,
-            mg_unconverged=solver.mg_unconverged))
+            mg_unconverged=solver.mg_unconverged,
+            mg_residual=solver.mg_residual))
         if keep_frames:
             frames.append(current.vertices.copy())
         if config.stop_energy is not None and f_new <= config.stop_energy:
             stop_reason = "target-energy"
+            stop_detail = f"energy {f_new:.6g} <= {config.stop_energy:g}"
             break
 
     return FlowResult(reports=reports, net=current, stop_reason=stop_reason,
-                      frames=frames)
+                      frames=frames, stop_detail=stop_detail)
 
 
 def projected_crossing_count(net: CurveNetwork,
@@ -512,10 +530,7 @@ def projected_crossing_count(net: CurveNetwork,
     u /= np.linalg.norm(u)
     w = np.cross(view, u)
     pts = np.stack([net.vertices @ u, net.vertices @ w], axis=1)
-    E = net.n_edges
-    ii, jj = np.triu_indices(E, k=1)
-    keep = ~edges_share_vertex(net.edges[ii], net.edges[jj])
-    ii, jj = ii[keep], jj[keep]
+    ii, jj = net.disjoint_edge_pairs_upper()
     p1 = pts[net.edges[ii, 0]]
     p2 = pts[net.edges[ii, 1]]
     q1 = pts[net.edges[jj, 0]]

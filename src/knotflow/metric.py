@@ -1,10 +1,27 @@
-"""Discrete fractional Sobolev inner product A = B + B0 and dense solves.
+"""Discrete fractional Sobolev inner product A = B + B0 and the dense saddle
+factorization.
 
-B couples edgewise derivatives of vertex functions through a nonlocal weight
-w_IJ over non-adjacent edge pairs; B0 is a compensating low-order term built
-from edge averages and a fixed order-(-2) tangent-point kernel.  Both kill
-globally constant functions, so gradient solves always go through a saddle
-system with at least one translation-fixing constraint row.
+Both parts follow from one formula, which the hierarchical metric in
+`bct.py` shares; only the storage of the kernel matrices differs:
+
+    A = sum_c D_c^T (diag(K 1) - K) D_c + E^T (diag(K0 1) - K0) E
+
+D_c is component c of the edgewise derivative (`derivative_matrix`), E the
+vertex-to-edge average (`average_matrix`), and K, K0 the dense (E x E)
+high- and low-order kernel matrices from one trapezoid pass over the
+non-adjacent edge pairs (`bct.dense_kernel_matrices`).  Both parts kill
+globally constant functions, so A is singular and gradient solves go
+through a saddle system [[A_bar, C^T], [C, 0]] with A_bar = blockdiag(A, A,
+A) and at least one translation-fixing constraint row in C.
+
+`SaddleFactor` solves that system exactly without forming it.  With m the
+(scaled) dual masses and U = blockdiag(m, m, m), A' = A + m m^T is SPD; it
+is Cholesky-factored and inverted once per step.  Writing A_bar = A_bar' -
+U U^T turns the saddle system into one bordered by B = [C; U^T], whose
+Schur complement S = B A_bar'^-1 B^T - diag(0_k, I_3) is solved through a
+Cholesky factor of its SPD (k x k) block C A_bar'^-1 C^T and a dense 3 x 3
+remainder.  One factorization serves the direction solve and every
+projection iteration of a step.
 """
 
 from __future__ import annotations
@@ -13,12 +30,13 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix
 
-from .energy import EnergyParams, SelfContactError, _kernel_raw
+from .energy import EnergyParams
 from .network import CurveNetwork
 
-# Low-order kernel exponents; any pair with alpha - beta = -2 scales correctly.
-LOW_ORDER_ALPHA = 2.0
-LOW_ORDER_BETA = 4.0
+# Relative Cholesky pivot (pivot^2 over its diagonal entry) below which the
+# constraint block is suspected to be rank deficient; rounding puts the pivot
+# of an exactly dependent row near 1e-16.
+RANK_PIVOT_TOL = 1e-10
 
 
 def derivative_matrix(net: CurveNetwork) -> csr_matrix:
@@ -46,100 +64,33 @@ def average_matrix(net: CurveNetwork) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(E, net.n_vertices))
 
 
-def _pairwise_sums(net, sigma, low_order):
-    """Per ordered disjoint pair (I, J): the 4-point quadrature weight.
-
-    low_order False: w_IJ  = 1/4 l_I l_J sum over vertex pairs of r^-(2 sigma + 1)
-    low_order True:  w0_IJ = same but with the order-(-2) kernel in the numerator.
-    """
-    geom = net.geometry()
-    pi, pj = net.disjoint_edge_pairs()
-    gamma = net.vertices
-    edges = net.edges
-    expo = 2 * sigma + 1
-    acc = np.zeros(len(pi))
-    for a in range(2):
-        for b in range(2):
-            d = gamma[edges[pi, a]] - gamma[edges[pj, b]]
-            r2 = np.einsum("pi,pi->p", d, d)
-            if np.any(r2 == 0.0):
-                raise SelfContactError(
-                    "coincident vertices on non-adjacent edges")
-            term = r2 ** (-expo / 2)
-            if low_order:
-                term *= _kernel_raw(d, geom.tangents[pi],
-                                    LOW_ORDER_ALPHA, LOW_ORDER_BETA)
-            acc += term
-    w = 0.25 * geom.lengths[pi] * geom.lengths[pj] * acc
-    return pi, pj, w
+def _laplacian(K: np.ndarray) -> np.ndarray:
+    """diag(K 1) - K."""
+    M = -K
+    M[np.diag_indices_from(M)] += K.sum(axis=1)
+    return M
 
 
-def high_order_weights(net: CurveNetwork, sigma: float):
-    """Ordered pair arrays (I, J) and the high-order weights w_IJ."""
-    return _pairwise_sums(net, sigma, low_order=False)
-
-
-def low_order_weights(net: CurveNetwork, sigma: float):
-    """Ordered pair arrays (I, J) and the low-order weights w0_IJ."""
-    return _pairwise_sums(net, sigma, low_order=True)
-
-
-def assemble_high_order(net: CurveNetwork, sigma: float) -> np.ndarray:
-    """Dense high-order Gram matrix B (V x V).
-
-    Satisfies u^T B v = sum over non-adjacent ordered pairs of
-    w_IJ <D_I u - D_J u, D_I v - D_J v>.
-    """
-    V = net.n_vertices
-    geom = net.geometry()
-    pi, pj, w = high_order_weights(net, sigma)
-    edges = net.edges
-    li, lj = geom.lengths[pi], geom.lengths[pj]
-    tdot = np.einsum("pi,pi->p", geom.tangents[pi], geom.tangents[pj])
-
-    B = np.zeros(V * V)
-    w_ii = w / li ** 2
-    w_jj = w / lj ** 2
-    w_ij = w * tdot / (li * lj)
-    for a in range(2):
-        for b in range(2):
-            sign = 1.0 if a == b else -1.0
-            np.add.at(B, edges[pi, a] * V + edges[pi, b], sign * w_ii)
-            np.add.at(B, edges[pj, a] * V + edges[pj, b], sign * w_jj)
-            np.add.at(B, edges[pi, a] * V + edges[pj, b], -sign * w_ij)
-            np.add.at(B, edges[pj, a] * V + edges[pi, b], -sign * w_ij)
-    return B.reshape(V, V)
-
-
-def assemble_low_order(net: CurveNetwork, sigma: float,
-                       params: EnergyParams | None = None) -> np.ndarray:
-    """Dense low-order Gram matrix B0 (V x V).
-
-    Satisfies u^T B0 v = sum over non-adjacent ordered pairs of
-    w0_IJ (u_I - u_J)(v_I - v_J) with edge averages u_I.  The kernel in w0 is
-    fixed at order -2 regardless of the energy exponents.
-    """
-    del params  # exponents of the low-order kernel are fixed
-    V = net.n_vertices
-    pi, pj, w0 = low_order_weights(net, sigma)
-    edges = net.edges
-    B0 = np.zeros(V * V)
-    q = 0.25 * w0
-    for a in range(2):
-        for b in range(2):
-            np.add.at(B0, edges[pi, a] * V + edges[pi, b], q)
-            np.add.at(B0, edges[pj, a] * V + edges[pj, b], q)
-            np.add.at(B0, edges[pi, a] * V + edges[pj, b], -q)
-            np.add.at(B0, edges[pj, a] * V + edges[pi, b], -q)
-    return B0.reshape(V, V)
+def _congruence(op: csr_matrix, M: np.ndarray) -> np.ndarray:
+    """op^T M op for a sparse (E x V) op and a symmetric dense M."""
+    opT = op.T.tocsr()
+    return np.asarray(opT @ np.asarray(opT @ M).T)
 
 
 class MetricOperator:
-    """Assembled dense metric A = B + B0 with componentwise (3V) application."""
+    """Assembled dense metric A = B + B0 with componentwise (3V) application.
+
+    B = sum_c D_c^T (diag(K 1) - K) D_c is the high-order part and
+    B0 = E^T (diag(K0 1) - K0) E the low-order one (module docstring).
+    """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams):
-        self.B = assemble_high_order(net, params.sigma)
-        self.B0 = assemble_low_order(net, params.sigma)
+        from .bct import dense_kernel_matrices
+
+        K, K0 = dense_kernel_matrices(net, params.sigma)
+        M, D = _laplacian(K), derivative_matrix(net)
+        self.B = sum(_congruence(D[c::3], M) for c in range(3))
+        self.B0 = _congruence(average_matrix(net), _laplacian(K0))
         self.A = self.B + self.B0
         self.n = net.n_vertices
 
@@ -150,75 +101,82 @@ class MetricOperator:
 
     def a_bar(self) -> np.ndarray:
         """Dense (3V x 3V) block-diagonal form; used by small direct solves."""
-        n = self.n
-        M = np.zeros((3 * n, 3 * n))
-        for c in range(3):
-            M[c * n:(c + 1) * n, c * n:(c + 1) * n] = self.A
-        return M
+        return np.kron(np.eye(3), self.A)
 
 
-def assemble_metric(net: CurveNetwork, params: EnergyParams) -> MetricOperator:
-    return MetricOperator(net, params)
+def checked_cholesky(M: np.ndarray):
+    """Lower Cholesky factor of SPD M as `scipy.linalg.cho_factor` returns it,
+    plus whether some relative pivot fell below RANK_PIVOT_TOL.
+
+    Raises `numpy.linalg.LinAlgError` when M is not numerically positive
+    definite.
+    """
+    factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    pivots = np.diag(factor[0]) ** 2
+    weak = bool(np.any(pivots < RANK_PIVOT_TOL * np.diag(M)))
+    return factor, weak
 
 
 class SaddleFactor:
-    """Reusable LU factorization of the saddle matrix [[A_bar, C^T], [C, 0]].
+    """Exact solves of [[A_bar, C^T], [C, 0]] [x; lam] = [top; bottom] from
+    the (V x V) metric A, the (k x 3V) Jacobian C and the dual masses.
 
-    The same factorization serves the gradient projection and every iteration
-    of constraint projection within one time step.
+    See the module docstring for the bordered Schur complement.  The same
+    factorization serves the gradient projection and every iteration of
+    constraint projection within one time step.  `rank_suspect` is True when
+    a pivot of the (k x k) constraint block was tiny, which is how rank loss
+    of C shows; numpy's LinAlgError is raised when that block is not positive
+    definite at all.
     """
 
-    def __init__(self, a_bar: np.ndarray, C: np.ndarray | None):
-        n = a_bar.shape[0]
+    def __init__(self, A: np.ndarray, C, masses: np.ndarray):
         if C is None or C.shape[0] == 0:
             raise ValueError(
                 "saddle system is singular: supply at least one "
                 "translation-fixing constraint")
-        C = np.asarray(C.todense()) if hasattr(C, "todense") else np.asarray(C)
-        k = C.shape[0]
-        M = np.zeros((n + k, n + k))
-        M[:n, :n] = a_bar
-        M[:n, n:] = C.T
-        M[n:, :n] = C
-        self.n, self.k = n, k
-        self._lu = scipy.linalg.lu_factor(M)
-        self._matrix = M
+        C = csr_matrix(C)
+        V, k = A.shape[0], C.shape[0]
+        m = np.asarray(masses, dtype=float)
+        # scale m so that m m^T adds an eigenvalue of the size of A's diagonal
+        m = m * np.sqrt(np.trace(A) / (V * (m @ m)))
+        chol = scipy.linalg.cho_factor(A + np.outer(m, m), lower=True,
+                                       check_finite=False)
+        # the explicit inverse A'^-1 (O(V^3) once) turns A_bar'^-1 C^T into
+        # sparse products, cheaper than 3k triangular solves for k ~ V
+        inv = scipy.linalg.cho_solve(chol, np.eye(V), check_finite=False)
+        self._Zt = np.hstack([C[:, c * V:(c + 1) * V] @ inv
+                              for c in range(3)])   # C A_bar'^-1 (k x 3V)
+        self._q = inv @ m                           # A'^-1 m
+        Q = np.zeros((3 * V, 3))
+        for c in range(3):
+            Q[c * V:(c + 1) * V, c] = self._q
+        s_cu = np.asarray(C @ Q)                    # C A_bar'^-1 U, (k x 3)
+        s_uu = (m @ self._q - 1.0) * np.eye(3)
+        self._cc, self.rank_suspect = checked_cholesky(
+            np.asarray(C @ self._Zt.T))
+        self._x = scipy.linalg.cho_solve(self._cc, s_cu, check_finite=False)
+        self._s_cu = s_cu
+        # dense 3 x 3 remainder, symmetric, with eigenvalues of order 1 or
+        # below; on the hs metric one is 0 for each translation C leaves free,
+        # where the saddle system is singular.  Eigenvalues at rounding level
+        # are dropped, so consistent systems (projections) still get a solve.
+        self._r3_pinv = scipy.linalg.pinvh(s_uu - s_cu.T @ self._x,
+                                           atol=1e-12, rtol=0.0)
+        self._inv, self._C, self._m = inv, C, m
+        self.n, self.k = 3 * V, k
 
     def solve(self, top: np.ndarray | None, bottom: np.ndarray | None):
-        """Solve for primal (n,) and multipliers (k,) given RHS blocks."""
-        rhs = np.zeros(self.n + self.k)
-        if top is not None:
-            rhs[:self.n] = top
+        """Solve for primal (3V,) and multipliers (k,) given RHS blocks."""
+        V = self.n // 3
+        if top is None:
+            y = np.zeros((3, V))
+        else:
+            y = (self._inv @ np.reshape(top, (3, V)).T).T
+        r_c = self._C @ y.reshape(-1)
         if bottom is not None:
-            rhs[self.n:] = bottom
-        sol = scipy.linalg.lu_solve(self._lu, rhs)
-        return sol[:self.n], sol[self.n:]
-
-    def residual(self, x: np.ndarray, mult: np.ndarray,
-                 top: np.ndarray | None, bottom: np.ndarray | None) -> float:
-        rhs = np.zeros(self.n + self.k)
-        if top is not None:
-            rhs[:self.n] = top
-        if bottom is not None:
-            rhs[self.n:] = bottom
-        sol = np.concatenate([x, mult])
-        r = self._matrix @ sol - rhs
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        return float(np.linalg.norm(r) / scale)
-
-
-def sobolev_gradient_dense(net: CurveNetwork, params: EnergyParams,
-                           differential: np.ndarray,
-                           constraint_jacobian: np.ndarray | None = None
-                           ) -> np.ndarray:
-    """Solve A_bar g = dE within the constrained saddle system; returns (V, 3).
-
-    constraint_jacobian is the (k x 3V) Jacobian in stacked component order;
-    it must fix translations or the system is singular.
-    """
-    from .network import stack_fields, unstack_fields
-
-    metric = assemble_metric(net, params)
-    factor = SaddleFactor(metric.a_bar(), constraint_jacobian)
-    g, _ = factor.solve(stack_fields(differential), None)
-    return unstack_fields(g)
+            r_c = r_c - bottom
+        w = scipy.linalg.cho_solve(self._cc, r_c, check_finite=False)
+        nu_u = self._r3_pinv @ (y @ self._m - self._s_cu.T @ w)
+        lam = w - self._x @ nu_u
+        x = y - np.outer(nu_u, self._q)
+        return x.reshape(-1) - lam @ self._Zt, lam

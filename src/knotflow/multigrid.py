@@ -23,7 +23,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SurfaceConstraint,
                           TangentConstraint, TotalLength)
 from .energy import EnergyParams
-from .metric import MetricOperator
+from .metric import RANK_PIVOT_TOL, MetricOperator, checked_cholesky
 from .network import CurveNetwork
 
 
@@ -226,16 +226,27 @@ class MgLevel:
         self.scale = 1.0
         C = constraints.jacobian(net)
         self.C = C
+        self.CT = C.T.tocsr()
         if use_hier and net.n_vertices > config.dense_cutoff:
             self.metric = HierMetric(net, params.sigma, bvh=bvh,
                                      eps=config.bct_eps)
         else:
             self.metric = MetricOperator(net, params)
+        # C C^T factor of the projector; a tiny pivot sets rank_suspect
         k = C.shape[0]
-        if k:
-            cct = (C @ C.T).toarray()
-            self._cct_solve = scipy.linalg.cho_factor(cct) if k <= 512 else None
-            self._cct_sparse = splu((C @ C.T).tocsc()) if k > 512 else None
+        self._cct_solve = self._cct_sparse = None
+        self.rank_suspect = False
+        if 0 < k <= 512:
+            self._cct_solve, self.rank_suspect = checked_cholesky(
+                (C @ self.CT).toarray())
+        elif k > 512:
+            try:
+                self._cct_sparse = splu((C @ self.CT).tocsc())
+            except RuntimeError as exc:              # exactly singular
+                raise np.linalg.LinAlgError(str(exc)) from exc
+            # the pivot tolerance, applied to |U_ii| over the largest one
+            u = np.abs(self._cct_sparse.U.diagonal())
+            self.rank_suspect = bool(u.min() < RANK_PIVOT_TOL * u.max())
         self.k = k
 
     def apply_scalar_metric(self, u: np.ndarray) -> np.ndarray:
@@ -246,14 +257,15 @@ class MgLevel:
 
     def solve_cct(self, rhs: np.ndarray) -> np.ndarray:
         if self._cct_solve is not None:
-            return scipy.linalg.cho_solve(self._cct_solve, rhs)
+            return scipy.linalg.cho_solve(self._cct_solve, rhs,
+                                          check_finite=False)
         return self._cct_sparse.solve(rhs)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto null(C)."""
         if self.k == 0:
             return v
-        return v - self.C.T @ self.solve_cct(self.C @ v)
+        return v - self.CT @ self.solve_cct(self.C @ v)
 
     def apply_projected(self, v: np.ndarray) -> np.ndarray:
         """M v with M = P A_bar P (symmetric PSD on the constraint space)."""
@@ -261,7 +273,7 @@ class MgLevel:
 
     def min_norm_solution(self, phi: np.ndarray) -> np.ndarray:
         """z = C^T (C C^T)^{-1} phi, the least-norm solution of C z = phi."""
-        return self.C.T @ self.solve_cct(phi)
+        return self.CT @ self.solve_cct(phi)
 
 
 def prolong(level: "MgLevel", vec_coarse: np.ndarray) -> np.ndarray:
@@ -434,13 +446,3 @@ class MultigridHierarchy:
         y, info = self.vcycle_solve(b)
         return z - top.project(y), info
 
-
-def projected_saddle_solve(hierarchy: MultigridHierarchy,
-                           a: np.ndarray | None = None,
-                           phi: np.ndarray | None = None):
-    """Solve one of the two saddle problem flavors through the hierarchy."""
-    if (a is None) == (phi is None):
-        raise ValueError("pass exactly one of a (gradient) or phi (projection)")
-    if a is not None:
-        return hierarchy.solve_gradient(a)
-    return hierarchy.solve_projection_step(phi)

@@ -80,6 +80,8 @@ class CurveNetwork:
         self.edges = edges
         self._geometry: EdgeGeometry | None = None
         self._labels: np.ndarray | None = None
+        # pair lists, which depend on the edges alone; shared by snapshots
+        self._topology: dict = {}
 
     @property
     def n_vertices(self) -> int:
@@ -90,8 +92,12 @@ class CurveNetwork:
         return len(self.edges)
 
     def with_positions(self, vertices) -> "CurveNetwork":
-        """New network with the same edges and updated positions."""
-        return CurveNetwork(vertices, self.edges)
+        """New network with the same edges and updated positions.
+
+        The snapshot shares this network's topology caches (pair lists)."""
+        net = CurveNetwork(vertices, self.edges)
+        net._topology = self._topology
+        return net
 
     @property
     def degrees(self) -> np.ndarray:
@@ -139,15 +145,33 @@ class CurveNetwork:
         np.add.at(masses, self.edges[:, 1], 0.5 * lengths)
         return masses
 
+    def disjoint_edge_pairs_upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge pairs I < J sharing no vertex, as two read-only index arrays.
+
+        Topology alone fixes them, so they are built once and shared by every
+        `with_positions` snapshot.
+        """
+        if "upper" not in self._topology:
+            ii, jj = np.triu_indices(self.n_edges, k=1)
+            keep = ~edges_share_vertex(self.edges[ii], self.edges[jj])
+            self._topology["upper"] = _read_only(ii[keep], jj[keep])
+        return self._topology["upper"]
+
     def disjoint_edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered edge pairs (I, J) sharing no vertex, as two index arrays."""
-        e = self.edges
-        ii, jj = np.meshgrid(np.arange(self.n_edges), np.arange(self.n_edges),
-                             indexing="ij")
-        ii, jj = ii.reshape(-1), jj.reshape(-1)
-        share = edges_share_vertex(e[ii], e[jj])
-        keep = ~share
-        return ii[keep], jj[keep]
+        """Ordered edge pairs (I, J) sharing no vertex, row-major in (I, J):
+        both orders of each `disjoint_edge_pairs_upper` pair, cached alike."""
+        if "ordered" not in self._topology:
+            ui, uj = self.disjoint_edge_pairs_upper()
+            ii, jj = np.concatenate([ui, uj]), np.concatenate([uj, ui])
+            order = np.lexsort((jj, ii))
+            self._topology["ordered"] = _read_only(ii[order], jj[order])
+        return self._topology["ordered"]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def edges_share_vertex(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:

@@ -99,6 +99,33 @@ def brute_low_order_form(vertices, edges, sigma, u, v):
     return total
 
 
+def saddle_matrix(A, C):
+    """Full saddle matrix [[blockdiag(A, A, A), C^T], [C, 0]], built densely."""
+    C = np.asarray(C, float)
+    n, k = 3 * len(A), len(C)
+    M = np.zeros((n + k, n + k))
+    for c in range(3):
+        M[c * len(A):(c + 1) * len(A), c * len(A):(c + 1) * len(A)] = A
+    M[:n, n:] = C.T
+    M[n:, :n] = C
+    return M
+
+
+def lu_saddle_solve(A, C, top=None, bottom=None):
+    """Solve the full saddle system by dense LU; returns (primal, mult)."""
+    import scipy.linalg
+
+    M = saddle_matrix(A, C)
+    n = 3 * len(A)
+    rhs = np.zeros(len(M))
+    if top is not None:
+        rhs[:n] = top
+    if bottom is not None:
+        rhs[n:] = bottom
+    sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(M), rhs)
+    return sol[:n], sol[n:]
+
+
 def regular_polygon(n, radius=1.0):
     """Closed regular n-gon inscribed in a circle of the given radius."""
     theta = 2 * np.pi * np.arange(n) / n

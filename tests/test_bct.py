@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec, build_bct, dense_kernel_matrix,
-                          metric_matvec)
+                          KernelSpec, build_bct, dense_kernel_matrix)
 from knotflow.bvh import build_bvh
 from knotflow.energy import validate_params
-from knotflow.metric import assemble_high_order, assemble_low_order
+from knotflow.metric import MetricOperator
 from knotflow.network import build_network
 
 from oracles import perturbed_polygon, regular_polygon
@@ -207,11 +206,11 @@ class TestHierMetric:
     def test_matches_dense_gram_at_n64(self, which):
         net = polygon_net(64, seed=18)
         hm = HierMetric(net, SIGMA)
-        dense = (assemble_high_order(net, SIGMA) if which == "B"
-                 else assemble_low_order(net, SIGMA))
+        metric = MetricOperator(net, P36)
+        dense = metric.B if which == "B" else metric.B0
         rng = np.random.default_rng(19)
         u = rng.normal(size=net.n_vertices)
-        got = metric_matvec(hm, which, u)
+        got = hm.apply_high(u) if which == "B" else hm.apply_low(u)
         want = dense @ u
         assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
 
@@ -220,8 +219,8 @@ class TestHierMetric:
         # decomposition reproduces the assembled Gram matrices exactly
         net = polygon_net(32, seed=20)
         hm = HierMetric(net, SIGMA, eps=0.0)
-        B = assemble_high_order(net, SIGMA)
-        B0 = assemble_low_order(net, SIGMA)
+        metric = MetricOperator(net, P36)
+        B, B0 = metric.B, metric.B0
         rng = np.random.default_rng(21)
         u = rng.normal(size=net.n_vertices)
         assert np.linalg.norm(hm.apply_high(u) - B @ u) \

@@ -201,3 +201,21 @@ max_iters = 3
         rows = (out / "log.csv").read_text().strip().splitlines()
         summary = json.loads((out / "summary.json").read_text())
         assert len(rows) - 1 == summary["iterations"]
+
+    def test_solve_prints_stop_detail(self, tmp_path, capsys):
+        path = tmp_path / "scene.knot"
+        path.write_text("""
+[curve]
+kind = circle
+n = 16
+
+[constraint]
+type = barycenter
+
+[flow]
+max_iters = 2
+""")
+        code = main(["solve", str(path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.startswith("max_iters (reached max_iters = 2): 2 iterations")

@@ -3,14 +3,16 @@ import csv
 import numpy as np
 import pytest
 
-from knotflow.constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
+from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
+                                  PointConstraint,
+                                  RankDeficientConstraintsError, TotalLength)
 from knotflow.energy import discrete_differential, discrete_energy, validate_params
 from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
                            baseline_metric_matrix, collision_step_limit,
                            crossings_during_motion, descent_direction,
                            line_search, mass_norm, minimal_projected_crossings,
                            projected_crossing_count, run_flow)
-from knotflow.multigrid import MgConfig
+from knotflow.multigrid import MgConfig, MultigridHierarchy
 from knotflow.network import build_network
 from knotflow.scenes import export_frames
 
@@ -182,6 +184,7 @@ class TestRunFlow:
         for report in result.reports:
             assert report.constraint_residual <= 1e-8
             assert report.mg_cycles == report.mg_unconverged == 0
+            assert report.mg_residual == 0.0
         assert np.all(np.diff(result.energies) <= 1e-12)
 
     def test_collision_mode_no_crossings(self):
@@ -228,6 +231,152 @@ class TestRunFlow:
         solver = StepSolver("hs-mg", net, P36, cs, FlowConfig(accel="bh"),
                             bvh=objective.bvh)
         assert solver.hierarchy.levels[0].metric.bvh is objective.bvh
+
+
+    def test_final_vcycle_residual_reported(self, tmp_path, monkeypatch):
+        steps = []
+        init, vcycle_solve = StepSolver.__init__, MultigridHierarchy.vcycle_solve
+
+        def new_step(self, *args, **kwargs):
+            steps.append([])
+            init(self, *args, **kwargs)
+
+        def recorded_solve(self, b):
+            y, info = vcycle_solve(self, b)
+            steps[-1].append(info["residuals"][-1])
+            return y, info
+
+        monkeypatch.setattr(StepSolver, "__init__", new_step)
+        monkeypatch.setattr(MultigridHierarchy, "vcycle_solve", recorded_solve)
+        net = smooth_perturbed_circle(64, seed=14)
+        # feasible from the start, so every StepSolver belongs to one step
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        config = FlowConfig(max_iters=2, mg=MgConfig(max_vcycles=1))
+        result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
+        assert 0 < len(result.reports) <= len(steps)
+        for r, finals in zip(result.reports, steps):
+            assert r.mg_residual == max(finals) > 0.0
+            # an unconverged solve stopped above the residual target
+            assert (r.mg_residual > config.mg.target_rel_residual) \
+                == (r.mg_unconverged > 0)
+        export_frames(result, net.edges, tmp_path)
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["mg_residual"]) for row in rows] \
+            == [r.mg_residual for r in result.reports]
+
+    def test_exact_energy_once_per_trial_plus_start(self, monkeypatch):
+        import knotflow.flow as flow
+
+        calls = {"energy": 0, "trials": 0, "rank": 0}
+        discrete = flow.discrete_energy
+        trial = Objective.energy
+        check_rank = ConstraintSet.check_rank
+
+        def counted_energy(net, params):
+            calls["energy"] += 1
+            return discrete(net, params)
+
+        def counted_trial(self, net, rebuild=False):
+            calls["trials"] += 1
+            return trial(self, net, rebuild)
+
+        def counted_rank(self, C):
+            calls["rank"] += 1
+            return check_rank(self, C)
+
+        monkeypatch.setattr(flow, "discrete_energy", counted_energy)
+        monkeypatch.setattr(Objective, "energy", counted_trial)
+        monkeypatch.setattr(ConstraintSet, "check_rank", counted_rank)
+        net = smooth_perturbed_circle(24, seed=20)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs",
+                          config=FlowConfig(max_iters=4))
+        assert len(result.reports) == 4
+        assert calls["trials"] >= 4
+        assert calls["energy"] == calls["trials"] + 1
+        # the SVD rank check runs once, before the loop
+        assert calls["rank"] == 1
+        # the cached step-start energy is the accepted trial's energy
+        assert result.reports[-1].energy \
+            == pytest.approx(discrete(result.net, P36), rel=1e-14)
+
+    def test_stop_detail_names_the_cause(self, tmp_path):
+        import json
+
+        net = smooth_perturbed_circle(16, seed=22)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        stuck = run_flow(net, P36, cs, config=FlowConfig(tau_floor=1.0))
+        assert stuck.stop_reason == "stuck"
+        assert "line search underflow" in stuck.stop_detail
+        export_frames(stuck, net.edges, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stop_detail"] == stuck.stop_detail
+
+        far = ConstraintSet([Barycenter(),
+                             EdgeLengths(0.01 * net.geometry().lengths)])
+        stalled = run_flow(net, P36, far,
+                           config=FlowConfig(projection_max_iters=1))
+        assert stalled.stop_reason == "stuck"
+        assert stalled.stop_detail.startswith("initial projection:")
+        assert "stalled" in stalled.stop_detail
+
+        done = run_flow(net, P36, cs, config=FlowConfig(max_iters=2))
+        assert done.stop_reason == "max_iters"
+        assert done.stop_detail == "reached max_iters = 2"
+
+
+class FixedRows:
+    """Constraint with fixed Jacobian rows (k x 3V) and zero residual."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.size = len(self.rows)
+
+    def evaluate(self, net):
+        return np.zeros(self.size)
+
+    def jacobian_triplets(self, net):
+        r, c = np.nonzero(self.rows)
+        return r, c, self.rows[r, c]
+
+    def describe(self):
+        return "fixed rows"
+
+
+class TestRankLoss:
+    @pytest.mark.parametrize("strategy", ["hs", "hs-mg"])
+    def test_dependent_rows_named_by_step_solver(self, strategy):
+        net = smooth_perturbed_circle(64, seed=23)
+        pin = net.vertices[0]
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            PointConstraint(0, pin), PointConstraint(0, pin)])
+        with pytest.raises(RankDeficientConstraintsError, match="point v0"):
+            StepSolver(strategy, net, P36, cs, FlowConfig())
+
+    @pytest.mark.parametrize("strategy", ["hs", "hs-mg"])
+    def test_weak_pivot_runs_svd_check(self, strategy, monkeypatch):
+        # a row repeated up to 1e-6 is full rank for the SVD check but leaves
+        # a tiny pivot in the factor, which must hand over to check_rank
+        net = smooth_perturbed_circle(24, seed=24)
+        rng = np.random.default_rng(25)
+        row = rng.normal(size=3 * net.n_vertices)
+        near = row + 1e-6 * rng.normal(size=row.size)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            FixedRows([row, near])])
+        calls = []
+        monkeypatch.setattr(ConstraintSet, "check_rank",
+                            lambda self, C: calls.append(C.shape))
+        StepSolver(strategy, net, P36, cs, FlowConfig())
+        assert calls == [(5, 3 * net.n_vertices)]
+
+    def test_independent_rows_accepted(self):
+        net = smooth_perturbed_circle(64, seed=23)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            PointConstraint(0, net.vertices[0])])
+        for strategy in ("hs", "hs-mg"):
+            StepSolver(strategy, net, P36, cs, FlowConfig())
 
 
 class TestCrossingCounts:

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
+from knotflow.bct import dense_kernel_matrices
+from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
+                                  PointConstraint, TotalLength)
 from knotflow.energy import validate_params
-from knotflow.metric import (MetricOperator, SaddleFactor, assemble_high_order,
-                             assemble_low_order, assemble_metric,
-                             average_matrix, derivative_matrix,
-                             high_order_weights, low_order_weights,
-                             sobolev_gradient_dense)
-from knotflow.network import build_network, stack_fields
+from knotflow.flow import baseline_metric_matrix
+from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
+                             derivative_matrix)
+from knotflow.network import build_network, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
-                     perturbed_polygon, regular_polygon)
+                     lu_saddle_solve, perturbed_polygon, regular_polygon,
+                     saddle_matrix)
 
 SIGMA = 2.0 / 3.0
+P36 = validate_params(3, 6)         # sigma = 2/3
+
+
+def dense_gradient(net, p, dE, C):
+    """Saddle-projected H^s gradient (V, 3) through SaddleFactor."""
+    factor = SaddleFactor(MetricOperator(net, p).A, C, net.dual_masses())
+    g, _ = factor.solve(stack_fields(dE), None)
+    return unstack_fields(g)
 
 
 def octagon_net(seed=None):
@@ -60,42 +70,46 @@ class TestWeights:
         net = build_network(
             [[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]],
             [[0, 1], [1, 2], [2, 3], [3, 0]])
-        pi, pj, w = high_order_weights(net, SIGMA)
-        mask = (pi == 0) & (pj == 2)
+        K, _ = dense_kernel_matrices(net, SIGMA)
+        # K is the symmetrized weight w_IJ + w_JI of the ordered double sum
         expected = 0.25 * (2 * 1.0 + 2 * np.sqrt(2) ** (-(2 * SIGMA + 1)))
-        assert w[mask][0] == pytest.approx(expected, rel=1e-12)
+        assert K[0, 2] == pytest.approx(2 * expected, rel=1e-12)
+        assert K[1, 3] == pytest.approx(2 * expected, rel=1e-12)
 
     def test_adjacent_pairs_excluded(self):
         net = octagon_net()
-        pi, pj, _ = high_order_weights(net, SIGMA)
-        for I, J in zip(pi, pj):
-            assert not set(net.edges[I]) & set(net.edges[J])
+        K, K0 = dense_kernel_matrices(net, SIGMA)
+        for I in range(net.n_edges):
+            for J in range(net.n_edges):
+                adjacent = bool(set(net.edges[I]) & set(net.edges[J]))
+                assert (K[I, J] == 0.0) == adjacent
+                assert K0[I, J] == 0.0 or not adjacent
 
     def test_weight_scaling(self):
         net = octagon_net(seed=2)
         scaled = build_network(3.0 * net.vertices, net.edges)
-        _, _, w = high_order_weights(net, SIGMA)
-        _, _, ws = high_order_weights(scaled, SIGMA)
+        K, _ = dense_kernel_matrices(net, SIGMA)
+        Ks, _ = dense_kernel_matrices(scaled, SIGMA)
         factor = 3.0 ** 2 / 3.0 ** (2 * SIGMA + 1)
-        assert np.allclose(ws, factor * w, rtol=1e-12)
+        assert np.allclose(Ks, factor * K, rtol=1e-12)
 
     def test_low_order_vanishes_on_collinear(self):
         verts = np.stack([np.arange(6.0), np.zeros(6), np.zeros(6)], axis=1)
         net = build_network(verts, [[i, i + 1] for i in range(5)])
-        _, _, w0 = low_order_weights(net, SIGMA)
-        assert np.allclose(w0, 0.0, atol=1e-14)
+        _, K0 = dense_kernel_matrices(net, SIGMA)
+        assert np.allclose(K0, 0.0, atol=1e-14)
 
 
 class TestGramMatrices:
     def test_high_order_kills_constants(self):
         net = octagon_net(seed=3)
-        B = assemble_high_order(net, SIGMA)
+        B = MetricOperator(net, P36).B
         u = np.full(net.n_vertices, 1.7)
         assert abs(u @ B @ u) < 1e-12 * np.abs(B).max()
 
     def test_high_order_quadratic_form_oracle(self):
         net = octagon_net(seed=4)
-        B = assemble_high_order(net, SIGMA)
+        B = MetricOperator(net, P36).B
         rng = np.random.default_rng(5)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -104,7 +118,7 @@ class TestGramMatrices:
 
     def test_low_order_quadratic_form_oracle(self):
         net = octagon_net(seed=6)
-        B0 = assemble_low_order(net, SIGMA)
+        B0 = MetricOperator(net, P36).B0
         rng = np.random.default_rng(7)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -113,14 +127,14 @@ class TestGramMatrices:
 
     def test_low_order_kills_constants(self):
         net = octagon_net(seed=8)
-        B0 = assemble_low_order(net, SIGMA)
+        B0 = MetricOperator(net, P36).B0
         u = np.full(net.n_vertices, -2.2)
         assert abs(u @ B0 @ u) < 1e-12 * max(np.abs(B0).max(), 1e-30)
 
     def test_symmetry(self):
         net = octagon_net(seed=9)
-        B = assemble_high_order(net, SIGMA)
-        B0 = assemble_low_order(net, SIGMA)
+        metric = MetricOperator(net, P36)
+        B, B0 = metric.B, metric.B0
         assert np.allclose(B, B.T, atol=1e-12 * np.abs(B).max())
         assert np.allclose(B0, B0.T, atol=1e-12 * max(np.abs(B0).max(), 1e-30))
 
@@ -128,7 +142,7 @@ class TestGramMatrices:
         verts, edges = perturbed_polygon(16, seed=10)
         net = build_network(verts, edges)
         p = validate_params(3, 6)
-        A = assemble_metric(net, p).A
+        A = MetricOperator(net, p).A
         eigvals = np.linalg.eigvalsh(A)
         norm = np.abs(eigvals).max()
         assert eigvals.min() > -1e-10 * norm
@@ -140,8 +154,8 @@ class TestGramMatrices:
     def test_metric_scaling_exponent(self):
         verts, edges = perturbed_polygon(12, seed=11)
         p = validate_params(3, 6)
-        A1 = assemble_metric(build_network(verts, edges), p).A
-        A2 = assemble_metric(build_network(2.0 * verts, edges), p).A
+        A1 = MetricOperator(build_network(verts, edges), p).A
+        A2 = MetricOperator(build_network(2.0 * verts, edges), p).A
         factor = 2.0 ** (-(2 * p.sigma + 1))
         assert np.allclose(A2, factor * A1, rtol=1e-10)
 
@@ -150,15 +164,15 @@ class TestDenseSolve:
     def test_zero_rhs_gives_zero(self):
         net = octagon_net(seed=12)
         p = validate_params(3, 6)
-        g = sobolev_gradient_dense(net, p, np.zeros((net.n_vertices, 3)),
-                                   mean_fix_jacobian(net.n_vertices))
+        g = dense_gradient(net, p, np.zeros((net.n_vertices, 3)),
+                           mean_fix_jacobian(net.n_vertices))
         assert np.allclose(g, 0.0)
 
     def test_singular_without_constraint(self):
         net = octagon_net(seed=13)
         p = validate_params(3, 6)
         with pytest.raises(ValueError, match="translation-fixing"):
-            sobolev_gradient_dense(net, p, np.zeros((net.n_vertices, 3)), None)
+            dense_gradient(net, p, np.zeros((net.n_vertices, 3)), None)
 
     def test_polygon_gradient_radially_symmetric(self):
         from knotflow.energy import discrete_differential
@@ -167,7 +181,7 @@ class TestDenseSolve:
         net = build_network(verts, edges)
         p = validate_params(2, 4)
         dE = discrete_differential(net, p)
-        g = sobolev_gradient_dense(net, p, dE, mean_fix_jacobian(net.n_vertices))
+        g = dense_gradient(net, p, dE, mean_fix_jacobian(net.n_vertices))
         mags = np.linalg.norm(g, axis=1)
         assert np.allclose(mags, mags[0], rtol=1e-8)
 
@@ -180,19 +194,78 @@ class TestDenseSolve:
         for c in (1.0, 3.0):
             net = build_network(c * verts, edges)
             dE = discrete_differential(net, p)
-            g = sobolev_gradient_dense(net, p, dE,
-                                       mean_fix_jacobian(net.n_vertices))
+            g = dense_gradient(net, p, dE,
+                               mean_fix_jacobian(net.n_vertices))
             dirs.append(g.reshape(-1) / np.linalg.norm(g))
         assert np.linalg.norm(dirs[0] - dirs[1]) < 1e-8
 
     def test_saddle_residual(self):
         net = octagon_net(seed=15)
         p = validate_params(3, 6)
-        metric = assemble_metric(net, p)
+        metric = MetricOperator(net, p)
         C = mean_fix_jacobian(net.n_vertices)
-        factor = SaddleFactor(metric.a_bar(), C)
+        factor = SaddleFactor(metric.A, C, net.dual_masses())
         rng = np.random.default_rng(16)
         rhs = stack_fields(rng.normal(size=(net.n_vertices, 3)))
         x, lam = factor.solve(rhs, None)
-        assert factor.residual(x, lam, rhs, None) < 1e-10
+        full = np.concatenate([rhs, np.zeros(len(C))])
+        r = saddle_matrix(metric.A, C) @ np.concatenate([x, lam]) - full
+        assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(full)
         assert np.linalg.norm(C @ x) < 1e-8 * np.linalg.norm(x)
+
+
+def _constraint_case(name, net):
+    if name == "barycenter+edge-lengths":
+        return ConstraintSet([Barycenter.from_network(net),
+                              EdgeLengths.from_network(net)])
+    if name == "point":
+        return ConstraintSet([PointConstraint(3, net.vertices[3])])
+    return ConstraintSet([Barycenter.from_network(net),
+                          TotalLength(net.total_length())])
+
+
+class TestSaddleFactorOracle:
+    """SaddleFactor against an LU solve of the full (3V + k)^2 system."""
+
+    @pytest.mark.parametrize("strategy,case", [
+        ("hs", "barycenter+edge-lengths"),
+        ("hs", "point"),
+        ("l2", "barycenter+total-length"),
+        ("h1", "barycenter+edge-lengths"),
+        ("h2", "point"),
+    ])
+    def test_matches_full_lu(self, strategy, case):
+        verts, edges = perturbed_polygon(24, seed=30)
+        net = build_network(verts, edges)
+        cs = _constraint_case(case, net)
+        C = cs.jacobian(net)
+        A = MetricOperator(net, P36).A if strategy == "hs" \
+            else baseline_metric_matrix(net, strategy)
+        factor = SaddleFactor(A, C, net.dual_masses())
+        assert not factor.rank_suspect
+        rng = np.random.default_rng(31)
+        top = rng.normal(size=3 * net.n_vertices)
+        bottom = rng.normal(size=C.shape[0])
+        for t, b in ((top, None), (None, bottom), (top, bottom)):
+            x, lam = factor.solve(t, b)
+            want_x, want_lam = lu_saddle_solve(A, C.toarray(), t, b)
+            assert np.linalg.norm(x - want_x) \
+                <= 1e-10 * np.linalg.norm(want_x)
+            # multipliers vanish for (None, b) with a point constraint, so
+            # they are compared within the whole solution vector
+            got = np.concatenate([x, lam])
+            want = np.concatenate([want_x, want_lam])
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_dependent_rows_show_as_weak_pivot(self):
+        # a row repeated up to 1e-6 leaves the constraint block positive
+        # definite, with a relative pivot near 1e-12
+        net = octagon_net(seed=32)
+        C = mean_fix_jacobian(net.n_vertices)
+        row = np.random.default_rng(33).normal(size=3 * net.n_vertices)
+        near = row + 1e-6 * np.random.default_rng(34).normal(size=len(row))
+        A = MetricOperator(net, P36).A
+        independent = SaddleFactor(A, np.vstack([C, row]), net.dual_masses())
+        assert not independent.rank_suspect
+        factor = SaddleFactor(A, np.vstack([C, row, near]), net.dual_masses())
+        assert factor.rank_suspect

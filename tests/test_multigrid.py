@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from knotflow.constraints import (Barycenter, ConstraintSet, PointConstraint,
-                                  TotalLength)
+from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
+                                  PointConstraint, TotalLength)
 from knotflow.energy import discrete_differential, validate_params
-from knotflow.metric import SaddleFactor, assemble_metric
-from knotflow.multigrid import (MgConfig, MultigridHierarchy, coarsen_network,
-                                projected_saddle_solve, restrict_constraints)
+from knotflow.metric import MetricOperator, SaddleFactor
+from knotflow.multigrid import (MgConfig, MgLevel, MultigridHierarchy,
+                                coarsen_network, restrict_constraints)
 from knotflow.network import build_network, stack_fields
 
 from oracles import perturbed_polygon, regular_polygon
@@ -106,6 +106,26 @@ class TestProjector:
         assert np.linalg.norm(P - P.T) <= 1e-10
 
 
+    def test_sparse_factor_for_large_k_reports_rank_loss(self):
+        # k > 512 takes the sparse LU of C C^T instead of the Cholesky
+        verts, edges = perturbed_polygon(520, seed=12)
+        net = build_network(verts, edges)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            EdgeLengths.from_network(net)])
+        level = MgLevel(net, P36, cs, MgConfig(), use_hier=False)
+        assert level.k > 512 and not level.rank_suspect
+        v = np.random.default_rng(13).normal(size=3 * net.n_vertices)
+        assert np.linalg.norm(level.C @ level.project(v)) \
+            <= 1e-10 * np.linalg.norm(v)
+        pin = net.vertices[0]
+        cs.add(PointConstraint(0, pin)).add(PointConstraint(0, pin))
+        try:
+            level = MgLevel(net, P36, cs, MgConfig(), use_hier=False)
+        except np.linalg.LinAlgError:
+            return
+        assert level.rank_suspect
+
+
 class TestVcycle:
     def test_zero_rhs(self):
         verts, edges = perturbed_polygon(64, seed=2)
@@ -123,9 +143,9 @@ class TestVcycle:
         dE = stack_fields(discrete_differential(net, P36))
         x, info = hier.solve_gradient(dE)
         # dense oracle
-        metric = assemble_metric(net, P36)
+        metric = MetricOperator(net, P36)
         C = cs.jacobian(net).toarray()
-        dense, _ = SaddleFactor(metric.a_bar(), C).solve(dE, None)
+        dense, _ = SaddleFactor(metric.A, C, net.dual_masses()).solve(dE, None)
         a_bar = metric.a_bar()
         diff = x - dense
         rel = np.sqrt(diff @ (a_bar @ diff)) / np.sqrt(dense @ (a_bar @ dense))
@@ -164,10 +184,10 @@ class TestProjectedSaddle:
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
         dE = stack_fields(discrete_differential(net, P36))
-        x, _ = projected_saddle_solve(hier, a=dE)
-        metric = assemble_metric(net, P36)
+        x, _ = hier.solve_gradient(dE)
+        metric = MetricOperator(net, P36)
         C = cs.jacobian(net).toarray()
-        dense, _ = SaddleFactor(metric.a_bar(), C).solve(dE, None)
+        dense, _ = SaddleFactor(metric.A, C, net.dual_masses()).solve(dE, None)
         a_bar = metric.a_bar()
         diff = x - dense
         rel = np.sqrt(diff @ (a_bar @ diff)) / np.sqrt(dense @ (a_bar @ dense))
@@ -178,7 +198,7 @@ class TestProjectedSaddle:
         net = build_network(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
-        x, _ = projected_saddle_solve(hier, phi=np.zeros(cs.k))
+        x, _ = hier.solve_projection_step(np.zeros(cs.k))
         assert np.linalg.norm(x) <= 1e-12
 
     def test_projection_mode_restores_constraint(self):
@@ -188,15 +208,7 @@ class TestProjectedSaddle:
         stretched = net.with_positions(net.vertices * 1.02)
         hier = hierarchy_for(stretched, cs)
         phi = cs.evaluate(stretched)
-        x, _ = projected_saddle_solve(hier, phi=phi)
+        x, _ = hier.solve_projection_step(phi)
         C = cs.jacobian(stretched)
         assert np.linalg.norm(C @ x + phi, np.inf) <= 1e-8 * max(
             1.0, np.linalg.norm(phi, np.inf))
-
-    def test_mode_arguments_validated(self):
-        verts, edges = perturbed_polygon(32, seed=10)
-        net = build_network(verts, edges)
-        cs = ConstraintSet([Barycenter()])
-        hier = hierarchy_for(net, cs)
-        with pytest.raises(ValueError):
-            projected_saddle_solve(hier)

@@ -118,6 +118,21 @@ def test_disjoint_pairs_square():
     assert pairs == {(0, 2), (2, 0), (1, 3), (3, 1)}
 
 
+def test_snapshots_share_pair_arrays():
+    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    moved = net.with_positions(net.vertices + 0.1)
+    again = moved.with_positions(moved.vertices * 2.0)
+    pi, pj = net.disjoint_edge_pairs()
+    for snap in (moved, again):
+        qi, qj = snap.disjoint_edge_pairs()
+        assert qi is pi and qj is pj
+        assert snap.disjoint_edge_pairs_upper()[0] \
+            is net.disjoint_edge_pairs_upper()[0]
+    ui, uj = net.disjoint_edge_pairs_upper()
+    assert set(zip(ui.tolist(), uj.tolist())) == {(0, 2), (1, 3)}
+    assert not pi.flags.writeable
+
+
 def test_stack_roundtrip():
     rng = np.random.default_rng(2)
     field = rng.normal(size=(6, 3))
