@@ -5,8 +5,8 @@ constraints, preconditioned by a fractional Sobolev inner product, with
 optional Barnes-Hut, hierarchical-matrix, and multigrid acceleration.
 """
 
-from .bct import BlockClusterTree, HierKernelMatrix, HierMetric, KernelSpec, build_bct
-from .bvh import EdgeBvh, bh_differential, bh_energy, build_bvh
+from .bct import BlockClusterTree, HierKernelMatrix, HierMetric, KernelSpec
+from .bvh import EdgeBvh, bh_differential, bh_energy
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,
                           TangentConstraint, TotalLength,
@@ -15,11 +15,11 @@ from .energy import (EnergyParams, ParameterError, SelfContactError,
                      discrete_differential, discrete_energy, kernel,
                      validate_params)
 from .flow import (FlowConfig, FlowResult, StepReport, collision_step_limit,
-                   descent_direction, line_search, run_flow)
+                   line_search, run_flow)
 from .metric import MetricOperator, SaddleFactor
 from .multigrid import MgConfig, MultigridHierarchy, coarsen_network
 from .network import (CurveNetwork, EdgeGeometry, InvalidNetworkError,
-                      build_network, edge_average, edge_geometry)
+                      edge_average, edge_geometry)
 from .potentials import (ConstantField, FieldPotential,
                          LengthDifferencePotential, RotationField,
                          SurfacePotential, TotalLengthPotential)

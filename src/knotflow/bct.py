@@ -234,11 +234,6 @@ class BlockClusterTree:
         return total
 
 
-def build_bct(bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS,
-              near_size: int = 8) -> BlockClusterTree:
-    return BlockClusterTree(bvh, eps=eps, near_size=near_size)
-
-
 class HierKernelMatrix:
     """Matrix-free K with rank-1 far field and precomputed sparse near field."""
 

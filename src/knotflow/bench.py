@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bct import HierKernelMatrix, HierMetric, KernelSpec, build_bct, dense_kernel_matrix
-from .bvh import bh_differential, build_bvh
+from .bct import (DEFAULT_BCT_EPS, BlockClusterTree, HierKernelMatrix,
+                  KernelSpec, dense_kernel_matrix)
+from .bvh import EdgeBvh, bh_differential
 from .constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
 from .energy import discrete_differential, discrete_energy, validate_params
 from .flow import (FlowConfig, crossings_during_motion, mass_norm,
                    minimal_projected_crossings, run_flow)
-from .metric import MetricOperator, SaddleFactor
+from .metric import MetricOperator, SaddleFactor, metric_parts
 from .multigrid import MultigridHierarchy
-from .network import build_network, stack_fields
+from .network import CurveNetwork, stack_fields
 from .scenes import generate_test_curve
 
 
@@ -92,12 +93,12 @@ def criterion_2(quick=False) -> CriterionResult:
         z = 0.05 * rng.uniform(-1, 1, n)
         verts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
         edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         exact = discrete_differential(net, params)
         fd = _finite_difference(net, params)
         worst_fd = max(worst_fd,
                        float(np.linalg.norm(exact - fd) / np.linalg.norm(fd)))
-        approx = bh_differential(net, build_bvh(net), params, eps=0.1)
+        approx = bh_differential(net, EdgeBvh(net), params, eps=0.1)
         cosine = float(exact.reshape(-1) @ approx.reshape(-1)
                        / (np.linalg.norm(exact) * np.linalg.norm(approx)))
         worst_cos = min(worst_cos, cosine)
@@ -121,7 +122,7 @@ def criterion_3(quick=False) -> CriterionResult:
     verts = np.stack([r * np.cos(theta), r * np.sin(theta),
                       0.1 * rng.uniform(-1, 1, 8)], axis=1)
     edges = np.stack([np.arange(8), (np.arange(8) + 1) % 8], axis=1)
-    net = build_network(verts, edges)
+    net = CurveNetwork(verts, edges)
 
     def brute_high(u, v):
         total = 0.0
@@ -163,8 +164,7 @@ def criterion_3(quick=False) -> CriterionResult:
                     * (0.5 * (v[i1] + v[i2]) - 0.5 * (v[j1] + v[j2]))
         return total
 
-    metric = MetricOperator(net, params)
-    B, B0 = metric.B, metric.B0
+    B, B0 = metric_parts(net, params)
     u = rng.normal(size=8)
     v = rng.normal(size=8)
     err_b = abs(u @ B @ v - brute_high(u, v)) / abs(brute_high(u, v))
@@ -208,9 +208,8 @@ def criterion_4(quick=False) -> CriterionResult:
         spec = KernelSpec(kind, sigma)
         dense = dense_kernel_matrix(net, spec)
         want = dense @ psi
-        for eps, bucket in ((None, "default"), (0.0, "exact")):
-            bct = build_bct(build_bvh(net)) if eps is None \
-                else build_bct(build_bvh(net), eps=0.0)
+        for eps, bucket in ((DEFAULT_BCT_EPS, "default"), (0.0, "exact")):
+            bct = BlockClusterTree(EdgeBvh(net), eps=eps)
             K = HierKernelMatrix(bct, spec, net)
             err = float(np.linalg.norm(K.matvec(psi) - want)
                         / np.linalg.norm(want))
@@ -229,14 +228,13 @@ def criterion_4(quick=False) -> CriterionResult:
                             TotalLength(cnet.total_length())])
         hier = MultigridHierarchy(cnet, params, cs)
         dE = stack_fields(discrete_differential(cnet, params))
-        x, _ = hier.solve_gradient(dE)
+        x = hier.solve_gradient(dE)
         metric = MetricOperator(cnet, params)
-        dense_x, _ = SaddleFactor(metric.A, cs.jacobian(cnet),
-                                  cnet.dual_masses()).solve(dE, None)
-        a_bar = metric.a_bar()
+        dense_x = SaddleFactor(metric.A, cs.jacobian(cnet),
+                               cnet.dual_masses()).solve_gradient(dE)
         diff = x - dense_x
-        rel = float(np.sqrt(max(diff @ (a_bar @ diff), 0.0))
-                    / np.sqrt(dense_x @ (a_bar @ dense_x)))
+        rel = float(np.sqrt(max(diff @ metric.apply_stacked(diff), 0.0))
+                    / np.sqrt(dense_x @ metric.apply_stacked(dense_x)))
         worst_mg = max(worst_mg, rel)
     details.append(
         f"multigrid vs dense saddle (metric norm, n up to {sizes[-1]}): "
@@ -355,7 +353,7 @@ def criterion_7(quick=False) -> CriterionResult:
     fast_times = []
     for n in fast_sizes:
         net = generate_test_curve("perturbed-circle", n, seed=5)
-        fast_times.append(_median_step_time(net, params, "hs-mg", "full"))
+        fast_times.append(_median_step_time(net, params, "hs-mg", "bh"))
     dense_times = []
     for n in dense_sizes:
         net = generate_test_curve("perturbed-circle", n, seed=5)

@@ -144,10 +144,6 @@ class EdgeBvh:
         return self
 
 
-def build_bvh(net: CurveNetwork, leaf_size: int = 8) -> EdgeBvh:
-    return EdgeBvh(net, leaf_size=leaf_size)
-
-
 def _leaf_pair_arrays(net, bvh, node, active):
     """Valid exact-interaction pairs (active x leaf edges), adjacency removed."""
     leaf_edges = bvh.order[bvh.start[node]:bvh.end[node]]

@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--stride", type=int, default=None,
                        help="frame export stride")
-    solve.add_argument("--accel", choices=("exact", "bh", "full"))
+    solve.add_argument("--accel", choices=("exact", "bh"))
     solve.add_argument("--strategy", choices=("hs", "hs-mg", "l2", "h1", "h2"))
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--seed", type=int, default=None,

@@ -1,10 +1,11 @@
-"""Hard constraints on curve networks: residuals, Jacobians, saddle solves.
+"""Hard constraints on curve networks: residuals, Jacobians, projection.
 
 Constraints stack into a single function Phi mapping stacked positions to R^k.
-Two solves are provided on top of a fixed metric: projecting a gradient onto
-the tangent space of the constraint set, and iteratively projecting candidate
-positions back onto the set.  Within a time step the metric and Jacobian are
-frozen, so one saddle factorization serves both.
+`project_onto_constraints` returns candidate positions to the constraint set
+by repeated metric-nearest corrections.  Within a time step the metric and
+Jacobian are frozen, so the saddle solver that gives the step's projected
+gradient (`SaddleFactor` or `MultigridHierarchy`, through their common
+`solve_gradient` / `solve_projection_step`) also gives every correction.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .metric import SaddleFactor
 from .network import CurveNetwork, unstack_fields
+
+# infinity norm of Phi at which a projection counts as converged
+PROJECTION_TOL = 1e-8
 
 
 class RankDeficientConstraintsError(ValueError):
@@ -323,29 +326,25 @@ class ConstraintSet:
         return names or ["(unidentified combination)"]
 
 
-def project_onto_constraints(saddle: SaddleFactor, constraints: ConstraintSet,
-                             net: CurveNetwork, tol: float = 1e-8,
-                             max_iters: int = 10,
-                             solver: Callable | None = None):
+def project_onto_constraints(correction: Callable, constraints: ConstraintSet,
+                             net: CurveNetwork, tol: float = PROJECTION_TOL,
+                             max_iters: int = 10):
     """Return positions to the constraint set by repeated metric-nearest steps.
 
-    Each iteration solves the saddle system with RHS (0, -Phi(current)) and
-    adds the primal displacement x (C x = -Phi).  The metric and Jacobian stay
-    frozen in the supplied factorization, or in `solver`, which maps Phi to x
-    (the multigrid path).  Returns (network, iterations).
+    Each iteration adds the stacked displacement x = correction(Phi(current)),
+    which solves the saddle system with RHS (0, -Phi), so C x = -Phi; the
+    metric and Jacobian stay frozen in the solver behind `correction` (a
+    `solve_projection_step`).  Returns (network, iterations).
 
     Raises ProjectionFailure when the infinity norm of Phi does not reach tol
     within max_iters; callers treat that as a rejected step.
     """
-    if solver is None:
-        def solver(phi):
-            return saddle.solve(None, -phi)[0]
     current = net
     phi = constraints.evaluate(current)
     if phi.size == 0 or np.linalg.norm(phi, np.inf) <= tol:
         return current, 0
     for iteration in range(1, max_iters + 1):
-        x = solver(phi)
+        x = correction(phi)
         current = current.with_positions(
             current.vertices + unstack_fields(x))
         phi = constraints.evaluate(current)

@@ -20,14 +20,16 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from .bvh import EdgeBvh, bh_differential, bh_energy
-from .constraints import ConstraintSet, ProjectionFailure
+from .constraints import PROJECTION_TOL, ConstraintSet, ProjectionFailure
 from .energy import EnergyParams, discrete_differential, discrete_energy
 from .metric import MetricOperator, SaddleFactor
 from .multigrid import MgConfig, MultigridHierarchy
 from .network import CurveNetwork, stack_fields, unstack_fields
 
 STRATEGIES = ("hs", "hs-mg", "l2", "h1", "h2")
-ACCEL_MODES = ("exact", "bh", "full")
+ACCEL_MODES = ("exact", "bh")
+# the line search starts at tau <= 1, so the CCD looks no further than this
+COLLISION_HORIZON = 1.5
 
 
 @dataclass
@@ -40,10 +42,8 @@ class FlowConfig:
     max_iters: int = 500
     accel: str = "exact"
     bh_eps: float = 0.25
-    projection_tol: float = 1e-8
     projection_max_iters: int = 10
     tau_floor: float = 1e-12
-    collision_cap: float = 1e3
     mg: MgConfig = field(default_factory=MgConfig)
 
     def __post_init__(self):
@@ -145,21 +145,18 @@ class Objective:
         self._bvh_net: CurveNetwork | None = None
         self._last: tuple[CurveNetwork, float] | None = None
 
-    def _bvh_for(self, net: CurveNetwork, rebuild: bool) -> EdgeBvh:
-        if self.bvh is None or rebuild:
-            self.bvh = EdgeBvh(net)
-            self._bvh_net = net
-        elif self._bvh_net is not net:
-            self.bvh.refit(net)
-            self._bvh_net = net
-        return self.bvh
-
-    def energy(self, net: CurveNetwork, rebuild: bool = False) -> float:
+    def energy(self, net: CurveNetwork) -> float:
+        """Line-search trial value; the Barnes-Hut tree is refitted to `net`
+        (built when there is none yet)."""
         if self.accel == "exact":
             value = discrete_energy(net, self.params)
         else:
-            value = bh_energy(net, self._bvh_for(net, rebuild), self.params,
-                              eps=self.bh_eps)
+            if self.bvh is None:
+                self.bvh = EdgeBvh(net)
+            elif self._bvh_net is not net:
+                self.bvh.refit(net)
+            self._bvh_net = net
+            value = bh_energy(net, self.bvh, self.params, eps=self.bh_eps)
         for pot in self.potentials:
             v, _ = pot.value_and_differential(net, self.params)
             value += pot.weight * v
@@ -167,17 +164,19 @@ class Objective:
             self._last = (net, value)
         return value
 
-    def energy_and_differential(self, net: CurveNetwork,
-                                rebuild: bool = True):
+    def energy_and_differential(self, net: CurveNetwork):
+        """Step-start value and differential; the Barnes-Hut tree is rebuilt
+        for `net`."""
         cached = self._last is not None and self._last[0] is net
         if self.accel == "exact":
             value = self._last[1] if cached \
                 else discrete_energy(net, self.params)
             grad = discrete_differential(net, self.params)
         else:
-            bvh = self._bvh_for(net, rebuild)
-            value = bh_energy(net, bvh, self.params, eps=self.bh_eps)
-            grad = bh_differential(net, bvh, self.params, eps=self.bh_eps)
+            self.bvh, self._bvh_net = EdgeBvh(net), net
+            value = bh_energy(net, self.bvh, self.params, eps=self.bh_eps)
+            grad = bh_differential(net, self.bvh, self.params,
+                                   eps=self.bh_eps)
         for pot in self.potentials:
             v, g = pot.value_and_differential(net, self.params)
             if not cached:
@@ -191,11 +190,13 @@ class Objective:
 class StepSolver:
     """Per-step frozen preconditioner: direction solve + projection solve.
 
+    `saddle` is the exact `SaddleFactor` or, on "hs-mg", the
+    `MultigridHierarchy`; both answer `solve_gradient`,
+    `solve_projection_step`, `rank_suspect` and the V-cycle tallies
+    `cycles`, `unconverged` and `residual` (zeros on the exact factor).
     `bvh` (optional) is a tree fitted to `net` for the multigrid metric.
-    `mg_cycles`/`mg_unconverged` count V-cycles and unconverged solves and
-    `mg_residual` is the largest final relative residual among them.  Rank
-    loss of the Jacobian shows in the factorization the solver builds (the
-    constraint block of the saddle factor, the level-0 C C^T factor on
+    Rank loss of the Jacobian shows in the factorization the solver builds
+    (the constraint block of the saddle factor, the level-0 C C^T factor on
     "hs-mg"); only then does the SVD of `ConstraintSet.check_rank` run, to
     name the dependent rows.
     """
@@ -205,69 +206,37 @@ class StepSolver:
                  bvh: EdgeBvh | None = None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
         self.constraints = constraints
-        self.mg_cycles = 0
-        self.mg_unconverged = 0
-        self.mg_residual = 0.0
         C = constraints.jacobian(net)
         if C.shape[0] == 0:
             raise ValueError(
                 "at least one translation-fixing constraint is required")
-        self.C = C
-        self.factor = self.hierarchy = None
         try:
             if strategy == "hs-mg":
-                self.hierarchy = MultigridHierarchy(net, params, constraints,
-                                                    config.mg, bvh=bvh)
-                suspect = self.hierarchy.levels[0].rank_suspect
+                self.saddle = MultigridHierarchy(net, params, constraints,
+                                                 config.mg, bvh=bvh)
             else:
                 A = MetricOperator(net, params).A if strategy == "hs" \
                     else baseline_metric_matrix(net, strategy)
-                self.factor = SaddleFactor(A, C, net.dual_masses())
-                suspect = self.factor.rank_suspect
+                self.saddle = SaddleFactor(A, C, net.dual_masses())
         except np.linalg.LinAlgError:
             constraints.check_rank(C)
             raise
-        if suspect:
+        if self.saddle.rank_suspect:
             constraints.check_rank(C)
 
     def direction(self, differential: np.ndarray) -> np.ndarray:
         """Projected preconditioned gradient, (V, 3)."""
-        top = stack_fields(differential)
-        if self.factor is not None:
-            g, _ = self.factor.solve(top, None)
-        else:
-            g, info = self.hierarchy.solve_gradient(top)
-            self._count(info)
-        return unstack_fields(g)
+        return unstack_fields(
+            self.saddle.solve_gradient(stack_fields(differential)))
 
-    def _count(self, info: dict):
-        self.mg_cycles += info["cycles"]
-        self.mg_unconverged += not info["converged"]
-        self.mg_residual = max(self.mg_residual, info["residuals"][-1])
-
-    def project(self, net: CurveNetwork, tol: float, max_iters: int):
+    def project(self, net: CurveNetwork, max_iters: int):
         """Constraint restoration; returns (net, iterations) or raises."""
         from .constraints import project_onto_constraints
 
-        return project_onto_constraints(
-            self.factor, self.constraints, net, tol=tol, max_iters=max_iters,
-            solver=None if self.factor is not None else self._mg_correction)
-
-    def _mg_correction(self, phi: np.ndarray) -> np.ndarray:
-        x, info = self.hierarchy.solve_projection_step(phi)
-        self._count(info)
-        return x
-
-
-def descent_direction(strategy: str, net: CurveNetwork, params: EnergyParams,
-                      constraints: ConstraintSet, differential: np.ndarray,
-                      config: FlowConfig | None = None) -> np.ndarray:
-    """One-off projected descent direction under the chosen preconditioner."""
-    solver = StepSolver(strategy, net, params, constraints,
-                        config or FlowConfig())
-    return solver.direction(differential)
+        return project_onto_constraints(self.saddle.solve_projection_step,
+                                        self.constraints, net,
+                                        max_iters=max_iters)
 
 
 def _segment_distance_params(p1, p2, q1, q2):
@@ -404,13 +373,11 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
     """
     collision_limited = False
     if config.mode == "collision":
-        # any limit beyond 1.5 is irrelevant (the search starts at <= 1), so
-        # cap the CCD horizon there to keep swept-box pruning effective
-        horizon = min(config.collision_cap, 1.5)
-        tau_max = collision_step_limit(net, direction, cap=horizon)
+        # a short CCD horizon keeps swept-box pruning effective
+        tau_max = collision_step_limit(net, direction, cap=COLLISION_HORIZON)
         if tau_max <= config.tau_floor:
             raise StuckFlow("collision limit is zero; curve is in contact")
-        collision_limited = tau_max < horizon
+        collision_limited = tau_max < COLLISION_HORIZON
         tau = min((2.0 / 3.0) * tau_max, 1.0)
     else:
         scale = mass_norm(net, direction)
@@ -425,8 +392,7 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
         try:
             if solver is not None and solver.constraints.k > 0:
                 projected, proj_iters = solver.project(
-                    candidate, config.projection_tol,
-                    config.projection_max_iters)
+                    candidate, config.projection_max_iters)
             else:
                 projected, proj_iters = candidate, 0
             f_new = objective.energy(projected)
@@ -458,10 +424,10 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
     # restore feasibility once up front so per-step projections only ever
     # handle the small drift introduced by a line-search step
     phi0 = constraints.evaluate(current)
-    if len(phi0) and np.linalg.norm(phi0, np.inf) > config.projection_tol:
+    if len(phi0) and np.linalg.norm(phi0, np.inf) > PROJECTION_TOL:
         solver = StepSolver(strategy, current, params, constraints, config)
         try:
-            current, _ = solver.project(current, config.projection_tol,
+            current, _ = solver.project(current,
                                         3 * config.projection_max_iters)
         except ProjectionFailure as exc:
             return FlowResult(reports=[], net=current, stop_reason="stuck",
@@ -473,7 +439,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
     for iteration in range(1, config.max_iters + 1):
         tic = time.perf_counter()
         constraints.advance_schedules()
-        f0, dE = objective.energy_and_differential(current, rebuild=True)
+        f0, dE = objective.energy_and_differential(current)
         solver = StepSolver(strategy, current, params, constraints, config,
                             bvh=objective.bvh)
         g = solver.direction(dE)
@@ -501,9 +467,9 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             if len(phi) else 0.0,
             projection_iters=proj_iters,
             wall_time=time.perf_counter() - tic,
-            collision_limited=limited, mg_cycles=solver.mg_cycles,
-            mg_unconverged=solver.mg_unconverged,
-            mg_residual=solver.mg_residual))
+            collision_limited=limited, mg_cycles=solver.saddle.cycles,
+            mg_unconverged=solver.saddle.unconverged,
+            mg_residual=solver.saddle.residual))
         if keep_frames:
             frames.append(current.vertices.copy())
         if config.stop_energy is not None and f_new <= config.stop_energy:

@@ -77,31 +77,37 @@ def _congruence(op: csr_matrix, M: np.ndarray) -> np.ndarray:
     return np.asarray(opT @ np.asarray(opT @ M).T)
 
 
-class MetricOperator:
-    """Assembled dense metric A = B + B0 with componentwise (3V) application.
+def metric_parts(net: CurveNetwork, params: EnergyParams):
+    """Dense (V x V) high- and low-order parts (B, B0) of the metric.
 
-    B = sum_c D_c^T (diag(K 1) - K) D_c is the high-order part and
-    B0 = E^T (diag(K0 1) - K0) E the low-order one (module docstring).
+    B = sum_c D_c^T (diag(K 1) - K) D_c and B0 = E^T (diag(K0 1) - K0) E
+    (module docstring).
     """
+    from .bct import dense_kernel_matrices
+
+    K, K0 = dense_kernel_matrices(net, params.sigma)
+    M, D = _laplacian(K), derivative_matrix(net)
+    B = sum(_congruence(D[c::3], M) for c in range(3))
+    return B, _congruence(average_matrix(net), _laplacian(K0))
+
+
+class MetricOperator:
+    """Assembled dense metric A = B + B0 with the `HierMetric` applies."""
 
     def __init__(self, net: CurveNetwork, params: EnergyParams):
-        from .bct import dense_kernel_matrices
-
-        K, K0 = dense_kernel_matrices(net, params.sigma)
-        M, D = _laplacian(K), derivative_matrix(net)
-        self.B = sum(_congruence(D[c::3], M) for c in range(3))
-        self.B0 = _congruence(average_matrix(net), _laplacian(K0))
-        self.A = self.B + self.B0
+        A, B0 = metric_parts(net, params)
+        A += B0
+        self.A = A
         self.n = net.n_vertices
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A u for a (V,) field or the columns of a (V, m) array."""
+        return self.A @ u
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         """Apply blockdiag(A, A, A) to a stacked (3V,) vector."""
         X = vec.reshape(3, self.n)
-        return (self.A @ X.T).T.reshape(-1)
-
-    def a_bar(self) -> np.ndarray:
-        """Dense (3V x 3V) block-diagonal form; used by small direct solves."""
-        return np.kron(np.eye(3), self.A)
+        return self.apply(X.T).T.reshape(-1)
 
 
 def checked_cholesky(M: np.ndarray):
@@ -127,7 +133,14 @@ class SaddleFactor:
     a pivot of the (k x k) constraint block was tiny, which is how rank loss
     of C shows; numpy's LinAlgError is raised when that block is not positive
     definite at all.
+
+    `solve_gradient` and `solve_projection_step` are the calls
+    `MultigridHierarchy` answers too; an exact solve leaves its V-cycle
+    tallies `cycles`, `unconverged` and `residual` at zero.
     """
+
+    cycles = unconverged = 0
+    residual = 0.0
 
     def __init__(self, A: np.ndarray, C, masses: np.ndarray):
         if C is None or C.shape[0] == 0:
@@ -180,3 +193,11 @@ class SaddleFactor:
         lam = w - self._x @ nu_u
         x = y - np.outer(nu_u, self._q)
         return x.reshape(-1) - lam @ self._Zt, lam
+
+    def solve_gradient(self, b: np.ndarray) -> np.ndarray:
+        """Projected gradient x (3V,) of the stacked differential b."""
+        return self.solve(b, None)[0]
+
+    def solve_projection_step(self, phi: np.ndarray) -> np.ndarray:
+        """Metric-nearest x (3V,) with C x = -phi."""
+        return self.solve(None, -phi)[0]

@@ -6,19 +6,22 @@ values and averages the two black neighbors at removed ones.  Constrained
 systems are solved in projected form P A_bar P y = P a with the Euclidean
 projector P = I - C^T (C C^T)^{-1} C onto the constraint null space, which is
 the unique formula satisfying C P = 0 and P^2 = P.  The smoother is plain
-conjugate gradient; the coarsest level uses a dense pseudoinverse.
+conjugate gradient; the coarsest level uses a dense pseudoinverse.  Levels
+above DENSE_CUTOFF vertices apply the hierarchical metric (`HierMetric`),
+smaller ones the assembled dense one (`MetricOperator`); both answer
+`apply` and `apply_stacked`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
-from .bct import DEFAULT_BCT_EPS, HierMetric
+from .bct import HierMetric
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SurfaceConstraint,
                           TangentConstraint, TotalLength)
@@ -26,15 +29,15 @@ from .energy import EnergyParams
 from .metric import RANK_PIVOT_TOL, MetricOperator, checked_cholesky
 from .network import CurveNetwork
 
+COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
+DENSE_CUTOFF = 96       # levels at or below this size assemble densely
+
 
 @dataclass
 class MgConfig:
     smoother_iters: int = 3
     max_vcycles: int = 6
     target_rel_residual: float = 1e-3
-    coarsest_size: int = 32
-    bct_eps: float = DEFAULT_BCT_EPS
-    dense_cutoff: int = 96   # levels at or below this size assemble densely
 
     def __post_init__(self):
         if self.smoother_iters <= 0 or self.max_vcycles <= 0:
@@ -218,8 +221,7 @@ class MgLevel:
     """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, config: MgConfig,
-                 use_hier: bool, prolongation=None, bvh=None):
+                 constraints: ConstraintSet, prolongation=None, bvh=None):
         self.net = net
         self.J = prolongation          # maps this level's values to the finer
         self.constraints = constraints
@@ -227,9 +229,8 @@ class MgLevel:
         C = constraints.jacobian(net)
         self.C = C
         self.CT = C.T.tocsr()
-        if use_hier and net.n_vertices > config.dense_cutoff:
-            self.metric = HierMetric(net, params.sigma, bvh=bvh,
-                                     eps=config.bct_eps)
+        if net.n_vertices > DENSE_CUTOFF:
+            self.metric = HierMetric(net, params.sigma, bvh=bvh)
         else:
             self.metric = MetricOperator(net, params)
         # C C^T factor of the projector; a tiny pivot sets rank_suspect
@@ -248,12 +249,6 @@ class MgLevel:
             u = np.abs(self._cct_sparse.U.diagonal())
             self.rank_suspect = bool(u.min() < RANK_PIVOT_TOL * u.max())
         self.k = k
-
-    def apply_scalar_metric(self, u: np.ndarray) -> np.ndarray:
-        """Scaled metric action on a per-vertex scalar field."""
-        if isinstance(self.metric, MetricOperator):
-            return self.scale * (self.metric.A @ u)
-        return self.scale * self.metric.apply(u)
 
     def solve_cct(self, rhs: np.ndarray) -> np.ndarray:
         if self._cct_solve is not None:
@@ -295,21 +290,28 @@ def restrict(level: "MgLevel", vec_fine: np.ndarray) -> np.ndarray:
 class MultigridHierarchy:
     """Level stack plus V-cycle solves for one frozen geometry.
 
-    `bvh` (optional) is a tree fitted to `net` for the finest level's metric.
+    Answers the calls of the exact `SaddleFactor` with V-cycles:
+    `solve_gradient(b)`, `solve_projection_step(phi)` and `rank_suspect`
+    (from the finest level's C C^T factor).  Every solve adds to the
+    tallies `cycles` (V-cycles), `unconverged` (solves stopped at
+    max_vcycles) and `residual` (largest final relative residual).  `bvh`
+    (optional) is a tree fitted to `net` for the finest level's metric.
     """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
                  constraints: ConstraintSet, config: MgConfig | None = None,
-                 use_hier: bool = True, bvh=None):
+                 bvh=None):
         self.config = config or MgConfig()
         self.params = params
+        self.cycles = self.unconverged = 0
+        self.residual = 0.0
         keep = {s.vertex for s in constraints.specs
                 if isinstance(s, (PointConstraint, SurfaceConstraint))}
         self.levels: list[MgLevel] = [
-            MgLevel(net, params, constraints, self.config, use_hier,
-                    bvh=bvh)]
+            MgLevel(net, params, constraints, bvh=bvh)]
+        self.rank_suspect = self.levels[0].rank_suspect
         current, cs = net, constraints
-        while current.n_vertices > self.config.coarsest_size:
+        while current.n_vertices > COARSEST_SIZE:
             out = coarsen_network(current, keep=keep)
             if out is None:
                 break
@@ -317,8 +319,7 @@ class MultigridHierarchy:
             cs = restrict_constraints(cs, coarse, vmap, emap)
             keep = {vmap[v] for v in keep}
             self.levels.append(
-                MgLevel(coarse, params, cs, self.config, use_hier,
-                        prolongation=J))
+                MgLevel(coarse, params, cs, prolongation=J))
             current = coarse
         self._fit_coarse_scales()
         self._coarse_pinv = None
@@ -335,11 +336,11 @@ class MultigridHierarchy:
             num = den = 0.0
             for u in probes:
                 u = u - u.mean()
-                d = float(u @ level.apply_scalar_metric(u))
+                d = float(u @ (level.scale * level.metric.apply(u)))
                 if d <= 0.0:
                     continue
                 uf = level.J @ u
-                num += float(uf @ fine.apply_scalar_metric(uf))
+                num += float(uf @ (fine.scale * fine.metric.apply(uf)))
                 den += d
             if den > 0.0 and num > 0.0:
                 level.scale *= num / den
@@ -347,18 +348,11 @@ class MultigridHierarchy:
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         level = self.levels[-1]
         if self._coarse_pinv is None:
-            n = 3 * level.net.n_vertices
-            M = np.empty((n, n))
-            eye = np.eye(n)
-            a_bar = level.metric.a_bar() if isinstance(level.metric, MetricOperator) \
-                else None
-            if a_bar is not None:
-                P = np.column_stack([level.project(eye[:, i]) for i in range(n)])
-                M = P.T @ (level.scale * a_bar) @ P
-            else:
-                for i in range(n):
-                    M[:, i] = level.apply_projected(eye[:, i])
-            self._coarse_pinv = np.linalg.pinv(M, rcond=1e-10)
+            V = level.net.n_vertices
+            P = level.project(np.eye(3 * V))
+            A = level.scale * level.metric.apply(np.eye(V))
+            self._coarse_pinv = np.linalg.pinv(P @ np.kron(np.eye(3), A) @ P,
+                                               rcond=1e-10)
         return self._coarse_pinv @ b
 
     def _smooth(self, level: MgLevel, x: np.ndarray, b: np.ndarray,
@@ -426,14 +420,20 @@ class MultigridHierarchy:
                 "converged": residuals[-1] <= self.config.target_rel_residual}
         return x, info
 
-    def solve_gradient(self, differential_stacked: np.ndarray):
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """`vcycle_solve`, with its info added to the tallies."""
+        y, info = self.vcycle_solve(b)
+        self.cycles += info["cycles"]
+        self.unconverged += not info["converged"]
+        self.residual = max(self.residual, info["residuals"][-1])
+        return y
+
+    def solve_gradient(self, differential_stacked: np.ndarray) -> np.ndarray:
         """Multigrid version of the tangent-space gradient saddle solve."""
         top = self.levels[0]
-        b = top.project(differential_stacked)
-        y, info = self.vcycle_solve(b)
-        return top.project(y), info
+        return top.project(self._solve(top.project(differential_stacked)))
 
-    def solve_projection_step(self, phi: np.ndarray):
+    def solve_projection_step(self, phi: np.ndarray) -> np.ndarray:
         """Multigrid version of one constraint-restoration saddle solve.
 
         Returns x with C x = -phi, metric-minimal: x = z - y where z is the
@@ -443,6 +443,5 @@ class MultigridHierarchy:
         top = self.levels[0]
         z = top.min_norm_solution(-phi)
         b = top.project(top.scale * top.metric.apply_stacked(z))
-        y, info = self.vcycle_solve(b)
-        return z - top.project(y), info
+        return z - top.project(self._solve(b))
 

@@ -180,11 +180,6 @@ def edges_share_vertex(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
             | (ea[:, 1] == eb[:, 0]) | (ea[:, 1] == eb[:, 1]))
 
 
-def build_network(vertices, edges) -> CurveNetwork:
-    """Validate and construct a CurveNetwork (alias for the constructor)."""
-    return CurveNetwork(vertices, edges)
-
-
 def edge_geometry(net: CurveNetwork) -> EdgeGeometry:
     """Lengths, unit tangents, and midpoints for every edge."""
     a = net.vertices[net.edges[:, 0]]

@@ -250,18 +250,3 @@ class FieldPotential:
         np.add.at(grad, net.edges[:, 0], mid_term)
         np.add.at(grad, net.edges[:, 1], mid_term)
         return value, grad
-
-
-def total_objective(net: CurveNetwork, params: EnergyParams, potentials=(),
-                    energy_value=None, energy_grad=None):
-    """Sum the main energy with weighted potentials; returns (value, grad)."""
-    from .energy import discrete_differential, discrete_energy
-
-    value = discrete_energy(net, params) if energy_value is None else energy_value
-    grad = discrete_differential(net, params) if energy_grad is None else energy_grad
-    grad = grad.copy()
-    for pot in potentials:
-        v, g = pot.value_and_differential(net, params)
-        value += pot.weight * v
-        grad += pot.weight * g
-    return value, grad

@@ -54,7 +54,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from .energy import EnergyParams, discrete_energy, validate_params
 from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult
 from .meshes import MeshSignedDistance, load_obj_mesh
-from .network import CurveNetwork, build_network
+from .network import CurveNetwork
 from .potentials import (ConstantField, FieldPotential,
                          LengthDifferencePotential, RotationField,
                          SurfacePotential, TotalLengthPotential)
@@ -302,33 +302,25 @@ class Scene:
             default if sec is None
             else _get(sec, key, default=default, convert=conv,
                       origin=self.origin))
-        strategy = get("strategy", "hs", str)
+        overrides = overrides or {}
+        strategy = overrides.get("strategy", get("strategy", "hs", str))
+        accel = overrides.get("accel", get("accel", "exact", str))
         stepping = get("stepping", "normalized", str)
-        mode = {"normalized": "normalized", "collision": "collision"}.get(
-            stepping)
-        if mode is None:
+        if stepping not in ("normalized", "collision"):
             raise SceneError(f"{self.origin}: unknown stepping {stepping!r}")
+        if strategy not in STRATEGIES:
+            raise SceneError(f"{self.origin}: unknown strategy {strategy!r}")
+        if accel not in ACCEL_MODES:
+            raise SceneError(f"{self.origin}: unknown accel {accel!r}")
         config = FlowConfig(
-            mode=mode,
-            accel=get("accel", "exact", str),
-            max_iters=get("max_iters", 500, int),
+            mode=stepping,
+            accel=accel,
+            max_iters=overrides.get("max_iters", get("max_iters", 500, int)),
             stop_tolerance=get("stop_tolerance", 1e-4, float),
             armijo=get("armijo", 1e-4, float),
             backtrack=get("backtrack", 0.5, float),
             bh_eps=get("bh_eps", 0.25, float),
         )
-        overrides = overrides or {}
-        strategy = overrides.get("strategy", strategy)
-        if "accel" in overrides:
-            config.accel = overrides["accel"]
-        if "max_iters" in overrides:
-            config.max_iters = overrides["max_iters"]
-        if strategy not in STRATEGIES:
-            raise SceneError(f"{self.origin}: unknown strategy {strategy!r}")
-        if config.accel not in ACCEL_MODES:
-            raise SceneError(f"{self.origin}: unknown accel {config.accel!r}")
-        if config.accel == "full" and strategy == "hs":
-            strategy = "hs-mg"
         return strategy, config
 
     def output_settings(self):
@@ -376,14 +368,6 @@ def serialize_scene(scene: Scene) -> str:
     return "\n".join(lines)
 
 
-def scene_equal(a: Scene, b: Scene) -> bool:
-    def strip(scene):
-        return [{k: v[0] for k, v in sec.items() if not k.startswith("__")}
-                | {"__name__": sec["__name__"]}
-                for sec in scene.sections]
-    return strip(a) == strip(b)
-
-
 # ---------------------------------------------------------------------------
 # deterministic test curves
 
@@ -399,7 +383,7 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
 
     if kind == "circle":
         verts = np.stack([np.cos(theta), np.sin(theta), np.zeros(n)], axis=1)
-        return build_network(verts, loop_edges)
+        return CurveNetwork(verts, loop_edges)
 
     if kind == "perturbed-circle":
         amplitude = kwargs.get("amplitude", 0.05)
@@ -414,7 +398,7 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
                                            + b * np.sin(k * theta))
         verts = np.stack([r * np.cos(theta), r * np.sin(theta),
                           np.zeros(n)], axis=1)
-        return build_network(verts, loop_edges)
+        return CurveNetwork(verts, loop_edges)
 
     if kind == "torus-knot":
         p = kwargs.get("p", 2)
@@ -423,7 +407,7 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
             (2 + np.cos(q * theta)) * np.cos(p * theta),
             (2 + np.cos(q * theta)) * np.sin(p * theta),
             np.sin(q * theta)], axis=1) / 3.0
-        return build_network(verts, loop_edges)
+        return CurveNetwork(verts, loop_edges)
 
     if kind == "random-trefoil":
         # perturb the standard trefoil by a smooth random displacement; the
@@ -444,12 +428,12 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
                 bump += coeff[0] * np.cos(k * theta)[:, None] \
                     + coeff[1] * np.sin(k * theta)[:, None]
             verts = base + bump
-            net = build_network(verts, loop_edges)
+            net = CurveNetwork(verts, loop_edges)
             if _min_pair_gap(net, min_index_gap=5) > margin \
                     and crossings_during_motion(base_net, base, verts) == 0:
                 return net
             amplitude *= 0.7
-        return build_network(base, loop_edges)
+        return CurveNetwork(base, loop_edges)
 
     # grid-braid: open strands rising in z with smooth lateral wiggles
     strands = kwargs.get("strands", 3)
@@ -465,7 +449,7 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
         start = len(verts)
         verts.extend(np.stack([x, y, z], axis=1))
         edges.extend([[start + i, start + i + 1] for i in range(per - 1)])
-    return build_network(np.array(verts), edges)
+    return CurveNetwork(np.array(verts), edges)
 
 
 def _min_pair_gap(net: CurveNetwork, min_index_gap: int = 1) -> float:
@@ -517,7 +501,7 @@ def load_obj_curve(path) -> CurveNetwork:
                 edges.extend([[a, b] for a, b in zip(idx, idx[1:])])
     if not verts or not edges:
         raise SceneError(f"{path}: no polyline data")
-    return build_network(np.array(verts), edges)
+    return CurveNetwork(np.array(verts), edges)
 
 
 def export_frames(result: FlowResult, net_edges, out_dir, stride: int = 1,

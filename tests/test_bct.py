@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec, build_bct, dense_kernel_matrix)
-from knotflow.bvh import build_bvh
+                          KernelSpec, dense_kernel_matrix)
+from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
-from knotflow.metric import MetricOperator
-from knotflow.network import build_network
+from knotflow.metric import metric_parts
+from knotflow.network import CurveNetwork
 
 from oracles import perturbed_polygon, regular_polygon
 
@@ -17,13 +17,13 @@ SIGMA = P36.sigma
 def polygon_net(n, seed=None):
     verts, edges = (regular_polygon(n) if seed is None
                     else perturbed_polygon(n, seed=seed))
-    return build_network(verts, edges)
+    return CurveNetwork(verts, edges)
 
 
 class TestStructure:
     def test_leaf_blocks_tile_all_pairs(self):
         net = polygon_net(64, seed=0)
-        bct = build_bct(build_bvh(net), eps=0.25)
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
         assert bct.coverage_count() == net.n_edges ** 2
 
     def test_far_loops_cross_interaction_fully_admissible(self):
@@ -33,9 +33,9 @@ class TestStructure:
         v1, e1 = regular_polygon(16)
         verts = np.concatenate([v1, v1 + np.array([40.0, 0.0, 0.0])])
         edges = np.concatenate([e1, e1 + 16])
-        net = build_network(verts, edges)
-        bvh = build_bvh(net, leaf_size=2)
-        bct = build_bct(bvh, eps=0.25, near_size=2)
+        net = CurveNetwork(verts, edges)
+        bvh = EdgeBvh(net, leaf_size=2)
+        bct = BlockClusterTree(bvh, eps=0.25, near_size=2)
         loop_of = np.zeros(net.n_edges, dtype=int)
         loop_of[16:] = 1
 
@@ -52,16 +52,16 @@ class TestStructure:
 
     def test_smaller_eps_never_increases_admissible_leaves(self):
         net = polygon_net(64, seed=1)
-        bvh = build_bvh(net)
-        counts = [len(build_bct(bvh, eps=e).adm_a)
+        bvh = EdgeBvh(net)
+        counts = [len(BlockClusterTree(bvh, eps=e).adm_a)
                   for e in (0.4, 0.2, 0.1, 0.05)]
         for coarse, fine in zip(counts, counts[1:]):
             assert fine <= coarse
 
     def test_no_admissible_block_contains_excluded_pair(self):
         net = polygon_net(48, seed=2)
-        bvh = build_bvh(net, leaf_size=2)
-        bct = build_bct(bvh, eps=0.5)
+        bvh = EdgeBvh(net, leaf_size=2)
+        bct = BlockClusterTree(bvh, eps=0.5)
         from knotflow.network import edges_share_vertex
 
         for a, b in zip(bct.adm_a, bct.adm_b):
@@ -77,7 +77,7 @@ class TestKernelMatvec:
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_zero_vector(self, kind):
         net = polygon_net(32, seed=3)
-        bct = build_bct(build_bvh(net))
+        bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
         assert np.all(K.matvec(np.zeros(net.n_edges)) == 0.0)
 
@@ -85,7 +85,7 @@ class TestKernelMatvec:
     def test_matches_dense_at_default_eps(self, kind):
         net = polygon_net(64, seed=4)
         spec = KernelSpec(kind, SIGMA)
-        bct = build_bct(build_bvh(net))
+        bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, spec, net)
         dense = dense_kernel_matrix(net, spec)
         rng = np.random.default_rng(5)
@@ -98,7 +98,7 @@ class TestKernelMatvec:
     def test_exact_fallback_at_eps_zero(self, kind):
         net = polygon_net(48, seed=6)
         spec = KernelSpec(kind, SIGMA)
-        bct = build_bct(build_bvh(net), eps=0.0)
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.0)
         assert len(bct.adm_a) == 0
         K = HierKernelMatrix(bct, spec, net)
         dense = dense_kernel_matrix(net, spec)
@@ -115,10 +115,10 @@ class TestKernelMatvec:
         rng = np.random.default_rng(9)
         psi = rng.normal(size=net.n_edges)
         want = dense @ psi
-        bvh = build_bvh(net)
+        bvh = EdgeBvh(net)
         errs = []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            K = HierKernelMatrix(build_bct(bvh, eps=eps), spec, net)
+            K = HierKernelMatrix(BlockClusterTree(bvh, eps=eps), spec, net)
             errs.append(np.linalg.norm(K.matvec(psi) - want))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-12
@@ -129,7 +129,7 @@ class TestKernelMatvec:
         dense = dense_kernel_matrix(net, spec)
         asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
         assert asym < 1e-12
-        bct = build_bct(build_bvh(net), eps=0.25)
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
         K = HierKernelMatrix(bct, spec, net)
         rng = np.random.default_rng(11)
         psi = rng.normal(size=net.n_edges)
@@ -141,7 +141,7 @@ class TestKernelMatvec:
 
     def test_matrix_rhs_matches_columnwise(self):
         net = polygon_net(32, seed=12)
-        bct = build_bct(build_bvh(net))
+        bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, KernelSpec("high", SIGMA), net)
         rng = np.random.default_rng(13)
         block = rng.normal(size=(net.n_edges, 3))
@@ -171,8 +171,8 @@ class TestCompiledFarField:
     def test_matches_block_sum_oracle(self, kind, sizes, shape):
         leaf_size, near_size = sizes
         net = polygon_net(96, seed=24)
-        bvh = build_bvh(net, leaf_size=leaf_size)
-        bct = build_bct(bvh, eps=0.25, near_size=near_size)
+        bvh = EdgeBvh(net, leaf_size=leaf_size)
+        bct = BlockClusterTree(bvh, eps=0.25, near_size=near_size)
         assert len(bct.adm_a) > 0
         K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
         psi = np.random.default_rng(25).normal(size=(net.n_edges, *shape))
@@ -206,8 +206,8 @@ class TestHierMetric:
     def test_matches_dense_gram_at_n64(self, which):
         net = polygon_net(64, seed=18)
         hm = HierMetric(net, SIGMA)
-        metric = MetricOperator(net, P36)
-        dense = metric.B if which == "B" else metric.B0
+        B, B0 = metric_parts(net, P36)
+        dense = B if which == "B" else B0
         rng = np.random.default_rng(19)
         u = rng.normal(size=net.n_vertices)
         got = hm.apply_high(u) if which == "B" else hm.apply_low(u)
@@ -219,8 +219,7 @@ class TestHierMetric:
         # decomposition reproduces the assembled Gram matrices exactly
         net = polygon_net(32, seed=20)
         hm = HierMetric(net, SIGMA, eps=0.0)
-        metric = MetricOperator(net, P36)
-        B, B0 = metric.B, metric.B0
+        B, B0 = metric_parts(net, P36)
         rng = np.random.default_rng(21)
         u = rng.normal(size=net.n_vertices)
         assert np.linalg.norm(hm.apply_high(u) - B @ u) \
@@ -247,7 +246,7 @@ class TestHierMetric:
 
     def test_refitting_shared_tree_leaves_metric_unchanged(self):
         net = polygon_net(96, seed=28)
-        bvh = build_bvh(net)
+        bvh = EdgeBvh(net)
         hm = HierMetric(net, SIGMA, bvh=bvh)
         assert hm.bvh is bvh
         vec = np.random.default_rng(29).normal(size=3 * net.n_vertices)

@@ -7,8 +7,7 @@ from knotflow.cli import main
 from knotflow.energy import discrete_energy, validate_params
 from knotflow.flow import minimal_projected_crossings
 from knotflow.scenes import (SceneError, generate_test_curve, load_obj_curve,
-                             parse_scene, save_obj_curve, scene_equal,
-                             serialize_scene)
+                             parse_scene, save_obj_curve, serialize_scene)
 
 MINIMAL_SCENE = """
 [curve]
@@ -51,13 +50,18 @@ class TestParse:
                                 "\n[output]\ndirectory = out\nstride = 2\n")
         scene = parse_scene(text)
         again = parse_scene(serialize_scene(scene))
-        assert scene_equal(scene, again)
 
-    def test_full_accel_implies_multigrid(self):
+        def strip(s):
+            return [{k: v[0] for k, v in sec.items() if not k.startswith("__")}
+                    | {"__name__": sec["__name__"]} for sec in s.sections]
+        assert strip(again) == strip(scene)
+        assert again.build_flow_config() == scene.build_flow_config()
+        assert again.output_settings() == scene.output_settings()
+
+    def test_full_accel_rejected(self):
         text = MINIMAL_SCENE + "\n[flow]\naccel = full\n"
-        strategy, config = parse_scene(text).build_flow_config()
-        assert strategy == "hs-mg"
-        assert config.accel == "full"
+        with pytest.raises(SceneError, match="unknown accel 'full'"):
+            parse_scene(text).build_flow_config()
 
 
 class TestGenerators:

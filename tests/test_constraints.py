@@ -10,11 +10,11 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import validate_params
 from knotflow.flow import FlowConfig, StepSolver
 from knotflow.metric import MetricOperator, SaddleFactor
-from knotflow.network import build_network, stack_fields
+from knotflow.network import CurveNetwork, stack_fields
 
 from oracles import perturbed_polygon, regular_polygon
 
-CENTERED_SQUARE = build_network(
+CENTERED_SQUARE = CurveNetwork(
     [[-0.5, -0.5, 0.], [0.5, -0.5, 0.], [0.5, 0.5, 0.], [-0.5, 0.5, 0.]],
     [[0, 1], [1, 2], [2, 3], [3, 0]])
 
@@ -38,7 +38,7 @@ def fd_jacobian(constraints, net, h=1e-6):
 
 def random_net(n=10, seed=0):
     verts, edges = perturbed_polygon(n, seed=seed)
-    return build_network(verts, edges)
+    return CurveNetwork(verts, edges)
 
 
 class TestEvaluate:
@@ -122,10 +122,11 @@ class TestJacobians:
             cs.check_rank(cs.jacobian(net))
 
 
-def make_saddle(net, params, constraints):
+def dense_correction(net, params, constraints):
+    """`SaddleFactor.solve_projection_step` under the dense hs metric."""
     metric = MetricOperator(net, params)
     C = constraints.jacobian(net)
-    return SaddleFactor(metric.A, C, net.dual_masses()), C
+    return SaddleFactor(metric.A, C, net.dual_masses()).solve_projection_step
 
 
 def project_gradient(net, params, constraints, differential):
@@ -157,7 +158,7 @@ class TestProjectGradient:
         from knotflow.energy import discrete_differential
 
         verts, edges = perturbed_polygon(8, seed=21)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         C = cs.jacobian(net)
@@ -190,8 +191,8 @@ class TestProjectOntoConstraints:
         net = random_net(n=8, seed=10)
         p = validate_params(3, 6)
         cs = ConstraintSet([EdgeLengths.from_network(net)])
-        saddle, _ = make_saddle(net, p, cs)
-        out, iters = project_onto_constraints(saddle, cs, net)
+        correction = dense_correction(net, p, cs)
+        out, iters = project_onto_constraints(correction, cs, net)
         assert iters == 0
         assert out is net
 
@@ -200,21 +201,21 @@ class TestProjectOntoConstraints:
         cs = ConstraintSet([EdgeLengths(np.ones(4))])
         stretched = CENTERED_SQUARE.with_positions(
             CENTERED_SQUARE.vertices * 1.01)
-        saddle, _ = make_saddle(stretched, p, cs)
-        out, iters = project_onto_constraints(saddle, cs, stretched)
+        correction = dense_correction(stretched, p, cs)
+        out, iters = project_onto_constraints(correction, cs, stretched)
         assert iters <= 3
         assert np.linalg.norm(cs.evaluate(out), np.inf) <= 1e-8
 
     def test_vertex_returned_to_sphere(self):
         verts, edges = regular_polygon(8)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
         cs = ConstraintSet([SurfaceConstraint(0, SphereSurface())])
         pos = net.vertices.copy()
         pos[0] *= 1.05  # pull vertex 0 off the unit sphere by 0.05
         off = net.with_positions(pos)
-        saddle, _ = make_saddle(off, p, cs)
-        out, iters = project_onto_constraints(saddle, cs, off)
+        correction = dense_correction(off, p, cs)
+        out, iters = project_onto_constraints(correction, cs, off)
         assert abs(SphereSurface().value(out.vertices[0])) <= 1e-8
         assert iters >= 1
 
@@ -222,8 +223,8 @@ class TestProjectOntoConstraints:
         net = random_net(n=8, seed=11)
         p = validate_params(3, 6)
         cs = ConstraintSet([TotalLength(net.total_length())])
-        saddle, _ = make_saddle(net, p, cs)
-        out, iters = project_onto_constraints(saddle, cs, net)
+        correction = dense_correction(net, p, cs)
+        out, iters = project_onto_constraints(correction, cs, net)
         assert iters == 0 and out is net
 
     def test_projection_failure_reported(self):
@@ -232,9 +233,9 @@ class TestProjectOntoConstraints:
         # infeasible from far away: demand a total length 100x shorter with
         # a tiny iteration budget
         cs = ConstraintSet([EdgeLengths(net.geometry().lengths * 0.01)])
-        saddle, _ = make_saddle(net, p, cs)
+        correction = dense_correction(net, p, cs)
         with pytest.raises(ProjectionFailure):
-            project_onto_constraints(saddle, cs, net, max_iters=1)
+            project_onto_constraints(correction, cs, net, max_iters=1)
 
 
 class TestSchedules:

@@ -4,12 +4,12 @@ import pytest
 from knotflow.energy import (EnergyParams, ParameterError, SelfContactError,
                              discrete_differential, discrete_energy, kernel,
                              validate_params)
-from knotflow.network import build_network
+from knotflow.network import CurveNetwork
 
 from oracles import (brute_energy, finite_difference_gradient,
                      perturbed_polygon, regular_polygon)
 
-SQUARE = build_network(
+SQUARE = CurveNetwork(
     [[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]],
     [[0, 1], [1, 2], [2, 3], [3, 0]])
 
@@ -80,12 +80,12 @@ class TestEnergy:
     def test_all_adjacent_arc_is_zero(self):
         # every pair of edges shares a vertex, so no pair contributes
         verts = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.]])
-        net = build_network(verts, [[0, 1], [1, 2]])
+        net = CurveNetwork(verts, [[0, 1], [1, 2]])
         assert discrete_energy(net, validate_params(2, 4)) == 0.0
 
     def test_matches_brute_force(self):
         verts, edges = perturbed_polygon(10, seed=3)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
         assert discrete_energy(net, p) == pytest.approx(
             brute_energy(verts, edges, 3, 6), rel=1e-12)
@@ -98,7 +98,7 @@ class TestEnergy:
         errors = []
         for n in (64, 128, 256):
             verts, edges = regular_polygon(n)
-            e = discrete_energy(build_network(verts, edges), p)
+            e = discrete_energy(CurveNetwork(verts, edges), p)
             errors.append(abs(e - target) / target)
         assert errors[0] > errors[1]
         assert errors[-1] < 0.02
@@ -106,8 +106,8 @@ class TestEnergy:
     def test_scaling_law(self):
         p = validate_params(3, 6)
         verts, edges = perturbed_polygon(12, seed=5)
-        net = build_network(verts, edges)
-        scaled = build_network(2.0 * verts, edges)
+        net = CurveNetwork(verts, edges)
+        scaled = CurveNetwork(2.0 * verts, edges)
         expected = 2.0 ** (2 + p.alpha - p.beta) * discrete_energy(net, p)
         assert discrete_energy(scaled, p) == pytest.approx(expected, rel=1e-10)
 
@@ -116,7 +116,7 @@ class TestEnergy:
                           [0., 0., 0.], [-1., 0., 0.], [-1., -1., 0.]])
         # vertices 0 and 3 coincide but belong to disjoint edges
         edges = [[0, 1], [1, 2], [3, 4], [4, 5]]
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         with pytest.raises(SelfContactError):
             discrete_energy(net, validate_params(2, 4))
 
@@ -125,7 +125,7 @@ class TestDifferential:
     def test_polygon_radial_symmetry(self):
         # (3, 6) is not scale-invariant, so the polygon gradient is nonzero
         verts, edges = regular_polygon(16)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         grad = discrete_differential(net, validate_params(3, 6))
         radial = verts / np.linalg.norm(verts, axis=1)[:, None]
         mags = np.linalg.norm(grad, axis=1)
@@ -136,12 +136,12 @@ class TestDifferential:
 
     def test_finite_difference_match(self):
         verts, edges = perturbed_polygon(32, seed=7)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
         grad = discrete_differential(net, p)
 
         def energy_of(pos):
-            return discrete_energy(build_network(pos, edges), p)
+            return discrete_energy(CurveNetwork(pos, edges), p)
 
         fd = finite_difference_gradient(energy_of, verts, h=1e-5)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
@@ -149,8 +149,8 @@ class TestDifferential:
     def test_translation_invariance(self):
         verts, edges = perturbed_polygon(12, seed=9)
         p = validate_params(3, 6)
-        g0 = discrete_differential(build_network(verts, edges), p)
-        g1 = discrete_differential(build_network(verts + [2.5, -1.0, 0.75], edges), p)
+        g0 = discrete_differential(CurveNetwork(verts, edges), p)
+        g1 = discrete_differential(CurveNetwork(verts + [2.5, -1.0, 0.75], edges), p)
         assert np.allclose(g0, g1, rtol=1e-12, atol=1e-12 * np.abs(g0).max())
 
     def test_rotation_equivariance(self):
@@ -159,13 +159,13 @@ class TestDifferential:
         verts, edges = perturbed_polygon(12, seed=11)
         p = validate_params(3, 6)
         R = Rotation.from_rotvec([0.3, -0.2, 0.9]).as_matrix()
-        g0 = discrete_differential(build_network(verts, edges), p)
-        g1 = discrete_differential(build_network(verts @ R.T, edges), p)
+        g0 = discrete_differential(CurveNetwork(verts, edges), p)
+        g1 = discrete_differential(CurveNetwork(verts @ R.T, edges), p)
         assert np.allclose(g1, g0 @ R.T, rtol=1e-10, atol=1e-10 * np.abs(g0).max())
 
     def test_differential_sums_to_zero(self):
         verts, edges = perturbed_polygon(20, seed=13)
-        grad = discrete_differential(build_network(verts, edges),
+        grad = discrete_differential(CurveNetwork(verts, edges),
                                      validate_params(2, 4.5))
         assert np.allclose(grad.sum(axis=0), 0.0,
                            atol=1e-12 * np.abs(grad).max())

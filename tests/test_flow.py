@@ -9,11 +9,11 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import discrete_differential, discrete_energy, validate_params
 from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
                            baseline_metric_matrix, collision_step_limit,
-                           crossings_during_motion, descent_direction,
-                           line_search, mass_norm, minimal_projected_crossings,
+                           crossings_during_motion, line_search, mass_norm,
+                           minimal_projected_crossings,
                            projected_crossing_count, run_flow)
 from knotflow.multigrid import MgConfig, MultigridHierarchy
-from knotflow.network import build_network
+from knotflow.network import CurveNetwork
 from knotflow.scenes import export_frames
 
 from oracles import perturbed_polygon, regular_polygon
@@ -32,7 +32,13 @@ def smooth_perturbed_circle(n, seed, amplitude=0.05, modes=6):
         z += amplitude / k * (az * np.cos(k * theta) + bz * np.sin(k * theta))
     verts = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
     edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return build_network(verts, edges)
+    return CurveNetwork(verts, edges)
+
+
+def descent_direction(strategy, net, constraints, differential):
+    """Projected descent direction of one step under `strategy`, (V, 3)."""
+    solver = StepSolver(strategy, net, P36, constraints, FlowConfig())
+    return solver.direction(differential)
 
 
 class TestDescentDirection:
@@ -40,7 +46,7 @@ class TestDescentDirection:
         net = smooth_perturbed_circle(16, seed=0)
         cs = ConstraintSet([Barycenter()])
         for strategy in ("hs", "l2", "h1", "h2"):
-            d = descent_direction(strategy, net, P36, cs,
+            d = descent_direction(strategy, net, cs,
                                   np.zeros((net.n_vertices, 3)))
             assert np.allclose(d, 0.0)
 
@@ -48,8 +54,8 @@ class TestDescentDirection:
         net = smooth_perturbed_circle(128, seed=1)
         cs = ConstraintSet([Barycenter()])
         dE = discrete_differential(net, P36)
-        d_dense = descent_direction("hs", net, P36, cs, dE).reshape(-1)
-        d_mg = descent_direction("hs-mg", net, P36, cs, dE).reshape(-1)
+        d_dense = descent_direction("hs", net, cs, dE).reshape(-1)
+        d_mg = descent_direction("hs-mg", net, cs, dE).reshape(-1)
         cosine = d_dense @ d_mg / (np.linalg.norm(d_dense)
                                    * np.linalg.norm(d_mg))
         assert cosine >= 0.99
@@ -59,13 +65,13 @@ class TestDescentDirection:
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         dE = discrete_differential(net, P36)
         for strategy in ("hs", "l2", "h1", "h2"):
-            d = descent_direction(strategy, net, P36, cs, dE)
+            d = descent_direction(strategy, net, cs, dE)
             assert float(np.sum(dE * d)) > 0.0
 
     def test_missing_constraint_rejected(self):
         net = smooth_perturbed_circle(16, seed=3)
         with pytest.raises(ValueError, match="translation-fixing"):
-            descent_direction("hs", net, P36, ConstraintSet(),
+            descent_direction("hs", net, ConstraintSet(),
                               np.zeros((net.n_vertices, 3)))
 
     def test_baseline_metrics_are_spd_on_constraint_space(self):
@@ -82,7 +88,7 @@ class TestCollisionStepLimit:
         # two parallel unit segments, gap 1, closing speed 1
         verts = np.array([[0., 0., 0.], [1., 0., 0.],
                           [0., 1., 0.], [1., 1., 0.]])
-        net = build_network(verts, [[0, 1], [2, 3]])
+        net = CurveNetwork(verts, [[0, 1], [2, 3]])
         direction = np.array([[0., -0.5, 0.], [0., -0.5, 0.],
                               [0., 0.5, 0.], [0., 0.5, 0.]])
         tau = collision_step_limit(net, direction, cap=10.0)
@@ -102,7 +108,7 @@ class TestCollisionStepLimit:
     def test_crossing_audit_counts_events(self):
         verts = np.array([[0., 0., 0.], [1., 0., 0.],
                           [0., 1., -0.5], [1., 1., -0.5]])
-        net = build_network(verts, [[0, 1], [2, 3]])
+        net = CurveNetwork(verts, [[0, 1], [2, 3]])
         start = verts.copy()
         end = verts.copy()
         end[2:, 1] -= 2.0   # second segment sweeps straight through the first
@@ -131,7 +137,7 @@ class TestLineSearch:
         verts = np.array([[0., 0., 0.], [1., 0., 0.],
                           [0., 0.05, 0.], [1., 0.05, 0.],
                           [0., 2., 0.], [1., 2., 0.]])
-        net = build_network(verts, [[0, 1], [2, 3], [4, 5]])
+        net = CurveNetwork(verts, [[0, 1], [2, 3], [4, 5]])
         direction = np.zeros((6, 3))
         direction[2:4, 1] = -10.0   # pushes strand 2 hard into strand 1
         tau_max = collision_step_limit(net, -direction, cap=1e3)
@@ -167,7 +173,7 @@ class TestRunFlow:
         verts = np.stack([r * np.cos(theta), r * np.sin(theta),
                           np.zeros(n)], axis=1)
         edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         config = FlowConfig(max_iters=150, stop_tolerance=1e-4)
         result = run_flow(net, P36, cs, strategy="hs", config=config)
@@ -227,10 +233,10 @@ class TestRunFlow:
         net = smooth_perturbed_circle(128, seed=16)
         cs = ConstraintSet([Barycenter()])
         objective = Objective(P36, accel="bh")
-        objective.energy_and_differential(net, rebuild=True)
+        objective.energy_and_differential(net)
         solver = StepSolver("hs-mg", net, P36, cs, FlowConfig(accel="bh"),
                             bvh=objective.bvh)
-        assert solver.hierarchy.levels[0].metric.bvh is objective.bvh
+        assert solver.saddle.levels[0].metric.bvh is objective.bvh
 
 
     def test_final_vcycle_residual_reported(self, tmp_path, monkeypatch):
@@ -278,9 +284,9 @@ class TestRunFlow:
             calls["energy"] += 1
             return discrete(net, params)
 
-        def counted_trial(self, net, rebuild=False):
+        def counted_trial(self, net):
             calls["trials"] += 1
-            return trial(self, net, rebuild)
+            return trial(self, net)
 
         def counted_rank(self, C):
             calls["rank"] += 1
@@ -382,7 +388,7 @@ class TestRankLoss:
 class TestCrossingCounts:
     def test_circle_has_no_crossings(self):
         verts, edges = regular_polygon(32)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         assert projected_crossing_count(net) == 0
 
     def test_trefoil_minimal_crossing_number(self):
@@ -392,5 +398,5 @@ class TestCrossingCounts:
                           np.cos(t) - 2 * np.cos(2 * t),
                           -np.sin(3 * t)], axis=1)
         edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         assert minimal_projected_crossings(net, samples=40) == 3

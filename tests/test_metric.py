@@ -7,8 +7,8 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import validate_params
 from knotflow.flow import baseline_metric_matrix
 from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
-                             derivative_matrix)
-from knotflow.network import build_network, stack_fields, unstack_fields
+                             derivative_matrix, metric_parts)
+from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
                      lu_saddle_solve, perturbed_polygon, regular_polygon,
@@ -30,7 +30,7 @@ def octagon_net(seed=None):
         verts, edges = regular_polygon(8)
     else:
         verts, edges = perturbed_polygon(8, seed=seed)
-    return build_network(verts, edges)
+    return CurveNetwork(verts, edges)
 
 
 def mean_fix_jacobian(n):
@@ -51,7 +51,7 @@ class TestDerivativeOperators:
     def test_derivative_of_arclength_is_tangent(self):
         # straight 3-vertex segment; u = arc length coordinate
         verts = np.array([[0., 0., 0.], [1., 1., 0.], [2., 2., 0.]])
-        net = build_network(verts, [[0, 1], [1, 2]])
+        net = CurveNetwork(verts, [[0, 1], [1, 2]])
         u = np.array([0.0, np.sqrt(2), 2 * np.sqrt(2)])
         out = (derivative_matrix(net) @ u).reshape(-1, 3)
         assert np.allclose(out, net.geometry().tangents, atol=1e-12)
@@ -67,7 +67,7 @@ class TestDerivativeOperators:
 
 class TestWeights:
     def test_square_opposite_edges(self):
-        net = build_network(
+        net = CurveNetwork(
             [[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]],
             [[0, 1], [1, 2], [2, 3], [3, 0]])
         K, _ = dense_kernel_matrices(net, SIGMA)
@@ -87,7 +87,7 @@ class TestWeights:
 
     def test_weight_scaling(self):
         net = octagon_net(seed=2)
-        scaled = build_network(3.0 * net.vertices, net.edges)
+        scaled = CurveNetwork(3.0 * net.vertices, net.edges)
         K, _ = dense_kernel_matrices(net, SIGMA)
         Ks, _ = dense_kernel_matrices(scaled, SIGMA)
         factor = 3.0 ** 2 / 3.0 ** (2 * SIGMA + 1)
@@ -95,7 +95,7 @@ class TestWeights:
 
     def test_low_order_vanishes_on_collinear(self):
         verts = np.stack([np.arange(6.0), np.zeros(6), np.zeros(6)], axis=1)
-        net = build_network(verts, [[i, i + 1] for i in range(5)])
+        net = CurveNetwork(verts, [[i, i + 1] for i in range(5)])
         _, K0 = dense_kernel_matrices(net, SIGMA)
         assert np.allclose(K0, 0.0, atol=1e-14)
 
@@ -103,13 +103,13 @@ class TestWeights:
 class TestGramMatrices:
     def test_high_order_kills_constants(self):
         net = octagon_net(seed=3)
-        B = MetricOperator(net, P36).B
+        B, _ = metric_parts(net, P36)
         u = np.full(net.n_vertices, 1.7)
         assert abs(u @ B @ u) < 1e-12 * np.abs(B).max()
 
     def test_high_order_quadratic_form_oracle(self):
         net = octagon_net(seed=4)
-        B = MetricOperator(net, P36).B
+        B, _ = metric_parts(net, P36)
         rng = np.random.default_rng(5)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -118,7 +118,7 @@ class TestGramMatrices:
 
     def test_low_order_quadratic_form_oracle(self):
         net = octagon_net(seed=6)
-        B0 = MetricOperator(net, P36).B0
+        _, B0 = metric_parts(net, P36)
         rng = np.random.default_rng(7)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -127,20 +127,19 @@ class TestGramMatrices:
 
     def test_low_order_kills_constants(self):
         net = octagon_net(seed=8)
-        B0 = MetricOperator(net, P36).B0
+        _, B0 = metric_parts(net, P36)
         u = np.full(net.n_vertices, -2.2)
         assert abs(u @ B0 @ u) < 1e-12 * max(np.abs(B0).max(), 1e-30)
 
     def test_symmetry(self):
         net = octagon_net(seed=9)
-        metric = MetricOperator(net, P36)
-        B, B0 = metric.B, metric.B0
+        B, B0 = metric_parts(net, P36)
         assert np.allclose(B, B.T, atol=1e-12 * np.abs(B).max())
         assert np.allclose(B0, B0.T, atol=1e-12 * max(np.abs(B0).max(), 1e-30))
 
     def test_combined_metric_psd_with_constant_null_space(self):
         verts, edges = perturbed_polygon(16, seed=10)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
         A = MetricOperator(net, p).A
         eigvals = np.linalg.eigvalsh(A)
@@ -154,8 +153,8 @@ class TestGramMatrices:
     def test_metric_scaling_exponent(self):
         verts, edges = perturbed_polygon(12, seed=11)
         p = validate_params(3, 6)
-        A1 = MetricOperator(build_network(verts, edges), p).A
-        A2 = MetricOperator(build_network(2.0 * verts, edges), p).A
+        A1 = MetricOperator(CurveNetwork(verts, edges), p).A
+        A2 = MetricOperator(CurveNetwork(2.0 * verts, edges), p).A
         factor = 2.0 ** (-(2 * p.sigma + 1))
         assert np.allclose(A2, factor * A1, rtol=1e-10)
 
@@ -178,7 +177,7 @@ class TestDenseSolve:
         from knotflow.energy import discrete_differential
 
         verts, edges = regular_polygon(12)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         p = validate_params(2, 4)
         dE = discrete_differential(net, p)
         g = dense_gradient(net, p, dE, mean_fix_jacobian(net.n_vertices))
@@ -192,7 +191,7 @@ class TestDenseSolve:
         p = validate_params(3, 6)
         dirs = []
         for c in (1.0, 3.0):
-            net = build_network(c * verts, edges)
+            net = CurveNetwork(c * verts, edges)
             dE = discrete_differential(net, p)
             g = dense_gradient(net, p, dE,
                                mean_fix_jacobian(net.n_vertices))
@@ -236,7 +235,7 @@ class TestSaddleFactorOracle:
     ])
     def test_matches_full_lu(self, strategy, case):
         verts, edges = perturbed_polygon(24, seed=30)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = _constraint_case(case, net)
         C = cs.jacobian(net)
         A = MetricOperator(net, P36).A if strategy == "hs" \

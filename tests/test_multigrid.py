@@ -7,7 +7,8 @@ from knotflow.energy import discrete_differential, validate_params
 from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.multigrid import (MgConfig, MgLevel, MultigridHierarchy,
                                 coarsen_network, restrict_constraints)
-from knotflow.network import build_network, stack_fields
+from knotflow.network import CurveNetwork, stack_fields
+from knotflow.scenes import generate_test_curve
 
 from oracles import perturbed_polygon, regular_polygon
 
@@ -17,7 +18,7 @@ P36 = validate_params(3, 6)
 class TestCoarsening:
     def test_eight_cycle_becomes_four_cycle(self):
         verts, edges = regular_polygon(8)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         coarse, J, vmap, emap = coarsen_network(net)
         assert coarse.n_vertices == 4 and coarse.n_edges == 4
         assert np.all(coarse.degrees == 2)
@@ -27,7 +28,7 @@ class TestCoarsening:
         assert unit_rows == 4 and avg_rows == 4
 
     def test_three_vertex_arc_becomes_segment(self):
-        net = build_network([[0., 0., 0.], [1., 0., 0.], [2., 0., 0.]],
+        net = CurveNetwork([[0., 0., 0.], [1., 0., 0.], [2., 0., 0.]],
                             [[0, 1], [1, 2]])
         coarse, J, _, _ = coarsen_network(net)
         assert coarse.n_vertices == 2 and coarse.n_edges == 1
@@ -45,7 +46,7 @@ class TestCoarsening:
                 idx = len(verts) - 1
                 edges.append([prev, idx])
                 prev = idx
-        net = build_network(np.array(verts), edges)
+        net = CurveNetwork(np.array(verts), edges)
         while True:
             out = coarsen_network(net)
             if out is None:
@@ -57,25 +58,25 @@ class TestCoarsening:
 
     def test_prolongation_reproduces_constants(self):
         verts, edges = perturbed_polygon(32, seed=0)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         coarse, J, _, _ = coarsen_network(net)
         ones = np.ones(coarse.n_vertices)
         assert np.allclose(J @ ones, 1.0)
 
     def test_no_whites_left_returns_none(self):
         verts, edges = regular_polygon(3)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         assert coarsen_network(net) is None
 
     def test_constrained_vertices_stay_black(self):
         verts, edges = regular_polygon(16)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         coarse, J, vmap, emap = coarsen_network(net, keep={5})
         assert vmap[5] >= 0
 
     def test_restricted_constraints_match_structure(self):
         verts, edges = regular_polygon(16)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length()),
                             PointConstraint(3, net.vertices[3])])
         coarse, J, vmap, emap = coarsen_network(net, keep={3})
@@ -85,16 +86,21 @@ class TestCoarsening:
         assert C.shape == (cs.k, 3 * coarse.n_vertices)
 
 
-def hierarchy_for(net, constraints, use_hier=True, **cfg):
-    config = MgConfig(**cfg) if cfg else MgConfig()
-    return MultigridHierarchy(net, P36, constraints, config,
-                              use_hier=use_hier)
+def hierarchy_for(net, constraints, **cfg):
+    return MultigridHierarchy(net, P36, constraints, MgConfig(**cfg))
+
+
+def metric_norm_gap(metric, x, exact):
+    """|x - exact| / |exact| in the norm of blockdiag(A, A, A)."""
+    diff = x - exact
+    return np.sqrt(diff @ metric.apply_stacked(diff)) \
+        / np.sqrt(exact @ metric.apply_stacked(exact))
 
 
 class TestProjector:
     def test_projector_identities(self):
         verts, edges = perturbed_polygon(24, seed=1)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
         level = hier.levels[0]
@@ -108,11 +114,10 @@ class TestProjector:
 
     def test_sparse_factor_for_large_k_reports_rank_loss(self):
         # k > 512 takes the sparse LU of C C^T instead of the Cholesky
-        verts, edges = perturbed_polygon(520, seed=12)
-        net = build_network(verts, edges)
+        net = generate_test_curve("perturbed-circle", 520, seed=12)
         cs = ConstraintSet([Barycenter.from_network(net),
                             EdgeLengths.from_network(net)])
-        level = MgLevel(net, P36, cs, MgConfig(), use_hier=False)
+        level = MgLevel(net, P36, cs)
         assert level.k > 512 and not level.rank_suspect
         v = np.random.default_rng(13).normal(size=3 * net.n_vertices)
         assert np.linalg.norm(level.C @ level.project(v)) \
@@ -120,7 +125,7 @@ class TestProjector:
         pin = net.vertices[0]
         cs.add(PointConstraint(0, pin)).add(PointConstraint(0, pin))
         try:
-            level = MgLevel(net, P36, cs, MgConfig(), use_hier=False)
+            level = MgLevel(net, P36, cs)
         except np.linalg.LinAlgError:
             return
         assert level.rank_suspect
@@ -129,7 +134,7 @@ class TestProjector:
 class TestVcycle:
     def test_zero_rhs(self):
         verts, edges = perturbed_polygon(64, seed=2)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
         x, info = hier.vcycle_solve(np.zeros(3 * net.n_vertices))
@@ -137,24 +142,22 @@ class TestVcycle:
 
     def test_metric_system_close_to_dense_solve(self):
         verts, edges = perturbed_polygon(128, seed=3)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
         dE = stack_fields(discrete_differential(net, P36))
-        x, info = hier.solve_gradient(dE)
+        x = hier.solve_gradient(dE)
         # dense oracle
         metric = MetricOperator(net, P36)
         C = cs.jacobian(net).toarray()
-        dense, _ = SaddleFactor(metric.A, C, net.dual_masses()).solve(dE, None)
-        a_bar = metric.a_bar()
-        diff = x - dense
-        rel = np.sqrt(diff @ (a_bar @ diff)) / np.sqrt(dense @ (a_bar @ dense))
+        dense = SaddleFactor(metric.A, C, net.dual_masses()).solve_gradient(dE)
+        rel = metric_norm_gap(metric, x, dense)
         assert rel <= 1e-3 * 10  # residual target 1e-3 in the metric norm
         assert np.linalg.norm(C @ x) <= 1e-8 * np.linalg.norm(x)
 
     def test_residual_history_non_increasing(self):
         verts, edges = perturbed_polygon(96, seed=4)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
         rng = np.random.default_rng(5)
@@ -167,48 +170,60 @@ class TestVcycle:
 
     def test_stagnation_reported(self):
         verts, edges = perturbed_polygon(64, seed=6)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs, max_vcycles=1,
                              target_rel_residual=1e-14, smoother_iters=1)
         dE = stack_fields(discrete_differential(net, P36))
-        x, info = hier.solve_gradient(dE)
-        assert not info["converged"]
-        assert info["residuals"][-1] > 0
+        hier.solve_gradient(dE)
+        assert hier.cycles == hier.unconverged == 1
+        assert hier.residual > 0
 
 
 class TestProjectedSaddle:
     def test_gradient_mode_against_dense(self):
         verts, edges = perturbed_polygon(64, seed=7)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
         dE = stack_fields(discrete_differential(net, P36))
-        x, _ = hier.solve_gradient(dE)
+        x = hier.solve_gradient(dE)
         metric = MetricOperator(net, P36)
         C = cs.jacobian(net).toarray()
-        dense, _ = SaddleFactor(metric.A, C, net.dual_masses()).solve(dE, None)
-        a_bar = metric.a_bar()
-        diff = x - dense
-        rel = np.sqrt(diff @ (a_bar @ diff)) / np.sqrt(dense @ (a_bar @ dense))
-        assert rel <= 1e-2
+        dense = SaddleFactor(metric.A, C, net.dual_masses()).solve_gradient(dE)
+        assert metric_norm_gap(metric, x, dense) <= 1e-2
+
+    def test_projection_mode_against_dense(self):
+        net = generate_test_curve("perturbed-circle", 64, seed=7)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        noise = 1e-3 * np.random.default_rng(10).normal(size=(64, 3))
+        moved = net.with_positions(1.01 * net.vertices + noise)
+        phi = cs.evaluate(moved)
+        hier = hierarchy_for(moved, cs)
+        x = hier.solve_projection_step(phi)
+        metric = MetricOperator(moved, P36)
+        dense = SaddleFactor(metric.A, cs.jacobian(moved),
+                             moved.dual_masses()).solve_projection_step(phi)
+        assert hier.cycles > 0
+        assert metric_norm_gap(metric, x, dense) <= 1e-2
 
     def test_projection_mode_feasible_returns_zero(self):
         verts, edges = perturbed_polygon(48, seed=8)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
-        x, _ = hier.solve_projection_step(np.zeros(cs.k))
+        x = hier.solve_projection_step(np.zeros(cs.k))
         assert np.linalg.norm(x) <= 1e-12
 
     def test_projection_mode_restores_constraint(self):
         verts, edges = perturbed_polygon(64, seed=9)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         stretched = net.with_positions(net.vertices * 1.02)
         hier = hierarchy_for(stretched, cs)
         phi = cs.evaluate(stretched)
-        x, _ = hier.solve_projection_step(phi)
+        x = hier.solve_projection_step(phi)
         C = cs.jacobian(stretched)
         assert np.linalg.norm(C @ x + phi, np.inf) <= 1e-8 * max(
             1.0, np.linalg.norm(phi, np.inf))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from knotflow.network import (CurveNetwork, InvalidNetworkError, build_network,
+from knotflow.network import (CurveNetwork, InvalidNetworkError,
                               edge_average, edge_geometry, stack_fields,
                               unstack_fields)
 
@@ -12,7 +12,7 @@ SQUARE_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
 
 
 def test_closed_loop_classification():
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     assert net.n_vertices == 4 and net.n_edges == 4
     assert np.all(net.degrees == 2)
     assert len(np.unique(net.component_labels)) == 1
@@ -22,7 +22,7 @@ def test_closed_loop_classification():
 
 def test_open_arc_classification():
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [2., 0., 0.]])
-    net = build_network(verts, [[0, 1], [1, 2]])
+    net = CurveNetwork(verts, [[0, 1], [1, 2]])
     assert len(np.unique(net.component_labels)) == 1
     assert set(net.endpoints) == {0, 2}
     assert net.degrees[0] == 1 and net.degrees[2] == 1
@@ -30,34 +30,34 @@ def test_open_arc_classification():
 
 def test_juncture_classification():
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [-1., 0.5, 0.], [-1., -0.5, 0.]])
-    net = build_network(verts, [[0, 1], [0, 2], [0, 3]])
+    net = CurveNetwork(verts, [[0, 1], [0, 2], [0, 3]])
     assert set(net.junctures) == {0}
 
 
 def test_degenerate_edge_rejected():
     with pytest.raises(InvalidNetworkError):
-        build_network(SQUARE_VERTS, [[0, 0]])
+        CurveNetwork(SQUARE_VERTS, [[0, 0]])
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(InvalidNetworkError):
-        build_network(SQUARE_VERTS, [[0, 1], [1, 0]])
+        CurveNetwork(SQUARE_VERTS, [[0, 1], [1, 0]])
 
 
 def test_out_of_range_index_rejected():
     with pytest.raises(InvalidNetworkError):
-        build_network(SQUARE_VERTS, [[0, 7]])
+        CurveNetwork(SQUARE_VERTS, [[0, 7]])
 
 
 def test_zero_length_edge_rejected():
     verts = np.array([[1., 1., 1.], [1., 1., 1.], [0., 0., 0.]])
     with pytest.raises(InvalidNetworkError):
-        build_network(verts, [[0, 1], [1, 2]])
+        CurveNetwork(verts, [[0, 1], [1, 2]])
 
 
 def test_edge_geometry_values():
     verts = np.array([[0., 0., 0.], [2., 0., 0.], [0., 0., -3.]])
-    net = build_network(verts, [[0, 1], [0, 2]])
+    net = CurveNetwork(verts, [[0, 1], [0, 2]])
     geom = edge_geometry(net)
     assert geom.lengths[0] == pytest.approx(2.0)
     assert np.allclose(geom.tangents[0], [1, 0, 0])
@@ -71,7 +71,7 @@ def test_reconstruction_identity():
     rng = np.random.default_rng(0)
     verts = rng.normal(size=(10, 3))
     edges = np.stack([np.arange(9), np.arange(1, 10)], axis=1)
-    net = build_network(verts, edges)
+    net = CurveNetwork(verts, edges)
     geom = net.geometry()
     rebuilt = verts[edges[:, 0]] + geom.lengths[:, None] * geom.tangents
     assert np.allclose(rebuilt, verts[edges[:, 1]], rtol=1e-12, atol=1e-12)
@@ -80,46 +80,46 @@ def test_reconstruction_identity():
 
 def test_dual_masses_sum_to_total_length():
     verts, edges = regular_polygon(17)
-    net = build_network(verts, edges)
+    net = CurveNetwork(verts, edges)
     masses = net.dual_masses()
     assert np.all(masses > 0)
     assert masses.sum() == pytest.approx(net.total_length(), rel=1e-12)
 
 
 def test_edge_average_constant():
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     out = edge_average(net, np.full(4, 3.25))
     assert np.all(out == 3.25)
 
 
 def test_edge_average_single_edge():
-    net = build_network([[0., 0., 0.], [1., 0., 0.]], [[0, 1]])
+    net = CurveNetwork([[0., 0., 0.], [1., 0., 0.]], [[0, 1]])
     assert edge_average(net, np.array([0.0, 2.0]))[0] == pytest.approx(1.0)
 
 
 def test_edge_average_matches_direct_formula():
     rng = np.random.default_rng(1)
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     u = rng.normal(size=4)
     expected = np.array([0.5 * (u[i] + u[j]) for i, j in SQUARE_EDGES])
     assert np.allclose(edge_average(net, u), expected)
 
 
 def test_edge_average_size_mismatch():
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     with pytest.raises(ValueError):
         edge_average(net, np.zeros(5))
 
 
 def test_disjoint_pairs_square():
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     pi, pj = net.disjoint_edge_pairs()
     pairs = set(zip(pi.tolist(), pj.tolist()))
     assert pairs == {(0, 2), (2, 0), (1, 3), (3, 1)}
 
 
 def test_snapshots_share_pair_arrays():
-    net = build_network(SQUARE_VERTS, SQUARE_EDGES)
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     moved = net.with_positions(net.vertices + 0.1)
     again = moved.with_positions(moved.vertices * 2.0)
     pi, pj = net.disjoint_edge_pairs()

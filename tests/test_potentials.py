@@ -4,11 +4,10 @@ import pytest
 from knotflow.energy import validate_params
 from knotflow.meshes import (MeshSignedDistance, TriangleMesh, load_obj_mesh,
                              octahedron_sphere, save_obj_mesh)
-from knotflow.network import build_network
+from knotflow.network import CurveNetwork
 from knotflow.potentials import (ConstantField, FieldPotential,
                                  LengthDifferencePotential, RotationField,
-                                 SurfacePotential, TotalLengthPotential,
-                                 total_objective)
+                                 SurfacePotential, TotalLengthPotential)
 
 from oracles import finite_difference_gradient, perturbed_polygon, regular_polygon
 
@@ -29,14 +28,14 @@ def fd_check(potential, net, rel=1e-5, h=1e-6):
 
 class TestTotalLength:
     def test_unit_square_value_and_fd(self):
-        net = build_network(
+        net = CurveNetwork(
             [[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]],
             [[0, 1], [1, 2], [2, 3], [3, 0]])
         value = fd_check(TotalLengthPotential(), net)
         assert value == pytest.approx(4.0)
 
     def test_single_edge_endpoint_gradients(self):
-        net = build_network([[0., 0., 0.], [2., 0., 0.]], [[0, 1]])
+        net = CurveNetwork([[0., 0., 0.], [2., 0., 0.]], [[0, 1]])
         value, grad = TotalLengthPotential().value_and_differential(net)
         assert value == pytest.approx(2.0)
         assert np.allclose(grad[0], [-1, 0, 0])
@@ -44,7 +43,7 @@ class TestTotalLength:
 
     def test_scaling(self):
         verts, edges = perturbed_polygon(9, seed=0)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         v1, _ = TotalLengthPotential().value_and_differential(net)
         v2, _ = TotalLengthPotential().value_and_differential(
             net.with_positions(3.0 * verts))
@@ -54,12 +53,12 @@ class TestTotalLength:
 class TestLengthDifference:
     def test_equilateral_polygon_is_zero(self):
         verts, edges = regular_polygon(10)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         value, grad = LengthDifferencePotential().value_and_differential(net)
         assert value == pytest.approx(0.0, abs=1e-25)
 
     def test_three_vertex_arc(self):
-        net = build_network([[0., 0., 0.], [1., 0., 0.], [3., 0., 0.]],
+        net = CurveNetwork([[0., 0., 0.], [1., 0., 0.], [3., 0., 0.]],
                             [[0, 1], [1, 2]])
         value, _ = LengthDifferencePotential().value_and_differential(net)
         assert value == pytest.approx(1.0)
@@ -68,7 +67,7 @@ class TestLengthDifference:
         # Y junction: no degree-2 vertices at all
         verts = np.array([[0., 0., 0.], [1., 0., 0.], [-1., 1., 0.],
                           [-1., -1., 0.]])
-        net = build_network(verts, [[0, 1], [0, 2], [0, 3]])
+        net = CurveNetwork(verts, [[0, 1], [0, 2], [0, 3]])
         value, grad = LengthDifferencePotential().value_and_differential(net)
         assert value == 0.0 and np.all(grad == 0.0)
 
@@ -76,7 +75,7 @@ class TestLengthDifference:
         rng = np.random.default_rng(1)
         verts = np.cumsum(rng.uniform(0.5, 1.5, size=(7, 3)), axis=0)
         edges = [[i, i + 1] for i in range(6)]
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         fd_check(LengthDifferencePotential(), net, rel=1e-6)
 
 
@@ -91,7 +90,7 @@ class TestSurfacePotential:
         c = mesh.face_centroids[0]
         d = 1.7
         # unit edge whose midpoint sits distance d above the centroid
-        net = build_network([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
+        net = CurveNetwork([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
         pot = SurfacePotential(mesh, accel=False)
         value, _ = pot.value_and_differential(net, P36)
         assert value == pytest.approx(1.0 / d ** (P36.beta - P36.alpha))
@@ -100,7 +99,7 @@ class TestSurfacePotential:
         mesh = self.unit_face_mesh()
         c = mesh.face_centroids[0]
         pot = SurfacePotential(mesh, accel=False)
-        nets = [build_network([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
+        nets = [CurveNetwork([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
                 for d in (1.0, 2.0)]
         v1, _ = pot.value_and_differential(nets[0], P36)
         v2, _ = pot.value_and_differential(nets[1], P36)
@@ -109,7 +108,7 @@ class TestSurfacePotential:
     def test_tree_matches_exhaustive_within_one_percent(self):
         mesh = octahedron_sphere(radius=1.0, subdivisions=3)
         verts, edges = perturbed_polygon(24, seed=2)
-        net = build_network(verts * 3.0 + np.array([0.0, 0.0, 2.5]), edges)
+        net = CurveNetwork(verts * 3.0 + np.array([0.0, 0.0, 2.5]), edges)
         exact = SurfacePotential(mesh, accel=False)
         fast = SurfacePotential(mesh, accel=True)
         v_exact, g_exact = exact.value_and_differential(net, P36)
@@ -120,7 +119,7 @@ class TestSurfacePotential:
     def test_fd_exact_mode(self):
         mesh = self.unit_face_mesh()
         verts, edges = perturbed_polygon(8, seed=3)
-        net = build_network(verts + np.array([0.0, 0.0, 2.0]), edges)
+        net = CurveNetwork(verts + np.array([0.0, 0.0, 2.0]), edges)
         fd_check(SurfacePotential(mesh, accel=False), net)
 
     def test_touching_mesh_rejected(self):
@@ -128,27 +127,27 @@ class TestSurfacePotential:
         # lands exactly on it
         mesh = TriangleMesh([[0., 0., 0.], [3., 0., 0.], [0., 3., 0.]],
                             [[0, 1, 2]])
-        net = build_network([[1., 0.5, 0.], [1., 1.5, 0.]], [[0, 1]])
+        net = CurveNetwork([[1., 0.5, 0.], [1., 1.5, 0.]], [[0, 1]])
         with pytest.raises(ValueError, match="touches"):
             SurfacePotential(mesh, accel=False).value_and_differential(net, P36)
 
 
 class TestFieldPotential:
     def test_aligned_edge_is_zero(self):
-        net = build_network([[0., 0., 0.], [0., 0., 2.]], [[0, 1]])
+        net = CurveNetwork([[0., 0., 0.], [0., 0., 2.]], [[0, 1]])
         value, _ = FieldPotential(ConstantField([0, 0, 1])) \
             .value_and_differential(net)
         assert value == pytest.approx(0.0, abs=1e-28)
 
     def test_orthogonal_unit_edge(self):
-        net = build_network([[0., 0., 0.], [1., 0., 0.]], [[0, 1]])
+        net = CurveNetwork([[0., 0., 0.], [1., 0., 0.]], [[0, 1]])
         value, _ = FieldPotential(ConstantField([0, 0, 1])) \
             .value_and_differential(net)
         assert value == pytest.approx(1.0)
 
     def test_fd_constant_field(self):
         verts, edges = perturbed_polygon(9, seed=4)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         fd_check(FieldPotential(ConstantField([0.3, -0.5, 0.81])), net)
 
     def test_fd_rotation_field(self):
@@ -156,12 +155,12 @@ class TestFieldPotential:
         verts = np.cumsum(rng.uniform(0.3, 0.9, size=(8, 3)), axis=0) \
             + np.array([2.0, 0.0, 0.0])
         edges = [[i, i + 1] for i in range(7)]
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         fd_check(FieldPotential(RotationField([0, 0, 1])), net)
 
     def test_nonnegative(self):
         verts, edges = perturbed_polygon(16, seed=6)
-        net = build_network(verts, edges)
+        net = CurveNetwork(verts, edges)
         value, _ = FieldPotential(RotationField()).value_and_differential(net)
         assert value >= 0.0
 
@@ -169,14 +168,17 @@ class TestFieldPotential:
 class TestTotalObjective:
     def test_weighted_sum(self):
         verts, edges = perturbed_polygon(10, seed=7)
-        net = build_network(verts, edges)
-        from knotflow.energy import discrete_energy
+        net = CurveNetwork(verts, edges)
+        from knotflow.energy import discrete_differential, discrete_energy
+        from knotflow.flow import Objective
 
         pot = TotalLengthPotential(weight=0.25)
-        value, grad = total_objective(net, P36, [pot])
+        value, grad = Objective(P36, [pot]).energy_and_differential(net)
         base = discrete_energy(net, P36)
         assert value == pytest.approx(base + 0.25 * net.total_length())
-        assert grad.shape == (10, 3)
+        _, pot_grad = pot.value_and_differential(net, P36)
+        assert np.allclose(grad, discrete_differential(net, P36)
+                           + 0.25 * pot_grad, rtol=1e-12, atol=0.0)
 
 
 class TestMeshes:
