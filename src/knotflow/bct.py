@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .bvh import EdgeBvh
-from .energy import SelfContactError, _pair_chunks
+from .energy import SelfContactError, _dot3, _pair_samples
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -64,11 +64,6 @@ def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
     return k2(ti, d) + k2(tj, -d)
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise dot products of two (3, P) arrays."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
                       J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both metric kernels at the edge pairs (I, J), with lengths, in one
@@ -78,33 +73,21 @@ def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
     low = 1/4 l_I l_J sum_ab r^-(2 sigma + 1) (k24(T_I) + k24(T_J)) with
     k24(T) = |T x d|^2 / r^4, both symmetric in (I, J).  The dense metric
     and the exact near field use these entries, so the eps -> 0 metric
-    matvec reproduces the dense Gram matrices exactly.
+    matvec reproduces the dense Gram matrices exactly.  The samples come
+    from the energy's chunked pair gather.
     """
     geom = net.geometry()
     expo = 2 * sigma + 1
-    # coordinates in rows: np.take gathers columns and the dot products
-    # below run over contiguous rows; chunks bound the temporaries
-    X = np.ascontiguousarray(net.vertices.T)
-    T = np.ascontiguousarray(geom.tangents.T)
     high = np.zeros(len(I))
     low = np.zeros(len(I))
-    for sl in _pair_chunks(len(I), chunk=4096):
-        Ic, Jc = I[sl], J[sl]
-        ti, tj = T.take(Ic, axis=1), T.take(Jc, axis=1)
+    for sl, ti, tj, samples in _pair_samples(net, I, J):
         tti, ttj = _dot3(ti, ti), _dot3(tj, tj)
-        for a in range(2):
-            p = X.take(net.edges[Ic, a], axis=1)
-            for b in range(2):
-                d = p - X.take(net.edges[Jc, b], axis=1)
-                r2 = _dot3(d, d)
-                if np.any(r2 == 0.0):
-                    raise SelfContactError(
-                        "coincident vertices on non-adjacent edges")
-                term = r2 ** (-expo / 2)
-                high[sl] += term
-                cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
-                crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
-                low[sl] += term * ((cri + crj) / r2 ** 2)
+        for _, _, d, r2 in samples:
+            term = r2 ** (-expo / 2)
+            high[sl] += term
+            cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
+            crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
+            low[sl] += term * ((cri + crj) / r2 ** 2)
     w = 0.25 * geom.lengths[I] * geom.lengths[J]
     high *= 2.0 * w
     low *= w
@@ -220,18 +203,6 @@ class BlockClusterTree:
                 self._near_pairs = (np.zeros(0, dtype=int),
                                     np.zeros(0, dtype=int))
         return self._near_pairs
-
-    def coverage_count(self) -> int:
-        """Total edge pairs covered by all leaf blocks (should tile E x E)."""
-        bvh = self.bvh
-        total = 0
-        for a, b in zip(self.adm_a, self.adm_b):
-            total += int((bvh.end[a] - bvh.start[a])
-                         * (bvh.end[b] - bvh.start[b]))
-        for a, b in self.near:
-            total += int((bvh.end[a] - bvh.start[a])
-                         * (bvh.end[b] - bvh.start[b]))
-        return total
 
 
 class HierKernelMatrix:

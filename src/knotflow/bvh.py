@@ -3,16 +3,19 @@
 Each edge contributes a point (T_I, x_I) in R^6 with mass l_I.  Nodes store
 length-weighted aggregates (total mass, center of mass, average tangent) plus
 spatial and tangential bounding radii.  Far-field energy and differential
-contributions are lumped at admissible nodes; near-field pairs are evaluated
-with the exact 4-point trapezoid terms so the eps -> 0 limit reproduces the
-dense energy and differential bit-for-bit (up to summation order).
+contributions are lumped at admissible nodes.  The leaf pairs of a whole
+traversal form one ordered pair list for the dense energy's chunked pair
+kernel, which gives both pair orders from one set of endpoint differences
+gathered as (3, E) columns, so the eps -> 0 limit reproduces the dense energy
+and differential up to summation order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .energy import EnergyParams, SelfContactError, _kernel_grads, _kernel_raw
+from .energy import (EnergyParams, _kernel_grads, _kernel_raw, _pair_terms,
+                     _scatter)
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -153,14 +156,15 @@ def _leaf_pair_arrays(net, bvh, node, active):
     return I[keep], J[keep]
 
 
-def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
-              eps: float = 0.25) -> float:
-    """Barnes-Hut estimate of the discrete tangent-point energy."""
+def _traverse(net: CurveNetwork, bvh: EdgeBvh, eps: float):
+    """Barnes-Hut traversal of every edge against the tree.
+
+    Returns (far, I, J): `far` lists the admissible groups (node, edges),
+    each lumped against its node, and (I, J) are the ordered leaf pairs, I
+    traversing and J in a leaf, left to the exact trapezoid terms.
+    """
     geom = net.geometry()
-    gamma = net.vertices
-    edges = net.edges
-    alpha, beta = params.alpha, params.beta
-    total = 0.0
+    far, near_i, near_j = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     stack = [(0, np.arange(net.n_edges))]
     while stack:
         node, active = stack.pop()
@@ -178,31 +182,32 @@ def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
         else:
             admissible = np.zeros(len(active), dtype=bool)
         if np.any(admissible):
-            kv = _kernel_raw(d[admissible], geom.tangents[active[admissible]],
-                             alpha, beta)
-            total += float(np.sum(kv * geom.lengths[active[admissible]])) \
-                * bvh.mass[node]
+            far.append((node, active[admissible]))
         rest = active[~admissible]
         if len(rest) == 0:
             continue
         if bvh.left[node] < 0:
             I, J = _leaf_pair_arrays(net, bvh, node, rest)
-            if len(I) == 0:
-                continue
-            khat = np.zeros(len(I))
-            for a in range(2):
-                for b in range(2):
-                    dd = gamma[edges[I, a]] - gamma[edges[J, b]]
-                    if np.any(np.einsum("pi,pi->p", dd, dd) == 0.0):
-                        raise SelfContactError(
-                            "coincident vertices on non-adjacent edges")
-                    khat += _kernel_raw(dd, geom.tangents[I], alpha, beta)
-            total += float(np.sum(0.25 * khat * geom.lengths[I]
-                                  * geom.lengths[J]))
+            near_i.append(I)
+            near_j.append(J)
         else:
             stack.append((bvh.left[node], rest))
             stack.append((bvh.right[node], rest))
-    return total
+    return far, np.concatenate(near_i), np.concatenate(near_j)
+
+
+def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
+              eps: float = 0.25) -> float:
+    """Barnes-Hut estimate of the discrete tangent-point energy."""
+    geom = net.geometry()
+    far, I, J = _traverse(net, bvh, eps)
+    total = 0.0
+    for node, sel in far:
+        kv = _kernel_raw(geom.midpoints[sel] - bvh.com[node],
+                         geom.tangents[sel], params.alpha, params.beta)
+        total += float(np.sum(kv * geom.lengths[sel])) * bvh.mass[node]
+    # the leaf pairs are ordered (I traversing): only the T_I order counts
+    return total + float(_pair_terms(net, params, I, J)[0])
 
 
 def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
@@ -211,63 +216,27 @@ def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
 
     Admissible nodes contribute the symmetrized two-term increment (the lumped
     counterpart of both pair orders), treating node aggregates as constants;
-    leaf pairs contribute the exact trapezoid pair partials restricted to the
-    traversing edge's endpoints.
+    leaf pairs contribute the exact trapezoid partials of both pair orders
+    restricted to the traversing edge's endpoints.
     """
-    from .energy import _pair_grad_terms
-
     geom = net.geometry()
-    edges = net.edges
     alpha, beta = params.alpha, params.beta
-    grad = np.zeros_like(net.vertices)
-    stack = [(0, np.arange(net.n_edges))]
-    while stack:
-        node, active = stack.pop()
-        blocked = np.any(
-            (bvh.excluded_pos[active] >= bvh.start[node])
-            & (bvh.excluded_pos[active] < bvh.end[node]), axis=1)
-        d = geom.midpoints[active] - bvh.com[node]
-        dist = np.linalg.norm(d, axis=1)
-        if eps > 0:
-            # the query edge's own half-length joins the node radius: the
-            # lumped value also replaces the 4-point spread across edge I
-            reach = bvh.r_x[node] + 0.5 * geom.lengths[active]
-            admissible = (~blocked) & (dist > 0) \
-                & (reach <= eps * dist) & (bvh.r_T[node] <= eps)
-        else:
-            admissible = np.zeros(len(active), dtype=bool)
-        if np.any(admissible):
-            sel = active[admissible]
-            ti = geom.tangents[sel]
-            li = geom.lengths[sel]
-            da = d[admissible]
-            tbar = np.broadcast_to(bvh.avg_tangent[node], da.shape)
-            k1, dk1_dd, dk1_dT = _kernel_grads(da, ti, alpha, beta)
-            k2, dk2_dd, _ = _kernel_grads(-da, tbar, alpha, beta)
-            # dk2 is w.r.t. its own difference vector (xbar - x_I); the
-            # derivative w.r.t. x_I flips the sign back
-            dk2_dxI = -dk2_dd
-            tproj = dk1_dT - np.einsum("pi,pi->p", dk1_dT, ti)[:, None] * ti
-            common = 0.5 * li[:, None] * (dk1_dd + dk2_dxI)
-            ksum = (k1 + k2)[:, None] * ti
-            inc1 = bvh.mass[node] * (-ksum - tproj + common)
-            inc2 = bvh.mass[node] * (ksum + tproj + common)
-            np.add.at(grad, edges[sel, 0], inc1)
-            np.add.at(grad, edges[sel, 1], inc2)
-        rest = active[~admissible]
-        if len(rest) == 0:
-            continue
-        if bvh.left[node] < 0:
-            I, J = _leaf_pair_arrays(net, bvh, node, rest)
-            if len(I) == 0:
-                continue
-            gi1, gi2, _, _ = _pair_grad_terms(
-                net.vertices, edges, geom, I, J, alpha, beta)
-            _, _, gj1, gj2 = _pair_grad_terms(
-                net.vertices, edges, geom, J, I, alpha, beta)
-            np.add.at(grad, edges[I, 0], gi1 + gj1)
-            np.add.at(grad, edges[I, 1], gi2 + gj2)
-        else:
-            stack.append((bvh.left[node], rest))
-            stack.append((bvh.right[node], rest))
-    return grad
+    far, I, J = _traverse(net, bvh, eps)
+    grad = np.zeros((3, net.n_vertices))
+    for node, sel in far:
+        ti = geom.tangents[sel]
+        da = geom.midpoints[sel] - bvh.com[node]
+        tbar = np.broadcast_to(bvh.avg_tangent[node], da.shape)
+        k1, dk1_dd, dk1_dT = _kernel_grads(da, ti, alpha, beta)
+        k2, dk2_dd, _ = _kernel_grads(-da, tbar, alpha, beta)
+        # dk2 is w.r.t. its own difference vector (xbar - x_I); the
+        # derivative w.r.t. x_I flips the sign back
+        tproj = dk1_dT - np.einsum("pi,pi->p", dk1_dT, ti)[:, None] * ti
+        common = 0.5 * geom.lengths[sel][:, None] * (dk1_dd - dk2_dd)
+        ksum = (k1 + k2)[:, None] * ti
+        inc1 = bvh.mass[node] * (-ksum - tproj + common)
+        inc2 = bvh.mass[node] * (ksum + tproj + common)
+        _scatter(grad, np.concatenate([net.edges[sel, 0], net.edges[sel, 1]]),
+                 np.concatenate([inc1, inc2]).T)
+    _pair_terms(net, params, I, J, grad=grad, j_ends=False)
+    return grad.T.copy()

@@ -327,8 +327,7 @@ class ConstraintSet:
 
 
 def project_onto_constraints(correction: Callable, constraints: ConstraintSet,
-                             net: CurveNetwork, tol: float = PROJECTION_TOL,
-                             max_iters: int = 10):
+                             net: CurveNetwork, max_iters: int = 10):
     """Return positions to the constraint set by repeated metric-nearest steps.
 
     Each iteration adds the stacked displacement x = correction(Phi(current)),
@@ -336,19 +335,19 @@ def project_onto_constraints(correction: Callable, constraints: ConstraintSet,
     metric and Jacobian stay frozen in the solver behind `correction` (a
     `solve_projection_step`).  Returns (network, iterations).
 
-    Raises ProjectionFailure when the infinity norm of Phi does not reach tol
-    within max_iters; callers treat that as a rejected step.
+    Raises ProjectionFailure when the infinity norm of Phi does not reach
+    PROJECTION_TOL within max_iters; callers treat that as a rejected step.
     """
     current = net
     phi = constraints.evaluate(current)
-    if phi.size == 0 or np.linalg.norm(phi, np.inf) <= tol:
+    if phi.size == 0 or np.linalg.norm(phi, np.inf) <= PROJECTION_TOL:
         return current, 0
     for iteration in range(1, max_iters + 1):
         x = correction(phi)
         current = current.with_positions(
             current.vertices + unstack_fields(x))
         phi = constraints.evaluate(current)
-        if np.linalg.norm(phi, np.inf) <= tol:
+        if np.linalg.norm(phi, np.inf) <= PROJECTION_TOL:
             return current, iteration
     raise ProjectionFailure(
         f"constraint projection stalled at |Phi|_inf = "

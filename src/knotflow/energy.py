@@ -5,9 +5,13 @@ each pair is weighted by a 4-point trapezoidal sample of the kernel
 
     k(p, q, T) = |T x (p - q)|^alpha / |p - q|^beta
 
-using the first edge's unit tangent.  The differential is assembled from
-closed-form partials of each pair term, including the dependence of edge
-length and tangent on the endpoint positions.
+using the first edge's unit tangent.  k is even in p - q, so one pass over
+the unordered pairs I < J gives both orders, k(d, T_I) and k(d, T_J), from the
+same four endpoint differences d.  The pass walks the pair list in chunks of
+4096 and gathers endpoints and tangents as (3, E) columns with np.take, so its
+memory is O(chunk).  The differential comes from the same pass: closed-form
+partials of each pair term, including the dependence of edge length and
+tangent on the endpoint positions, scattered with one bincount per coordinate.
 """
 
 from __future__ import annotations
@@ -52,11 +56,6 @@ class EnergyParams:
                 f"beta must satisfy beta < 2*alpha + 1 = {2 * a + 1}, got beta = {b}")
         object.__setattr__(self, "s", (b - 1) / a)
         object.__setattr__(self, "sigma", (b - 1) / a - 1)
-
-    @property
-    def scale_invariant(self) -> bool:
-        """True on the boundary beta = alpha + 2 where the energy is scale-free."""
-        return self.beta == self.alpha + 2
 
 
 def validate_params(alpha: float, beta: float) -> EnergyParams:
@@ -120,96 +119,141 @@ def _kernel_grads(d, T, alpha, beta):
     return k, dk_dd, dk_dT
 
 
-def _check_pair_distances(r2: np.ndarray):
-    if np.any(r2 == 0.0):
-        raise SelfContactError(
-            "coincident vertices on non-adjacent edges; curve touches itself")
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise dot products of two (3, P) arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _pair_chunks(n_pairs: int, chunk: int = 200_000):
-    for start in range(0, n_pairs, chunk):
-        yield slice(start, min(start + chunk, n_pairs))
+# pairs per chunk: the temporaries of one chunk stay within a few MiB
+PAIR_CHUNK = 4096
+
+
+def _pair_chunks(n_pairs: int):
+    for start in range(0, n_pairs, PAIR_CHUNK):
+        yield slice(start, min(start + PAIR_CHUNK, n_pairs))
+
+
+def _pair_samples(net: CurveNetwork, I: np.ndarray, J: np.ndarray):
+    """The 4-point trapezoid samples of the edge pairs (I, J), chunk by chunk.
+
+    Yields (sl, ti, tj, samples): the chunk's slice of the pair list, the
+    tangents of its I and J edges, and an iterator over the endpoint pairs
+    (a, b) giving (a, b, d, r2) with d = x(I_a) - x(J_b) and r2 = |d|^2, to
+    be consumed before the next chunk.  Vectors are (3, P) columns: np.take
+    gathers them and the dot products run over contiguous rows.  Raises
+    SelfContactError where some r2 is zero.
+    """
+    ends = [np.ascontiguousarray(net.vertices[net.edges[:, a]].T)
+            for a in range(2)]
+    T = np.ascontiguousarray(net.geometry().tangents.T)
+
+    def samples(Ic, Jc):
+        pj = [e.take(Jc, axis=1) for e in ends]
+        for a in range(2):
+            pi = ends[a].take(Ic, axis=1)
+            for b in range(2):
+                d = pi - pj[b]
+                r2 = _dot3(d, d)
+                if np.any(r2 == 0.0):
+                    raise SelfContactError("coincident vertices on "
+                                           "non-adjacent edges; curve "
+                                           "touches itself")
+                yield a, b, d, r2
+
+    for sl in _pair_chunks(len(I)):
+        Ic, Jc = I[sl], J[sl]
+        yield sl, T.take(Ic, axis=1), T.take(Jc, axis=1), samples(Ic, Jc)
+
+
+def _scatter(grad: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    """grad[:, idx] += vals for a (3, V) grad and (3, m) vals, repeats summed."""
+    for c in range(3):
+        grad[c] += np.bincount(idx, weights=vals[c], minlength=grad.shape[1])
+
+
+def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
+                J: np.ndarray, grad: np.ndarray | None = None,
+                j_ends: bool = True) -> np.ndarray:
+    """Both orders of the pair terms of the edge pairs (I, J).
+
+    Returns (e_I, e_J): the sums over the pairs of (1/4) l_I l_J sum_ab
+    k(d_ab, T_I) and of the same with T_J.  k is even in d, so one set of
+    endpoint differences serves both orders.  When grad, a (3, V) array, is
+    given, the differential of e_I + e_J is added to it on the endpoints of
+    I and, if j_ends, of J.
+    """
+    alpha, beta = params.alpha, params.beta
+    lengths = net.geometry().lengths
+    ends = (net.edges[:, 0], net.edges[:, 1])
+    energy = np.zeros(2)
+    # near-contact overflow is deliberate: an inf energy makes the line
+    # search reject the trial, so the warning is suppressed, not guarded
+    with np.errstate(over="ignore", divide="ignore"):
+        for sl, ti, tj, samples in _pair_samples(net, I, J):
+            li, lj = lengths.take(I[sl]), lengths.take(J[sl])
+            tangents = (ti, tj)
+            tt = (_dot3(ti, ti), _dot3(tj, tj))
+            ksum = [0.0, 0.0]
+            g_end = [[0.0, 0.0], [0.0, 0.0]]   # d-gradients per (edge, end)
+            s_t = [0.0, 0.0]                   # sum of c (T.d) d per edge
+            for a, b, d, r2 in samples:
+                rb = r2 ** (-beta / 2)
+                cd, g_t = 0.0, 0.0
+                for side, t in enumerate(tangents):
+                    td = _dot3(t, d)
+                    cr2 = np.maximum(tt[side] * r2 - td * td, 0.0)
+                    # cr^(alpha-2), zero where cr = 0: the factors it
+                    # scales are O(cr), so the limit is zero for alpha > 1
+                    cam = np.zeros_like(cr2)
+                    np.power(cr2, (alpha - 2) / 2, out=cam, where=cr2 > 0)
+                    k = cr2 * cam * rb
+                    ksum[side] += k
+                    if grad is None:
+                        continue
+                    # dk/dd = c (|T|^2 d - (T.d) T) - beta k d / r2 and
+                    # dk/dT = c (r2 T - (T.d) d), with c = alpha cr^(alpha-2)
+                    # / r^beta
+                    c = alpha * cam * rb
+                    u = c * td
+                    cd = cd + c * tt[side] - beta * k / r2
+                    g_t = g_t + u * t
+                    s_t[side] = s_t[side] + u * d
+                if grad is not None:
+                    g_d = cd * d - g_t
+                    g_end[0][a] = g_end[0][a] + g_d
+                    g_end[1][b] = g_end[1][b] - g_d
+            w = 0.25 * li * lj
+            energy += (w @ ksum[0], w @ ksum[1])
+            if grad is None:
+                continue
+            ks = ksum[0] + ksum[1]
+            sides = 2 if j_ends else 1
+            P = len(w)
+            idx = np.empty(2 * sides * P, dtype=int)
+            vals = np.empty((3, 2 * sides * P))
+            for side in range(sides):
+                t, s, edge = tangents[side], s_t[side], (I, J)[side][sl]
+                # w / l_I = l_J / 4 scales both the length variation, dl/dx
+                # = -+T at the two ends, and the tangent variation (Id - T
+                # T^t) dk/dT, where the r2 T part of dk/dT projects away
+                v = 0.25 * (lj, li)[side] * (ks * t + _dot3(s, t) * t - s)
+                for end, sign in enumerate((-1.0, 1.0)):
+                    cols = slice((2 * side + end) * P, (2 * side + end + 1) * P)
+                    ends[end].take(edge, out=idx[cols])
+                    np.multiply(w, g_end[side][end], out=vals[:, cols])
+                    vals[:, cols] += sign * v
+            _scatter(grad, idx, vals)
+    return energy
 
 
 def discrete_energy(net: CurveNetwork, params: EnergyParams) -> float:
     """Trapezoidal tangent-point energy over all ordered non-adjacent edge pairs."""
-    geom = net.geometry()
-    pi, pj = net.disjoint_edge_pairs()
-    gamma = net.vertices
-    edges = net.edges
-    total = 0.0
-    for sl in _pair_chunks(len(pi)):
-        I, J = pi[sl], pj[sl]
-        ti = geom.tangents[I]                       # (P, 3)
-        khat = np.zeros(len(I))
-        for a in range(2):
-            for b in range(2):
-                d = gamma[edges[I, a]] - gamma[edges[J, b]]
-                r2 = np.einsum("pi,pi->p", d, d)
-                _check_pair_distances(r2)
-                khat += _kernel_raw(d, ti, params.alpha, params.beta)
-        total += float(np.sum(0.25 * khat * geom.lengths[I] * geom.lengths[J]))
-    return total
-
-
-def _pair_grad_terms(gamma, edges, geom, I, J, alpha, beta):
-    """Differential contributions of the ordered pair terms (I, J).
-
-    For each pair, the energy term is (1/4) l_I l_J sum_{a,b} k(g_{ia}, g_{jb}, T_I).
-    Returns gradients (gi1, gi2, gj1, gj2) of shape (P, 3) to be scattered onto
-    the endpoints of I and J respectively.
-    """
-    li = geom.lengths[I]
-    lj = geom.lengths[J]
-    ti = geom.tangents[I]
-    tj_unused = None  # J enters only through l_J and its vertex positions
-    del tj_unused
-
-    ksum = np.zeros(len(I))
-    sum_dk_dd = [np.zeros((len(I), 3)) for _ in range(2)]   # per a, summed over b
-    sum_dk_dq = [np.zeros((len(I), 3)) for _ in range(2)]   # per b, summed over a
-    sum_dk_dT = np.zeros((len(I), 3))
-
-    for a in range(2):
-        for b in range(2):
-            d = gamma[edges[I, a]] - gamma[edges[J, b]]
-            r2 = np.einsum("pi,pi->p", d, d)
-            _check_pair_distances(r2)
-            k, dk_dd, dk_dT = _kernel_grads(d, ti, alpha, beta)
-            ksum += k
-            sum_dk_dd[a] += dk_dd
-            sum_dk_dq[b] -= dk_dd
-            sum_dk_dT += dk_dT
-
-    w = 0.25 * li * lj
-    base = 0.25 * ksum
-
-    # Tangent variation: dT_I/dg_{i2} = (Id - T T^t)/l_I, negated for i1.
-    tproj = sum_dk_dT - np.einsum("pi,pi->p", sum_dk_dT, ti)[:, None] * ti
-    t_term = w[:, None] * tproj / li[:, None]
-
-    gi1 = -base[:, None] * lj[:, None] * ti + w[:, None] * sum_dk_dd[0] - t_term
-    gi2 = base[:, None] * lj[:, None] * ti + w[:, None] * sum_dk_dd[1] + t_term
-
-    tj = geom.tangents[J]
-    gj1 = -base[:, None] * li[:, None] * tj + w[:, None] * sum_dk_dq[0]
-    gj2 = base[:, None] * li[:, None] * tj + w[:, None] * sum_dk_dq[1]
-    return gi1, gi2, gj1, gj2
+    return float(_pair_terms(net, params,
+                             *net.disjoint_edge_pairs_upper()).sum())
 
 
 def discrete_differential(net: CurveNetwork, params: EnergyParams) -> np.ndarray:
     """Exact gradient of the discrete energy w.r.t. vertex positions, (V, 3)."""
-    geom = net.geometry()
-    pi, pj = net.disjoint_edge_pairs()
-    gamma = net.vertices
-    edges = net.edges
-    grad = np.zeros_like(gamma)
-    for sl in _pair_chunks(len(pi)):
-        I, J = pi[sl], pj[sl]
-        gi1, gi2, gj1, gj2 = _pair_grad_terms(
-            gamma, edges, geom, I, J, params.alpha, params.beta)
-        np.add.at(grad, edges[I, 0], gi1)
-        np.add.at(grad, edges[I, 1], gi2)
-        np.add.at(grad, edges[J, 0], gj1)
-        np.add.at(grad, edges[J, 1], gj2)
-    return grad
+    grad = np.zeros((3, net.n_vertices))
+    _pair_terms(net, params, *net.disjoint_edge_pairs_upper(), grad=grad)
+    return grad.T.copy()

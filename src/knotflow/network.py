@@ -51,16 +51,14 @@ class CurveNetwork:
     """
 
     def __init__(self, vertices, edges):
-        vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-        edges = np.atleast_2d(np.asarray(edges, dtype=int))
-        if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise InvalidNetworkError(f"vertices must be (V, 3), got {vertices.shape}")
+        vertices = _checked_positions(vertices)
+        # a private read-only copy: the edges are validated once, here, and
+        # shared by every `with_positions` snapshot
+        edges = np.array(np.atleast_2d(edges), dtype=int)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise InvalidNetworkError(f"edges must be (E, 2), got {edges.shape}")
         if len(vertices) < 2 or len(edges) < 1:
             raise InvalidNetworkError("need at least 2 vertices and 1 edge")
-        if not np.all(np.isfinite(vertices)):
-            raise InvalidNetworkError("vertex positions must be finite")
         if edges.min() < 0 or edges.max() >= len(vertices):
             raise InvalidNetworkError("edge index out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
@@ -70,18 +68,15 @@ class CurveNetwork:
         _, counts = np.unique(key, axis=0, return_counts=True)
         if np.any(counts > 1):
             raise InvalidNetworkError("duplicate edge")
-        diffs = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-        lengths = np.linalg.norm(diffs, axis=1)
-        if np.any(lengths == 0.0):
-            bad = int(np.flatnonzero(lengths == 0.0)[0])
-            raise InvalidNetworkError(f"edge {bad} has zero length")
+        edges.setflags(write=False)
+        self._set(vertices, edges, {})
 
+    def _set(self, vertices, edges, topology: dict):
         self.vertices = vertices
         self.edges = edges
-        self._geometry: EdgeGeometry | None = None
-        self._labels: np.ndarray | None = None
+        self._geometry = edge_geometry(self)   # rejects zero-length edges
         # pair lists, which depend on the edges alone; shared by snapshots
-        self._topology: dict = {}
+        self._topology = topology
 
     @property
     def n_vertices(self) -> int:
@@ -94,28 +89,19 @@ class CurveNetwork:
     def with_positions(self, vertices) -> "CurveNetwork":
         """New network with the same edges and updated positions.
 
-        The snapshot shares this network's topology caches (pair lists)."""
-        net = CurveNetwork(vertices, self.edges)
-        net._topology = self._topology
+        The snapshot shares this network's validated edges and topology
+        caches (pair lists); only the positions are checked."""
+        vertices = _checked_positions(vertices)
+        if len(vertices) != self.n_vertices:
+            raise InvalidNetworkError(
+                f"expected {self.n_vertices} vertices, got {len(vertices)}")
+        net = object.__new__(CurveNetwork)
+        net._set(vertices, self.edges, self._topology)
         return net
 
     @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.reshape(-1), minlength=self.n_vertices)
-
-    @property
-    def component_labels(self) -> np.ndarray:
-        """Connected-component label per vertex (labels are 0..c-1)."""
-        if self._labels is None:
-            from scipy.sparse import coo_matrix
-            from scipy.sparse.csgraph import connected_components
-
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            ones = np.ones(len(i))
-            adj = coo_matrix((ones, (i, j)), shape=(self.n_vertices,) * 2)
-            _, labels = connected_components(adj, directed=False)
-            self._labels = labels
-        return self._labels
 
     @property
     def interior_vertices(self) -> np.ndarray:
@@ -130,8 +116,6 @@ class CurveNetwork:
         return np.flatnonzero(self.degrees >= 3)
 
     def geometry(self) -> EdgeGeometry:
-        if self._geometry is None:
-            self._geometry = edge_geometry(self)
         return self._geometry
 
     def total_length(self) -> float:
@@ -166,6 +150,15 @@ class CurveNetwork:
             order = np.lexsort((jj, ii))
             self._topology["ordered"] = _read_only(ii[order], jj[order])
         return self._topology["ordered"]
+
+
+def _checked_positions(vertices) -> np.ndarray:
+    vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if vertices.ndim != 2 or vertices.shape[1] != 3:
+        raise InvalidNetworkError(f"vertices must be (V, 3), got {vertices.shape}")
+    if not np.all(np.isfinite(vertices)):
+        raise InvalidNetworkError("vertex positions must be finite")
+    return vertices
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

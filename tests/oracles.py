@@ -156,3 +156,20 @@ def segments_cross_2d(p1, p2, q1, q2):
     d3 = orient(p1, p2, q1)
     d4 = orient(p1, p2, q2)
     return (d1 * d2 < 0) and (d3 * d4 < 0)
+
+
+def component_labels(net):
+    """Connected-component label per vertex (labels are 0..c-1)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = net.edges[:, 0], net.edges[:, 1]
+    adj = coo_matrix((np.ones(len(i)), (i, j)), shape=(net.n_vertices,) * 2)
+    return connected_components(adj, directed=False)[1]
+
+
+def coverage_count(bct):
+    """Total edge pairs covered by all leaf blocks (should tile E x E)."""
+    sizes = bct.bvh.end - bct.bvh.start
+    blocks = list(zip(bct.adm_a, bct.adm_b)) + list(bct.near)
+    return sum(int(sizes[a] * sizes[b]) for a, b in blocks)

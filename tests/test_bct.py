@@ -8,7 +8,7 @@ from knotflow.energy import validate_params
 from knotflow.metric import metric_parts
 from knotflow.network import CurveNetwork
 
-from oracles import perturbed_polygon, regular_polygon
+from oracles import coverage_count, perturbed_polygon, regular_polygon
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -24,7 +24,7 @@ class TestStructure:
     def test_leaf_blocks_tile_all_pairs(self):
         net = polygon_net(64, seed=0)
         bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
-        assert bct.coverage_count() == net.n_edges ** 2
+        assert coverage_count(bct) == net.n_edges ** 2
 
     def test_far_loops_cross_interaction_fully_admissible(self):
         # tangent coherence (not distance) limits block coarseness on closed

@@ -1,13 +1,62 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from knotflow.energy import (EnergyParams, ParameterError, SelfContactError,
-                             discrete_differential, discrete_energy, kernel,
-                             validate_params)
+from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
+from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
+                             SelfContactError, discrete_differential,
+                             discrete_energy, kernel, validate_params)
 from knotflow.network import CurveNetwork
+from knotflow.scenes import generate_test_curve
 
 from oracles import (brute_energy, finite_difference_gradient,
                      perturbed_polygon, regular_polygon)
+
+
+def scale_invariant(params: EnergyParams) -> bool:
+    """True on the boundary beta = alpha + 2 where the energy is scale-free."""
+    return params.beta == params.alpha + 2
+
+
+def theta_and_loop(m=32, n_loop=48, seed=4):
+    """A theta graph (two degree-3 junctures joined by three arcs of m edges,
+    interior vertices jittered) next to a separate closed loop."""
+    rng = np.random.default_rng(seed)
+    t = np.pi * np.arange(1, m) / m
+    verts = [[0., 0., 1.], [0., 0., -1.]]
+    edges = []
+    for k in range(3):
+        phi = 2 * np.pi * k / 3
+        arc = np.stack([np.sin(t) * np.cos(phi), np.sin(t) * np.sin(phi),
+                        np.cos(t)], axis=1) + rng.uniform(-0.02, 0.02, (m - 1, 3))
+        ids = [0] + list(range(len(verts), len(verts) + m - 1)) + [1]
+        verts.extend(arc)
+        edges.extend(zip(ids[:-1], ids[1:]))
+    theta = 2 * np.pi * np.arange(n_loop) / n_loop
+    start = len(verts)
+    verts.extend(np.stack([3 + np.cos(theta), np.zeros(n_loop), np.sin(theta)],
+                          axis=1))
+    edges.extend((start + i, start + (i + 1) % n_loop) for i in range(n_loop))
+    return np.array(verts), np.array(edges)
+
+
+def touching_loops(n=24):
+    """Two polygons whose separate vertices 0 and n + n/2 coincide."""
+    verts, edges = regular_polygon(n)
+    other = verts + [2.0, 0.0, 0.0]
+    other[n // 2] = verts[0]
+    return np.vstack([verts, other]), np.vstack([edges, edges + n])
+
+
+def trefoil_144():
+    net = generate_test_curve("random-trefoil", 144, seed=8)
+    return net.vertices, net.edges
+
+
+# I < J pair counts above two pair chunks, so chunk seams are crossed
+MULTI_CHUNK = {"trefoil": trefoil_144, "theta-and-loop": theta_and_loop}
+
 
 SQUARE = CurveNetwork(
     [[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]],
@@ -19,14 +68,14 @@ class TestParams:
         p = validate_params(3, 6)
         assert p.s == pytest.approx(5.0 / 3.0)
         assert p.sigma == pytest.approx(2.0 / 3.0)
-        assert not p.scale_invariant
+        assert not scale_invariant(p)
 
     def test_half_exponents(self):
         p = validate_params(2, 4.5)
         assert p.s == pytest.approx(1.75)
 
     def test_scale_invariant_boundary(self):
-        assert validate_params(2, 4).scale_invariant
+        assert scale_invariant(validate_params(2, 4))
 
     def test_upper_window_violation(self):
         with pytest.raises(ParameterError, match="2\\*alpha \\+ 1"):
@@ -119,6 +168,26 @@ class TestEnergy:
         net = CurveNetwork(verts, edges)
         with pytest.raises(SelfContactError):
             discrete_energy(net, validate_params(2, 4))
+        with pytest.raises(SelfContactError):
+            discrete_differential(net, validate_params(2, 4))
+
+    def test_self_contact_in_barnes_hut_leaf(self):
+        verts, edges = touching_loops()
+        net = CurveNetwork(verts, edges)
+        bvh = EdgeBvh(net)
+        p = validate_params(3, 6)
+        with pytest.raises(SelfContactError):
+            bh_energy(net, bvh, p, eps=0.25)
+        with pytest.raises(SelfContactError):
+            bh_differential(net, bvh, p, eps=0.25)
+
+    @pytest.mark.parametrize("scene", sorted(MULTI_CHUNK))
+    def test_multi_chunk_matches_brute_force(self, scene):
+        verts, edges = MULTI_CHUNK[scene]()
+        net = CurveNetwork(verts, edges)
+        assert len(net.disjoint_edge_pairs_upper()[0]) > 2 * PAIR_CHUNK
+        assert discrete_energy(net, validate_params(3, 6)) == pytest.approx(
+            brute_energy(verts, edges, 3, 6), rel=1e-12)
 
 
 class TestDifferential:
@@ -146,6 +215,19 @@ class TestDifferential:
         fd = finite_difference_gradient(energy_of, verts, h=1e-5)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
+    @pytest.mark.parametrize("scene", sorted(MULTI_CHUNK))
+    def test_multi_chunk_finite_difference_match(self, scene):
+        verts, edges = MULTI_CHUNK[scene]()
+        net = CurveNetwork(verts, edges)
+        p = validate_params(2, 4.5)
+        grad = discrete_differential(net, p)
+
+        def energy_of(pos):
+            return discrete_energy(net.with_positions(pos), p)
+
+        fd = finite_difference_gradient(energy_of, verts, h=1e-5)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
     def test_translation_invariance(self):
         verts, edges = perturbed_polygon(12, seed=9)
         p = validate_params(3, 6)
@@ -169,3 +251,22 @@ class TestDifferential:
                                      validate_params(2, 4.5))
         assert np.allclose(grad.sum(axis=0), 0.0,
                            atol=1e-12 * np.abs(grad).max())
+
+
+class TestMemory:
+    """The pair pass works chunk by chunk: its peak allocation does not grow
+    with the number of pairs (73 152 here)."""
+
+    @pytest.mark.parametrize("func, limit_mib",
+                             [(discrete_energy, 4), (discrete_differential, 8)])
+    def test_peak_allocation(self, func, limit_mib):
+        net = generate_test_curve("random-trefoil", 384, seed=8)
+        p = validate_params(3, 6)
+        func(net, p)            # fills the cached pair list
+        tracemalloc.start()
+        try:
+            func(net, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20

@@ -5,7 +5,7 @@ from knotflow.network import (CurveNetwork, InvalidNetworkError,
                               edge_average, edge_geometry, stack_fields,
                               unstack_fields)
 
-from oracles import regular_polygon
+from oracles import component_labels, regular_polygon
 
 SQUARE_VERTS = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]])
 SQUARE_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -15,7 +15,7 @@ def test_closed_loop_classification():
     net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
     assert net.n_vertices == 4 and net.n_edges == 4
     assert np.all(net.degrees == 2)
-    assert len(np.unique(net.component_labels)) == 1
+    assert len(np.unique(component_labels(net))) == 1
     assert net.interior_vertices.size == 4
     assert net.endpoints.size == 0 and net.junctures.size == 0
 
@@ -23,7 +23,7 @@ def test_closed_loop_classification():
 def test_open_arc_classification():
     verts = np.array([[0., 0., 0.], [1., 0., 0.], [2., 0., 0.]])
     net = CurveNetwork(verts, [[0, 1], [1, 2]])
-    assert len(np.unique(net.component_labels)) == 1
+    assert len(np.unique(component_labels(net))) == 1
     assert set(net.endpoints) == {0, 2}
     assert net.degrees[0] == 1 and net.degrees[2] == 1
 
@@ -131,6 +131,34 @@ def test_snapshots_share_pair_arrays():
     ui, uj = net.disjoint_edge_pairs_upper()
     assert set(zip(ui.tolist(), uj.tolist())) == {(0, 2), (1, 3)}
     assert not pi.flags.writeable
+
+
+def test_snapshot_shares_read_only_edges():
+    edges = SQUARE_EDGES.copy()
+    net = CurveNetwork(SQUARE_VERTS, edges)
+    moved = net.with_positions(SQUARE_VERTS + 0.5)
+    assert moved.edges is net.edges
+    assert not net.edges.flags.writeable
+    edges[0] = [0, 2]       # the network keeps its own validated copy
+    assert np.array_equal(net.edges, SQUARE_EDGES)
+    assert np.allclose(moved.geometry().midpoints,
+                       net.geometry().midpoints + 0.5)
+
+
+@pytest.mark.parametrize("bad", ["nan", "zero-length", "count", "shape"])
+def test_snapshot_positions_still_checked(bad):
+    net = CurveNetwork(SQUARE_VERTS, SQUARE_EDGES)
+    verts = SQUARE_VERTS.copy()
+    if bad == "nan":
+        verts[2, 1] = np.nan
+    elif bad == "zero-length":
+        verts[1] = verts[0]
+    elif bad == "count":
+        verts = np.vstack([verts, [[5., 5., 5.]]])
+    else:
+        verts = verts[:, :2]
+    with pytest.raises(InvalidNetworkError):
+        net.with_positions(verts)
 
 
 def test_stack_roundtrip():
