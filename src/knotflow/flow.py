@@ -72,6 +72,7 @@ class StepReport:
     mg_cycles: int                      # V-cycles of the step's solves
     mg_unconverged: int                 # solves stopped at max_vcycles
     mg_residual: float                  # largest final relative residual
+    mg_solves: int                      # V-cycle solves of the step
 
 
 @dataclass
@@ -193,7 +194,8 @@ class StepSolver:
     `saddle` is the exact `SaddleFactor` or, on "hs-mg", the
     `MultigridHierarchy`; both answer `solve_gradient`,
     `solve_projection_step`, `rank_suspect` and the V-cycle tallies
-    `cycles`, `unconverged` and `residual` (zeros on the exact factor).
+    `solves`, `cycles`, `unconverged` and `residual` (zeros on the exact
+    factor).
     `bvh` (optional) is a tree fitted to `net` for the multigrid metric.
     Rank loss of the Jacobian shows in the factorization the solver builds
     (the constraint block of the saddle factor, the level-0 C C^T factor on
@@ -469,7 +471,8 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             wall_time=time.perf_counter() - tic,
             collision_limited=limited, mg_cycles=solver.saddle.cycles,
             mg_unconverged=solver.saddle.unconverged,
-            mg_residual=solver.saddle.residual))
+            mg_residual=solver.saddle.residual,
+            mg_solves=solver.saddle.solves))
         if keep_frames:
             frames.append(current.vertices.copy())
         if config.stop_energy is not None and f_new <= config.stop_energy:

@@ -57,40 +57,6 @@ def load_obj_mesh(path) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def save_obj_mesh(path, mesh: TriangleMesh):
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-def octahedron_sphere(radius=1.0, subdivisions=2) -> TriangleMesh:
-    """Sphere approximation by subdividing an octahedron; handy for tests."""
-    verts = [np.array(v, float) for v in
-             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-              (0, 0, 1), (0, 0, -1)]]
-    faces = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-             (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
-    for _ in range(subdivisions):
-        new_faces = []
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for (i, j, k) in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
-        faces = new_faces
-    return TriangleMesh(radius * np.array(verts), np.array(faces))
-
-
 class FaceTree:
     """Binary AABB tree over mesh faces with area-weighted centroid aggregates.
 

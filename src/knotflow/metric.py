@@ -136,10 +136,10 @@ class SaddleFactor:
 
     `solve_gradient` and `solve_projection_step` are the calls
     `MultigridHierarchy` answers too; an exact solve leaves its V-cycle
-    tallies `cycles`, `unconverged` and `residual` at zero.
+    tallies `solves`, `cycles`, `unconverged` and `residual` at zero.
     """
 
-    cycles = unconverged = 0
+    solves = cycles = unconverged = 0
     residual = 0.0
 
     def __init__(self, A: np.ndarray, C, masses: np.ndarray):

@@ -10,6 +10,14 @@ conjugate gradient; the coarsest level uses a dense pseudoinverse.  Levels
 above DENSE_CUTOFF vertices apply the hierarchical metric (`HierMetric`),
 smaller ones the assembled dense one (`MetricOperator`); both answer
 `apply` and `apply_stacked`.
+
+Within one step the metric and the Jacobian are frozen, so the projection
+correction x(phi) is linear in the constraint residual phi.  A hierarchy
+keeps the residuals it has solved for and their corrections; a residual in
+their span (to SPAN_TOL) is answered by the same combination of the stored
+corrections, with no V-cycle.  With k constraints a step thus makes at most
+k projection solves, however many projection iterations and line-search
+trials it takes.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ from .network import CurveNetwork
 
 COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
 DENSE_CUTOFF = 96       # levels at or below this size assemble densely
+# Relative distance |phi - Phi c| / |phi| from the span of a step's solved
+# residuals Phi up to which a projection correction is combined from the
+# stored ones; the combination then meets C x = -phi to this relative error.
+SPAN_TOL = 1e-8
 
 
 @dataclass
@@ -293,9 +305,15 @@ class MultigridHierarchy:
     Answers the calls of the exact `SaddleFactor` with V-cycles:
     `solve_gradient(b)`, `solve_projection_step(phi)` and `rank_suspect`
     (from the finest level's C C^T factor).  Every solve adds to the
-    tallies `cycles` (V-cycles), `unconverged` (solves stopped at
-    max_vcycles) and `residual` (largest final relative residual).  `bvh`
-    (optional) is a tree fitted to `net` for the finest level's metric.
+    tallies `solves` (V-cycle solves), `cycles` (V-cycles), `unconverged`
+    (solves stopped at max_vcycles) and `residual` (largest final relative
+    residual).  `bvh` (optional) is a tree fitted to `net` for the finest
+    level's metric.
+
+    The geometry is frozen, so a projection correction is linear in its
+    residual: the residuals solved so far are the columns of `_phis`
+    (k x m) and their corrections those of `_xs` (3V x m), and
+    `solve_projection_step` reuses them for any residual in their span.
     """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
@@ -303,8 +321,10 @@ class MultigridHierarchy:
                  bvh=None):
         self.config = config or MgConfig()
         self.params = params
-        self.cycles = self.unconverged = 0
+        self.solves = self.cycles = self.unconverged = 0
         self.residual = 0.0
+        self._phis = np.zeros((constraints.k, 0))
+        self._xs = np.zeros((3 * net.n_vertices, 0))
         keep = {s.vertex for s in constraints.specs
                 if isinstance(s, (PointConstraint, SurfaceConstraint))}
         self.levels: list[MgLevel] = [
@@ -423,6 +443,7 @@ class MultigridHierarchy:
     def _solve(self, b: np.ndarray) -> np.ndarray:
         """`vcycle_solve`, with its info added to the tallies."""
         y, info = self.vcycle_solve(b)
+        self.solves += 1
         self.cycles += info["cycles"]
         self.unconverged += not info["converged"]
         self.residual = max(self.residual, info["residuals"][-1])
@@ -438,10 +459,22 @@ class MultigridHierarchy:
 
         Returns x with C x = -phi, metric-minimal: x = z - y where z is the
         least-norm solution of C z = -phi and y solves the projected system
-        with RHS P A_bar z.
+        with RHS P A_bar z.  A phi within SPAN_TOL of the span of the
+        residuals solved before on this hierarchy, phi ~ Phi c, gets X c from
+        their corrections X instead of a solve.  Each stored pair meets
+        C x_j = -phi_j (z is exact and P y lies in null(C)), so X c meets
+        C x = -phi up to the span residual.  Any other phi is solved, and
+        the pair is stored.
         """
+        c = np.linalg.lstsq(self._phis, phi, rcond=None)[0]
+        if np.linalg.norm(phi - self._phis @ c) \
+                <= SPAN_TOL * np.linalg.norm(phi):
+            return self._xs @ c
         top = self.levels[0]
         z = top.min_norm_solution(-phi)
         b = top.project(top.scale * top.metric.apply_stacked(z))
-        return z - top.project(self._solve(b))
+        x = z - top.project(self._solve(b))
+        self._phis = np.column_stack([self._phis, phi])
+        self._xs = np.column_stack([self._xs, x])
+        return x
 

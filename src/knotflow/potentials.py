@@ -129,14 +129,12 @@ class SurfacePotential:
     """
 
     def __init__(self, mesh: TriangleMesh, weight: float = 1.0,
-                 exponent: float | None = None, accel: bool = True,
-                 theta: float = 0.1):
+                 exponent: float | None = None, theta: float = 0.1):
         self.mesh = mesh
         self.weight = float(weight)
         self.exponent = exponent
-        self.accel = bool(accel)
         self.theta = float(theta)
-        self._tree = FaceTree(mesh) if accel else None
+        self._tree = FaceTree(mesh)
 
     def _power(self, params):
         if self.exponent is not None:
@@ -153,12 +151,7 @@ class SurfacePotential:
         # dPhi/dx at each edge midpoint, plus the length factor pieces
         per_edge_value = np.zeros(net.n_edges)
         per_edge_force = np.zeros((net.n_edges, 3))
-        if self.accel:
-            self._accumulate_tree(geom.midpoints, expo,
-                                  per_edge_value, per_edge_force)
-        else:
-            self._accumulate_exact(geom.midpoints, expo,
-                                   per_edge_value, per_edge_force)
+        self._accumulate(geom.midpoints, expo, per_edge_value, per_edge_force)
         value = float(np.sum(geom.lengths * per_edge_value))
         grad = np.zeros_like(net.vertices)
         # d(l_I)/dg = -+T_I; d(x_I)/dg = Id/2
@@ -170,20 +163,9 @@ class SurfacePotential:
                   + 0.5 * geom.lengths[:, None] * per_edge_force)
         return value, grad
 
-    def _accumulate_exact(self, midpoints, expo, values, forces):
-        mesh = self.mesh
-        for i, x in enumerate(midpoints):
-            d = x - mesh.face_centroids
-            r2 = np.einsum("fi,fi->f", d, d)
-            if np.any(r2 == 0.0):
-                raise ValueError("curve touches the obstacle mesh")
-            r = np.sqrt(r2)
-            contrib = mesh.face_areas / r ** expo
-            values[i] = contrib.sum()
-            forces[i] = np.einsum(
-                "f,fi->i", -expo * contrib / r2, d)
-
-    def _accumulate_tree(self, midpoints, expo, values, forces):
+    def _accumulate(self, midpoints, expo, values, forces):
+        """Add each midpoint's potential and its gradient into
+        `values` (E,) and `forces` (E, 3), walking the face tree."""
         tree = self._tree
         mesh = self.mesh
         for i, x in enumerate(midpoints):

@@ -6,6 +6,9 @@ deliberately separate from the library's vectorized implementations.
 
 import numpy as np
 
+from knotflow.meshes import TriangleMesh
+from knotflow.potentials import SurfacePotential
+
 
 def finite_difference_gradient(func, x0, h=1e-5):
     """Central-difference gradient of a scalar function of an (n, 3) array."""
@@ -173,3 +176,53 @@ def coverage_count(bct):
     sizes = bct.bvh.end - bct.bvh.start
     blocks = list(zip(bct.adm_a, bct.adm_b)) + list(bct.near)
     return sum(int(sizes[a] * sizes[b]) for a, b in blocks)
+
+
+class ExhaustiveSurfacePotential(SurfacePotential):
+    """`SurfacePotential` summed over every face, with no tree lumping."""
+
+    def _accumulate(self, midpoints, expo, values, forces):
+        mesh = self.mesh
+        for i, x in enumerate(midpoints):
+            d = x - mesh.face_centroids
+            r2 = np.einsum("fi,fi->f", d, d)
+            if np.any(r2 == 0.0):
+                raise ValueError("curve touches the obstacle mesh")
+            r = np.sqrt(r2)
+            contrib = mesh.face_areas / r ** expo
+            values[i] = contrib.sum()
+            forces[i] = np.einsum("f,fi->i", -expo * contrib / r2, d)
+
+
+def save_obj_mesh(path, mesh):
+    with open(path, "w") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def octahedron_sphere(radius=1.0, subdivisions=2):
+    """Sphere approximation by subdividing an octahedron."""
+    verts = [np.array(v, float) for v in
+             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+              (0, 0, 1), (0, 0, -1)]]
+    faces = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+             (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
+    for _ in range(subdivisions):
+        new_faces = []
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for (i, j, k) in faces:
+            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
+            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
+        faces = new_faces
+    return TriangleMesh(radius * np.array(verts), np.array(faces))

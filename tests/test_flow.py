@@ -189,7 +189,8 @@ class TestRunFlow:
         result = run_flow(net, P36, cs, strategy="hs", config=config)
         for report in result.reports:
             assert report.constraint_residual <= 1e-8
-            assert report.mg_cycles == report.mg_unconverged == 0
+            assert report.mg_cycles == report.mg_unconverged \
+                == report.mg_solves == 0
             assert report.mg_residual == 0.0
         assert np.all(np.diff(result.energies) <= 1e-12)
 
@@ -263,6 +264,7 @@ class TestRunFlow:
         assert 0 < len(result.reports) <= len(steps)
         for r, finals in zip(result.reports, steps):
             assert r.mg_residual == max(finals) > 0.0
+            assert r.mg_solves == len(finals)
             # an unconverged solve stopped above the residual target
             assert (r.mg_residual > config.mg.target_rel_residual) \
                 == (r.mg_unconverged > 0)
@@ -271,6 +273,8 @@ class TestRunFlow:
             rows = list(csv.DictReader(fh))
         assert [float(row["mg_residual"]) for row in rows] \
             == [r.mg_residual for r in result.reports]
+        assert [int(row["mg_solves"]) for row in rows] \
+            == [r.mg_solves for r in result.reports]
 
     def test_exact_energy_once_per_trial_plus_start(self, monkeypatch):
         import knotflow.flow as flow

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
-                                  PointConstraint, TotalLength)
+                                  PointConstraint, TotalLength,
+                                  project_onto_constraints)
 from knotflow.energy import discrete_differential, validate_params
 from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.multigrid import (MgConfig, MgLevel, MultigridHierarchy,
@@ -214,7 +215,11 @@ class TestProjectedSaddle:
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
         x = hier.solve_projection_step(np.zeros(cs.k))
-        assert np.linalg.norm(x) <= 1e-12
+        assert np.linalg.norm(x) <= 1e-12 and hier.solves == 0
+        # also once the hierarchy holds a solved residual
+        hier.solve_projection_step(np.ones(cs.k))
+        x = hier.solve_projection_step(np.zeros(cs.k))
+        assert np.linalg.norm(x) <= 1e-12 and hier.solves == 1
 
     def test_projection_mode_restores_constraint(self):
         verts, edges = perturbed_polygon(64, seed=9)
@@ -227,3 +232,64 @@ class TestProjectedSaddle:
         C = cs.jacobian(stretched)
         assert np.linalg.norm(C @ x + phi, np.inf) <= 1e-8 * max(
             1.0, np.linalg.norm(phi, np.inf))
+
+    def test_projection_loop_reuses_solves_on_planar_curve(self):
+        # line-search-like trials from one frozen step; a planar curve keeps
+        # phi's barycenter-z entry at exactly 0, so the residuals span at
+        # most k - 1 directions
+        net = generate_test_curve("perturbed-circle", 64, seed=11)
+        assert np.all(net.vertices[:, 2] == 0.0)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        noise = 1e-3 * np.random.default_rng(12).normal(size=(64, 3))
+        noise[:, 2] = 0.0
+        hier = hierarchy_for(net, cs)
+        metric = MetricOperator(net, P36)
+        dense = SaddleFactor(metric.A, cs.jacobian(net), net.dual_masses())
+        gaps = []
+
+        def correction(phi):
+            x = hier.solve_projection_step(phi)
+            exact = dense.solve_projection_step(phi)
+            # Euclidean: a barycenter residual's exact correction is a
+            # translation, which has metric norm 0
+            gaps.append(np.linalg.norm(x - exact) / np.linalg.norm(exact))
+            return x
+
+        for tau in (1.0, 0.5, 0.25):
+            trial = net.with_positions((1 + 0.02 * tau) * net.vertices
+                                       + tau * noise)
+            projected, _ = project_onto_constraints(correction, cs, trial)
+            reference, _ = project_onto_constraints(
+                dense.solve_projection_step, cs, trial)
+            shift, dense_shift = (stack_fields(p.vertices - trial.vertices)
+                                  for p in (projected, reference))
+            assert metric_norm_gap(metric, shift, dense_shift) <= 1e-2
+        assert max(gaps) <= 1e-2
+        assert hier.solves <= cs.k - 1 < len(gaps)
+
+    def test_at_most_k_projection_solves(self):
+        verts, edges = perturbed_polygon(64, seed=13)
+        net = CurveNetwork(verts, edges)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        hier = hierarchy_for(net, cs)
+        C = cs.jacobian(net)
+        rng = np.random.default_rng(14)
+        for _ in range(cs.k + 3):
+            phi = rng.normal(size=cs.k)
+            x = hier.solve_projection_step(phi)
+            assert np.linalg.norm(C @ x + phi) <= 1e-8 * np.linalg.norm(phi)
+        assert hier.solves == cs.k
+
+    def test_residuals_outside_the_span_solve_as_a_fresh_hierarchy(self):
+        verts, edges = perturbed_polygon(64, seed=15)
+        net = CurveNetwork(verts, edges)
+        cs = ConstraintSet([Barycenter(), EdgeLengths.from_network(net)])
+        hier = hierarchy_for(net, cs)
+        rng = np.random.default_rng(16)
+        for calls in range(1, 6):
+            phi = 1e-3 * rng.normal(size=cs.k)
+            x = hier.solve_projection_step(phi)
+            fresh = hierarchy_for(net, cs).solve_projection_step(phi)
+            assert np.array_equal(x, fresh)
+            assert hier.solves == calls

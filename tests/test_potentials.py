@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from knotflow.energy import validate_params
-from knotflow.meshes import (MeshSignedDistance, TriangleMesh, load_obj_mesh,
-                             octahedron_sphere, save_obj_mesh)
+from knotflow.meshes import MeshSignedDistance, TriangleMesh, load_obj_mesh
 from knotflow.network import CurveNetwork
 from knotflow.potentials import (ConstantField, FieldPotential,
                                  LengthDifferencePotential, RotationField,
                                  SurfacePotential, TotalLengthPotential)
 
-from oracles import finite_difference_gradient, perturbed_polygon, regular_polygon
+from oracles import (ExhaustiveSurfacePotential, finite_difference_gradient,
+                     octahedron_sphere, perturbed_polygon, regular_polygon,
+                     save_obj_mesh)
 
 P36 = validate_params(3, 6)
 
@@ -91,14 +92,14 @@ class TestSurfacePotential:
         d = 1.7
         # unit edge whose midpoint sits distance d above the centroid
         net = CurveNetwork([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
-        pot = SurfacePotential(mesh, accel=False)
+        pot = SurfacePotential(mesh)
         value, _ = pot.value_and_differential(net, P36)
         assert value == pytest.approx(1.0 / d ** (P36.beta - P36.alpha))
 
     def test_distance_scaling(self):
         mesh = self.unit_face_mesh()
         c = mesh.face_centroids[0]
-        pot = SurfacePotential(mesh, accel=False)
+        pot = SurfacePotential(mesh)
         nets = [CurveNetwork([c + [0, -0.5, d], c + [0, 0.5, d]], [[0, 1]])
                 for d in (1.0, 2.0)]
         v1, _ = pot.value_and_differential(nets[0], P36)
@@ -109,8 +110,8 @@ class TestSurfacePotential:
         mesh = octahedron_sphere(radius=1.0, subdivisions=3)
         verts, edges = perturbed_polygon(24, seed=2)
         net = CurveNetwork(verts * 3.0 + np.array([0.0, 0.0, 2.5]), edges)
-        exact = SurfacePotential(mesh, accel=False)
-        fast = SurfacePotential(mesh, accel=True)
+        exact = ExhaustiveSurfacePotential(mesh)
+        fast = SurfacePotential(mesh)
         v_exact, g_exact = exact.value_and_differential(net, P36)
         v_fast, g_fast = fast.value_and_differential(net, P36)
         assert abs(v_fast - v_exact) / v_exact < 0.01
@@ -120,7 +121,9 @@ class TestSurfacePotential:
         mesh = self.unit_face_mesh()
         verts, edges = perturbed_polygon(8, seed=3)
         net = CurveNetwork(verts + np.array([0.0, 0.0, 2.0]), edges)
-        fd_check(SurfacePotential(mesh, accel=False), net)
+        # on one face the tree sum is exact too
+        for pot in (ExhaustiveSurfacePotential(mesh), SurfacePotential(mesh)):
+            fd_check(pot, net)
 
     def test_touching_mesh_rejected(self):
         # centroid (1, 1, 0) is exactly representable, so the edge midpoint
@@ -128,8 +131,9 @@ class TestSurfacePotential:
         mesh = TriangleMesh([[0., 0., 0.], [3., 0., 0.], [0., 3., 0.]],
                             [[0, 1, 2]])
         net = CurveNetwork([[1., 0.5, 0.], [1., 1.5, 0.]], [[0, 1]])
-        with pytest.raises(ValueError, match="touches"):
-            SurfacePotential(mesh, accel=False).value_and_differential(net, P36)
+        for pot in (ExhaustiveSurfacePotential(mesh), SurfacePotential(mesh)):
+            with pytest.raises(ValueError, match="touches"):
+                pot.value_and_differential(net, P36)
 
 
 class TestFieldPotential:
