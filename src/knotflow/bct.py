@@ -32,6 +32,10 @@ from .network import CurveNetwork, edges_share_vertex
 # well inside the 1e-2 preconditioning budget.
 DEFAULT_BCT_EPS = 0.125
 
+# A block is kept exact, not split further, once neither side holds more
+# than NEAR_SIZE edges (or a side is a leaf).
+NEAR_SIZE = 8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -102,7 +106,7 @@ class BlockClusterTree:
     """
 
     def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS,
-                 near_size: int = 8):
+                 near_size: int = NEAR_SIZE):
         self.bvh = bvh
         self.eps = float(eps)
         self.near_size = int(near_size)
@@ -290,14 +294,13 @@ class HierMetric:
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
-                 bvh: EdgeBvh | None = None, eps: float = DEFAULT_BCT_EPS,
-                 near_size: int = 8, leaf_size: int = 8):
+                 bvh: EdgeBvh | None = None, eps: float = DEFAULT_BCT_EPS):
         from .metric import average_matrix, derivative_matrix
 
         self.net = net
         self.sigma = float(sigma)
-        self.bvh = bvh if bvh is not None else EdgeBvh(net, leaf_size=leaf_size)
-        self.bct = BlockClusterTree(self.bvh, eps=eps, near_size=near_size)
+        self.bvh = bvh if bvh is not None else EdgeBvh(net)
+        self.bct = BlockClusterTree(self.bvh, eps=eps)
         high, low = trapezoid_kernels(net, self.sigma,
                                       *self.bct.near_pair_arrays(net))
         self.k_high = HierKernelMatrix(

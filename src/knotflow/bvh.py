@@ -1,13 +1,20 @@
-"""Six-dimensional bounding volume hierarchy over edge tangent-points.
+"""Median-split trees, the edge BVH over tangent-points, and Barnes-Hut.
 
-Each edge contributes a point (T_I, x_I) in R^6 with mass l_I.  Nodes store
-length-weighted aggregates (total mass, center of mass, average tangent) plus
-spatial and tangential bounding radii.  Far-field energy and differential
-contributions are lumped at admissible nodes.  The leaf pairs of a whole
-traversal form one ordered pair list for the dense energy's chunked pair
-kernel, which gives both pair orders from one set of endpoint differences
-gathered as (3, E) columns, so the eps -> 0 limit reproduces the dense energy
-and differential up to summation order.
+`median_split_tree` builds both trees of the package, this module's
+`EdgeBvh` and `meshes.FaceTree`: it halves each node's run of points at the
+median along their widest axis, so n points give depth ceil(log2(n /
+leaf_size)).  `EdgeBvh` splits on edge midpoints alone, so its topology does
+not depend on the curve's scale.  `refit` then bounds each node in R^6, where
+edge I is the point (T_I, x_I) with mass l_I: nodes store length-weighted
+aggregates (total mass, center of mass, average tangent) plus tangential and
+spatial bounding radii, which the Barnes-Hut and block-cluster admissibility
+tests read.
+
+Far-field energy and differential contributions are lumped at admissible
+nodes.  The leaf pairs of a whole traversal form one ordered pair list for
+the dense energy's chunked pair kernel, which gives both pair orders from one
+set of endpoint differences gathered as (3, E) columns, so the eps -> 0 limit
+reproduces the dense energy and differential up to summation order.
 """
 
 from __future__ import annotations
@@ -19,25 +26,50 @@ from .energy import (EnergyParams, _kernel_grads, _kernel_raw, _pair_terms,
 from .network import CurveNetwork, edges_share_vertex
 
 
+# Edges (faces, for `meshes.FaceTree`) per leaf when no size is given.
+LEAF_SIZE = 8
+
+
+def median_split_tree(points: np.ndarray, leaf_size: int = LEAF_SIZE):
+    """Binary tree over the rows of `points` by median splits.
+
+    Each node owns the run order[start:end]; a run longer than `leaf_size`
+    is sorted along the widest axis of its points and halved at the median,
+    so the depth is ceil(log2(n / leaf_size)).  Children are numbered after
+    their parent, so reverse node order is bottom-up.  Returns (order,
+    start, end, left, right), with left = right = -1 at leaves.
+    """
+    n = len(points)
+    order = np.arange(n)
+    start, end, left, right = [0], [n], [-1], [-1]
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        s, e = start[node], end[node]
+        if e - s <= leaf_size:
+            continue
+        sel = order[s:e]
+        axis = int(np.argmax(np.ptp(points[sel], axis=0)))
+        order[s:e] = sel[np.argsort(points[sel, axis], kind="stable")]
+        mid = s + (e - s) // 2
+        left[node], right[node] = len(start), len(start) + 1
+        start += [s, mid]
+        end += [mid, e]
+        left += [-1, -1]
+        right += [-1, -1]
+        stack += [left[node], right[node]]
+    return (order,) + tuple(np.asarray(a, dtype=int)
+                            for a in (start, end, left, right))
+
+
 class EdgeBvh:
     """Flat-array binary BVH; edges are permuted so nodes own contiguous runs."""
 
-    def __init__(self, net: CurveNetwork, leaf_size: int = 8):
+    def __init__(self, net: CurveNetwork, leaf_size: int = LEAF_SIZE):
         self.leaf_size = int(leaf_size)
-        geom = net.geometry()
         E = net.n_edges
-        pts = np.concatenate([geom.tangents, geom.midpoints], axis=1)  # (E, 6)
-        self.order = np.arange(E)
-
-        # node storage (python lists during build, arrays afterwards)
-        self._left, self._right = [], []
-        self._start, self._end = [], []
-        self._build(pts, 0, E)
-        self.left = np.asarray(self._left, dtype=int)
-        self.right = np.asarray(self._right, dtype=int)
-        self.start = np.asarray(self._start, dtype=int)
-        self.end = np.asarray(self._end, dtype=int)
-        del self._left, self._right, self._start, self._end
+        self.order, self.start, self.end, self.left, self.right = \
+            median_split_tree(net.geometry().midpoints, self.leaf_size)
         self.n_nodes = len(self.left)
         self.pos_in_order = np.empty(E, dtype=int)
         self.pos_in_order[self.order] = np.arange(E)
@@ -68,41 +100,6 @@ class EdgeBvh:
         self.lo = np.zeros((self.n_nodes, 6))
         self.hi = np.zeros((self.n_nodes, 6))
         self.refit(net)
-
-    def _build(self, pts, start, end):
-        idx = len(self._left)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._start.append(start)
-        self._end.append(end)
-        m = end - start
-        if m <= self.leaf_size:
-            return idx
-        sel = self.order[start:end]
-        best = None
-        # cycle through all six coordinates; for each, scan every split of the
-        # sorted order and score by summed squared box diagonals
-        for axis in range(6):
-            srt = sel[np.argsort(pts[sel, axis], kind="stable")]
-            p = pts[srt]
-            pre_min = np.minimum.accumulate(p, axis=0)
-            pre_max = np.maximum.accumulate(p, axis=0)
-            suf_min = np.minimum.accumulate(p[::-1], axis=0)[::-1]
-            suf_max = np.maximum.accumulate(p[::-1], axis=0)[::-1]
-            d_left = np.sum((pre_max[:-1] - pre_min[:-1]) ** 2, axis=1)
-            d_right = np.sum((suf_max[1:] - suf_min[1:]) ** 2, axis=1)
-            scores = d_left + d_right
-            k = int(np.argmin(scores))
-            if best is None or scores[k] < best[0]:
-                best = (scores[k], axis, k + 1, srt)
-        _, _, cut, srt = best
-        self.order[start:end] = srt
-        mid = start + cut
-        left = self._build(pts, start, mid)
-        right = self._build(pts, mid, end)
-        self._left[idx] = left
-        self._right[idx] = right
-        return idx
 
     def refit(self, net: CurveNetwork):
         """Recompute node aggregates for current positions; topology unchanged.

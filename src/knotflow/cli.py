@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .flow import run_flow
+from .flow import ACCEL_MODES, STRATEGIES, run_flow
 from .scenes import export_frames, parse_scene
 
 
@@ -76,8 +76,8 @@ def main(argv=None) -> int:
     solve.add_argument("--out", default=None, help="output directory")
     solve.add_argument("--stride", type=int, default=None,
                        help="frame export stride")
-    solve.add_argument("--accel", choices=("exact", "bh"))
-    solve.add_argument("--strategy", choices=("hs", "hs-mg", "l2", "h1", "h2"))
+    solve.add_argument("--accel", choices=ACCEL_MODES)
+    solve.add_argument("--strategy", choices=STRATEGIES)
     solve.add_argument("--max-iters", type=int, default=None)
     solve.add_argument("--seed", type=int, default=None,
                        help="override the curve seed")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bvh import median_split_tree
+
 
 class TriangleMesh:
     """Vertices (n, 3) and triangular faces (m, 3) with cached aggregates."""
@@ -62,57 +64,24 @@ class FaceTree:
 
     Used to cull the far field of the surface potential: a node whose bounding
     radius is small relative to the query distance contributes a single lumped
-    term (total area at the aggregate centroid).
+    term (total area at the aggregate centroid).  The faces are split by
+    `bvh.median_split_tree` on their centroids.
     """
 
-    def __init__(self, mesh: TriangleMesh, leaf_size: int = 8):
+    def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        m = mesh.n_faces
-        self.order = np.arange(m)
-        # flat node arrays, built recursively
-        self.lo, self.hi = [], []
-        self.start, self.end = [], []
-        self.left, self.right = [], []
-        self.area, self.centroid, self.radius = [], [], []
-        tri = mesh.vertices[mesh.faces]                  # (m, 3, 3)
-        self._tri_min = tri.min(axis=1)
-        self._tri_max = tri.max(axis=1)
-        self._build(0, m, leaf_size)
-        for name in ("lo", "hi", "centroid"):
-            setattr(self, name, np.asarray(getattr(self, name)))
-        for name in ("start", "end", "left", "right"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=int))
-        self.area = np.asarray(self.area)
-        self.radius = np.asarray(self.radius)
-
-    def _build(self, start, end, leaf_size):
-        idx = len(self.lo)
-        sel = self.order[start:end]
-        lo = self._tri_min[sel].min(axis=0)
-        hi = self._tri_max[sel].max(axis=0)
-        areas = self.mesh.face_areas[sel]
-        total = areas.sum()
-        centroid = (areas[:, None] * self.mesh.face_centroids[sel]).sum(axis=0) \
-            / max(total, 1e-300)
-        self.lo.append(lo)
-        self.hi.append(hi)
-        self.start.append(start)
-        self.end.append(end)
-        self.area.append(total)
-        self.centroid.append(centroid)
-        self.radius.append(0.5 * float(np.linalg.norm(hi - lo)))
-        self.left.append(-1)
-        self.right.append(-1)
-        if end - start <= leaf_size:
-            return idx
-        axis = int(np.argmax(hi - lo))
-        centers = self.mesh.face_centroids[sel][:, axis]
-        half = np.argsort(centers, kind="stable")
-        self.order[start:end] = sel[half]
-        mid = start + (end - start) // 2
-        self.left[idx] = self._build(start, mid, leaf_size)
-        self.right[idx] = self._build(mid, end, leaf_size)
-        return idx
+        self.order, self.start, self.end, self.left, self.right = \
+            median_split_tree(mesh.face_centroids)
+        tri = mesh.vertices[mesh.faces[self.order]]      # (m, 3, 3)
+        areas = mesh.face_areas[self.order]
+        moments = areas[:, None] * mesh.face_centroids[self.order]
+        runs = [slice(s, e) for s, e in zip(self.start, self.end)]
+        self.area = np.array([areas[r].sum() for r in runs])
+        self.centroid = np.array([moments[r].sum(axis=0) for r in runs]) \
+            / np.maximum(self.area, 1e-300)[:, None]
+        self.lo = np.array([tri[r].min(axis=(0, 1)) for r in runs])
+        self.hi = np.array([tri[r].max(axis=(0, 1)) for r in runs])
+        self.radius = 0.5 * np.linalg.norm(self.hi - self.lo, axis=1)
 
 
 def closest_point_on_triangles(points, a, b, c):

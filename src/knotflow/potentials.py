@@ -120,6 +120,11 @@ class LengthDifferencePotential:
         return float(value), grad
 
 
+# A face cluster of bounding radius r at distance d from a midpoint is lumped
+# when r <= SURFACE_THETA * d.
+SURFACE_THETA = 0.1
+
+
 class SurfacePotential:
     """Inverse-distance repulsion from a triangle mesh obstacle.
 
@@ -129,11 +134,10 @@ class SurfacePotential:
     """
 
     def __init__(self, mesh: TriangleMesh, weight: float = 1.0,
-                 exponent: float | None = None, theta: float = 0.1):
+                 exponent: float | None = None):
         self.mesh = mesh
         self.weight = float(weight)
         self.exponent = exponent
-        self.theta = float(theta)
         self._tree = FaceTree(mesh)
 
     def _power(self, params):
@@ -176,7 +180,7 @@ class SurfacePotential:
                 dist = np.linalg.norm(d)
                 if dist == 0.0:
                     raise ValueError("curve touches the obstacle mesh")
-                if tree.radius[node] <= self.theta * dist:
+                if tree.radius[node] <= SURFACE_THETA * dist:
                     contrib = tree.area[node] / dist ** expo
                     values[i] += contrib
                     forces[i] += -expo * contrib / dist ** 2 * d

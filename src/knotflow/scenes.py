@@ -461,15 +461,13 @@ def _min_pair_gap(net: CurveNetwork, min_index_gap: int = 1) -> float:
     length by smoothness alone).
     """
     from .flow import _segment_gap
-    from .network import edges_share_vertex
 
     E = net.n_edges
-    ii, jj = np.triu_indices(E, k=1)
-    keep = ~edges_share_vertex(net.edges[ii], net.edges[jj])
+    ii, jj = net.disjoint_edge_pairs_upper()
     if min_index_gap > 1:
         cyc = np.minimum(np.abs(ii - jj), E - np.abs(ii - jj))
-        keep &= cyc >= min_index_gap
-    ii, jj = ii[keep], jj[keep]
+        keep = cyc >= min_index_gap
+        ii, jj = ii[keep], jj[keep]
     p = net.vertices
     gaps = _segment_gap(p[net.edges[ii, 0]], p[net.edges[ii, 1]],
                         p[net.edges[jj, 0]], p[net.edges[jj, 1]])

@@ -8,6 +8,7 @@ import numpy as np
 
 from knotflow.meshes import TriangleMesh
 from knotflow.potentials import SurfacePotential
+from knotflow.scenes import generate_test_curve
 
 
 def finite_difference_gradient(func, x0, h=1e-5):
@@ -149,6 +150,17 @@ def perturbed_polygon(n, seed, amplitude=0.05):
     return verts, edges
 
 
+def smooth_circle():
+    """A smooth 256-edge perturbed circle: an input with a far field.
+
+    A balanced tree leaves the small noisy polygons above without admissible
+    blocks or lumped nodes: a node of more than 8 of their edges has a
+    tangent radius wider than eps, so the exact near field is the answer.
+    Far-field tests therefore also run on this curve.
+    """
+    return generate_test_curve("perturbed-circle", 256, seed=5)
+
+
 def segments_cross_2d(p1, p2, q1, q2):
     """Exact-ish proper intersection test for 2D segments."""
     def orient(a, b, c):
@@ -169,6 +181,17 @@ def component_labels(net):
     i, j = net.edges[:, 0], net.edges[:, 1]
     adj = coo_matrix((np.ones(len(i)), (i, j)), shape=(net.n_vertices,) * 2)
     return connected_components(adj, directed=False)[1]
+
+
+def tree_depth(left, right):
+    """Edges on the longest root-to-leaf path of a flat binary tree."""
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if left[node] >= 0:
+            stack += [(left[node], depth + 1), (right[node], depth + 1)]
+    return deepest
 
 
 def coverage_count(bct):

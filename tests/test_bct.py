@@ -8,7 +8,8 @@ from knotflow.energy import validate_params
 from knotflow.metric import metric_parts
 from knotflow.network import CurveNetwork
 
-from oracles import coverage_count, perturbed_polygon, regular_polygon
+from oracles import (coverage_count, perturbed_polygon, regular_polygon,
+                     smooth_circle)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -24,6 +25,12 @@ class TestStructure:
     def test_leaf_blocks_tile_all_pairs(self):
         net = polygon_net(64, seed=0)
         bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
+        assert coverage_count(bct) == net.n_edges ** 2
+
+    def test_admissible_and_near_blocks_tile_all_pairs(self):
+        net = smooth_circle()
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
+        assert len(bct.adm_a) > 0
         assert coverage_count(bct) == net.n_edges ** 2
 
     def test_far_loops_cross_interaction_fully_admissible(self):
@@ -58,12 +65,38 @@ class TestStructure:
         for coarse, fine in zip(counts, counts[1:]):
             assert fine <= coarse
 
+    def test_smaller_eps_never_increases_admissible_coverage(self):
+        # a block admissible at some eps is admissible at any larger one, so
+        # the covered pairs shrink with eps; the block count need not (one
+        # coarse block can split into several finer admissible ones)
+        net = smooth_circle()
+        bvh = EdgeBvh(net)
+        sizes = bvh.end - bvh.start
+        covered = []
+        for eps in (0.4, 0.2, 0.1, 0.05):
+            bct = BlockClusterTree(bvh, eps=eps)
+            covered.append(int(np.sum(sizes[bct.adm_a] * sizes[bct.adm_b])))
+        assert covered[0] > 0
+        for coarse, fine in zip(covered, covered[1:]):
+            assert fine <= coarse
+
     def test_no_admissible_block_contains_excluded_pair(self):
         net = polygon_net(48, seed=2)
         bvh = EdgeBvh(net, leaf_size=2)
-        bct = BlockClusterTree(bvh, eps=0.5)
+        self.check_no_excluded_pair(net, BlockClusterTree(bvh, eps=0.5))
+
+    def test_no_admissible_block_contains_excluded_pair_with_blocks(self):
+        net = polygon_net(48, seed=2)
+        bvh = EdgeBvh(net, leaf_size=2)
+        bct = BlockClusterTree(bvh, eps=0.5, near_size=2)
+        assert len(bct.adm_a) > 0
+        self.check_no_excluded_pair(net, bct)
+
+    @staticmethod
+    def check_no_excluded_pair(net, bct):
         from knotflow.network import edges_share_vertex
 
+        bvh = bct.bvh
         for a, b in zip(bct.adm_a, bct.adm_b):
             ia = bvh.order[bvh.start[a]:bvh.end[a]]
             jb = bvh.order[bvh.start[b]:bvh.end[b]]
@@ -76,14 +109,29 @@ class TestStructure:
 class TestKernelMatvec:
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_zero_vector(self, kind):
-        net = polygon_net(32, seed=3)
+        self.check_zero_vector(polygon_net(32, seed=3), kind)
+
+    @pytest.mark.parametrize("kind", ["high", "low"])
+    def test_zero_vector_with_blocks(self, kind):
+        assert self.check_zero_vector(smooth_circle(), kind) > 0
+
+    @staticmethod
+    def check_zero_vector(net, kind):
         bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
         assert np.all(K.matvec(np.zeros(net.n_edges)) == 0.0)
+        return len(bct.adm_a)
 
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_matches_dense_at_default_eps(self, kind):
-        net = polygon_net(64, seed=4)
+        self.check_matches_dense(polygon_net(64, seed=4), kind)
+
+    @pytest.mark.parametrize("kind", ["high", "low"])
+    def test_matches_dense_at_default_eps_with_blocks(self, kind):
+        assert self.check_matches_dense(smooth_circle(), kind) > 0
+
+    @staticmethod
+    def check_matches_dense(net, kind):
         spec = KernelSpec(kind, SIGMA)
         bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, spec, net)
@@ -93,6 +141,7 @@ class TestKernelMatvec:
         err = np.linalg.norm(K.matvec(psi) - dense @ psi) \
             / np.linalg.norm(dense @ psi)
         assert err <= 1e-2
+        return len(bct.adm_a)
 
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_exact_fallback_at_eps_zero(self, kind):
@@ -109,22 +158,37 @@ class TestKernelMatvec:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_accuracy_improves_as_eps_decreases(self):
-        net = polygon_net(96, seed=8)
+        self.check_accuracy_in_eps(polygon_net(96, seed=8))
+
+    def test_accuracy_improves_as_eps_decreases_with_blocks(self):
+        assert self.check_accuracy_in_eps(smooth_circle()) > 0
+
+    @staticmethod
+    def check_accuracy_in_eps(net):
         spec = KernelSpec("high", SIGMA)
         dense = dense_kernel_matrix(net, spec)
         rng = np.random.default_rng(9)
         psi = rng.normal(size=net.n_edges)
         want = dense @ psi
         bvh = EdgeBvh(net)
-        errs = []
+        errs, blocks = [], 0
         for eps in (0.4, 0.2, 0.1, 0.05):
-            K = HierKernelMatrix(BlockClusterTree(bvh, eps=eps), spec, net)
+            bct = BlockClusterTree(bvh, eps=eps)
+            K = HierKernelMatrix(bct, spec, net)
             errs.append(np.linalg.norm(K.matvec(psi) - want))
+            blocks = max(blocks, len(bct.adm_a))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-12
+        return blocks
 
     def test_symmetrized_kernel_near_symmetric_action(self):
-        net = polygon_net(64, seed=10)
+        self.check_symmetric_action(polygon_net(64, seed=10))
+
+    def test_symmetrized_kernel_near_symmetric_action_with_blocks(self):
+        assert self.check_symmetric_action(smooth_circle()) > 0
+
+    @staticmethod
+    def check_symmetric_action(net):
         spec = KernelSpec("low", SIGMA)
         dense = dense_kernel_matrix(net, spec)
         asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
@@ -138,9 +202,16 @@ class TestKernelMatvec:
         rhs = psi @ K.matvec(chi)
         scale = np.abs(dense).max() * np.linalg.norm(psi) * np.linalg.norm(chi)
         assert abs(lhs - rhs) <= 2e-2 * scale
+        return len(bct.adm_a)
 
     def test_matrix_rhs_matches_columnwise(self):
-        net = polygon_net(32, seed=12)
+        self.check_matrix_rhs(polygon_net(32, seed=12))
+
+    def test_matrix_rhs_matches_columnwise_with_blocks(self):
+        assert self.check_matrix_rhs(smooth_circle()) > 0
+
+    @staticmethod
+    def check_matrix_rhs(net):
         bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, KernelSpec("high", SIGMA), net)
         rng = np.random.default_rng(13)
@@ -148,6 +219,7 @@ class TestKernelMatvec:
         batched = K.matvec(block)
         for c in range(3):
             assert np.allclose(batched[:, c], K.matvec(block[:, c]))
+        return len(bct.adm_a)
 
 
 def block_sum_oracle(K, net, psi):
@@ -170,7 +242,8 @@ class TestCompiledFarField:
     @pytest.mark.parametrize("shape", [(), (4,)])
     def test_matches_block_sum_oracle(self, kind, sizes, shape):
         leaf_size, near_size = sizes
-        net = polygon_net(96, seed=24)
+        # at leaf and near size 8 the 96-gon has no admissible block
+        net = smooth_circle() if sizes == (8, 8) else polygon_net(96, seed=24)
         bvh = EdgeBvh(net, leaf_size=leaf_size)
         bct = BlockClusterTree(bvh, eps=0.25, near_size=near_size)
         assert len(bct.adm_a) > 0
@@ -184,16 +257,29 @@ class TestCompiledFarField:
 
 class TestHierMetric:
     def test_constant_annihilated_exactly(self):
-        net = polygon_net(64, seed=14)
+        self.check_constant_annihilated(polygon_net(64, seed=14))
+
+    def test_constant_annihilated_exactly_with_blocks(self):
+        assert self.check_constant_annihilated(smooth_circle()) > 0
+
+    @staticmethod
+    def check_constant_annihilated(net):
         hm = HierMetric(net, SIGMA, eps=0.25)
         u = np.full(net.n_vertices, 2.3)
         scale = np.linalg.norm(hm.apply(np.random.default_rng(15)
                                         .normal(size=net.n_vertices)))
         assert np.linalg.norm(hm.apply_high(u)) <= 1e-12 * scale
         assert np.linalg.norm(hm.apply_low(u)) <= 1e-12 * scale
+        return len(hm.bct.adm_a)
 
     def test_linearity(self):
-        net = polygon_net(48, seed=16)
+        self.check_linearity(polygon_net(48, seed=16))
+
+    def test_linearity_with_blocks(self):
+        assert self.check_linearity(smooth_circle()) > 0
+
+    @staticmethod
+    def check_linearity(net):
         hm = HierMetric(net, SIGMA)
         rng = np.random.default_rng(17)
         u = rng.normal(size=net.n_vertices)
@@ -201,10 +287,18 @@ class TestHierMetric:
         lhs = hm.apply(u + v)
         rhs = hm.apply(u) + hm.apply(v)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
+        return len(hm.bct.adm_a)
 
     @pytest.mark.parametrize("which", ["B", "B0"])
     def test_matches_dense_gram_at_n64(self, which):
-        net = polygon_net(64, seed=18)
+        self.check_dense_gram(polygon_net(64, seed=18), which)
+
+    @pytest.mark.parametrize("which", ["B", "B0"])
+    def test_matches_dense_gram_with_blocks(self, which):
+        assert self.check_dense_gram(smooth_circle(), which) > 0
+
+    @staticmethod
+    def check_dense_gram(net, which):
         hm = HierMetric(net, SIGMA)
         B, B0 = metric_parts(net, P36)
         dense = B if which == "B" else B0
@@ -213,6 +307,7 @@ class TestHierMetric:
         got = hm.apply_high(u) if which == "B" else hm.apply_low(u)
         want = dense @ u
         assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
+        return len(hm.bct.adm_a)
 
     def test_exact_fallback_matches_assembled_grams(self):
         # with trapezoid near-field entries and no admissible blocks, the
@@ -237,15 +332,28 @@ class TestHierMetric:
             assert np.allclose(out[c], hm.apply(X[c]))
 
     def test_stacked_apply_is_three_applies(self):
-        net = polygon_net(128, seed=26)
+        self.check_stacked_is_three_applies(polygon_net(128, seed=26))
+
+    def test_stacked_apply_is_three_applies_with_blocks(self):
+        assert self.check_stacked_is_three_applies(smooth_circle()) > 0
+
+    @staticmethod
+    def check_stacked_is_three_applies(net):
         hm = HierMetric(net, SIGMA, eps=0.25)
         X = np.random.default_rng(27).normal(size=(3, net.n_vertices))
         out = hm.apply_stacked(X.reshape(-1))
         want = np.concatenate([hm.apply(X[c]) for c in range(3)])
         assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
+        return len(hm.bct.adm_a)
 
     def test_refitting_shared_tree_leaves_metric_unchanged(self):
-        net = polygon_net(96, seed=28)
+        self.check_refit_leaves_metric(polygon_net(96, seed=28))
+
+    def test_refitting_shared_tree_leaves_metric_unchanged_with_blocks(self):
+        assert self.check_refit_leaves_metric(smooth_circle()) > 0
+
+    @staticmethod
+    def check_refit_leaves_metric(net):
         bvh = EdgeBvh(net)
         hm = HierMetric(net, SIGMA, bvh=bvh)
         assert hm.bvh is bvh
@@ -254,3 +362,4 @@ class TestHierMetric:
         moved = net.with_positions(net.vertices * 1.5 + 0.1)
         bvh.refit(moved)
         assert np.array_equal(hm.apply_stacked(vec), before)
+        return len(hm.bct.adm_a)

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
+from knotflow.bvh import EdgeBvh, _traverse, bh_differential, bh_energy
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
 from knotflow.network import CurveNetwork
+from knotflow.scenes import generate_test_curve
 
-from oracles import perturbed_polygon, regular_polygon
+from oracles import (perturbed_polygon, regular_polygon, smooth_circle,
+                     tree_depth)
 
 P36 = validate_params(3, 6)
+
+
+def lumped_nodes(net, bvh, eps):
+    """Number of (node, edges) groups the traversal lumps at eps."""
+    return len(_traverse(net, bvh, eps)[0])
 
 
 def two_loops(gap=20.0, n=12):
@@ -27,6 +34,23 @@ class TestBuild:
         bvh = EdgeBvh(net, leaf_size=8)
         assert bvh.n_nodes == 1
         assert bvh.left[0] == -1
+
+    def test_depth_is_logarithmic_at_4096_edges(self):
+        net = generate_test_curve("perturbed-circle", 4096, seed=5)
+        bvh = EdgeBvh(net)
+        # ceil(log2(4096 / 8)) = 9 halvings reach the leaf size
+        assert tree_depth(bvh.left, bvh.right) <= 9
+        leaves = bvh.left < 0
+        assert np.all(bvh.end[leaves] - bvh.start[leaves] <= bvh.leaf_size)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -7, 2.0 ** 7])
+    def test_tree_does_not_depend_on_scale(self, scale):
+        # powers of two scale every coordinate exactly
+        net = generate_test_curve("random-trefoil", 256, seed=8)
+        bvh = EdgeBvh(net)
+        scaled = EdgeBvh(net.with_positions(scale * net.vertices))
+        for name in ("order", "start", "end"):
+            assert np.array_equal(getattr(scaled, name), getattr(bvh, name))
 
     def test_root_mass_is_total_length(self):
         verts, edges = perturbed_polygon(40, seed=0)
@@ -102,21 +126,35 @@ class TestEnergy:
 
     def test_perturbed_256gon_error_bound(self):
         verts, edges = perturbed_polygon(256, seed=6)
-        net = CurveNetwork(verts, edges)
+        self.check_error_bound(CurveNetwork(verts, edges))
+
+    def test_error_bound_with_lumped_nodes(self):
+        assert self.check_error_bound(smooth_circle()) > 0
+
+    @staticmethod
+    def check_error_bound(net):
         bvh = EdgeBvh(net)
         exact = discrete_energy(net, P36)
         approx = bh_energy(net, bvh, P36, eps=0.1)
         assert abs(approx - exact) / exact <= 1e-2
+        return lumped_nodes(net, bvh, 0.1)
 
     def test_monotone_accuracy_in_eps(self):
         verts, edges = perturbed_polygon(96, seed=7)
-        net = CurveNetwork(verts, edges)
+        self.check_monotone_accuracy(CurveNetwork(verts, edges))
+
+    def test_monotone_accuracy_in_eps_with_lumped_nodes(self):
+        assert self.check_monotone_accuracy(smooth_circle()) > 0
+
+    @staticmethod
+    def check_monotone_accuracy(net):
         bvh = EdgeBvh(net)
         exact = discrete_energy(net, P36)
         errors = [abs(bh_energy(net, bvh, P36, eps=e) - exact)
                   for e in (0.4, 0.2, 0.1, 0.05)]
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse + 1e-14
+        return lumped_nodes(net, bvh, 0.4)
 
 
 class TestDifferential:
@@ -131,18 +169,32 @@ class TestDifferential:
 
     def test_translation_residual_small_at_tenth(self):
         verts, edges = perturbed_polygon(128, seed=9)
-        net = CurveNetwork(verts, edges)
+        self.check_translation_residual(CurveNetwork(verts, edges))
+
+    def test_translation_residual_small_with_lumped_nodes(self):
+        assert self.check_translation_residual(smooth_circle()) > 0
+
+    @staticmethod
+    def check_translation_residual(net):
         bvh = EdgeBvh(net)
         g = bh_differential(net, bvh, P36, eps=0.1)
         drift = np.linalg.norm(g.sum(axis=0))
         assert drift < 1e-2 * np.linalg.norm(g)
+        return lumped_nodes(net, bvh, 0.1)
 
     def test_direction_cosine_at_tenth(self):
         verts, edges = perturbed_polygon(256, seed=10)
-        net = CurveNetwork(verts, edges)
+        self.check_direction_cosine(CurveNetwork(verts, edges))
+
+    def test_direction_cosine_with_lumped_nodes(self):
+        assert self.check_direction_cosine(smooth_circle()) > 0
+
+    @staticmethod
+    def check_direction_cosine(net):
         bvh = EdgeBvh(net)
         exact = discrete_differential(net, P36).reshape(-1)
         approx = bh_differential(net, bvh, P36, eps=0.1).reshape(-1)
         cosine = approx @ exact / (np.linalg.norm(approx)
                                    * np.linalg.norm(exact))
         assert cosine >= 0.99
+        return lumped_nodes(net, bvh, 0.1)

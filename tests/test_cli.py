@@ -80,6 +80,24 @@ class TestGenerators:
 
         assert _min_pair_gap(net) > 0.01
 
+    @pytest.mark.parametrize("min_index_gap", [1, 5])
+    def test_min_pair_gap_matches_all_pair_loop(self, min_index_gap):
+        from knotflow.flow import _segment_gap
+        from knotflow.scenes import _min_pair_gap
+
+        net = generate_test_curve("random-trefoil", 48, seed=9)
+        p, edges, E = net.vertices, net.edges, net.n_edges
+        want = np.inf
+        for i in range(E):
+            for j in range(i + 1, E):
+                if set(edges[i]) & set(edges[j]) \
+                        or min(j - i, E - (j - i)) < min_index_gap:
+                    continue
+                gap = _segment_gap(p[edges[[i], 0]], p[edges[[i], 1]],
+                                   p[edges[[j], 0]], p[edges[[j], 1]])
+                want = min(want, float(gap[0]))
+        assert _min_pair_gap(net, min_index_gap) == want
+
     def test_trefoil_is_actually_a_trefoil(self):
         net = generate_test_curve("random-trefoil", 128, seed=5)
         assert minimal_projected_crossings(net, samples=40) == 3

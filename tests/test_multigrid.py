@@ -11,7 +11,7 @@ from knotflow.multigrid import (MgConfig, MgLevel, MultigridHierarchy,
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
 
-from oracles import perturbed_polygon, regular_polygon
+from oracles import perturbed_polygon, regular_polygon, smooth_circle
 
 P36 = validate_params(3, 6)
 
@@ -143,7 +143,13 @@ class TestVcycle:
 
     def test_metric_system_close_to_dense_solve(self):
         verts, edges = perturbed_polygon(128, seed=3)
-        net = CurveNetwork(verts, edges)
+        self.check_close_to_dense_solve(CurveNetwork(verts, edges))
+
+    def test_metric_system_close_to_dense_solve_with_blocks(self):
+        assert self.check_close_to_dense_solve(smooth_circle()) > 0
+
+    @staticmethod
+    def check_close_to_dense_solve(net):
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
         dE = stack_fields(discrete_differential(net, P36))
@@ -155,6 +161,7 @@ class TestVcycle:
         rel = metric_norm_gap(metric, x, dense)
         assert rel <= 1e-3 * 10  # residual target 1e-3 in the metric norm
         assert np.linalg.norm(C @ x) <= 1e-8 * np.linalg.norm(x)
+        return len(hier.levels[0].metric.bct.adm_a)
 
     def test_residual_history_non_increasing(self):
         verts, edges = perturbed_polygon(96, seed=4)

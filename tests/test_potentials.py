@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from knotflow.energy import validate_params
-from knotflow.meshes import MeshSignedDistance, TriangleMesh, load_obj_mesh
+from knotflow.bvh import LEAF_SIZE
+from knotflow.meshes import (FaceTree, MeshSignedDistance, TriangleMesh,
+                             load_obj_mesh)
 from knotflow.network import CurveNetwork
 from knotflow.potentials import (ConstantField, FieldPotential,
                                  LengthDifferencePotential, RotationField,
@@ -10,7 +12,7 @@ from knotflow.potentials import (ConstantField, FieldPotential,
 
 from oracles import (ExhaustiveSurfacePotential, finite_difference_gradient,
                      octahedron_sphere, perturbed_polygon, regular_polygon,
-                     save_obj_mesh)
+                     save_obj_mesh, tree_depth)
 
 P36 = validate_params(3, 6)
 
@@ -78,6 +80,32 @@ class TestLengthDifference:
         edges = [[i, i + 1] for i in range(6)]
         net = CurveNetwork(verts, edges)
         fd_check(LengthDifferencePotential(), net, rel=1e-6)
+
+
+class TestFaceTree:
+    def test_balanced_with_bounded_leaves(self):
+        mesh = octahedron_sphere(subdivisions=3)
+        assert mesh.n_faces == 512
+        tree = FaceTree(mesh)
+        # ceil(log2(512 / 8)) = 6 halvings reach the leaf size
+        assert tree_depth(tree.left, tree.right) <= 6
+        leaves = tree.left < 0
+        assert np.all(tree.end[leaves] - tree.start[leaves] <= LEAF_SIZE)
+        assert np.array_equal(np.sort(tree.order), np.arange(mesh.n_faces))
+
+    def test_node_aggregates_bound_their_faces(self):
+        mesh = octahedron_sphere(subdivisions=2)
+        tree = FaceTree(mesh)
+        for node in range(len(tree.left)):
+            sel = tree.order[tree.start[node]:tree.end[node]]
+            area = mesh.face_areas[sel]
+            assert tree.area[node] == pytest.approx(area.sum(), rel=1e-12)
+            centroid = area @ mesh.face_centroids[sel] / area.sum()
+            assert np.allclose(tree.centroid[node], centroid, rtol=1e-12)
+            corners = mesh.vertices[mesh.faces[sel]].reshape(-1, 3)
+            center = 0.5 * (tree.lo[node] + tree.hi[node])
+            assert np.all(np.linalg.norm(corners - center, axis=1)
+                          <= tree.radius[node] + 1e-12)
 
 
 class TestSurfacePotential:
