@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
 from .bvh import EdgeBvh
-from .energy import SelfContactError, _dot3, _pair_samples
+from .energy import SelfContactError, _dot3, _pair_chunks, _pair_samples
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -284,13 +284,23 @@ def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:
 
 
 class HierMetric:
-    """Matrix-free fractional metric built from two hierarchical kernels.
+    """Hierarchical fractional metric A = B + B0, compiled into sparse factors.
 
-    apply_high/apply_low mirror the dense Gram matrices B and B0 through the
-    decomposition M = Op^T (diag(K 1) - K) Op with Op the edgewise derivative
-    (high order, blockwise over 3 components) or the vertex-to-edge average
-    (low order).  The diagonal term reuses the same approximate K, so constants
-    are annihilated exactly regardless of the block approximation error.
+    A follows the formula of `metric.py`,
+    A = sum_c D_c^T (diag(K 1) - K) D_c + E^T (diag(K0 1) - K0) E, with each
+    K = K_near + Up^T K_adm Up taken from the block cluster tree.  Split along
+    the near and the far field, it is compiled once into A = S - W^T K_blk W:
+
+        S     = sum_c D_c^T (diag(K 1) - K_near) D_c
+                + E^T (diag(K0 1) - K0_near) E         (sparse, V x V)
+        W     = [Up D_0; Up D_1; Up D_2; Up E]
+        K_blk = blockdiag(K_adm, K_adm, K_adm, K0_adm)
+
+    S is assembled directly from the near pairs and the two-vertex stencils
+    of D_c and E.  The diagonal terms are the row sums of the same
+    approximate K, far field included, so constants are annihilated
+    regardless of the block approximation error.  `k_high` and `k_low` keep
+    the two kernel matrices and `bct` the block partition.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
@@ -301,39 +311,69 @@ class HierMetric:
         self.sigma = float(sigma)
         self.bvh = bvh if bvh is not None else EdgeBvh(net)
         self.bct = BlockClusterTree(self.bvh, eps=eps)
-        high, low = trapezoid_kernels(net, self.sigma,
-                                      *self.bct.near_pair_arrays(net))
+        I, J = self.bct.near_pair_arrays(net)
+        high, low = trapezoid_kernels(net, self.sigma, I, J)
         self.k_high = HierKernelMatrix(
             self.bct, KernelSpec("high", self.sigma), net, near_entries=high)
         self.k_low = HierKernelMatrix(
             self.bct, KernelSpec("low", self.sigma), net, near_entries=low)
-        self.D = derivative_matrix(net)                  # (3E, V)
-        self.DT = self.D.T.tocsr()
-        self.E_avg = average_matrix(net)                 # (E, V)
-        self.E_avg_T = self.E_avg.T.tocsr()
         self.n = net.n_vertices
-
-    def apply_high(self, u: np.ndarray) -> np.ndarray:
-        """B u for per-vertex values u of shape (V,) or (V, m)."""
-        du = self.D @ u                                  # (3E,) or (3E, m)
-        t = du.reshape(self.k_high.n_edges, -1)          # (E, 3) or (E, 3m)
-        c = self.k_high.row_sums()
-        y = c[:, None] * t - self.k_high.matvec(t)
-        return self.DT @ y.reshape(du.shape)
-
-    def apply_low(self, u: np.ndarray) -> np.ndarray:
-        """B0 u for per-vertex values u of shape (V,) or (V, m)."""
-        au = self.E_avg @ u                              # (E,) or (E, m)
-        a = au.reshape(self.k_low.n_edges, -1)
-        c = self.k_low.row_sums()
-        y = c[:, None] * a - self.k_low.matvec(a)
-        return self.E_avg_T @ y.reshape(au.shape)
+        self.S = _near_operator(net, I, J, high, low, self.k_high.row_sums(),
+                                self.k_low.row_sums())
+        D, up = derivative_matrix(net), self.k_high.up
+        self.W = vstack([up @ D[c::3] for c in range(3)]
+                        + [up @ average_matrix(net)], format="csr")
+        self.WT = self.W.T.tocsr()
+        self.K_blk = block_diag([self.k_high.k_adm] * 3 + [self.k_low.k_adm],
+                                format="csr")
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """(B + B0) u for per-vertex values u of shape (V,) or (V, m)."""
-        return self.apply_high(u) + self.apply_low(u)
+        out = self.S @ u
+        if self.K_blk.nnz:         # small curves often have no far field
+            out -= self.WT @ (self.K_blk @ (self.W @ u))
+        return out
 
     def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
         """blockdiag(A, A, A) @ vec for stacked (3V,) vectors."""
         return self.apply(vec.reshape(3, self.n).T).T.reshape(-1)
 
+
+def _near_operator(net: CurveNetwork, I: np.ndarray, J: np.ndarray,
+                   high: np.ndarray, low: np.ndarray, rows_high: np.ndarray,
+                   rows_low: np.ndarray) -> csr_matrix:
+    """S = sum_c D_c^T (diag(K 1) - K_near) D_c + E^T (diag(K0 1) - K0_near) E.
+
+    (D_c u)_I = (u_i2 - u_i1) T_Ic / l_I and (E u)_I = (u_i1 + u_i2) / 2, so
+    an edge pair (I, J) with near entries k, k0 adds -(s t k <T_I, T_J> /
+    (l_I l_J) + k0 / 4) at (vertex s of I, vertex t of J), with signs s, t =
+    -1 at an edge's first vertex and +1 at its second; edge I itself adds
+    s t K1_I |T_I|^2 / l_I^2 + K0 1_I / 4 at (vertex s of I, vertex t of I).
+    The pairs go in chunks, each summed over its repeated vertex pairs, so
+    no temporary holds all 4 entries of every pair.
+    """
+    geom = net.geometry()
+    coeff = (geom.tangents / geom.lengths[:, None]).T      # (3, E)
+    edges = net.edges.astype(np.int32)
+    st = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    V = net.n_vertices
+
+    def entries(I, J, vals):
+        """(vertex s of I, vertex t of J) += vals[:, s, t], summed."""
+        rows = np.repeat(edges[I], 2, axis=1).reshape(-1)
+        cols = np.tile(edges[J], 2).reshape(-1)
+        return coo_matrix((vals.reshape(-1), (rows, cols)),
+                          shape=(V, V)).tocsr().tocoo()
+
+    own = np.arange(len(edges))
+    parts = [entries(own, own, (rows_high * (coeff ** 2).sum(axis=0))
+                     [:, None, None] * st + 0.25 * rows_low[:, None, None])]
+    for sl in _pair_chunks(len(I)):
+        Ic, Jc = I[sl], J[sl]
+        dots = np.einsum("ci,ci->i", coeff[:, Ic], coeff[:, Jc])
+        parts.append(entries(Ic, Jc, -(high[sl] * dots)[:, None, None] * st
+                             - 0.25 * low[sl, None, None]))
+    return coo_matrix(
+        (np.concatenate([p.data for p in parts]),
+         (np.concatenate([p.row for p in parts]),
+          np.concatenate([p.col for p in parts]))), shape=(V, V)).tocsr()

@@ -69,10 +69,11 @@ class StepReport:
     projection_iters: int
     wall_time: float
     collision_limited: bool
-    mg_cycles: int                      # V-cycles of the step's solves
-    mg_unconverged: int                 # solves stopped at max_vcycles
-    mg_residual: float                  # largest final relative residual
-    mg_solves: int                      # V-cycle solves of the step
+    mg_cycles: int                      # V-cycles (one per flexible CG
+                                        # iteration) of the step's solves
+    mg_unconverged: int                 # solves ending above the target
+    mg_residual: float                  # largest final true relative residual
+    mg_solves: int                      # multigrid solves of the step
 
 
 @dataclass

@@ -5,11 +5,14 @@ constraint-pinned vertices always survive); prolongation keeps surviving
 values and averages the two black neighbors at removed ones.  Constrained
 systems are solved in projected form P A_bar P y = P a with the Euclidean
 projector P = I - C^T (C C^T)^{-1} C onto the constraint null space, which is
-the unique formula satisfying C P = 0 and P^2 = P.  The smoother is plain
-conjugate gradient; the coarsest level uses a dense pseudoinverse.  Levels
-above DENSE_CUTOFF vertices apply the hierarchical metric (`HierMetric`),
-smaller ones the assembled dense one (`MetricOperator`); both answer
-`apply` and `apply_stacked`.
+the unique formula satisfying C P = 0 and P^2 = P.  Each solve is flexible
+conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
+one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
+which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
+coarsest level uses a dense pseudoinverse.  Levels above DENSE_CUTOFF
+vertices apply the hierarchical metric (`HierMetric`), smaller ones the
+assembled dense one (`MetricOperator`); both answer `apply` and
+`apply_stacked`.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -47,6 +50,14 @@ SPAN_TOL = 1e-8
 
 @dataclass
 class MgConfig:
+    """Multigrid solve settings.
+
+    `smoother_iters` conjugate gradient steps smooth before and after each
+    coarse correction; `max_vcycles` caps the V-cycles, one per flexible CG
+    iteration, of one solve; a solve stops once its true relative residual
+    |b - M y| / |b| is at most `target_rel_residual`.
+    """
+
     smoother_iters: int = 3
     max_vcycles: int = 6
     target_rel_residual: float = 1e-3
@@ -236,6 +247,7 @@ class MgLevel:
                  constraints: ConstraintSet, prolongation=None, bvh=None):
         self.net = net
         self.J = prolongation          # maps this level's values to the finer
+        self.JT = None if prolongation is None else prolongation.T.tocsr()
         self.constraints = constraints
         self.scale = 1.0
         C = constraints.jacobian(net)
@@ -275,8 +287,14 @@ class MgLevel:
         return v - self.CT @ self.solve_cct(self.C @ v)
 
     def apply_projected(self, v: np.ndarray) -> np.ndarray:
-        """M v with M = P A_bar P (symmetric PSD on the constraint space)."""
-        return self.project(self.scale * self.metric.apply_stacked(self.project(v)))
+        """M v with M = P A_bar P (symmetric PSD on the constraint space).
+
+        v must already lie in null(C), so P v = v and one projection, after
+        the metric, is enough.  The smoother, the V-cycle and the outer
+        iteration only pass such operands: projected right-hand sides,
+        residuals and corrections built from them.
+        """
+        return self.project(self.scale * self.metric.apply_stacked(v))
 
     def min_norm_solution(self, phi: np.ndarray) -> np.ndarray:
         """z = C^T (C C^T)^{-1} phi, the least-norm solution of C z = phi."""
@@ -285,29 +303,25 @@ class MgLevel:
 
 def prolong(level: "MgLevel", vec_coarse: np.ndarray) -> np.ndarray:
     """Apply blockdiag(J, J, J) to a stacked coarse vector."""
-    J = level.J
-    n_c = J.shape[1]
-    X = vec_coarse.reshape(3, n_c)
-    return np.vstack([J @ X[c] for c in range(3)]).reshape(-1)
+    n_c = level.J.shape[1]
+    return (level.J @ vec_coarse.reshape(3, n_c).T).T.reshape(-1)
 
 
 def restrict(level: "MgLevel", vec_fine: np.ndarray) -> np.ndarray:
     """Apply blockdiag(J, J, J)^T to a stacked fine vector."""
-    J = level.J
-    n_f = J.shape[0]
-    X = vec_fine.reshape(3, n_f)
-    return np.vstack([J.T @ X[c] for c in range(3)]).reshape(-1)
+    n_f = level.J.shape[0]
+    return (level.JT @ vec_fine.reshape(3, n_f).T).T.reshape(-1)
 
 
 class MultigridHierarchy:
-    """Level stack plus V-cycle solves for one frozen geometry.
+    """Level stack plus multigrid solves for one frozen geometry.
 
-    Answers the calls of the exact `SaddleFactor` with V-cycles:
-    `solve_gradient(b)`, `solve_projection_step(phi)` and `rank_suspect`
-    (from the finest level's C C^T factor).  Every solve adds to the
-    tallies `solves` (V-cycle solves), `cycles` (V-cycles), `unconverged`
-    (solves stopped at max_vcycles) and `residual` (largest final relative
-    residual).  `bvh` (optional) is a tree fitted to `net` for the finest
+    Answers the calls of the exact `SaddleFactor` with V-cycle-preconditioned
+    flexible CG: `solve_gradient(b)`, `solve_projection_step(phi)` and
+    `rank_suspect` (from the finest level's C C^T factor).  Every solve adds
+    to the tallies `solves` (solves), `cycles` (V-cycles), `unconverged`
+    (solves ending above the residual target) and `residual` (largest final
+    true relative residual).  `bvh` (optional) is a tree fitted to `net` for the finest
     level's metric.
 
     The geometry is frozen, so a projection correction is linear in its
@@ -375,13 +389,17 @@ class MultigridHierarchy:
                                                rcond=1e-10)
         return self._coarse_pinv @ b
 
-    def _smooth(self, level: MgLevel, x: np.ndarray, b: np.ndarray,
-                iters: int) -> np.ndarray:
-        """Fixed number of conjugate gradient iterations on M x = b."""
-        r = b - level.apply_projected(x)
-        p = r.copy()
+    def _smooth(self, level: MgLevel, b: np.ndarray,
+                x: np.ndarray | None = None):
+        """A fixed number of conjugate gradient steps on M x = b from x (0 if
+        None); returns x and its residual b - M x by the CG recurrence."""
+        if x is None:
+            x, r = np.zeros_like(b), b
+        else:
+            r = b - level.apply_projected(x)
+        p = r
         rr = float(r @ r)
-        for _ in range(iters):
+        for _ in range(self.config.smoother_iters):
             if rr == 0.0:
                 break
             Mp = level.apply_projected(p)
@@ -394,19 +412,18 @@ class MultigridHierarchy:
             rr_new = float(r @ r)
             p = r + (rr_new / rr) * p
             rr = rr_new
-        return x
+        return x, r
 
-    def _vcycle(self, i: int, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _vcycle(self, i: int, b: np.ndarray) -> np.ndarray:
+        """One V-cycle on level i's M x = b from x = 0."""
         if i == len(self.levels) - 1:
             return self._coarse_solve(b)
         level = self.levels[i]
         nxt = self.levels[i + 1]
-        x = self._smooth(level, x, b, self.config.smoother_iters)
-        r = b - level.apply_projected(x)
-        b_coarse = nxt.project(restrict(nxt, r))
-        e = self._vcycle(i + 1, np.zeros_like(b_coarse), b_coarse)
+        x, r = self._smooth(level, b)
+        e = self._vcycle(i + 1, nxt.project(restrict(nxt, r)))
         x = x + level.project(prolong(nxt, e))
-        return self._smooth(level, x, b, self.config.smoother_iters)
+        return self._smooth(level, b, x)[0]
 
     def _initial_guess(self, b: np.ndarray) -> np.ndarray:
         """Coarsen the RHS to the bottom, solve, prolong up with smoothing."""
@@ -416,26 +433,43 @@ class MultigridHierarchy:
         x = self._coarse_solve(rhs[-1])
         for i in range(len(self.levels) - 2, -1, -1):
             x = self.levels[i].project(prolong(self.levels[i + 1], x))
-            x = self._smooth(self.levels[i], x, rhs[i],
-                             self.config.smoother_iters)
+            x = self._smooth(self.levels[i], rhs[i], x)[0]
         return x
 
     def vcycle_solve(self, b: np.ndarray):
-        """Solve P A_bar P y = b; returns (y, info dict)."""
+        """Solve P A_bar P y = b for b in null(C); returns (y, info dict).
+
+        Flexible conjugate gradient from `_initial_guess`, preconditioned by
+        one V-cycle per iteration, with the Polak-Ribiere beta
+        z.(r - r_old) / (z_old.r_old).  The residual r = b - M y is computed
+        anew each iteration; info holds its relative norms (`residuals`),
+        the V-cycles run (`cycles`) and whether the last norm met the target
+        (`converged`).
+        """
         norm_b = float(np.linalg.norm(b))
         if norm_b == 0.0:
             return np.zeros_like(b), {"residuals": [0.0], "converged": True,
                                       "cycles": 0}
+        top = self.levels[0]
         x = self._initial_guess(b)
-        residuals = [float(np.linalg.norm(
-            b - self.levels[0].apply_projected(x))) / norm_b]
+        r = b - top.apply_projected(x)
+        residuals = [float(np.linalg.norm(r)) / norm_b]
         cycles = 0
+        p = None
         while residuals[-1] > self.config.target_rel_residual \
                 and cycles < self.config.max_vcycles:
-            x = self._vcycle(0, x, b)
+            z = self._vcycle(0, r)
             cycles += 1
-            residuals.append(float(np.linalg.norm(
-                b - self.levels[0].apply_projected(x))) / norm_b)
+            zr = float(z @ r)
+            p = z if p is None else z + (zr - float(z @ r_old)) / zr_old * p
+            Mp = top.apply_projected(p)
+            pMp = float(p @ Mp)
+            if pMp <= 0.0:
+                break
+            x = x + (float(p @ r) / pMp) * p
+            r_old, zr_old = r, zr
+            r = b - top.apply_projected(x)
+            residuals.append(float(np.linalg.norm(r)) / norm_b)
         info = {"residuals": residuals, "cycles": cycles,
                 "converged": residuals[-1] <= self.config.target_rel_residual}
         return x, info

@@ -7,6 +7,7 @@ deliberately separate from the library's vectorized implementations.
 import numpy as np
 
 from knotflow.meshes import TriangleMesh
+from knotflow.metric import average_matrix, derivative_matrix
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import generate_test_curve
 
@@ -249,3 +250,24 @@ def octahedron_sphere(radius=1.0, subdivisions=2):
             new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
         faces = new_faces
     return TriangleMesh(radius * np.array(verts), np.array(faces))
+
+
+def hier_apply_high(hm, u):
+    """B u from `hm`'s kernel matrices, matrix-free: sum_c D_c^T (diag(K 1) -
+    K) D_c u with K applied through `HierKernelMatrix.matvec`; the reference
+    for the compiled `HierMetric.apply`."""
+    D = derivative_matrix(hm.net)
+    du = D @ u                                           # (3E,) or (3E, m)
+    t = du.reshape(hm.net.n_edges, -1)                   # (E, 3) or (E, 3m)
+    y = hm.k_high.row_sums()[:, None] * t - hm.k_high.matvec(t)
+    return D.T @ y.reshape(du.shape)
+
+
+def hier_apply_low(hm, u):
+    """B0 u from `hm`'s kernel matrices, matrix-free: E^T (diag(K0 1) - K0)
+    E u, the low-order half of the reference for `HierMetric.apply`."""
+    E = average_matrix(hm.net)
+    a = E @ u                                            # (E,) or (E, m)
+    t = a.reshape(hm.net.n_edges, -1)
+    y = hm.k_low.row_sums()[:, None] * t - hm.k_low.matvec(t)
+    return E.T @ y.reshape(a.shape)

@@ -7,9 +7,10 @@ from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
 from knotflow.metric import metric_parts
 from knotflow.network import CurveNetwork
+from knotflow.scenes import generate_test_curve
 
-from oracles import (coverage_count, perturbed_polygon, regular_polygon,
-                     smooth_circle)
+from oracles import (coverage_count, hier_apply_high, hier_apply_low,
+                     perturbed_polygon, regular_polygon, smooth_circle)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -268,8 +269,9 @@ class TestHierMetric:
         u = np.full(net.n_vertices, 2.3)
         scale = np.linalg.norm(hm.apply(np.random.default_rng(15)
                                         .normal(size=net.n_vertices)))
-        assert np.linalg.norm(hm.apply_high(u)) <= 1e-12 * scale
-        assert np.linalg.norm(hm.apply_low(u)) <= 1e-12 * scale
+        assert np.linalg.norm(hier_apply_high(hm, u)) <= 1e-12 * scale
+        assert np.linalg.norm(hier_apply_low(hm, u)) <= 1e-12 * scale
+        assert np.linalg.norm(hm.apply(u)) <= 1e-12 * scale
         return len(hm.bct.adm_a)
 
     def test_linearity(self):
@@ -304,7 +306,8 @@ class TestHierMetric:
         dense = B if which == "B" else B0
         rng = np.random.default_rng(19)
         u = rng.normal(size=net.n_vertices)
-        got = hm.apply_high(u) if which == "B" else hm.apply_low(u)
+        got = hier_apply_high(hm, u) if which == "B" \
+            else hier_apply_low(hm, u)
         want = dense @ u
         assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
         return len(hm.bct.adm_a)
@@ -317,10 +320,33 @@ class TestHierMetric:
         B, B0 = metric_parts(net, P36)
         rng = np.random.default_rng(21)
         u = rng.normal(size=net.n_vertices)
-        assert np.linalg.norm(hm.apply_high(u) - B @ u) \
+        assert np.linalg.norm(hier_apply_high(hm, u) - B @ u) \
             <= 1e-12 * np.linalg.norm(B @ u)
-        assert np.linalg.norm(hm.apply_low(u) - B0 @ u) \
+        assert np.linalg.norm(hier_apply_low(hm, u) - B0 @ u) \
             <= 1e-12 * np.linalg.norm(B0 @ u)
+
+    def test_compiled_apply_matches_matrix_free(self):
+        self.check_compiled_apply(polygon_net(64))
+
+    def test_compiled_apply_matches_matrix_free_with_blocks(self):
+        assert self.check_compiled_apply(smooth_circle()) > 0
+
+    @staticmethod
+    def check_compiled_apply(net):
+        hm = HierMetric(net, SIGMA)
+        U = np.random.default_rng(30).normal(size=(net.n_vertices, 2))
+        want = hier_apply_high(hm, U) + hier_apply_low(hm, U)
+        assert np.linalg.norm(hm.apply(U) - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        return len(hm.bct.adm_a)
+
+    def test_compiled_near_field_stays_sparse(self):
+        # S holds at most the 4 vertex pairs of each near edge pair plus
+        # the 3 entries per vertex of the edge stencils: no V x V storage
+        net = generate_test_curve("perturbed-circle", 2048, seed=5)
+        hm = HierMetric(net, SIGMA)
+        assert hm.S.nnz <= 4 * hm.k_high.near.nnz + 3 * net.n_vertices
+        assert hm.S.nnz < net.n_vertices ** 2 // 16
 
     def test_stacked_apply(self):
         net = polygon_net(32, seed=22)

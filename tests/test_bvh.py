@@ -124,6 +124,21 @@ class TestEnergy:
         approx = bh_energy(net, bvh, P36, eps=0.25)
         assert abs(approx - exact) / exact < 1e-3
 
+    def test_far_loops_lumped_accurately_with_far_groups(self):
+        # the 12-gons above lump nothing at eps = 0.25 (each node's tangent
+        # radius exceeds it); 256-gons have nodes that lump at eps = 0.05,
+        # each against every edge of the other loop among others
+        n = 256
+        net = two_loops(gap=25.0, n=n)
+        bvh = EdgeBvh(net, leaf_size=4)
+        far = _traverse(net, bvh, 0.05)[0]
+        assert len(far) > 0
+        assert any(np.any((edges < n) != (bvh.order[bvh.start[node]] < n))
+                   for node, edges in far)
+        exact = discrete_energy(net, P36)
+        approx = bh_energy(net, bvh, P36, eps=0.05)
+        assert abs(approx - exact) / exact < 1e-3
+
     def test_perturbed_256gon_error_bound(self):
         verts, edges = perturbed_polygon(256, seed=6)
         self.check_error_bound(CurveNetwork(verts, edges))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from knotflow.bct import HierMetric
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   PointConstraint, TotalLength,
                                   project_onto_constraints)
@@ -112,6 +113,21 @@ class TestProjector:
         assert np.linalg.norm(level.C @ P) <= 1e-10
         assert np.linalg.norm(P - P.T) <= 1e-10
 
+    def test_apply_projected_projects_once(self):
+        # operands already in null(C) need no projection before the metric
+        net = smooth_circle()
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        hier = hierarchy_for(net, cs)
+        rng = np.random.default_rng(31)
+        kinds = set()
+        for level in (hier.levels[0], hier.levels[-1]):
+            u = level.project(rng.normal(size=3 * level.net.n_vertices))
+            want = level.project(
+                level.scale * level.metric.apply_stacked(level.project(u)))
+            assert np.linalg.norm(level.apply_projected(u) - want) \
+                <= 1e-12 * np.linalg.norm(want)
+            kinds.add(type(level.metric))
+        assert kinds == {HierMetric, MetricOperator}
 
     def test_sparse_factor_for_large_k_reports_rank_loss(self):
         # k > 512 takes the sparse LU of C C^T instead of the Cholesky
@@ -201,11 +217,15 @@ class TestProjectedSaddle:
         dense = SaddleFactor(metric.A, C, net.dual_masses()).solve_gradient(dE)
         assert metric_norm_gap(metric, x, dense) <= 1e-2
 
-    def test_projection_mode_against_dense(self):
-        net = generate_test_curve("perturbed-circle", 64, seed=7)
+    @staticmethod
+    def projection_gap(net):
+        """Scale `net` by 1.01 and add 1e-3 noise under barycenter + total
+        length; returns the metric-norm gap of one projection step to the
+        exact one (the length residual dominates) and the hierarchy."""
         cs = ConstraintSet([Barycenter.from_network(net),
                             TotalLength(net.total_length())])
-        noise = 1e-3 * np.random.default_rng(10).normal(size=(64, 3))
+        noise = 1e-3 * np.random.default_rng(10).normal(
+            size=(net.n_vertices, 3))
         moved = net.with_positions(1.01 * net.vertices + noise)
         phi = cs.evaluate(moved)
         hier = hierarchy_for(moved, cs)
@@ -213,8 +233,28 @@ class TestProjectedSaddle:
         metric = MetricOperator(moved, P36)
         dense = SaddleFactor(metric.A, cs.jacobian(moved),
                              moved.dual_masses()).solve_projection_step(phi)
+        return metric_norm_gap(metric, x, dense), hier
+
+    def test_projection_mode_against_dense(self):
+        gap, hier = self.projection_gap(
+            generate_test_curve("perturbed-circle", 64, seed=7))
         assert hier.cycles > 0
-        assert metric_norm_gap(metric, x, dense) <= 1e-2
+        assert gap <= 1e-2
+
+    @pytest.mark.parametrize("seed", [7, 9])
+    def test_projection_mode_against_dense_on_noisy_polygon(self, seed):
+        # a non-smooth curve, on which a plain V-cycle iteration stalls
+        verts, edges = perturbed_polygon(64, seed=seed)
+        gap, hier = self.projection_gap(CurveNetwork(verts, edges))
+        assert hier.cycles > 0 and hier.unconverged == 0
+        assert gap <= 1e-2
+
+    def test_projection_mode_inexact_solve_shows(self):
+        # noise on a 512-vertex circle: a solve that misses the exact step
+        # must be counted as unconverged
+        gap, hier = self.projection_gap(
+            generate_test_curve("perturbed-circle", 512, seed=5))
+        assert gap <= 1e-2 or hier.unconverged > 0
 
     def test_projection_mode_feasible_returns_zero(self):
         verts, edges = perturbed_polygon(48, seed=8)
