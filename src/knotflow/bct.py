@@ -284,7 +284,7 @@ def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:
 
 
 class HierMetric:
-    """Hierarchical fractional metric A = B + B0, compiled into sparse factors.
+    """Hierarchical fractional metric A = B + B0, compiled into fixed factors.
 
     A follows the formula of `metric.py`,
     A = sum_c D_c^T (diag(K 1) - K) D_c + E^T (diag(K0 1) - K0) E, with each
@@ -292,7 +292,7 @@ class HierMetric:
     the near and the far field, it is compiled once into A = S - W^T K_blk W:
 
         S     = sum_c D_c^T (diag(K 1) - K_near) D_c
-                + E^T (diag(K0 1) - K0_near) E         (sparse, V x V)
+                + E^T (diag(K0 1) - K0_near) E (V x V, sparse or dense by fill)
         W     = [Up D_0; Up D_1; Up D_2; Up E]
         K_blk = blockdiag(K_adm, K_adm, K_adm, K0_adm)
 
@@ -341,8 +341,9 @@ class HierMetric:
 
 def _near_operator(net: CurveNetwork, I: np.ndarray, J: np.ndarray,
                    high: np.ndarray, low: np.ndarray, rows_high: np.ndarray,
-                   rows_low: np.ndarray) -> csr_matrix:
-    """S = sum_c D_c^T (diag(K 1) - K_near) D_c + E^T (diag(K0 1) - K0_near) E.
+                   rows_low: np.ndarray) -> csr_matrix | np.ndarray:
+    """S = sum_c D_c^T (diag(K 1) - K_near) D_c + E^T (diag(K0 1) - K0_near) E,
+    V x V, sparse or dense by fill.
 
     (D_c u)_I = (u_i2 - u_i1) T_Ic / l_I and (E u)_I = (u_i1 + u_i2) / 2, so
     an edge pair (I, J) with near entries k, k0 adds -(s t k <T_I, T_J> /
@@ -350,7 +351,9 @@ def _near_operator(net: CurveNetwork, I: np.ndarray, J: np.ndarray,
     -1 at an edge's first vertex and +1 at its second; edge I itself adds
     s t K1_I |T_I|^2 / l_I^2 + K0 1_I / 4 at (vertex s of I, vertex t of I).
     The pairs go in chunks, each summed over its repeated vertex pairs, so
-    no temporary holds all 4 entries of every pair.
+    no temporary holds all 4 entries of every pair.  S is returned dense
+    when it holds at least 2/3 V^2 entries, where 8 bytes per dense entry
+    cost no more than CSR's 12 per nonzero, and as CSR otherwise.
     """
     geom = net.geometry()
     coeff = (geom.tangents / geom.lengths[:, None]).T      # (3, E)
@@ -373,7 +376,8 @@ def _near_operator(net: CurveNetwork, I: np.ndarray, J: np.ndarray,
         dots = np.einsum("ci,ci->i", coeff[:, Ic], coeff[:, Jc])
         parts.append(entries(Ic, Jc, -(high[sl] * dots)[:, None, None] * st
                              - 0.25 * low[sl, None, None]))
-    return coo_matrix(
+    S = coo_matrix(
         (np.concatenate([p.data for p in parts]),
          (np.concatenate([p.row for p in parts]),
           np.concatenate([p.col for p in parts]))), shape=(V, V)).tocsr()
+    return S.toarray() if 3 * S.nnz >= 2 * V * V else S

@@ -80,7 +80,8 @@ class StepReport:
 class FlowResult:
     reports: list
     net: CurveNetwork
-    stop_reason: str                    # "converged", "stuck", "max_iters"
+    stop_reason: str                    # "converged", "target-energy",
+                                        # "stuck", "max_iters"
     frames: list                        # vertex snapshots incl. initial
     stop_detail: str                    # what made the flow stop
 

@@ -5,7 +5,10 @@ constraint-pinned vertices always survive); prolongation keeps surviving
 values and averages the two black neighbors at removed ones.  Constrained
 systems are solved in projected form P A_bar P y = P a with the Euclidean
 projector P = I - C^T (C C^T)^{-1} C onto the constraint null space, which is
-the unique formula satisfying C P = 0 and P^2 = P.  Each solve is flexible
+the unique formula satisfying C P = 0 and P^2 = P.  A level holds P as
+I - Q Q^T with a dense orthonormal Q when C is at least half full (few
+global constraints), and through a sparse LU of C C^T otherwise (k of order
+V, as with edge lengths); see `MgLevel`.  Each solve is flexible
 conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
 one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
 which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
@@ -236,6 +239,15 @@ def restrict_constraints(constraints: ConstraintSet, coarse_net: CurveNetwork,
 class MgLevel:
     """One hierarchy level: network, metric apply, constraints, projector.
 
+    The projector P = I - C^T (C C^T)^{-1} C follows the fill of the
+    (k x 3V) Jacobian C.  When C is at least half full (3V k <= 2 nnz(C):
+    global constraints such as barycenter and total length), `Q` =
+    C^T L^{-T} (3V x k, orthonormal columns) with L L^T = C C^T, and
+    P v = v - Q (Q^T v).  Otherwise (edge lengths, pins: k of order V, a
+    few entries per row, where a dense Q would be quadratic in V) `Q` is
+    None and C C^T gets a sparse LU.  A tiny relative pivot of either
+    factor sets `rank_suspect`.
+
     `scale` corrects the rediscretized coarse metric toward the Galerkin
     operator J^T A_fine J: the nonlocal Gram matrices are not refinement-
     consistent (the omitted near-diagonal band widens with h), so unscaled
@@ -252,39 +264,31 @@ class MgLevel:
         self.scale = 1.0
         C = constraints.jacobian(net)
         self.C = C
-        self.CT = C.T.tocsr()
         if net.n_vertices > DENSE_CUTOFF:
             self.metric = HierMetric(net, params.sigma, bvh=bvh)
         else:
             self.metric = MetricOperator(net, params)
-        # C C^T factor of the projector; a tiny pivot sets rank_suspect
-        k = C.shape[0]
-        self._cct_solve = self._cct_sparse = None
-        self.rank_suspect = False
-        if 0 < k <= 512:
-            self._cct_solve, self.rank_suspect = checked_cholesky(
-                (C @ self.CT).toarray())
-        elif k > 512:
+        self.Q = None
+        if 3 * net.n_vertices * C.shape[0] <= 2 * C.nnz:
+            factor, self.rank_suspect = checked_cholesky((C @ C.T).toarray())
+            self._L = np.tril(factor[0])
+            self.Q = scipy.linalg.solve_triangular(
+                self._L, C.toarray(), lower=True, check_finite=False).T
+        else:
+            self._CT = C.T.tocsr()
             try:
-                self._cct_sparse = splu((C @ self.CT).tocsc())
+                self._lu = splu((C @ self._CT).tocsc())
             except RuntimeError as exc:              # exactly singular
                 raise np.linalg.LinAlgError(str(exc)) from exc
             # the pivot tolerance, applied to |U_ii| over the largest one
-            u = np.abs(self._cct_sparse.U.diagonal())
+            u = np.abs(self._lu.U.diagonal())
             self.rank_suspect = bool(u.min() < RANK_PIVOT_TOL * u.max())
-        self.k = k
-
-    def solve_cct(self, rhs: np.ndarray) -> np.ndarray:
-        if self._cct_solve is not None:
-            return scipy.linalg.cho_solve(self._cct_solve, rhs,
-                                          check_finite=False)
-        return self._cct_sparse.solve(rhs)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto null(C)."""
-        if self.k == 0:
-            return v
-        return v - self.CT @ self.solve_cct(self.C @ v)
+        if self.Q is not None:
+            return v - self.Q @ (self.Q.T @ v)
+        return v - self._CT @ self._lu.solve(self.C @ v)
 
     def apply_projected(self, v: np.ndarray) -> np.ndarray:
         """M v with M = P A_bar P (symmetric PSD on the constraint space).
@@ -298,7 +302,10 @@ class MgLevel:
 
     def min_norm_solution(self, phi: np.ndarray) -> np.ndarray:
         """z = C^T (C C^T)^{-1} phi, the least-norm solution of C z = phi."""
-        return self.CT @ self.solve_cct(phi)
+        if self.Q is not None:
+            return self.Q @ scipy.linalg.solve_triangular(
+                self._L, phi, lower=True, check_finite=False)
+        return self._CT @ self._lu.solve(phi)
 
 
 def prolong(level: "MgLevel", vec_coarse: np.ndarray) -> np.ndarray:
@@ -318,11 +325,11 @@ class MultigridHierarchy:
 
     Answers the calls of the exact `SaddleFactor` with V-cycle-preconditioned
     flexible CG: `solve_gradient(b)`, `solve_projection_step(phi)` and
-    `rank_suspect` (from the finest level's C C^T factor).  Every solve adds
-    to the tallies `solves` (solves), `cycles` (V-cycles), `unconverged`
-    (solves ending above the residual target) and `residual` (largest final
-    true relative residual).  `bvh` (optional) is a tree fitted to `net` for the finest
-    level's metric.
+    `rank_suspect` (from the finest level's C C^T factor, Cholesky or LU).
+    Every solve adds to the tallies `solves` (solves), `cycles` (V-cycles),
+    `unconverged` (solves ending above the residual target) and `residual`
+    (largest final true relative residual).  `bvh` (optional) is a tree
+    fitted to `net` for the finest level's metric.
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`

@@ -326,14 +326,20 @@ class TestHierMetric:
             <= 1e-12 * np.linalg.norm(B0 @ u)
 
     def test_compiled_apply_matches_matrix_free(self):
-        self.check_compiled_apply(polygon_net(64))
+        self.check_compiled_apply(polygon_net(64), dense=True)
 
     def test_compiled_apply_matches_matrix_free_with_blocks(self):
-        assert self.check_compiled_apply(smooth_circle()) > 0
+        assert self.check_compiled_apply(smooth_circle(), dense=True) > 0
+
+    def test_compiled_apply_matches_matrix_free_sparse_near_field(self):
+        # S is 7% full here, so it stays CSR
+        net = generate_test_curve("perturbed-circle", 1024, seed=5)
+        assert self.check_compiled_apply(net, dense=False) > 0
 
     @staticmethod
-    def check_compiled_apply(net):
+    def check_compiled_apply(net, dense):
         hm = HierMetric(net, SIGMA)
+        assert isinstance(hm.S, np.ndarray) == dense
         U = np.random.default_rng(30).normal(size=(net.n_vertices, 2))
         want = hier_apply_high(hm, U) + hier_apply_low(hm, U)
         assert np.linalg.norm(hm.apply(U) - want) \

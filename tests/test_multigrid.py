@@ -101,17 +101,51 @@ def metric_norm_gap(metric, x, exact):
 
 class TestProjector:
     def test_projector_identities(self):
+        # a half-full C (barycenter + total length) takes the orthonormal Q
+        self.check_projector(dense=True)
+
+    def test_projector_identities_sparse_jacobian(self):
+        # a sparse C (barycenter + edge lengths) takes the LU of C C^T
+        self.check_projector(dense=False)
+
+    @staticmethod
+    def check_projector(dense):
         verts, edges = perturbed_polygon(24, seed=1)
         net = CurveNetwork(verts, edges)
-        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        keep = TotalLength(net.total_length()) if dense \
+            else EdgeLengths.from_network(net)
+        cs = ConstraintSet([Barycenter(), keep])
         hier = hierarchy_for(net, cs)
         level = hier.levels[0]
+        assert (level.Q is not None) == dense
         n = 3 * net.n_vertices
         eye = np.eye(n)
         P = np.column_stack([level.project(eye[:, i]) for i in range(n)])
         assert np.linalg.norm(P @ P - P) <= 1e-10
         assert np.linalg.norm(level.C @ P) <= 1e-10
         assert np.linalg.norm(P - P.T) <= 1e-10
+        C = level.C.toarray()
+        exact = np.eye(n) - C.T @ np.linalg.solve(C @ C.T, C)
+        assert np.linalg.norm(P - exact) <= 1e-12 * np.linalg.norm(exact)
+        phi = np.random.default_rng(2).normal(size=cs.k)
+        z = level.min_norm_solution(phi)
+        assert np.linalg.norm(level.C @ z - phi) <= 1e-12 * np.linalg.norm(phi)
+        assert np.linalg.norm(P @ z) <= 1e-12 * np.linalg.norm(z)
+
+    def test_dense_factor_reports_rank_loss(self):
+        net = generate_test_curve("perturbed-circle", 64, seed=5)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        level = MgLevel(net, P36, cs)
+        assert level.Q is not None and not level.rank_suspect
+        cs.add(TotalLength(net.total_length()))
+        C = cs.jacobian(net)
+        assert 3 * net.n_vertices * cs.k <= 2 * C.nnz   # still half full
+        try:
+            level = MgLevel(net, P36, cs)
+        except np.linalg.LinAlgError:
+            return
+        assert level.rank_suspect
 
     def test_apply_projected_projects_once(self):
         # operands already in null(C) need no projection before the metric
@@ -130,12 +164,13 @@ class TestProjector:
         assert kinds == {HierMetric, MetricOperator}
 
     def test_sparse_factor_for_large_k_reports_rank_loss(self):
-        # k > 512 takes the sparse LU of C C^T instead of the Cholesky
+        # a sparse C (edge lengths, k of order V) takes the sparse LU of
+        # C C^T, whose pivots show rank loss as the Cholesky's do
         net = generate_test_curve("perturbed-circle", 520, seed=12)
         cs = ConstraintSet([Barycenter.from_network(net),
                             EdgeLengths.from_network(net)])
         level = MgLevel(net, P36, cs)
-        assert level.k > 512 and not level.rank_suspect
+        assert level.Q is None and not level.rank_suspect
         v = np.random.default_rng(13).normal(size=3 * net.n_vertices)
         assert np.linalg.norm(level.C @ level.project(v)) \
             <= 1e-10 * np.linalg.norm(v)
