@@ -12,9 +12,9 @@ tests read.
 
 Far-field energy and differential contributions are lumped at admissible
 nodes.  The leaf pairs of a whole traversal form one ordered pair list for
-the dense energy's chunked pair kernel, which gives both pair orders from one
-set of endpoint differences gathered as (3, E) columns, so the eps -> 0 limit
-reproduces the dense energy and differential up to summation order.
+the energy module's chunked pair kernel, which gives both pair orders from
+one set of endpoint differences gathered as (3, E) columns, so the eps -> 0
+limit reproduces the exact energy and differential up to summation order.
 """
 
 from __future__ import annotations
@@ -235,5 +235,5 @@ def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
         inc2 = bvh.mass[node] * (ksum + tproj + common)
         _scatter(grad, np.concatenate([net.edges[sel, 0], net.edges[sel, 1]]),
                  np.concatenate([inc1, inc2]).T)
-    _pair_terms(net, params, I, J, grad=grad, j_ends=False)
+    _pair_terms(net, params, I, J, grad=grad)
     return grad.T.copy()

@@ -5,13 +5,21 @@ each pair is weighted by a 4-point trapezoidal sample of the kernel
 
     k(p, q, T) = |T x (p - q)|^alpha / |p - q|^beta
 
-using the first edge's unit tangent.  k is even in p - q, so one pass over
-the unordered pairs I < J gives both orders, k(d, T_I) and k(d, T_J), from the
-same four endpoint differences d.  The pass walks the pair list in chunks of
-4096 and gathers endpoints and tangents as (3, E) columns with np.take, so its
-memory is O(chunk).  The differential comes from the same pass: closed-form
-partials of each pair term, including the dependence of edge length and
-tangent on the endpoint positions, scattered with one bincount per coordinate.
+using the first edge's unit tangent.  Two passes evaluate it.
+
+The exact energy and differential sum over vertices, not edge pairs: the
+inner sum over the endpoints x_w of the edges J disjoint from I folds into a
+weight M[I, w], the total length of those edges at w.  `_vertex_terms`
+walks row blocks of edges against all vertices, takes the differences by
+broadcasting and evaluates 2 E V kernels, where the pair form takes 4 E^2.
+Its differential comes from row sums, column sums and (rows x V) @ (V x 3)
+products of the block kernels.
+
+The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
+chunks of 4096: k is even in p - q, so one set of endpoint differences,
+gathered as (3, E) columns with np.take, gives both orders k(d, T_I) and
+k(d, T_J), and its differential is scattered with one bincount per
+coordinate.  `bct.trapezoid_kernels` shares its gather.
 """
 
 from __future__ import annotations
@@ -172,15 +180,16 @@ def _scatter(grad: np.ndarray, idx: np.ndarray, vals: np.ndarray):
 
 
 def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
-                J: np.ndarray, grad: np.ndarray | None = None,
-                j_ends: bool = True) -> np.ndarray:
-    """Both orders of the pair terms of the edge pairs (I, J).
+                J: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
+    """Both orders of the pair terms of a pair list (I, J), such as the
+    Barnes-Hut leaf pairs; the exact energy takes `_vertex_terms` instead.
 
     Returns (e_I, e_J): the sums over the pairs of (1/4) l_I l_J sum_ab
     k(d_ab, T_I) and of the same with T_J.  k is even in d, so one set of
     endpoint differences serves both orders.  When grad, a (3, V) array, is
-    given, the differential of e_I + e_J is added to it on the endpoints of
-    I and, if j_ends, of J.
+    given, the differential of e_I + e_J in the endpoints of I is added to
+    it: over an ordered list holding (J, I) with each (I, J), that is the
+    whole differential.
     """
     alpha, beta = params.alpha, params.beta
     lengths = net.geometry().lengths
@@ -194,8 +203,8 @@ def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
             tangents = (ti, tj)
             tt = (_dot3(ti, ti), _dot3(tj, tj))
             ksum = [0.0, 0.0]
-            g_end = [[0.0, 0.0], [0.0, 0.0]]   # d-gradients per (edge, end)
-            s_t = [0.0, 0.0]                   # sum of c (T.d) d per edge
+            g_end = [0.0, 0.0]      # d-gradients at the two ends of I
+            s_t = 0.0               # sum of c (T_I.d) d
             for a, b, d, r2 in samples:
                 rb = r2 ** (-beta / 2)
                 cd, g_t = 0.0, 0.0
@@ -217,43 +226,164 @@ def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
                     u = c * td
                     cd = cd + c * tt[side] - beta * k / r2
                     g_t = g_t + u * t
-                    s_t[side] = s_t[side] + u * d
+                    if side == 0:
+                        s_t = s_t + u * d
                 if grad is not None:
-                    g_d = cd * d - g_t
-                    g_end[0][a] = g_end[0][a] + g_d
-                    g_end[1][b] = g_end[1][b] - g_d
+                    g_end[a] = g_end[a] + (cd * d - g_t)
             w = 0.25 * li * lj
             energy += (w @ ksum[0], w @ ksum[1])
             if grad is None:
                 continue
-            ks = ksum[0] + ksum[1]
-            sides = 2 if j_ends else 1
+            # w / l_I = l_J / 4 scales both the length variation, dl/dx = -+T
+            # at the two ends, and the tangent variation (Id - T T^t) dk/dT,
+            # where the r2 T part of dk/dT projects away
+            v = 0.25 * lj * ((ksum[0] + ksum[1]) * ti + _dot3(s_t, ti) * ti
+                             - s_t)
             P = len(w)
-            idx = np.empty(2 * sides * P, dtype=int)
-            vals = np.empty((3, 2 * sides * P))
-            for side in range(sides):
-                t, s, edge = tangents[side], s_t[side], (I, J)[side][sl]
-                # w / l_I = l_J / 4 scales both the length variation, dl/dx
-                # = -+T at the two ends, and the tangent variation (Id - T
-                # T^t) dk/dT, where the r2 T part of dk/dT projects away
-                v = 0.25 * (lj, li)[side] * (ks * t + _dot3(s, t) * t - s)
-                for end, sign in enumerate((-1.0, 1.0)):
-                    cols = slice((2 * side + end) * P, (2 * side + end + 1) * P)
-                    ends[end].take(edge, out=idx[cols])
-                    np.multiply(w, g_end[side][end], out=vals[:, cols])
-                    vals[:, cols] += sign * v
+            idx = np.empty(2 * P, dtype=int)
+            vals = np.empty((3, 2 * P))
+            for end, sign in enumerate((-1.0, 1.0)):
+                cols = slice(end * P, (end + 1) * P)
+                ends[end].take(I[sl], out=idx[cols])
+                np.multiply(w, g_end[end], out=vals[:, cols])
+                vals[:, cols] += sign * v
             _scatter(grad, idx, vals)
+    return energy
+
+
+# (edge, vertex) entries per row block of the vertex-form pass: the
+# temporaries of one block stay within a few MiB
+BLOCK_ENTRIES = 32768
+
+
+def _row_blocks(n_edges: int, n_vertices: int):
+    step = max(1, BLOCK_ENTRIES // n_vertices)
+    for start in range(0, n_edges, step):
+        yield start, min(start + step, n_edges)
+
+
+def _vertex_terms(net: CurveNetwork, params: EnergyParams,
+                  grad: np.ndarray | None = None) -> float:
+    """The energy as sum_I (1/4) l_I sum_a sum_w M[I, w] k(x(I_a) - x_w, T_I).
+
+    M[I, w] sums l_J over the edges J at vertex w that share no vertex with
+    I: the incident length S[w] less the adjacent edges of
+    `adjacent_vertex_triples`, and exactly zero where every edge at w is
+    adjacent to I (w = I_a among them).  The pass walks row blocks of edges
+    against all vertices, for both ends a; differences are broadcast, not
+    gathered.  Kernels where M = 0 are zeroed, not evaluated, and a zero
+    distance anywhere else raises SelfContactError.  When grad, a (V, 3)
+    array, is given, the differential is added to it: row sums, column
+    sums and (rows x V) @ (V x 3) products give the partials in the
+    endpoints, the tangents and the lengths l_I, and column sums less the
+    same adjacency correction give the dependence of M on l_J.
+    """
+    alpha, beta = params.alpha, params.beta
+    geom = net.geometry()
+    lengths, tangents, edges = geom.lengths, geom.tangents, net.edges
+    E, V = net.n_edges, net.n_vertices
+    rows, cols, full, group, J = net.adjacent_vertex_triples()
+    S = 2.0 * net.dual_masses()         # incident length per vertex
+    M = S[cols] - np.bincount(group, weights=lengths[J], minlength=len(rows))
+    M[full] = 0.0
+    lq = 0.25 * lengths
+    energy = 0.0
+    if grad is not None:
+        g_end = np.zeros((2, E, 3))     # d-partials at the ends x(I_a)
+        g_col = np.zeros((V, 3))        # minus the d-partials at the x_w
+        s_t = np.zeros((E, 3))          # sum of W c (T.d) d per edge
+        dl = np.zeros(E)                # partials in the lengths
+        col_k = np.zeros(V)             # column sums of (1/4) l_I sum_a k
+        k_adj = np.zeros(len(rows))     # the same at the (I, w) pairs
+    # near-contact overflow is deliberate: an inf energy makes the line
+    # search reject the trial, so the warning is suppressed, not guarded
+    with np.errstate(over="ignore", divide="ignore"):
+        for r0, r1 in _row_blocks(E, V):
+            u = slice(*np.searchsorted(rows, (r0, r1)))
+            pos = (rows[u] - r0) * V + cols[u]
+            zero = pos[full[u]]
+            W = np.multiply.outer(lq[r0:r1], S)
+            W.flat[pos] = lq[rows[u]] * M[u]
+            t = tangents[r0:r1]
+            ks = np.zeros_like(W)
+            # positions relative to the block's center: sum_w A (p - x_w) is
+            # expanded as p sum_w A - A X, whose rounding grows with |p|
+            X = net.vertices[edges[r0:r1]].reshape(-1, 3)
+            X = net.vertices - X.mean(axis=0)
+            for a in range(2):
+                p = X[edges[r0:r1, a]]
+                dx, dy, dz = (p[:, c, None] - X[:, c] for c in range(3))
+                r2 = dx * dx + dy * dy + dz * dz
+                r2.flat[zero] = 1.0     # M = 0 there: any finite value
+                if r2.min() == 0.0:
+                    hit = r2 == 0.0
+                    if np.any(W[hit] > 0):
+                        raise SelfContactError("coincident vertices on "
+                                               "non-adjacent edges; curve "
+                                               "touches itself")
+                    r2[hit] = 1.0
+                td = dx * t[:, 0, None]
+                td += dy * t[:, 1, None]
+                td += dz * t[:, 2, None]
+                del dx, dy, dz
+                cr2 = np.maximum(r2 - td * td, 0.0)
+                rb = r2 ** (-beta / 2)
+                if grad is None:
+                    k = cr2 ** (alpha / 2)
+                    k *= rb
+                else:
+                    # cr^(alpha-2), zero where cr = 0: the factors it scales
+                    # are O(cr), so the limit is zero for alpha > 1
+                    q = np.zeros_like(cr2)
+                    np.power(cr2, (alpha - 2) / 2, out=q, where=cr2 > 0)
+                    q *= rb
+                    k = cr2 * q
+                    # for unit T, dk/dd = c (d - (T.d) T) - beta k d / r2
+                    # and dk/dT = c (r2 T - (T.d) d), with c = alpha
+                    # cr^(alpha-2) / r^beta
+                    q *= W
+                    cr2 /= r2           # alpha - beta cr2 / r2, in place
+                    cr2 *= -beta
+                    cr2 += alpha
+                    A = cr2 * q         # W (c - beta k / r2)
+                    B = q * td          # W c (T.d) / alpha
+                    a_rows, b_rows = A.sum(axis=1), B.sum(axis=1)
+                    g_end[a, r0:r1] += (p * a_rows[:, None] - A @ X
+                                        - alpha * b_rows[:, None] * t)
+                    s_t[r0:r1] += alpha * (p * b_rows[:, None] - B @ X)
+                    g_col += A.T @ p - X * A.sum(axis=0)[:, None] \
+                        - alpha * (B.T @ t)
+                k.flat[zero] = 0.0
+                ks += k
+            e_rows = np.einsum("ij,ij->i", W, ks)
+            energy += float(e_rows.sum())
+            if grad is not None:
+                dl[r0:r1] += e_rows / lengths[r0:r1]
+                col_k += lq[r0:r1] @ ks
+                k_adj[u] = lq[rows[u]] * ks.flat[pos]
+    if grad is None:
+        return energy
+    # each l_J enters M[I, w] at its ends w for the I it does not touch
+    dl += col_k[edges[:, 0]] + col_k[edges[:, 1]] \
+        - np.bincount(J, weights=k_adj[group], minlength=E)
+    # dl/dx = -+T at the two ends; the tangent variation is (Id - T T^t)
+    # dE/dT / l, where the r2 T part of dk/dT projects away
+    s_dot_t = np.einsum("ij,ij->i", s_t, tangents)
+    v = dl[:, None] * tangents \
+        + (s_dot_t[:, None] * tangents - s_t) / lengths[:, None]
+    grad -= g_col
+    np.add.at(grad, edges[:, 1], g_end[1] + v)
+    np.add.at(grad, edges[:, 0], g_end[0] - v)
     return energy
 
 
 def discrete_energy(net: CurveNetwork, params: EnergyParams) -> float:
     """Trapezoidal tangent-point energy over all ordered non-adjacent edge pairs."""
-    return float(_pair_terms(net, params,
-                             *net.disjoint_edge_pairs_upper()).sum())
+    return _vertex_terms(net, params)
 
 
 def discrete_differential(net: CurveNetwork, params: EnergyParams) -> np.ndarray:
     """Exact gradient of the discrete energy w.r.t. vertex positions, (V, 3)."""
-    grad = np.zeros((3, net.n_vertices))
-    _pair_terms(net, params, *net.disjoint_edge_pairs_upper(), grad=grad)
-    return grad.T.copy()
+    grad = np.zeros((net.n_vertices, 3))
+    _vertex_terms(net, params, grad=grad)
+    return grad

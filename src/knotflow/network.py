@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class InvalidNetworkError(ValueError):
@@ -75,7 +76,8 @@ class CurveNetwork:
         self.vertices = vertices
         self.edges = edges
         self._geometry = edge_geometry(self)   # rejects zero-length edges
-        # pair lists, which depend on the edges alone; shared by snapshots
+        # pair lists and adjacency triples, which depend on the edges
+        # alone; shared by snapshots
         self._topology = topology
 
     @property
@@ -90,7 +92,8 @@ class CurveNetwork:
         """New network with the same edges and updated positions.
 
         The snapshot shares this network's validated edges and topology
-        caches (pair lists); only the positions are checked."""
+        caches (pair lists, adjacency triples); only the positions are
+        checked."""
         vertices = _checked_positions(vertices)
         if len(vertices) != self.n_vertices:
             raise InvalidNetworkError(
@@ -140,6 +143,31 @@ class CurveNetwork:
             keep = ~edges_share_vertex(self.edges[ii], self.edges[jj])
             self._topology["upper"] = _read_only(ii[keep], jj[keep])
         return self._topology["upper"]
+
+    def adjacent_vertex_triples(self) -> tuple[np.ndarray, ...]:
+        """Triples (I, w, J) with J = I or J sharing a vertex with I, and w a
+        vertex of J, grouped by their (I, w) pair; cached like the pair lists.
+
+        Returns (rows, cols, full, group, J): the distinct pairs (rows[u],
+        cols[u]), sorted by row and then column; full[u], true where every
+        edge at cols[u] shares a vertex with rows[u]; and for each triple its
+        pair index group and its edge J.
+        """
+        if "triples" not in self._topology:
+            E, V = self.n_edges, self.n_vertices
+            incidence = csr_matrix(
+                (np.ones(2 * E), (np.repeat(np.arange(E), 2),
+                                  self.edges.reshape(-1))), shape=(E, V))
+            adjacent = (incidence @ incidence.T).tocoo()
+            I, J = np.repeat(adjacent.row, 2), np.repeat(adjacent.col, 2)
+            keys, group, counts = np.unique(
+                I * V + self.edges[adjacent.col].reshape(-1),
+                return_inverse=True, return_counts=True)
+            rows, cols = np.divmod(keys, V)
+            full = counts == self.degrees[cols]
+            self._topology["triples"] = _read_only(
+                rows, cols, full, group, J.astype(int))
+        return self._topology["triples"]
 
     def disjoint_edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Ordered edge pairs (I, J) sharing no vertex, row-major in (I, J):

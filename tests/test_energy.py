@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
+from knotflow.bvh import EdgeBvh, _traverse, bh_differential, bh_energy
 from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
-                             SelfContactError, discrete_differential,
-                             discrete_energy, kernel, validate_params)
+                             SelfContactError, _row_blocks,
+                             discrete_differential, discrete_energy, kernel,
+                             validate_params)
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
@@ -49,13 +50,38 @@ def touching_loops(n=24):
     return np.vstack([verts, other]), np.vstack([edges, edges + n])
 
 
-def trefoil_144():
-    net = generate_test_curve("random-trefoil", 144, seed=8)
+def trefoil(n):
+    net = generate_test_curve("random-trefoil", n, seed=8)
     return net.vertices, net.edges
 
 
-# I < J pair counts above two pair chunks, so chunk seams are crossed
-MULTI_CHUNK = {"trefoil": trefoil_144, "theta-and-loop": theta_and_loop}
+def trefoil_144():
+    return trefoil(144)
+
+
+def open_arc(n=40, seed=6):
+    """A jittered open helix arc of n edges: two endpoints of degree 1."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 3 * np.pi, n + 1)
+    verts = np.stack([np.cos(t), np.sin(t), 0.3 * t], axis=1) \
+        + rng.uniform(-0.02, 0.02, (n + 1, 3))
+    return verts, np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+
+
+# networks beyond one loop, each with its dense and Barnes-Hut twins
+TWINS = {"theta-and-loop": theta_and_loop, "open-arc": open_arc,
+         "trefoil": trefoil_144}
+TWIN_PARAMS = [(3, 6), (2, 4.5)]
+
+
+# at least two row blocks of the vertex-form pass (the last one partial),
+# so block seams are crossed
+MULTI_CHUNK = {"trefoil": lambda: trefoil(200),
+               "theta-and-loop": lambda: theta_and_loop(m=40, n_loop=64)}
+
+
+def n_row_blocks(net):
+    return len(list(_row_blocks(net.n_edges, net.n_vertices)))
 
 
 SQUARE = CurveNetwork(
@@ -181,13 +207,73 @@ class TestEnergy:
         with pytest.raises(SelfContactError):
             bh_differential(net, bvh, p, eps=0.25)
 
+    def test_folded_arc_is_zero(self):
+        # the end vertices coincide, but the only two edges meet: there is
+        # no disjoint pair, so there is no contact and no kernel to evaluate
+        net = CurveNetwork([[0., 0., 0.], [1., 0., 0.], [0., 0., 0.]],
+                           [[0, 1], [1, 2]])
+        p = validate_params(3, 6)
+        assert discrete_energy(net, p) == 0.0
+        assert np.all(discrete_differential(net, p) == 0.0)
+
+    def test_vertex_on_no_edge_is_ignored(self):
+        # a vertex on no edge lies on no disjoint pair, even where it
+        # coincides with a corner of the square
+        verts = np.vstack([SQUARE.vertices, SQUARE.vertices[:1]])
+        net = CurveNetwork(verts, SQUARE.edges)
+        p = validate_params(3, 6)
+        assert discrete_energy(net, p) == discrete_energy(SQUARE, p)
+        grad = discrete_differential(net, p)
+        assert np.allclose(grad[:4], discrete_differential(SQUARE, p),
+                           rtol=1e-14, atol=1e-14)
+        assert np.all(grad[4] == 0.0)
+
     @pytest.mark.parametrize("scene", sorted(MULTI_CHUNK))
     def test_multi_chunk_matches_brute_force(self, scene):
         verts, edges = MULTI_CHUNK[scene]()
         net = CurveNetwork(verts, edges)
-        assert len(net.disjoint_edge_pairs_upper()[0]) > 2 * PAIR_CHUNK
+        assert n_row_blocks(net) >= 2
         assert discrete_energy(net, validate_params(3, 6)) == pytest.approx(
             brute_energy(verts, edges, 3, 6), rel=1e-12)
+
+    @pytest.mark.parametrize("scene", sorted(MULTI_CHUNK))
+    def test_multi_chunk_barnes_hut_leaf_pairs(self, scene):
+        # at eps = 0 every disjoint pair is a leaf pair, so the pair-list
+        # kernel crosses its chunk seams
+        net = CurveNetwork(*MULTI_CHUNK[scene]())
+        bvh = EdgeBvh(net, leaf_size=1)
+        assert len(_traverse(net, bvh, 0.0)[1]) > 2 * PAIR_CHUNK
+        p = validate_params(3, 6)
+        assert bh_energy(net, bvh, p, eps=0.0) == pytest.approx(
+            discrete_energy(net, p), rel=1e-12)
+        exact = discrete_differential(net, p)
+        assert np.allclose(bh_differential(net, bvh, p, eps=0.0), exact,
+                           rtol=1e-12, atol=1e-12 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("alpha, beta", TWIN_PARAMS)
+@pytest.mark.parametrize("scene", sorted(TWINS))
+class TestTwins:
+    """The dense vertex-form pass against the Barnes-Hut pair-list pass at
+    eps = 0 (every disjoint pair a leaf pair) and the brute-force loop."""
+
+    def test_energy(self, scene, alpha, beta):
+        verts, edges = TWINS[scene]()
+        net = CurveNetwork(verts, edges)
+        p = validate_params(alpha, beta)
+        dense = discrete_energy(net, p)
+        assert dense == pytest.approx(brute_energy(verts, edges, alpha, beta),
+                                      rel=1e-12)
+        bh = bh_energy(net, EdgeBvh(net, leaf_size=1), p, eps=0.0)
+        assert dense == pytest.approx(bh, rel=1e-12)
+
+    def test_differential(self, scene, alpha, beta):
+        net = CurveNetwork(*TWINS[scene]())
+        p = validate_params(alpha, beta)
+        dense = discrete_differential(net, p)
+        bh = bh_differential(net, EdgeBvh(net, leaf_size=1), p, eps=0.0)
+        assert np.allclose(dense, bh, rtol=1e-12,
+                           atol=1e-12 * np.abs(dense).max())
 
 
 class TestDifferential:
@@ -254,15 +340,15 @@ class TestDifferential:
 
 
 class TestMemory:
-    """The pair pass works chunk by chunk: its peak allocation does not grow
-    with the number of pairs (73 152 here)."""
+    """The vertex-form pass works row block by row block: its peak
+    allocation does not grow with the 384 x 384 (edge, vertex) pairs here."""
 
     @pytest.mark.parametrize("func, limit_mib",
                              [(discrete_energy, 4), (discrete_differential, 8)])
     def test_peak_allocation(self, func, limit_mib):
         net = generate_test_curve("random-trefoil", 384, seed=8)
         p = validate_params(3, 6)
-        func(net, p)            # fills the cached pair list
+        func(net, p)            # fills the cached adjacency triples
         tracemalloc.start()
         try:
             func(net, p)

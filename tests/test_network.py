@@ -167,3 +167,24 @@ def test_stack_roundtrip():
     assert np.array_equal(unstack_fields(stack_fields(field)), field)
     vec = stack_fields(field)
     assert np.array_equal(vec[:6], field[:, 0])
+
+
+def test_adjacent_vertex_triples_match_loops():
+    # two junctures (0 and 1) joined by three arcs, with a tail at vertex 1
+    edges = np.array([[0, 2], [2, 1], [0, 3], [3, 1], [0, 4], [4, 5],
+                      [5, 1], [1, 6]])
+    verts = np.random.default_rng(3).normal(size=(7, 3))
+    net = CurveNetwork(verts, edges)
+    rows, cols, full, group, J = net.adjacent_vertex_triples()
+    ends = [set(e) for e in edges.tolist()]
+    expected = {(I, w, K) for I in range(len(edges)) for K in range(len(edges))
+                if ends[I] & ends[K] for w in ends[K]}
+    triples = list(zip(rows[group].tolist(), cols[group].tolist(), J.tolist()))
+    assert len(triples) == len(expected) and set(triples) == expected
+    assert np.all(np.diff(rows * net.n_vertices + cols) > 0)
+    for I, w, is_full in zip(rows, cols, full):
+        assert is_full == all(ends[I] & ends[K] for K in range(len(edges))
+                              if w in ends[K])
+    moved = net.with_positions(verts + 1.0)
+    assert moved.adjacent_vertex_triples()[0] is rows
+    assert not rows.flags.writeable
