@@ -102,7 +102,13 @@ class BlockClusterTree:
     """Partition of the edge-pair matrix into admissible and near blocks.
 
     Construction proceeds breadth-first with all candidate blocks of one
-    generation tested in single vectorized sweeps.
+    generation tested in single vectorized sweeps.  Block (a, b), with
+    centers of mass at distance dist, is admissible when max(r_x) <= eps
+    dist, max(r_T) <= eps and 2 (r_x[a] + r_x[b]) < dist.  Every point of
+    a node's edges lies within 2 r_x of its center of mass (`EdgeBvh.refit`),
+    so the last term keeps identical and adjacent edge pairs, which the
+    kernels exclude, out of every admissible block at any eps; at eps < 1/4
+    the first term implies it.
     """
 
     def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS,
@@ -122,14 +128,9 @@ class BlockClusterTree:
                 dist2 = np.einsum("ni,ni->n", d, d)
                 rx = np.maximum(bvh.r_x[a], bvh.r_x[b])
                 rt = np.maximum(bvh.r_T[a], bvh.r_T[b])
-                ok = (dist2 > 0) & (rx * rx <= self.eps ** 2 * dist2) \
-                    & (rt <= self.eps)
-                if np.any(ok):
-                    idx = np.flatnonzero(ok)
-                    clean = np.fromiter(
-                        (not self._contains_excluded(a[i], b[i]) for i in idx),
-                        dtype=bool, count=len(idx))
-                    ok[idx[~clean]] = False
+                sep = 2 * (bvh.r_x[a] + bvh.r_x[b])
+                ok = (sep * sep < dist2) \
+                    & (rx * rx <= self.eps ** 2 * dist2) & (rt <= self.eps)
             else:
                 ok = np.zeros(len(a), dtype=bool)
             adm_a.append(a[ok])
@@ -180,32 +181,23 @@ class BlockClusterTree:
             shape=(len(sizes), len(bvh.order)))
         self._near_pairs = None
 
-    def _contains_excluded(self, a, b) -> bool:
-        """True if the block would aggregate an identical/adjacent edge pair."""
-        bvh = self.bvh
-        edges_a = bvh.order[bvh.start[a]:bvh.end[a]]
-        ex = bvh.excluded_pos[edges_a]
-        return bool(np.any((ex >= bvh.start[b]) & (ex < bvh.end[b])))
-
     def near_pair_arrays(self, net: CurveNetwork):
-        """All exact near-field edge pairs (excluded pairs removed), cached."""
+        """All exact near-field edge pairs (excluded pairs removed), cached.
+
+        Near block (a, b) holds n_a n_b pairs, listed row-major: its k-th
+        pair takes edge k // n_b of side a and edge k % n_b of side b.
+        """
         if self._near_pairs is None:
             bvh = self.bvh
-            I_parts, J_parts = [], []
-            for a, b in self.near:
-                ia = bvh.order[bvh.start[a]:bvh.end[a]]
-                jb = bvh.order[bvh.start[b]:bvh.end[b]]
-                I_parts.append(np.repeat(ia, len(jb)))
-                J_parts.append(np.tile(jb, len(ia)))
-            if I_parts:
-                I = np.concatenate(I_parts)
-                J = np.concatenate(J_parts)
-                keep = (I != J) & ~edges_share_vertex(net.edges[I],
-                                                      net.edges[J])
-                self._near_pairs = (I[keep], J[keep])
-            else:
-                self._near_pairs = (np.zeros(0, dtype=int),
-                                    np.zeros(0, dtype=int))
+            a, b = np.array(self.near, dtype=int).reshape(-1, 2).T
+            n_b = bvh.end[b] - bvh.start[b]
+            runs = (bvh.end[a] - bvh.start[a]) * n_b
+            blk = np.repeat(np.arange(len(runs)), runs)
+            k = np.arange(len(blk)) - np.repeat(np.cumsum(runs) - runs, runs)
+            I = bvh.order[bvh.start[a][blk] + k // n_b[blk]]
+            J = bvh.order[bvh.start[b][blk] + k % n_b[blk]]
+            keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
+            self._near_pairs = (I[keep], J[keep])
         return self._near_pairs
 
 

@@ -10,6 +10,15 @@ aggregates (total mass, center of mass, average tangent) plus tangential and
 spatial bounding radii, which the Barnes-Hut and block-cluster admissibility
 tests read.
 
+The energy and the metric sum only over edge pairs that share no vertex, and
+the admissibility tests keep such pairs apart by geometry alone: every point
+of a node's edges lies within 2 r_x of its center of mass (see `refit`).  So
+edge I, with midpoint farther than 2 r_x + l_I / 2 from a node's center of
+mass, neither is nor touches any edge of the node, and nodes a and b with
+centers farther apart than 2 (r_x[a] + r_x[b]) share no edge or vertex.  No
+lumped group or admissible block can then hold an identical or adjacent pair;
+only the exact leaf and near-field pair lists drop those pairs, by index.
+
 Far-field energy and differential contributions are lumped at admissible
 nodes.  The leaf pairs of a whole traversal form one ordered pair list for
 the energy module's chunked pair kernel, which gives both pair orders from
@@ -67,31 +76,9 @@ class EdgeBvh:
 
     def __init__(self, net: CurveNetwork, leaf_size: int = LEAF_SIZE):
         self.leaf_size = int(leaf_size)
-        E = net.n_edges
         self.order, self.start, self.end, self.left, self.right = \
             median_split_tree(net.geometry().midpoints, self.leaf_size)
         self.n_nodes = len(self.left)
-        self.pos_in_order = np.empty(E, dtype=int)
-        self.pos_in_order[self.order] = np.arange(E)
-
-        # permuted positions of each edge and its vertex-sharing neighbors,
-        # padded; a node may only be lumped for edge I if it contains none of
-        # them (otherwise near-singular excluded pairs would be aggregated)
-        incident = [[] for _ in range(net.n_vertices)]
-        for e, (i, j) in enumerate(net.edges):
-            incident[i].append(e)
-            incident[j].append(e)
-        groups = []
-        for e in range(E):
-            nb = set()
-            for v in net.edges[e]:
-                nb.update(incident[v])
-            groups.append(sorted(nb))
-        width = max(len(g) for g in groups)
-        self.excluded_pos = np.full((E, width), E, dtype=int)
-        for e, g in enumerate(groups):
-            self.excluded_pos[e, :len(g)] = self.pos_in_order[g]
-
         self.mass = np.zeros(self.n_nodes)
         self.com = np.zeros((self.n_nodes, 3))
         self.avg_tangent = np.zeros((self.n_nodes, 3))
@@ -107,6 +94,8 @@ class EdgeBvh:
         Spatial boxes bound full edge extents (both endpoints), not just
         midpoints: the lumped far-field replaces 4-point trapezoid terms, so
         the quadrature spread of each edge must count toward the node radius.
+        The center of mass, a weighted mean of midpoints, lies in the box, so
+        every point of the node's edges lies within 2 r_x of it.
         """
         geom = net.geometry()
         lengths = geom.lengths
@@ -165,16 +154,16 @@ def _traverse(net: CurveNetwork, bvh: EdgeBvh, eps: float):
     stack = [(0, np.arange(net.n_edges))]
     while stack:
         node, active = stack.pop()
-        blocked = np.any(
-            (bvh.excluded_pos[active] >= bvh.start[node])
-            & (bvh.excluded_pos[active] < bvh.end[node]), axis=1)
         d = geom.midpoints[active] - bvh.com[node]
         dist = np.linalg.norm(d, axis=1)
         if eps > 0:
             # the query edge's own half-length joins the node radius: the
             # lumped value also replaces the 4-point spread across edge I
-            reach = bvh.r_x[node] + 0.5 * geom.lengths[active]
-            admissible = (~blocked) & (dist > 0) \
+            half = 0.5 * geom.lengths[active]
+            reach = bvh.r_x[node] + half
+            # the separation term keeps edge I from being lumped with itself
+            # or a neighbor at any eps (module docstring); eps < 1/2 implies it
+            admissible = (dist > 2 * bvh.r_x[node] + half) \
                 & (reach <= eps * dist) & (bvh.r_T[node] <= eps)
         else:
             admissible = np.zeros(len(active), dtype=bool)
@@ -204,7 +193,7 @@ def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
                          geom.tangents[sel], params.alpha, params.beta)
         total += float(np.sum(kv * geom.lengths[sel])) * bvh.mass[node]
     # the leaf pairs are ordered (I traversing): only the T_I order counts
-    return total + float(_pair_terms(net, params, I, J)[0])
+    return total + float(_pair_terms(net, params, I, J))
 
 
 def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,

@@ -18,8 +18,8 @@ products of the block kernels.
 The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
 chunks of 4096: k is even in p - q, so one set of endpoint differences,
 gathered as (3, E) columns with np.take, gives both orders k(d, T_I) and
-k(d, T_J), and its differential is scattered with one bincount per
-coordinate.  `bct.trapezoid_kernels` shares its gather.
+k(d, T_J) that the differential needs, and the differential is scattered
+with one bincount per coordinate.  `bct.trapezoid_kernels` shares its gather.
 """
 
 from __future__ import annotations
@@ -180,28 +180,28 @@ def _scatter(grad: np.ndarray, idx: np.ndarray, vals: np.ndarray):
 
 
 def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
-                J: np.ndarray, grad: np.ndarray | None = None) -> np.ndarray:
-    """Both orders of the pair terms of a pair list (I, J), such as the
-    Barnes-Hut leaf pairs; the exact energy takes `_vertex_terms` instead.
+                J: np.ndarray, grad: np.ndarray | None = None) -> float:
+    """The pair terms of a pair list (I, J), such as the Barnes-Hut leaf
+    pairs; the exact energy takes `_vertex_terms` instead.
 
-    Returns (e_I, e_J): the sums over the pairs of (1/4) l_I l_J sum_ab
-    k(d_ab, T_I) and of the same with T_J.  k is even in d, so one set of
-    endpoint differences serves both orders.  When grad, a (3, V) array, is
-    given, the differential of e_I + e_J in the endpoints of I is added to
-    it: over an ordered list holding (J, I) with each (I, J), that is the
-    whole differential.
+    Returns e_I, the sum over the pairs of (1/4) l_I l_J sum_ab k(d_ab, T_I).
+    When grad, a (3, V) array, is given, the differential of e_I + e_J in the
+    endpoints of I is added to it, where e_J is the same sum with T_J: over
+    an ordered list holding (J, I) with each (I, J), that is the whole
+    differential.  k is even in d, so one set of endpoint differences serves
+    both orders; without grad only the T_I order is evaluated.
     """
     alpha, beta = params.alpha, params.beta
     lengths = net.geometry().lengths
     ends = (net.edges[:, 0], net.edges[:, 1])
-    energy = np.zeros(2)
+    energy = 0.0
     # near-contact overflow is deliberate: an inf energy makes the line
     # search reject the trial, so the warning is suppressed, not guarded
     with np.errstate(over="ignore", divide="ignore"):
         for sl, ti, tj, samples in _pair_samples(net, I, J):
             li, lj = lengths.take(I[sl]), lengths.take(J[sl])
-            tangents = (ti, tj)
-            tt = (_dot3(ti, ti), _dot3(tj, tj))
+            tangents = (ti,) if grad is None else (ti, tj)
+            tt = [_dot3(t, t) for t in tangents]
             ksum = [0.0, 0.0]
             g_end = [0.0, 0.0]      # d-gradients at the two ends of I
             s_t = 0.0               # sum of c (T_I.d) d
@@ -231,7 +231,7 @@ def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
                 if grad is not None:
                     g_end[a] = g_end[a] + (cd * d - g_t)
             w = 0.25 * li * lj
-            energy += (w @ ksum[0], w @ ksum[1])
+            energy += w @ ksum[0]
             if grad is None:
                 continue
             # w / l_I = l_J / 4 scales both the length variation, dl/dx = -+T

@@ -4,6 +4,8 @@ Everything here is written as plain loops over the defining formulas, kept
 deliberately separate from the library's vectorized implementations.
 """
 
+import math
+
 import numpy as np
 
 from knotflow.meshes import TriangleMesh
@@ -29,24 +31,34 @@ def finite_difference_gradient(func, x0, h=1e-5):
 
 
 def kernel_value(p, q, T, alpha, beta):
-    d = np.asarray(p, float) - np.asarray(q, float)
-    cr = np.linalg.norm(np.cross(T, d))
-    return cr ** alpha / np.linalg.norm(d) ** beta
+    """|T x (p - q)|^alpha / |p - q|^beta in scalar arithmetic."""
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    tx, ty, tz = T
+    cx = ty * dz - tz * dy
+    cy = tz * dx - tx * dz
+    cz = tx * dy - ty * dx
+    cr = math.sqrt(cx * cx + cy * cy + cz * cz)
+    return cr ** alpha / math.sqrt(dx * dx + dy * dy + dz * dz) ** beta
 
 
 def brute_energy(vertices, edges, alpha, beta):
     """Direct loop evaluation of the trapezoidal tangent-point energy."""
-    vertices = np.asarray(vertices, float)
+    pts = [tuple(float(c) for c in v) for v in vertices]
+    edges = [(int(i1), int(i2)) for i1, i2 in edges]
+
+    def length(i1, i2):
+        return math.sqrt(sum((b - a) ** 2 for a, b in zip(pts[i1], pts[i2])))
+
     total = 0.0
-    for I, (i1, i2) in enumerate(edges):
-        li = np.linalg.norm(vertices[i2] - vertices[i1])
-        ti = (vertices[i2] - vertices[i1]) / li
-        for J, (j1, j2) in enumerate(edges):
+    for i1, i2 in edges:
+        li = length(i1, i2)
+        ti = [(b - a) / li for a, b in zip(pts[i1], pts[i2])]
+        for j1, j2 in edges:
             if {i1, i2} & {j1, j2}:
                 continue
-            lj = np.linalg.norm(vertices[j2] - vertices[j1])
+            lj = length(j1, j2)
             khat = 0.25 * sum(
-                kernel_value(vertices[i], vertices[j], ti, alpha, beta)
+                kernel_value(pts[i], pts[j], ti, alpha, beta)
                 for i in (i1, i2) for j in (j1, j2))
             total += khat * li * lj
     return total

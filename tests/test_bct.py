@@ -93,6 +93,14 @@ class TestStructure:
         assert len(bct.adm_a) > 0
         self.check_no_excluded_pair(net, bct)
 
+    def test_no_admissible_block_contains_excluded_pair_past_quarter_eps(self):
+        # past eps = 1/4 the eps test alone admits blocks holding adjacent
+        # pairs; the separation term must keep them out
+        net = smooth_circle()
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.6, near_size=2)
+        assert len(bct.adm_a) > 0
+        self.check_no_excluded_pair(net, bct)
+
     @staticmethod
     def check_no_excluded_pair(net, bct):
         from knotflow.network import edges_share_vertex

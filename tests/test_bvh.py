@@ -4,7 +4,7 @@ import pytest
 from knotflow.bvh import EdgeBvh, _traverse, bh_differential, bh_energy
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
-from knotflow.network import CurveNetwork
+from knotflow.network import CurveNetwork, edges_share_vertex
 from knotflow.scenes import generate_test_curve
 
 from oracles import (perturbed_polygon, regular_polygon, smooth_circle,
@@ -138,6 +138,20 @@ class TestEnergy:
         exact = discrete_energy(net, P36)
         approx = bh_energy(net, bvh, P36, eps=0.05)
         assert abs(approx - exact) / exact < 1e-3
+
+    def test_no_far_group_lumps_an_edge_with_itself_or_a_neighbor(self):
+        # past eps = 1/2 the eps test alone lumps some edges against a node
+        # holding them or a neighbor; the separation term must keep them out
+        net = generate_test_curve("random-trefoil", 128, seed=8)
+        bvh = EdgeBvh(net)
+        far = _traverse(net, bvh, 0.8)[0]
+        assert len(far) > 0
+        for node, edges in far:
+            held = bvh.order[bvh.start[node]:bvh.end[node]]
+            I = np.repeat(edges, len(held))
+            J = np.tile(held, len(edges))
+            assert not np.any(I == J)
+            assert not np.any(edges_share_vertex(net.edges[I], net.edges[J]))
 
     def test_perturbed_256gon_error_bound(self):
         verts, edges = perturbed_polygon(256, seed=6)
