@@ -22,7 +22,8 @@ import numpy as np
 from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
 from .bvh import EdgeBvh
-from .energy import SelfContactError, _dot3, _pair_chunks, _pair_samples
+from .energy import SelfContactError, _dot3, _pair_samples
+from .metric import average_matrix, derivative_matrix, metric_parts
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -108,7 +109,9 @@ class BlockClusterTree:
     a node's edges lies within 2 r_x of its center of mass (`EdgeBvh.refit`),
     so the last term keeps identical and adjacent edge pairs, which the
     kernels exclude, out of every admissible block at any eps; at eps < 1/4
-    the first term implies it.
+    the first term implies it.  `adm_a`, `adm_b` and `near_a`, `near_b`
+    hold the node pairs of the admissible and the near blocks, generation
+    by generation.
     """
 
     def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS,
@@ -162,10 +165,10 @@ class BlockClusterTree:
                 next_b += [bvh.left[b[only_b]], bvh.right[b[only_b]]]
             a = np.concatenate(next_a) if next_a else np.zeros(0, dtype=int)
             b = np.concatenate(next_b) if next_b else np.zeros(0, dtype=int)
-        self.adm_a = np.concatenate(adm_a) if adm_a else np.zeros(0, dtype=int)
-        self.adm_b = np.concatenate(adm_b) if adm_b else np.zeros(0, dtype=int)
-        self.near = list(zip(np.concatenate(near_a) if near_a else [],
-                             np.concatenate(near_b) if near_b else []))
+        # the sweep runs at least once, on the root block
+        self.adm_a, self.adm_b = np.concatenate(adm_a), np.concatenate(adm_b)
+        self.near_a = np.concatenate(near_a)
+        self.near_b = np.concatenate(near_b)
         # far-field clusters: the nodes in any admissible block, the 0/1
         # matrix of the edges each contains, and each block as a row pair
         self.far_nodes, rows = np.unique(
@@ -189,7 +192,7 @@ class BlockClusterTree:
         """
         if self._near_pairs is None:
             bvh = self.bvh
-            a, b = np.array(self.near, dtype=int).reshape(-1, 2).T
+            a, b = self.near_a, self.near_b
             n_b = bvh.end[b] - bvh.start[b]
             runs = (bvh.end[a] - bvh.start[a]) * n_b
             blk = np.repeat(np.arange(len(runs)), runs)
@@ -288,17 +291,17 @@ class HierMetric:
         W     = [Up D_0; Up D_1; Up D_2; Up E]
         K_blk = blockdiag(K_adm, K_adm, K_adm, K0_adm)
 
-    S is assembled directly from the near pairs and the two-vertex stencils
-    of D_c and E.  The diagonal terms are the row sums of the same
-    approximate K, far field included, so constants are annihilated
-    regardless of the block approximation error.  `k_high` and `k_low` keep
-    the two kernel matrices and `bct` the block partition.
+    S is `metric.metric_parts` of the sparse near fields with the row sums
+    of the same approximate K, far field included, so constants are
+    annihilated regardless of the block approximation error.  S is kept
+    dense when it holds at least 2/3 V^2 entries, where 8 bytes per dense
+    entry cost no more than CSR's 12 per nonzero, and as CSR otherwise.
+    `k_high` and `k_low` keep the two kernel matrices and `bct` the block
+    partition.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
                  bvh: EdgeBvh | None = None, eps: float = DEFAULT_BCT_EPS):
-        from .metric import average_matrix, derivative_matrix
-
         self.net = net
         self.sigma = float(sigma)
         self.bvh = bvh if bvh is not None else EdgeBvh(net)
@@ -310,8 +313,10 @@ class HierMetric:
         self.k_low = HierKernelMatrix(
             self.bct, KernelSpec("low", self.sigma), net, near_entries=low)
         self.n = net.n_vertices
-        self.S = _near_operator(net, I, J, high, low, self.k_high.row_sums(),
-                                self.k_low.row_sums())
+        B, B0 = metric_parts(net, self.k_high.near, self.k_low.near,
+                             self.k_high.row_sums(), self.k_low.row_sums())
+        S = B + B0
+        self.S = S.toarray() if 3 * S.nnz >= 2 * self.n ** 2 else S
         D, up = derivative_matrix(net), self.k_high.up
         self.W = vstack([up @ D[c::3] for c in range(3)]
                         + [up @ average_matrix(net)], format="csr")
@@ -330,46 +335,3 @@ class HierMetric:
         """blockdiag(A, A, A) @ vec for stacked (3V,) vectors."""
         return self.apply(vec.reshape(3, self.n).T).T.reshape(-1)
 
-
-def _near_operator(net: CurveNetwork, I: np.ndarray, J: np.ndarray,
-                   high: np.ndarray, low: np.ndarray, rows_high: np.ndarray,
-                   rows_low: np.ndarray) -> csr_matrix | np.ndarray:
-    """S = sum_c D_c^T (diag(K 1) - K_near) D_c + E^T (diag(K0 1) - K0_near) E,
-    V x V, sparse or dense by fill.
-
-    (D_c u)_I = (u_i2 - u_i1) T_Ic / l_I and (E u)_I = (u_i1 + u_i2) / 2, so
-    an edge pair (I, J) with near entries k, k0 adds -(s t k <T_I, T_J> /
-    (l_I l_J) + k0 / 4) at (vertex s of I, vertex t of J), with signs s, t =
-    -1 at an edge's first vertex and +1 at its second; edge I itself adds
-    s t K1_I |T_I|^2 / l_I^2 + K0 1_I / 4 at (vertex s of I, vertex t of I).
-    The pairs go in chunks, each summed over its repeated vertex pairs, so
-    no temporary holds all 4 entries of every pair.  S is returned dense
-    when it holds at least 2/3 V^2 entries, where 8 bytes per dense entry
-    cost no more than CSR's 12 per nonzero, and as CSR otherwise.
-    """
-    geom = net.geometry()
-    coeff = (geom.tangents / geom.lengths[:, None]).T      # (3, E)
-    edges = net.edges.astype(np.int32)
-    st = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    V = net.n_vertices
-
-    def entries(I, J, vals):
-        """(vertex s of I, vertex t of J) += vals[:, s, t], summed."""
-        rows = np.repeat(edges[I], 2, axis=1).reshape(-1)
-        cols = np.tile(edges[J], 2).reshape(-1)
-        return coo_matrix((vals.reshape(-1), (rows, cols)),
-                          shape=(V, V)).tocsr().tocoo()
-
-    own = np.arange(len(edges))
-    parts = [entries(own, own, (rows_high * (coeff ** 2).sum(axis=0))
-                     [:, None, None] * st + 0.25 * rows_low[:, None, None])]
-    for sl in _pair_chunks(len(I)):
-        Ic, Jc = I[sl], J[sl]
-        dots = np.einsum("ci,ci->i", coeff[:, Ic], coeff[:, Jc])
-        parts.append(entries(Ic, Jc, -(high[sl] * dots)[:, None, None] * st
-                             - 0.25 * low[sl, None, None]))
-    S = coo_matrix(
-        (np.concatenate([p.data for p in parts]),
-         (np.concatenate([p.row for p in parts]),
-          np.concatenate([p.col for p in parts]))), shape=(V, V)).tocsr()
-    return S.toarray() if 3 * S.nnz >= 2 * V * V else S

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bct import (DEFAULT_BCT_EPS, BlockClusterTree, HierKernelMatrix,
-                  KernelSpec, dense_kernel_matrix)
+                  KernelSpec, dense_kernel_matrices, dense_kernel_matrix)
 from .bvh import EdgeBvh, bh_differential
 from .constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
 from .energy import discrete_differential, discrete_energy, validate_params
@@ -164,7 +164,7 @@ def criterion_3(quick=False) -> CriterionResult:
                     * (0.5 * (v[i1] + v[i2]) - 0.5 * (v[j1] + v[j2]))
         return total
 
-    B, B0 = metric_parts(net, params)
+    B, B0 = metric_parts(net, *dense_kernel_matrices(net, sigma))
     u = rng.normal(size=8)
     v = rng.normal(size=8)
     err_b = abs(u @ B @ v - brute_high(u, v)) / abs(brute_high(u, v))

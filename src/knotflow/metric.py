@@ -1,15 +1,22 @@
 """Discrete fractional Sobolev inner product A = B + B0 and the dense saddle
 factorization.
 
-Both parts follow from one formula, which the hierarchical metric in
-`bct.py` shares; only the storage of the kernel matrices differs:
+Both parts follow from one formula, which `metric_parts` assembles for the
+dense and the hierarchical metric alike; only the storage of the kernel
+matrices differs:
 
     A = sum_c D_c^T (diag(K 1) - K) D_c + E^T (diag(K0 1) - K0) E
 
 D_c is component c of the edgewise derivative (`derivative_matrix`), E the
-vertex-to-edge average (`average_matrix`), and K, K0 the dense (E x E)
-high- and low-order kernel matrices from one trapezoid pass over the
-non-adjacent edge pairs (`bct.dense_kernel_matrices`).  Both parts kill
+vertex-to-edge average (`average_matrix`), and K, K0 the (E x E) high- and
+low-order kernel matrices.  `MetricOperator` passes the dense K, K0 of one
+trapezoid pass over the non-adjacent edge pairs
+(`bct.dense_kernel_matrices`) and their own row sums.  `bct.HierMetric`
+passes the sparse exact near fields of its kernel matrices with the row
+sums of the whole hierarchical K = K_near + K_far.  It subtracts the far
+field's D_c^T K_far D_c and E^T K0_far E on its own, so what it applies is
+the formula for that K, and the diagonal of its row sums kills constants
+whatever the block approximation error.  Both parts kill
 globally constant functions, so A is singular and gradient solves go
 through a saddle system [[A_bar, C^T], [C, 0]] with A_bar = blockdiag(A, A,
 A) and at least one translation-fixing constraint row in C.
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags_array
 
 from .energy import EnergyParams
 from .network import CurveNetwork
@@ -64,38 +71,38 @@ def average_matrix(net: CurveNetwork) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(E, net.n_vertices))
 
 
-def _laplacian(K: np.ndarray) -> np.ndarray:
-    """diag(K 1) - K."""
-    M = -K
-    M[np.diag_indices_from(M)] += K.sum(axis=1)
-    return M
-
-
-def _congruence(op: csr_matrix, M: np.ndarray) -> np.ndarray:
-    """op^T M op for a sparse (E x V) op and a symmetric dense M."""
+def _congruence(op: csr_matrix, M):
+    """op^T M op for a sparse (E x V) op and a symmetric M, in M's storage:
+    an array for a dense M, CSR for a sparse one."""
     opT = op.T.tocsr()
-    return np.asarray(opT @ np.asarray(opT @ M).T)
+    return opT @ (opT @ M).T
 
 
-def metric_parts(net: CurveNetwork, params: EnergyParams):
-    """Dense (V x V) high- and low-order parts (B, B0) of the metric.
+def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
+    """(V x V) high- and low-order parts (B, B0) of the metric.
 
-    B = sum_c D_c^T (diag(K 1) - K) D_c and B0 = E^T (diag(K0 1) - K0) E
-    (module docstring).
+    B = sum_c D_c^T (diag(rows) - K) D_c and B0 = E^T (diag(rows0) - K0) E
+    (module docstring) for (E x E) kernel matrices K, K0, both dense arrays
+    or both scipy sparse; the parts come back dense or CSR alike.  `rows`
+    and `rows0` default to the row sums of K and K0.
     """
-    from .bct import dense_kernel_matrices
-
-    K, K0 = dense_kernel_matrices(net, params.sigma)
-    M, D = _laplacian(K), derivative_matrix(net)
+    if rows is None:
+        rows = np.asarray(K.sum(axis=1)).ravel()
+    if rows0 is None:
+        rows0 = np.asarray(K0.sum(axis=1)).ravel()
+    M = diags_array(rows) - K
+    D = derivative_matrix(net)
     B = sum(_congruence(D[c::3], M) for c in range(3))
-    return B, _congruence(average_matrix(net), _laplacian(K0))
+    return B, _congruence(average_matrix(net), diags_array(rows0) - K0)
 
 
 class MetricOperator:
     """Assembled dense metric A = B + B0 with the `HierMetric` applies."""
 
     def __init__(self, net: CurveNetwork, params: EnergyParams):
-        A, B0 = metric_parts(net, params)
+        from .bct import dense_kernel_matrices
+
+        A, B0 = metric_parts(net, *dense_kernel_matrices(net, params.sigma))
         A += B0
         self.A = A
         self.n = net.n_vertices

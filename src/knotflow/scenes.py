@@ -493,8 +493,18 @@ def load_obj_curve(path) -> CurveNetwork:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
+                try:
+                    xyz = [float(x) for x in parts[1:4]]
+                except ValueError:
+                    xyz = []
+                if len(xyz) < 3:
+                    raise SceneError(f"{path}:{lineno}: a vertex needs 3 "
+                                     f"numeric coordinates: {line.strip()!r}")
+                verts.append(xyz)
             elif parts[0] == "l":
+                if not all(t.isdecimal() and int(t) > 0 for t in parts[1:]):
+                    raise SceneError(f"{path}:{lineno}: line indices must be "
+                                     f"positive integers: {line.strip()!r}")
                 idx = [int(tok) - 1 for tok in parts[1:]]
                 edges.extend([[a, b] for a, b in zip(idx, idx[1:])])
     if not verts or not edges:

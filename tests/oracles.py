@@ -163,6 +163,28 @@ def perturbed_polygon(n, seed, amplitude=0.05):
     return verts, edges
 
 
+def theta_and_loop(m=32, n_loop=48, seed=4):
+    """A theta graph (two degree-3 junctures joined by three arcs of m edges,
+    interior vertices jittered) next to a separate closed loop."""
+    rng = np.random.default_rng(seed)
+    t = np.pi * np.arange(1, m) / m
+    verts = [[0., 0., 1.], [0., 0., -1.]]
+    edges = []
+    for k in range(3):
+        phi = 2 * np.pi * k / 3
+        arc = np.stack([np.sin(t) * np.cos(phi), np.sin(t) * np.sin(phi),
+                        np.cos(t)], axis=1) + rng.uniform(-0.02, 0.02, (m - 1, 3))
+        ids = [0] + list(range(len(verts), len(verts) + m - 1)) + [1]
+        verts.extend(arc)
+        edges.extend(zip(ids[:-1], ids[1:]))
+    theta = 2 * np.pi * np.arange(n_loop) / n_loop
+    start = len(verts)
+    verts.extend(np.stack([3 + np.cos(theta), np.zeros(n_loop), np.sin(theta)],
+                          axis=1))
+    edges.extend((start + i, start + (i + 1) % n_loop) for i in range(n_loop))
+    return np.array(verts), np.array(edges)
+
+
 def smooth_circle():
     """A smooth 256-edge perturbed circle: an input with a far field.
 
@@ -210,7 +232,7 @@ def tree_depth(left, right):
 def coverage_count(bct):
     """Total edge pairs covered by all leaf blocks (should tile E x E)."""
     sizes = bct.bvh.end - bct.bvh.start
-    blocks = list(zip(bct.adm_a, bct.adm_b)) + list(bct.near)
+    blocks = [*zip(bct.adm_a, bct.adm_b), *zip(bct.near_a, bct.near_b)]
     return sum(int(sizes[a] * sizes[b]) for a, b in blocks)
 
 

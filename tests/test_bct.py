@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec, dense_kernel_matrix)
+                          KernelSpec, dense_kernel_matrices,
+                          dense_kernel_matrix)
 from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
-from knotflow.metric import metric_parts
+from knotflow.metric import MetricOperator, metric_parts
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
 from oracles import (coverage_count, hier_apply_high, hier_apply_low,
-                     perturbed_polygon, regular_polygon, smooth_circle)
+                     perturbed_polygon, regular_polygon, smooth_circle,
+                     theta_and_loop)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -50,7 +52,7 @@ class TestStructure:
         def block_loops(node):
             return set(loop_of[bvh.order[bvh.start[node]:bvh.end[node]]])
 
-        for a, b in bct.near:
+        for a, b in zip(bct.near_a, bct.near_b):
             assert block_loops(a) == block_loops(b) != {0, 1}
         cross = [(a, b) for a, b in zip(bct.adm_a, bct.adm_b)
                  if block_loops(a) != block_loops(b)]
@@ -310,7 +312,7 @@ class TestHierMetric:
     @staticmethod
     def check_dense_gram(net, which):
         hm = HierMetric(net, SIGMA)
-        B, B0 = metric_parts(net, P36)
+        B, B0 = metric_parts(net, *dense_kernel_matrices(net, SIGMA))
         dense = B if which == "B" else B0
         rng = np.random.default_rng(19)
         u = rng.normal(size=net.n_vertices)
@@ -325,13 +327,22 @@ class TestHierMetric:
         # decomposition reproduces the assembled Gram matrices exactly
         net = polygon_net(32, seed=20)
         hm = HierMetric(net, SIGMA, eps=0.0)
-        B, B0 = metric_parts(net, P36)
+        B, B0 = metric_parts(net, *dense_kernel_matrices(net, SIGMA))
         rng = np.random.default_rng(21)
         u = rng.normal(size=net.n_vertices)
         assert np.linalg.norm(hier_apply_high(hm, u) - B @ u) \
             <= 1e-12 * np.linalg.norm(B @ u)
         assert np.linalg.norm(hier_apply_low(hm, u) - B0 @ u) \
             <= 1e-12 * np.linalg.norm(B0 @ u)
+
+    def test_exact_fallback_compiles_to_dense_metric_on_junctures(self):
+        # at eps = 0 the compiled near part is the whole metric; two
+        # degree-3 junctures and a second component check the stencils
+        net = CurveNetwork(*theta_and_loop())
+        S = HierMetric(net, SIGMA, eps=0.0).S
+        S = S if isinstance(S, np.ndarray) else S.toarray()
+        A = MetricOperator(net, P36).A
+        assert np.abs(S - A).max() <= 1e-12 * np.abs(A).max()
 
     def test_compiled_apply_matches_matrix_free(self):
         self.check_compiled_apply(polygon_net(64), dense=True)

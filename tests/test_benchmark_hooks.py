@@ -1,6 +1,8 @@
 """The benchmark's spans (`flowbench/spans.py`) patch `knotflow` entry points
-by module or class attribute name; installing them must find every one."""
+by module or class attribute name; installing them must find every one, and
+their hooks must still read what they expect from a real traced run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,3 +18,20 @@ def test_spans_install_finds_every_entry_point():
         cwd=ROOT / "flowbench", env=env, capture_output=True, text=True,
         timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_operation_reads_its_layer_stats():
+    # one traced circle-mg operation (about 1 s): the spans' `after` hooks
+    # read the block cluster tree and the V-cycle info at run time
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "flowbench/worker.py", "--workload", "circle-mg",
+         "--seed", "1", "--trace", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert "failure" not in out, out["failure"]
+    assert out["checks"] == []
+    assert out["layers"]["bct.near_nnz"] > 0
+    assert out["layers"]["bct.admissible_blocks"] > 0

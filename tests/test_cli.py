@@ -129,6 +129,19 @@ class TestObjCurves:
         assert np.allclose(again.vertices, net.vertices)
         assert np.array_equal(again.edges, net.edges)
 
+    def test_short_vertex_named(self, tmp_path):
+        path = tmp_path / "curve.obj"
+        path.write_text("v 0 0 0\nv 1 2\nl 1 2\n")
+        with pytest.raises(SceneError, match="curve.obj:2: a vertex needs 3"):
+            load_obj_curve(path)
+
+    @pytest.mark.parametrize("record", ["l 1 2 x", "l 0 1"])
+    def test_bad_line_index_named(self, tmp_path, record):
+        path = tmp_path / "curve.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\n{record}\n")
+        with pytest.raises(SceneError, match="curve.obj:3: line indices"):
+            load_obj_curve(path)
+
 
 class TestCliSolve:
     def scene_file(self, tmp_path, extra=""):

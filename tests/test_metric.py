@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, issparse
 
 from knotflow.bct import dense_kernel_matrices
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
@@ -12,7 +13,7 @@ from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
                      lu_saddle_solve, perturbed_polygon, regular_polygon,
-                     saddle_matrix)
+                     saddle_matrix, theta_and_loop)
 
 SIGMA = 2.0 / 3.0
 P36 = validate_params(3, 6)         # sigma = 2/3
@@ -103,13 +104,13 @@ class TestWeights:
 class TestGramMatrices:
     def test_high_order_kills_constants(self):
         net = octagon_net(seed=3)
-        B, _ = metric_parts(net, P36)
+        B, _ = metric_parts(net, *dense_kernel_matrices(net, P36.sigma))
         u = np.full(net.n_vertices, 1.7)
         assert abs(u @ B @ u) < 1e-12 * np.abs(B).max()
 
     def test_high_order_quadratic_form_oracle(self):
         net = octagon_net(seed=4)
-        B, _ = metric_parts(net, P36)
+        B, _ = metric_parts(net, *dense_kernel_matrices(net, P36.sigma))
         rng = np.random.default_rng(5)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -118,7 +119,7 @@ class TestGramMatrices:
 
     def test_low_order_quadratic_form_oracle(self):
         net = octagon_net(seed=6)
-        _, B0 = metric_parts(net, P36)
+        _, B0 = metric_parts(net, *dense_kernel_matrices(net, P36.sigma))
         rng = np.random.default_rng(7)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -127,15 +128,30 @@ class TestGramMatrices:
 
     def test_low_order_kills_constants(self):
         net = octagon_net(seed=8)
-        _, B0 = metric_parts(net, P36)
+        _, B0 = metric_parts(net, *dense_kernel_matrices(net, P36.sigma))
         u = np.full(net.n_vertices, -2.2)
         assert abs(u @ B0 @ u) < 1e-12 * max(np.abs(B0).max(), 1e-30)
 
     def test_symmetry(self):
         net = octagon_net(seed=9)
-        B, B0 = metric_parts(net, P36)
+        B, B0 = metric_parts(net, *dense_kernel_matrices(net, P36.sigma))
         assert np.allclose(B, B.T, atol=1e-12 * np.abs(B).max())
         assert np.allclose(B0, B0.T, atol=1e-12 * max(np.abs(B0).max(), 1e-30))
+
+    @pytest.mark.parametrize("shape", ["polygon-64", "theta-and-loop"])
+    def test_csr_kernels_give_the_same_parts(self, shape):
+        # one assembly for both storages: CSR kernels give the same (B, B0)
+        # as dense ones, stored as CSR
+        verts, edges = regular_polygon(64) if shape == "polygon-64" \
+            else theta_and_loop()
+        net = CurveNetwork(verts, edges)
+        K, K0 = dense_kernel_matrices(net, P36.sigma)
+        dense = metric_parts(net, K, K0)
+        sparse = metric_parts(net, csr_matrix(K), csr_matrix(K0))
+        for want, got in zip(dense, sparse):
+            assert issparse(got)
+            assert np.abs(got.toarray() - want).max() \
+                <= 1e-13 * np.abs(want).max()
 
     def test_combined_metric_psd_with_constant_null_space(self):
         verts, edges = perturbed_polygon(16, seed=10)
