@@ -98,7 +98,7 @@ def criterion_2(quick=False) -> CriterionResult:
         fd = _finite_difference(net, params)
         worst_fd = max(worst_fd,
                        float(np.linalg.norm(exact - fd) / np.linalg.norm(fd)))
-        approx = bh_differential(net, EdgeBvh(net), params, eps=0.1)
+        _, approx = bh_differential(net, EdgeBvh(net), params, eps=0.1)
         cosine = float(exact.reshape(-1) @ approx.reshape(-1)
                        / (np.linalg.norm(exact) * np.linalg.norm(approx)))
         worst_cos = min(worst_cos, cosine)

@@ -8,7 +8,8 @@ not depend on the curve's scale.  `refit` then bounds each node in R^6, where
 edge I is the point (T_I, x_I) with mass l_I: nodes store length-weighted
 aggregates (total mass, center of mass, average tangent) plus tangential and
 spatial bounding radii, which the Barnes-Hut and block-cluster admissibility
-tests read.
+tests read.  It reduces the leaf runs of `order` in one pass and combines the
+internal nodes one depth level at a time, bottom up.
 
 The energy and the metric sum only over edge pairs that share no vertex, and
 the admissibility tests keep such pairs apart by geometry alone: every point
@@ -19,19 +20,25 @@ centers farther apart than 2 (r_x[a] + r_x[b]) share no edge or vertex.  No
 lumped group or admissible block can then hold an identical or adjacent pair;
 only the exact leaf and near-field pair lists drop those pairs, by index.
 
-Far-field energy and differential contributions are lumped at admissible
-nodes.  The leaf pairs of a whole traversal form one ordered pair list for
-the energy module's chunked pair kernel, which gives both pair orders from
-one set of endpoint differences gathered as (3, E) columns, so the eps -> 0
-limit reproduces the exact energy and differential up to summation order.
+A Barnes-Hut evaluation follows a plan (`bh_plan`), made once per tree fit
+and eps by a breadth-first traversal: each generation of (edge, node)
+candidates is tested in one vectorized sweep.  The plan lists the far field
+as flat (edge, node) entries, each edge lumped against a node's aggregates,
+and the leaf pairs (I, J) as one ordered pair list for the energy module's
+chunked pair kernel.  The kernel gives both pair orders from one set of
+endpoint differences, so one pass over the plan yields the energy and the
+differential, and the eps -> 0 limit reproduces the exact energy and
+differential up to summation order.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .energy import (EnergyParams, _kernel_grads, _kernel_raw, _pair_terms,
-                     _scatter)
+from .energy import (EnergyParams, _kernel_grads, _kernel_raw, _pair_chunks,
+                     _pair_terms, _scatter)
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -79,6 +86,17 @@ class EdgeBvh:
         self.order, self.start, self.end, self.left, self.right = \
             median_split_tree(net.geometry().midpoints, self.leaf_size)
         self.n_nodes = len(self.left)
+        # leaves in run order, and the internal nodes by depth, deepest first
+        leaves = np.flatnonzero(self.left < 0)
+        self.leaves = leaves[np.argsort(self.start[leaves])]
+        self.levels = []
+        level = np.array([0])
+        while len(level):
+            inner = level[self.left[level] >= 0]
+            if len(inner):
+                self.levels.append(inner)
+            level = np.concatenate([self.left[inner], self.right[inner]])
+        self.levels.reverse()
         self.mass = np.zeros(self.n_nodes)
         self.com = np.zeros((self.n_nodes, 3))
         self.avg_tangent = np.zeros((self.n_nodes, 3))
@@ -95,134 +113,161 @@ class EdgeBvh:
         midpoints: the lumped far-field replaces 4-point trapezoid terms, so
         the quadrature spread of each edge must count toward the node radius.
         The center of mass, a weighted mean of midpoints, lies in the box, so
-        every point of the node's edges lies within 2 r_x of it.
+        every point of the node's edges lies within 2 r_x of it.  A refit
+        drops the Barnes-Hut plan of the previous fit.
         """
+        self._plan = None
         geom = net.geometry()
-        lengths = geom.lengths
-        ends_lo = np.minimum(net.vertices[net.edges[:, 0]],
-                             net.vertices[net.edges[:, 1]])
-        ends_hi = np.maximum(net.vertices[net.edges[:, 0]],
-                             net.vertices[net.edges[:, 1]])
-        # children are created after parents, so reverse order is bottom-up
-        for node in range(self.n_nodes - 1, -1, -1):
-            if self.left[node] < 0:
-                sel = self.order[self.start[node]:self.end[node]]
-                w = lengths[sel]
-                self.mass[node] = w.sum()
-                self.com[node] = (w[:, None] * geom.midpoints[sel]).sum(0) \
-                    / self.mass[node]
-                self.avg_tangent[node] = (w[:, None] * geom.tangents[sel]).sum(0) \
-                    / self.mass[node]
-                self.lo[node, :3] = geom.tangents[sel].min(axis=0)
-                self.hi[node, :3] = geom.tangents[sel].max(axis=0)
-                self.lo[node, 3:] = ends_lo[sel].min(axis=0)
-                self.hi[node, 3:] = ends_hi[sel].max(axis=0)
-            else:
-                l, r = self.left[node], self.right[node]
-                self.mass[node] = self.mass[l] + self.mass[r]
-                self.com[node] = (self.mass[l] * self.com[l]
-                                  + self.mass[r] * self.com[r]) / self.mass[node]
-                self.avg_tangent[node] = (
-                    self.mass[l] * self.avg_tangent[l]
-                    + self.mass[r] * self.avg_tangent[r]) / self.mass[node]
-                self.lo[node] = np.minimum(self.lo[l], self.lo[r])
-                self.hi[node] = np.maximum(self.hi[l], self.hi[r])
+        sel, leaves = self.order, self.leaves
+        runs = self.start[leaves]
+        w = geom.lengths[sel]
+        t = geom.tangents[sel]
+        ends = net.vertices[net.edges[sel]]
+        self.mass[leaves] = np.add.reduceat(w, runs)
+        m = self.mass[leaves, None]
+        self.com[leaves] = np.add.reduceat(w[:, None] * geom.midpoints[sel],
+                                           runs) / m
+        self.avg_tangent[leaves] = np.add.reduceat(w[:, None] * t, runs) / m
+        self.lo[leaves] = np.minimum.reduceat(
+            np.hstack([t, ends.min(axis=1)]), runs)
+        self.hi[leaves] = np.maximum.reduceat(
+            np.hstack([t, ends.max(axis=1)]), runs)
+        for nodes in self.levels:
+            l, r = self.left[nodes], self.right[nodes]
+            ml, mr = self.mass[l, None], self.mass[r, None]
+            m = ml + mr
+            self.mass[nodes] = m[:, 0]
+            self.com[nodes] = (ml * self.com[l] + mr * self.com[r]) / m
+            self.avg_tangent[nodes] = (ml * self.avg_tangent[l]
+                                       + mr * self.avg_tangent[r]) / m
+            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
+            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
         half = 0.5 * (self.hi - self.lo)
         self.r_T = np.linalg.norm(half[:, :3], axis=1)
         self.r_x = np.linalg.norm(half[:, 3:], axis=1)
         return self
 
+    def plan(self, net: CurveNetwork, eps: float) -> "BhPlan":
+        """The Barnes-Hut plan of `net`, to which this tree is fitted, at
+        `eps`; made once per fit and eps (`bh_plan`)."""
+        if self._plan is None or self._plan[0] is not net \
+                or self._plan[1] != eps:
+            self._plan = (net, eps, bh_plan(net, self, eps))
+        return self._plan[2]
 
-def _leaf_pair_arrays(net, bvh, node, active):
-    """Valid exact-interaction pairs (active x leaf edges), adjacency removed."""
-    leaf_edges = bvh.order[bvh.start[node]:bvh.end[node]]
-    I = np.repeat(active, len(leaf_edges))
-    J = np.tile(leaf_edges, len(active))
-    keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
-    return I[keep], J[keep]
+
+class BhPlan(NamedTuple):
+    """The far field as flat (edge, node) entries, and the leaf pairs."""
+
+    far_edge: np.ndarray
+    far_node: np.ndarray
+    I: np.ndarray           # traversing edges of the leaf pairs
+    J: np.ndarray           # their partners, in a leaf
 
 
-def _traverse(net: CurveNetwork, bvh: EdgeBvh, eps: float):
-    """Barnes-Hut traversal of every edge against the tree.
+def bh_plan(net: CurveNetwork, bvh: EdgeBvh, eps: float) -> BhPlan:
+    """Barnes-Hut traversal of every edge against the tree, breadth-first.
 
-    Returns (far, I, J): `far` lists the admissible groups (node, edges),
-    each lumped against its node, and (I, J) are the ordered leaf pairs, I
-    traversing and J in a leaf, left to the exact trapezoid terms.
+    Each generation of (edge, node) candidates is tested in one sweep.  An
+    admissible candidate becomes a far entry, lumped against its node; the
+    others descend to both children, or stop at a leaf, whose runs expand
+    into the ordered leaf pairs (I traversing, J in the leaf) with identical
+    and adjacent pairs dropped, left to the exact trapezoid terms.
     """
     geom = net.geometry()
-    far, near_i, near_j = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    stack = [(0, np.arange(net.n_edges))]
-    while stack:
-        node, active = stack.pop()
-        d = geom.midpoints[active] - bvh.com[node]
-        dist = np.linalg.norm(d, axis=1)
-        if eps > 0:
-            # the query edge's own half-length joins the node radius: the
-            # lumped value also replaces the 4-point spread across edge I
-            half = 0.5 * geom.lengths[active]
-            reach = bvh.r_x[node] + half
-            # the separation term keeps edge I from being lumped with itself
-            # or a neighbor at any eps (module docstring); eps < 1/2 implies it
-            admissible = (dist > 2 * bvh.r_x[node] + half) \
-                & (reach <= eps * dist) & (bvh.r_T[node] <= eps)
-        else:
-            admissible = np.zeros(len(active), dtype=bool)
-        if np.any(admissible):
-            far.append((node, active[admissible]))
-        rest = active[~admissible]
-        if len(rest) == 0:
+    far_edge, far_node, leaf_edge, leaf_node = [], [], [], []
+    edge = np.arange(net.n_edges)
+    node = np.zeros(net.n_edges, dtype=int)
+    while len(edge):
+        dist = np.linalg.norm(geom.midpoints[edge] - bvh.com[node], axis=1)
+        # the query edge's own half-length joins the node radius: the lumped
+        # value also replaces the 4-point spread across edge I (so eps = 0
+        # lumps nothing)
+        half = 0.5 * geom.lengths[edge]
+        r_x = bvh.r_x[node]
+        # the separation term keeps edge I from being lumped with itself or
+        # a neighbor at any eps (module docstring); eps < 1/2 implies it
+        ok = (dist > 2 * r_x + half) & (r_x + half <= eps * dist) \
+            & (bvh.r_T[node] <= eps)
+        far_edge.append(edge[ok])
+        far_node.append(node[ok])
+        edge, node = edge[~ok], node[~ok]
+        leaf = bvh.left[node] < 0
+        leaf_edge.append(edge[leaf])
+        leaf_node.append(node[leaf])
+        edge, node = edge[~leaf], node[~leaf]
+        edge = np.concatenate([edge, edge])
+        node = np.concatenate([bvh.left[node], bvh.right[node]])
+    edge, node = np.concatenate(leaf_edge), np.concatenate(leaf_node)
+    # the k-th pair of candidate c takes edge k of its leaf's run
+    runs = bvh.end[node] - bvh.start[node]
+    I = np.repeat(edge, runs)
+    J = bvh.order[np.arange(len(I))
+                  + np.repeat(bvh.start[node] - np.cumsum(runs) + runs, runs)]
+    keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
+    return BhPlan(np.concatenate(far_edge), np.concatenate(far_node),
+                  I[keep], J[keep])
+
+
+def _far_terms(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
+               plan: BhPlan, grad: np.ndarray | None = None) -> float:
+    """The far field's share of the energy, chunk by chunk over the plan's
+    (edge, node) entries: l_I m_a k(x_I - xbar_a, T_I) for edge I lumped
+    against node a.
+
+    When grad, a (3, V) array, is given, each entry's symmetrized two-term
+    increment, the lumped counterpart of both pair orders with the node
+    aggregates held constant, is added to it at the endpoints of I.
+    """
+    geom = net.geometry()
+    alpha, beta = params.alpha, params.beta
+    energy = 0.0
+    for sl in _pair_chunks(len(plan.far_edge)):
+        e, a = plan.far_edge[sl], plan.far_node[sl]
+        ti = geom.tangents[e]
+        da = geom.midpoints[e] - bvh.com[a]
+        w = geom.lengths[e] * bvh.mass[a]
+        if grad is None:
+            energy += float(_kernel_raw(da, ti, alpha, beta) @ w)
             continue
-        if bvh.left[node] < 0:
-            I, J = _leaf_pair_arrays(net, bvh, node, rest)
-            near_i.append(I)
-            near_j.append(J)
-        else:
-            stack.append((bvh.left[node], rest))
-            stack.append((bvh.right[node], rest))
-    return far, np.concatenate(near_i), np.concatenate(near_j)
+        k1, dk1_dd, dk1_dT = _kernel_grads(da, ti, alpha, beta)
+        k2, dk2_dd, _ = _kernel_grads(-da, bvh.avg_tangent[a], alpha, beta)
+        energy += float(k1 @ w)
+        # dk2 is w.r.t. its own difference vector (xbar - x_I); the
+        # derivative w.r.t. x_I flips the sign back
+        tproj = dk1_dT - np.einsum("pi,pi->p", dk1_dT, ti)[:, None] * ti
+        common = 0.5 * geom.lengths[e][:, None] * (dk1_dd - dk2_dd)
+        ksum = (k1 + k2)[:, None] * ti
+        mass = bvh.mass[a][:, None]
+        inc1 = mass * (-ksum - tproj + common)
+        inc2 = mass * (ksum + tproj + common)
+        _scatter(grad, np.concatenate([net.edges[e, 0], net.edges[e, 1]]),
+                 np.concatenate([inc1, inc2]).T)
+    return energy
 
 
 def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
               eps: float = 0.25) -> float:
     """Barnes-Hut estimate of the discrete tangent-point energy."""
-    geom = net.geometry()
-    far, I, J = _traverse(net, bvh, eps)
-    total = 0.0
-    for node, sel in far:
-        kv = _kernel_raw(geom.midpoints[sel] - bvh.com[node],
-                         geom.tangents[sel], params.alpha, params.beta)
-        total += float(np.sum(kv * geom.lengths[sel])) * bvh.mass[node]
+    plan = bvh.plan(net, eps)
     # the leaf pairs are ordered (I traversing): only the T_I order counts
-    return total + float(_pair_terms(net, params, I, J))
+    return _far_terms(net, bvh, params, plan) \
+        + float(_pair_terms(net, params, plan.I, plan.J))
 
 
 def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
-                    eps: float = 0.25) -> np.ndarray:
-    """Barnes-Hut estimate of the energy differential, (V, 3).
+                    eps: float = 0.25) -> tuple[float, np.ndarray]:
+    """Barnes-Hut estimates of the energy and its differential, (V, 3), from
+    one pass over the plan.
 
-    Admissible nodes contribute the symmetrized two-term increment (the lumped
+    Far entries contribute the symmetrized two-term increment (the lumped
     counterpart of both pair orders), treating node aggregates as constants;
     leaf pairs contribute the exact trapezoid partials of both pair orders
-    restricted to the traversing edge's endpoints.
+    restricted to the traversing edge's endpoints.  The energy equals
+    `bh_energy` up to summation order.
     """
-    geom = net.geometry()
-    alpha, beta = params.alpha, params.beta
-    far, I, J = _traverse(net, bvh, eps)
+    plan = bvh.plan(net, eps)
     grad = np.zeros((3, net.n_vertices))
-    for node, sel in far:
-        ti = geom.tangents[sel]
-        da = geom.midpoints[sel] - bvh.com[node]
-        tbar = np.broadcast_to(bvh.avg_tangent[node], da.shape)
-        k1, dk1_dd, dk1_dT = _kernel_grads(da, ti, alpha, beta)
-        k2, dk2_dd, _ = _kernel_grads(-da, tbar, alpha, beta)
-        # dk2 is w.r.t. its own difference vector (xbar - x_I); the
-        # derivative w.r.t. x_I flips the sign back
-        tproj = dk1_dT - np.einsum("pi,pi->p", dk1_dT, ti)[:, None] * ti
-        common = 0.5 * geom.lengths[sel][:, None] * (dk1_dd - dk2_dd)
-        ksum = (k1 + k2)[:, None] * ti
-        inc1 = bvh.mass[node] * (-ksum - tproj + common)
-        inc2 = bvh.mass[node] * (ksum + tproj + common)
-        _scatter(grad, np.concatenate([net.edges[sel, 0], net.edges[sel, 1]]),
-                 np.concatenate([inc1, inc2]).T)
-    _pair_terms(net, params, I, J, grad=grad)
-    return grad.T.copy()
+    energy = _far_terms(net, bvh, params, plan, grad=grad) \
+        + float(_pair_terms(net, params, plan.I, plan.J, grad=grad))
+    return energy, grad.T.copy()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .bvh import EdgeBvh, bh_differential, bh_energy
+from .bvh import BhPlan, EdgeBvh, bh_differential, bh_energy
 from .constraints import PROJECTION_TOL, ConstraintSet, ProjectionFailure
 from .energy import EnergyParams, discrete_differential, discrete_energy
 from .metric import MetricOperator, SaddleFactor
@@ -74,6 +74,9 @@ class StepReport:
     mg_unconverged: int                 # solves ending above the target
     mg_residual: float                  # largest final true relative residual
     mg_solves: int                      # multigrid solves of the step
+    bh_far: int                         # far (edge, node) entries and leaf
+    bh_leaf_pairs: int                  # pairs of the step-start Barnes-Hut
+                                        # plan (0 on the exact path)
 
 
 @dataclass
@@ -134,7 +137,11 @@ class Objective:
     """Energy + weighted potentials with exact or Barnes-Hut evaluation.
 
     On the exact path the last evaluated total is kept with its network, so
-    the step start does not recompute the energy of the accepted trial.
+    the step start does not recompute the energy of the accepted trial.  On
+    the Barnes-Hut path each tree fit makes one plan (`EdgeBvh.plan`): the
+    step start builds a tree and takes the energy and the differential from
+    one pass over its plan, which `plan` keeps for the step's telemetry;
+    each line-search trial refits the tree and plans again.
     """
 
     def __init__(self, params: EnergyParams, potentials=(),
@@ -146,11 +153,13 @@ class Objective:
         # tree fitted to the last evaluated network (None on the exact path)
         self.bvh: EdgeBvh | None = None
         self._bvh_net: CurveNetwork | None = None
+        # the step-start plan (None on the exact path)
+        self.plan: BhPlan | None = None
         self._last: tuple[CurveNetwork, float] | None = None
 
     def energy(self, net: CurveNetwork) -> float:
         """Line-search trial value; the Barnes-Hut tree is refitted to `net`
-        (built when there is none yet)."""
+        (built when there is none yet) and planned for it."""
         if self.accel == "exact":
             value = discrete_energy(net, self.params)
         else:
@@ -169,7 +178,7 @@ class Objective:
 
     def energy_and_differential(self, net: CurveNetwork):
         """Step-start value and differential; the Barnes-Hut tree is rebuilt
-        for `net`."""
+        for `net`, and one plan serves both."""
         cached = self._last is not None and self._last[0] is net
         if self.accel == "exact":
             value = self._last[1] if cached \
@@ -177,9 +186,9 @@ class Objective:
             grad = discrete_differential(net, self.params)
         else:
             self.bvh, self._bvh_net = EdgeBvh(net), net
-            value = bh_energy(net, self.bvh, self.params, eps=self.bh_eps)
-            grad = bh_differential(net, self.bvh, self.params,
-                                   eps=self.bh_eps)
+            value, grad = bh_differential(net, self.bvh, self.params,
+                                          eps=self.bh_eps)
+            self.plan = self.bvh.plan(net, self.bh_eps)
         for pot in self.potentials:
             v, g = pot.value_and_differential(net, self.params)
             if not cached:
@@ -464,6 +473,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             stop_reason, stop_detail = "stuck", str(exc)
             break
         phi = constraints.evaluate(current)
+        plan = objective.plan
         reports.append(StepReport(
             iteration=iteration, energy=f_new, gradient_norm=grad_norm,
             step_size=tau,
@@ -474,7 +484,9 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             collision_limited=limited, mg_cycles=solver.saddle.cycles,
             mg_unconverged=solver.saddle.unconverged,
             mg_residual=solver.saddle.residual,
-            mg_solves=solver.saddle.solves))
+            mg_solves=solver.saddle.solves,
+            bh_far=0 if plan is None else len(plan.far_edge),
+            bh_leaf_pairs=0 if plan is None else len(plan.I)))
         if keep_frames:
             frames.append(current.vertices.copy())
         if config.stop_energy is not None and f_new <= config.stop_energy:

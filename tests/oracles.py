@@ -10,6 +10,7 @@ import numpy as np
 
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import average_matrix, derivative_matrix
+from knotflow.network import edges_share_vertex
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import generate_test_curve
 
@@ -305,3 +306,82 @@ def hier_apply_low(hm, u):
     t = a.reshape(hm.net.n_edges, -1)
     y = hm.k_low.row_sums()[:, None] * t - hm.k_low.matvec(t)
     return E.T @ y.reshape(a.shape)
+
+
+def traverse_dfs(net, bvh, eps):
+    """Barnes-Hut traversal node by node from a stack: the reference for
+    `bvh.bh_plan`.
+
+    Returns (far, I, J): `far` lists the admissible groups (node, edges),
+    each lumped against its node, and (I, J) are the ordered leaf pairs, I
+    traversing and J in a leaf, with identical and adjacent pairs dropped.
+    """
+    geom = net.geometry()
+    far, near_i, near_j = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    stack = [(0, np.arange(net.n_edges))]
+    while stack:
+        node, active = stack.pop()
+        d = geom.midpoints[active] - bvh.com[node]
+        dist = np.linalg.norm(d, axis=1)
+        if eps > 0:
+            half = 0.5 * geom.lengths[active]
+            reach = bvh.r_x[node] + half
+            admissible = (dist > 2 * bvh.r_x[node] + half) \
+                & (reach <= eps * dist) & (bvh.r_T[node] <= eps)
+        else:
+            admissible = np.zeros(len(active), dtype=bool)
+        if np.any(admissible):
+            far.append((node, active[admissible]))
+        rest = active[~admissible]
+        if len(rest) == 0:
+            continue
+        if bvh.left[node] < 0:
+            leaf_edges = bvh.order[bvh.start[node]:bvh.end[node]]
+            I = np.repeat(rest, len(leaf_edges))
+            J = np.tile(leaf_edges, len(rest))
+            keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
+            near_i.append(I[keep])
+            near_j.append(J[keep])
+        else:
+            stack.append((bvh.left[node], rest))
+            stack.append((bvh.right[node], rest))
+    return far, np.concatenate(near_i), np.concatenate(near_j)
+
+
+def refit_loop(bvh, net):
+    """`EdgeBvh.refit`'s aggregates recomputed node by node, bottom up: a
+    dict of mass, com, avg_tangent, lo, hi, r_x and r_T."""
+    geom = net.geometry()
+    n = bvh.n_nodes
+    out = {"mass": np.zeros(n), "com": np.zeros((n, 3)),
+           "avg_tangent": np.zeros((n, 3)), "lo": np.zeros((n, 6)),
+           "hi": np.zeros((n, 6))}
+    ends_lo = np.minimum(net.vertices[net.edges[:, 0]],
+                         net.vertices[net.edges[:, 1]])
+    ends_hi = np.maximum(net.vertices[net.edges[:, 0]],
+                         net.vertices[net.edges[:, 1]])
+    mass, com, tbar, lo, hi = (out[k] for k in
+                               ("mass", "com", "avg_tangent", "lo", "hi"))
+    # children are numbered after their parents: reverse order is bottom-up
+    for node in range(n - 1, -1, -1):
+        if bvh.left[node] < 0:
+            sel = bvh.order[bvh.start[node]:bvh.end[node]]
+            w = geom.lengths[sel]
+            mass[node] = w.sum()
+            com[node] = (w[:, None] * geom.midpoints[sel]).sum(0) / mass[node]
+            tbar[node] = (w[:, None] * geom.tangents[sel]).sum(0) / mass[node]
+            lo[node, :3] = geom.tangents[sel].min(axis=0)
+            hi[node, :3] = geom.tangents[sel].max(axis=0)
+            lo[node, 3:] = ends_lo[sel].min(axis=0)
+            hi[node, 3:] = ends_hi[sel].max(axis=0)
+        else:
+            l, r = bvh.left[node], bvh.right[node]
+            mass[node] = mass[l] + mass[r]
+            com[node] = (mass[l] * com[l] + mass[r] * com[r]) / mass[node]
+            tbar[node] = (mass[l] * tbar[l] + mass[r] * tbar[r]) / mass[node]
+            lo[node] = np.minimum(lo[l], lo[r])
+            hi[node] = np.maximum(hi[l], hi[r])
+    half = 0.5 * (hi - lo)
+    out["r_T"] = np.linalg.norm(half[:, :3], axis=1)
+    out["r_x"] = np.linalg.norm(half[:, 3:], axis=1)
+    return out

@@ -22,7 +22,8 @@ def test_spans_install_finds_every_entry_point():
 
 def test_traced_operation_reads_its_layer_stats():
     # one traced circle-mg operation (about 1 s): the spans' `after` hooks
-    # read the block cluster tree and the V-cycle info at run time
+    # read the block cluster tree and the V-cycle info at run time, and the
+    # energy and tree spans see their calls
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     proc = subprocess.run(
@@ -35,3 +36,6 @@ def test_traced_operation_reads_its_layer_stats():
     assert out["checks"] == []
     assert out["layers"]["bct.near_nnz"] > 0
     assert out["layers"]["bct.admissible_blocks"] > 0
+    # the step-start Barnes-Hut work runs inside the patched entry points
+    assert out["layers"]["energy.diff_s"] > 0
+    assert out["layers"]["bvh.refits"] > 0

@@ -1,21 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, _traverse, bh_differential, bh_energy
+from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
 from knotflow.network import CurveNetwork, edges_share_vertex
 from knotflow.scenes import generate_test_curve
 
-from oracles import (perturbed_polygon, regular_polygon, smooth_circle,
-                     tree_depth)
+from oracles import (perturbed_polygon, refit_loop, regular_polygon,
+                     smooth_circle, theta_and_loop, traverse_dfs, tree_depth)
 
 P36 = validate_params(3, 6)
 
 
 def lumped_nodes(net, bvh, eps):
-    """Number of (node, edges) groups the traversal lumps at eps."""
-    return len(_traverse(net, bvh, eps)[0])
+    """Number of nodes the plan at eps lumps some edge against."""
+    return len(np.unique(bvh.plan(net, eps).far_node))
 
 
 def two_loops(gap=20.0, n=12):
@@ -108,6 +110,89 @@ class TestBuild:
         assert np.allclose(bvh.com[0], fresh.com[0], rtol=1e-12)
 
 
+PLAN_INPUTS = {
+    "smooth-circle": smooth_circle,
+    "random-trefoil": lambda: generate_test_curve("random-trefoil", 128,
+                                                  seed=8),
+    "theta-and-loop": lambda: CurveNetwork(*theta_and_loop()),
+    "grid-braid": lambda: generate_test_curve("grid-braid", 120, seed=3),
+}
+
+
+class TestPlan:
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.8])
+    @pytest.mark.parametrize("scene", sorted(PLAN_INPUTS))
+    def test_matches_depth_first_traversal(self, scene, eps):
+        # the same far entries and leaf pairs, each once; only the order
+        # differs from the node-by-node traversal
+        net = PLAN_INPUTS[scene]()
+        bvh = EdgeBvh(net)
+        plan = bvh.plan(net, eps)
+        far, I, J = traverse_dfs(net, bvh, eps)
+        far_set = {(e, node) for node, edges in far for e in edges.tolist()}
+        assert len(plan.far_edge) == len(far_set)
+        assert set(zip(plan.far_edge.tolist(),
+                       plan.far_node.tolist())) == far_set
+        leaf_set = set(zip(I.tolist(), J.tolist()))
+        assert len(plan.I) == len(I) == len(leaf_set)
+        assert set(zip(plan.I.tolist(), plan.J.tolist())) == leaf_set
+        if eps == 0.0:
+            assert len(far_set) == 0
+
+    def test_one_plan_per_fit(self, monkeypatch):
+        import knotflow.bvh as bvh_module
+
+        plans = []
+        make = bvh_module.bh_plan
+        monkeypatch.setattr(bvh_module, "bh_plan",
+                            lambda *args: plans.append(1) or make(*args))
+        net = smooth_circle()
+        bvh = EdgeBvh(net)
+        energy = bh_energy(net, bvh, P36)
+        assert bh_differential(net, bvh, P36)[0] == pytest.approx(
+            energy, rel=1e-13)
+        assert len(plans) == 1
+        bvh.refit(net)
+        bh_energy(net, bvh, P36)
+        assert len(plans) == 2
+
+
+class TestRefit:
+    @pytest.mark.parametrize("net", [
+        CurveNetwork(*perturbed_polygon(200, seed=11)),
+        generate_test_curve("perturbed-circle", 4096, seed=5)],
+        ids=["perturbed-polygon", "perturbed-circle-4096"])
+    def test_matches_node_by_node_refit(self, net):
+        bvh = EdgeBvh(net, leaf_size=5)
+        moved = net.with_positions(1.1 * net.vertices[:, [1, 2, 0]])
+        bvh.refit(moved)
+        for name, want in refit_loop(bvh, moved).items():
+            got = getattr(bvh, name)
+            assert np.allclose(got, want, rtol=1e-14,
+                               atol=1e-14 * np.abs(want).max()), name
+
+
+class TestMemory:
+    """The step start and the line-search trials stay far below a float64
+    E^2 / 2 pair list, 64 MiB at this size."""
+
+    @pytest.mark.parametrize("trial", [False, True],
+                             ids=["energy-and-differential", "trial-energy"])
+    def test_peak_allocation(self, trial):
+        net = generate_test_curve("perturbed-circle", 4096, seed=5)
+        bvh = EdgeBvh(net)
+        tracemalloc.start()
+        try:
+            if trial:
+                bh_energy(net, bvh, P36)
+            else:
+                bh_differential(net, bvh, P36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
+
 class TestEnergy:
     def test_eps_zero_matches_exact(self):
         verts, edges = perturbed_polygon(48, seed=5)
@@ -131,10 +216,10 @@ class TestEnergy:
         n = 256
         net = two_loops(gap=25.0, n=n)
         bvh = EdgeBvh(net, leaf_size=4)
-        far = _traverse(net, bvh, 0.05)[0]
-        assert len(far) > 0
-        assert any(np.any((edges < n) != (bvh.order[bvh.start[node]] < n))
-                   for node, edges in far)
+        plan = bvh.plan(net, 0.05)
+        assert len(plan.far_edge) > 0
+        assert np.any((plan.far_edge < n)
+                      != (bvh.order[bvh.start[plan.far_node]] < n))
         exact = discrete_energy(net, P36)
         approx = bh_energy(net, bvh, P36, eps=0.05)
         assert abs(approx - exact) / exact < 1e-3
@@ -144,14 +229,13 @@ class TestEnergy:
         # holding them or a neighbor; the separation term must keep them out
         net = generate_test_curve("random-trefoil", 128, seed=8)
         bvh = EdgeBvh(net)
-        far = _traverse(net, bvh, 0.8)[0]
-        assert len(far) > 0
-        for node, edges in far:
+        plan = bvh.plan(net, 0.8)
+        assert len(plan.far_edge) > 0
+        for edge, node in zip(plan.far_edge, plan.far_node):
             held = bvh.order[bvh.start[node]:bvh.end[node]]
-            I = np.repeat(edges, len(held))
-            J = np.tile(held, len(edges))
-            assert not np.any(I == J)
-            assert not np.any(edges_share_vertex(net.edges[I], net.edges[J]))
+            assert edge not in held
+            assert not np.any(edges_share_vertex(net.edges[[edge]],
+                                                 net.edges[held]))
 
     def test_perturbed_256gon_error_bound(self):
         verts, edges = perturbed_polygon(256, seed=6)
@@ -192,7 +276,7 @@ class TestDifferential:
         net = CurveNetwork(verts, edges)
         bvh = EdgeBvh(net, leaf_size=1)
         exact = discrete_differential(net, P36)
-        approx = bh_differential(net, bvh, P36, eps=0.0)
+        _, approx = bh_differential(net, bvh, P36, eps=0.0)
         assert np.allclose(approx, exact, rtol=1e-12,
                            atol=1e-12 * np.abs(exact).max())
 
@@ -206,7 +290,7 @@ class TestDifferential:
     @staticmethod
     def check_translation_residual(net):
         bvh = EdgeBvh(net)
-        g = bh_differential(net, bvh, P36, eps=0.1)
+        _, g = bh_differential(net, bvh, P36, eps=0.1)
         drift = np.linalg.norm(g.sum(axis=0))
         assert drift < 1e-2 * np.linalg.norm(g)
         return lumped_nodes(net, bvh, 0.1)
@@ -222,7 +306,7 @@ class TestDifferential:
     def check_direction_cosine(net):
         bvh = EdgeBvh(net)
         exact = discrete_differential(net, P36).reshape(-1)
-        approx = bh_differential(net, bvh, P36, eps=0.1).reshape(-1)
+        approx = bh_differential(net, bvh, P36, eps=0.1)[1].reshape(-1)
         cosine = approx @ exact / (np.linalg.norm(approx)
                                    * np.linalg.norm(exact))
         assert cosine >= 0.99

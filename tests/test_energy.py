@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, _traverse, bh_differential, bh_energy
+from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
 from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
                              SelfContactError, _row_blocks,
                              discrete_differential, discrete_energy, kernel,
@@ -220,12 +220,12 @@ class TestEnergy:
         # kernel crosses its chunk seams
         net = CurveNetwork(*MULTI_CHUNK[scene]())
         bvh = EdgeBvh(net, leaf_size=1)
-        assert len(_traverse(net, bvh, 0.0)[1]) > 2 * PAIR_CHUNK
+        assert len(bvh.plan(net, 0.0).I) > 2 * PAIR_CHUNK
         p = validate_params(3, 6)
         assert bh_energy(net, bvh, p, eps=0.0) == pytest.approx(
             discrete_energy(net, p), rel=1e-12)
         exact = discrete_differential(net, p)
-        assert np.allclose(bh_differential(net, bvh, p, eps=0.0), exact,
+        assert np.allclose(bh_differential(net, bvh, p, eps=0.0)[1], exact,
                            rtol=1e-12, atol=1e-12 * np.abs(exact).max())
 
 
@@ -249,9 +249,11 @@ class TestTwins:
         net = CurveNetwork(*TWINS[scene]())
         p = validate_params(alpha, beta)
         dense = discrete_differential(net, p)
-        bh = bh_differential(net, EdgeBvh(net, leaf_size=1), p, eps=0.0)
+        energy, bh = bh_differential(net, EdgeBvh(net, leaf_size=1), p,
+                                     eps=0.0)
         assert np.allclose(dense, bh, rtol=1e-12,
                            atol=1e-12 * np.abs(dense).max())
+        assert energy == pytest.approx(discrete_energy(net, p), rel=1e-12)
 
 
 class TestDifferential:

@@ -239,6 +239,39 @@ class TestRunFlow:
                             bvh=objective.bvh)
         assert solver.saddle.levels[0].metric.bvh is objective.bvh
 
+    def test_one_plan_per_step_start(self, monkeypatch):
+        import knotflow.bvh as bvh_module
+
+        plans = []
+        make = bvh_module.bh_plan
+        monkeypatch.setattr(bvh_module, "bh_plan",
+                            lambda *args: plans.append(1) or make(*args))
+        net = smooth_perturbed_circle(128, seed=16)
+        objective = Objective(P36, accel="bh")
+        for _ in range(2):
+            f0, _ = objective.energy_and_differential(net)
+        assert len(plans) == 2
+        assert f0 == pytest.approx(objective.energy(net), rel=1e-13)
+        assert len(plans) == 2
+        objective.energy(net.with_positions(1.01 * net.vertices))
+        assert len(plans) == 3
+
+    @pytest.mark.parametrize("strategy, accel", [("hs-mg", "bh"),
+                                                 ("hs", "exact")])
+    def test_plan_size_reported(self, strategy, accel, tmp_path):
+        net = smooth_perturbed_circle(128, seed=17)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy=strategy,
+                          config=FlowConfig(accel=accel, max_iters=2))
+        assert len(result.reports) == 2
+        for r in result.reports:
+            assert (r.bh_far > 0) == (r.bh_leaf_pairs > 0) == (accel == "bh")
+        export_frames(result, net.edges, tmp_path)
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(row["bh_far"]), int(row["bh_leaf_pairs"]))
+                for row in rows] \
+            == [(r.bh_far, r.bh_leaf_pairs) for r in result.reports]
 
     def test_final_vcycle_residual_reported(self, tmp_path, monkeypatch):
         steps = []
