@@ -11,7 +11,8 @@ values, so one matvec costs O(memberships + blocks + near-field entries).
 The two kernels used by the metric are the high-order inverse power
 k0(p, q) = 1/|p-q|^(2 sigma + 1) and the low-order tangent-point compound
 k2(p, q, T) = |T x (p-q)|^2 / |p-q|^(2 sigma + 5), both symmetrized over the
-argument order per the metric's ordered double sum.
+argument order per the metric's ordered double sum.  `_metric_sample`
+evaluates both: four samples give an exact entry, one an admissible block.
 """
 
 from __future__ import annotations
@@ -50,23 +51,26 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
 
+def _metric_sample(d, r2, ti, tj, tti, ttj, expo):
+    """Both metric kernels at one sample, on (3, P) columns with r2 = |d|^2
+    and tti, ttj the |T|^2: r^-expo, and r^-expo (|T_I x d|^2 + |T_J x
+    d|^2) / r^4, the low-order term symmetrized over the argument order."""
+    term = r2 ** (-expo / 2)
+    cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
+    crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
+    return term, term * ((cri + crj) / r2 ** 2)
+
+
 def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
-    """Far-field kernel at aggregate tangent-points, without length factors."""
-    d = xi - xj
-    r2 = np.einsum("...i,...i->...", d, d)
+    """Far-field kernel at aggregate tangent-points, without length factors:
+    one `_metric_sample` where the exact entries take four."""
+    d, ti, tj = (xi - xj).T, ti.T, tj.T
+    r2 = _dot3(d, d)
     if np.any(r2 == 0.0):
         raise SelfContactError("coincident tangent-points in kernel matrix")
-    expo = 2 * spec.sigma + 1
-    if spec.kind == "high":
-        return 2.0 * r2 ** (-expo / 2)
-
-    def k2(t, dvec):
-        cr2 = np.maximum(
-            np.einsum("...i,...i->...", t, t) * r2
-            - np.einsum("...i,...i->...", t, dvec) ** 2, 0.0)
-        return cr2 / r2 ** ((expo + 4) / 2)
-
-    return k2(ti, d) + k2(tj, -d)
+    high, low = _metric_sample(d, r2, ti, tj, _dot3(ti, ti), _dot3(tj, tj),
+                               2 * spec.sigma + 1)
+    return 2.0 * high if spec.kind == "high" else low
 
 
 def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
@@ -88,11 +92,9 @@ def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
     for sl, ti, tj, samples in _pair_samples(net, I, J):
         tti, ttj = _dot3(ti, ti), _dot3(tj, tj)
         for _, _, d, r2 in samples:
-            term = r2 ** (-expo / 2)
-            high[sl] += term
-            cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
-            crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
-            low[sl] += term * ((cri + crj) / r2 ** 2)
+            h, lo = _metric_sample(d, r2, ti, tj, tti, ttj, expo)
+            high[sl] += h
+            low[sl] += lo
     w = 0.25 * geom.lengths[I] * geom.lengths[J]
     high *= 2.0 * w
     low *= w

@@ -25,8 +25,9 @@ and eps by a breadth-first traversal: each generation of (edge, node)
 candidates is tested in one vectorized sweep.  The plan lists the far field
 as flat (edge, node) entries, each edge lumped against a node's aggregates,
 and the leaf pairs (I, J) as one ordered pair list for the energy module's
-chunked pair kernel.  The kernel gives both pair orders from one set of
-endpoint differences, so one pass over the plan yields the energy and the
+chunked pair kernel.  A far entry is one sample of that kernel at the
+aggregates, with the leaf pairs' scatter of the length and tangent
+variations, so one pass over the plan yields the energy and the
 differential, and the eps -> 0 limit reproduces the exact energy and
 differential up to summation order.
 """
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .energy import (EnergyParams, _kernel_grads, _kernel_raw, _pair_chunks,
-                     _pair_terms, _scatter)
+from .energy import (EnergyParams, _dot3, _pair_chunks, _pair_terms,
+                     _sample_kernels, _scatter_ends)
 from .network import CurveNetwork, edges_share_vertex
 
 
@@ -215,34 +216,30 @@ def _far_terms(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
     (edge, node) entries: l_I m_a k(x_I - xbar_a, T_I) for edge I lumped
     against node a.
 
-    When grad, a (3, V) array, is given, each entry's symmetrized two-term
-    increment, the lumped counterpart of both pair orders with the node
-    aggregates held constant, is added to it at the endpoints of I.
+    Each entry is one sample of the leaf pairs' kernel code: d = x_I -
+    xbar_a, tangents (T_I, Tbar_a), weight l_I m_a.  When grad, a (3, V)
+    array, is given, the differential of both orders, node aggregates held
+    constant, is added at the ends of I, each taking half the d-gradient.
     """
     geom = net.geometry()
-    alpha, beta = params.alpha, params.beta
+    mid, T, com, tbar = (x.T for x in (geom.midpoints, geom.tangents, bvh.com,
+                                       bvh.avg_tangent))
     energy = 0.0
-    for sl in _pair_chunks(len(plan.far_edge)):
-        e, a = plan.far_edge[sl], plan.far_node[sl]
-        ti = geom.tangents[e]
-        da = geom.midpoints[e] - bvh.com[a]
-        w = geom.lengths[e] * bvh.mass[a]
-        if grad is None:
-            energy += float(_kernel_raw(da, ti, alpha, beta) @ w)
-            continue
-        k1, dk1_dd, dk1_dT = _kernel_grads(da, ti, alpha, beta)
-        k2, dk2_dd, _ = _kernel_grads(-da, bvh.avg_tangent[a], alpha, beta)
-        energy += float(k1 @ w)
-        # dk2 is w.r.t. its own difference vector (xbar - x_I); the
-        # derivative w.r.t. x_I flips the sign back
-        tproj = dk1_dT - np.einsum("pi,pi->p", dk1_dT, ti)[:, None] * ti
-        common = 0.5 * geom.lengths[e][:, None] * (dk1_dd - dk2_dd)
-        ksum = (k1 + k2)[:, None] * ti
-        mass = bvh.mass[a][:, None]
-        inc1 = mass * (-ksum - tproj + common)
-        inc2 = mass * (ksum + tproj + common)
-        _scatter(grad, np.concatenate([net.edges[e, 0], net.edges[e, 1]]),
-                 np.concatenate([inc1, inc2]).T)
+    with np.errstate(over="ignore", divide="ignore"):
+        for sl in _pair_chunks(len(plan.far_edge)):
+            e, a = plan.far_edge[sl], plan.far_node[sl]
+            ti = T.take(e, axis=1)
+            d = mid.take(e, axis=1) - com.take(a, axis=1)
+            m = bvh.mass.take(a)
+            w = geom.lengths.take(e) * m
+            tangents = (ti,) if grad is None else (ti, tbar.take(a, axis=1))
+            ks, g, s = _sample_kernels(d, _dot3(d, d), tangents,
+                                       [_dot3(t, t) for t in tangents],
+                                       params, grad is not None)
+            energy += float(w @ ks[0])
+            if grad is not None:
+                _scatter_ends(grad, net, e, 0.5 * w, (g, g), m,
+                              ks[0] + ks[1], s, ti)
     return energy
 
 

@@ -12,14 +12,18 @@ inner sum over the endpoints x_w of the edges J disjoint from I folds into a
 weight M[I, w], the total length of those edges at w.  `_vertex_terms`
 walks row blocks of edges against all vertices, takes the differences by
 broadcasting and evaluates 2 E V kernels, where the pair form takes 4 E^2.
-Its differential comes from row sums, column sums and (rows x V) @ (V x 3)
-products of the block kernels.
 
 The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
 chunks of 4096: k is even in p - q, so one set of endpoint differences,
 gathered as (3, E) columns with np.take, gives both orders k(d, T_I) and
-k(d, T_J) that the differential needs, and the differential is scattered
-with one bincount per coordinate.  `bct.trapezoid_kernels` shares its gather.
+k(d, T_J) that the differential needs.  One kernel code serves exact and
+lumped terms: `_sample_kernels` evaluates a sample and `_scatter_ends`
+scatters its differential, for the four samples of a pair here and the one
+sample at the aggregates of a Barnes-Hut far entry; `bct.trapezoid_kernels`
+shares the pair gather.  `_vertex_terms` keeps its own kernel: per-sample
+(3, P) columns would triple the temporaries of its broadcast (rows x V)
+blocks, whose differential comes from row sums, column sums and (rows x V)
+@ (V x 3) products.
 """
 
 from __future__ import annotations
@@ -73,63 +77,55 @@ def validate_params(alpha: float, beta: float) -> EnergyParams:
 
 def kernel(p, q, T, params: EnergyParams) -> float:
     """Tangent-point kernel |T x (p-q)|^alpha / |p-q|^beta for unit tangent T."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
     T = np.asarray(T, dtype=float)
     if abs(np.linalg.norm(T) - 1.0) > 1e-9:
         raise ValueError("T must be a unit vector")
-    d = p - q
-    r = np.linalg.norm(d)
-    if r == 0.0:
+    r2 = np.array([d @ d])
+    if r2[0] == 0.0:
         raise SelfContactError("kernel undefined at p == q")
-    cr = np.linalg.norm(np.cross(T, d))
-    return float(cr ** params.alpha / r ** params.beta)
-
-
-def _kernel_raw(d: np.ndarray, T: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Vectorized kernel over difference vectors d (..., 3), tangents T (..., 3).
-
-    Near-contact overflow is deliberate: an inf energy makes the line search
-    reject the trial, so the warning is suppressed rather than guarded.
-    """
-    r2 = np.einsum("...i,...i->...", d, d)
-    cr2 = np.einsum("...i,...i->...", T, T) * r2 - np.einsum("...i,...i->...", T, d) ** 2
-    cr2 = np.maximum(cr2, 0.0)
-    with np.errstate(over="ignore", divide="ignore"):
-        return cr2 ** (alpha / 2) / r2 ** (beta / 2)
-
-
-def _kernel_grads(d, T, alpha, beta):
-    """Kernel value plus gradients w.r.t. d and T.
-
-    Returns (k, dk_dd, dk_dT) with shapes (...,), (..., 3), (..., 3).  The
-    cross-product magnitude enters as cr^(alpha-2) times an O(cr) vector, so
-    the cr -> 0 limit is zero for alpha > 1; guarded explicitly.
-    """
-    r2 = np.einsum("...i,...i->...", d, d)
-    td = np.einsum("...i,...i->...", T, d)
-    t2 = np.einsum("...i,...i->...", T, T)
-    cr2 = np.maximum(t2 * r2 - td ** 2, 0.0)
-
-    k = cr2 ** (alpha / 2) / r2 ** (beta / 2)
-
-    # cr^(alpha-2) with a safe value where cr == 0 (the factors below are O(cr))
-    safe = cr2 > 0
-    cr_am2 = np.where(safe, cr2, 1.0) ** ((alpha - 2) / 2)
-    cr_am2 = np.where(safe, cr_am2, 0.0)
-
-    w_d = t2[..., None] * d - td[..., None] * T          # grad of cr^2 / 2 in d
-    w_T = r2[..., None] * T - td[..., None] * d          # grad of cr^2 / 2 in T
-    rb = r2 ** (beta / 2)
-    dk_dd = (alpha * cr_am2 / rb)[..., None] * w_d \
-        - (beta * cr2 ** (alpha / 2) / (rb * r2))[..., None] * d
-    dk_dT = (alpha * cr_am2 / rb)[..., None] * w_T
-    return k, dk_dd, dk_dT
+    ks, _, _ = _sample_kernels(d[:, None], r2, (T[:, None],), (T @ T,),
+                               params)
+    return float(ks[0][0])
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise dot products of two (3, P) arrays."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sample_kernels(d: np.ndarray, r2: np.ndarray, tangents, tt,
+                    params: EnergyParams, grad: bool = False):
+    """k(d, T) = |T x d|^alpha / r^beta at one sample, for each T of
+    `tangents`; d and T are (3, P) columns, r2 = |d|^2 and tt the |T|^2.
+
+    Returns (ks, dk_dd, s): the kernel per tangent and, with grad, dk/dd
+    summed over the tangents and s = c (T.d) d for the first, c = alpha
+    cr^(alpha-2) / r^beta (else None, None): the tangent variation of
+    dk/dT = c (r2 T - (T.d) d) needs only s.
+    """
+    alpha, beta = params.alpha, params.beta
+    rb = r2 ** (-beta / 2)
+    ks, cd, g_t, s = [], 0.0, 0.0, None
+    for t, t2 in zip(tangents, tt):
+        td = _dot3(t, d)
+        cr2 = np.maximum(t2 * r2 - td * td, 0.0)
+        # cr^(alpha-2), zero where cr = 0: the factors it scales are O(cr),
+        # so the limit is zero for alpha > 1
+        cam = np.zeros_like(cr2)
+        np.power(cr2, (alpha - 2) / 2, out=cam, where=cr2 > 0)
+        k = cr2 * cam * rb
+        ks.append(k)
+        if not grad:
+            continue
+        # dk/dd = c (|T|^2 d - (T.d) T) - beta k d / r2
+        c = alpha * cam * rb
+        u = c * td
+        cd = cd + c * t2 - beta * k / r2
+        g_t = g_t + u * t
+        if s is None:
+            s = u * d
+    return ks, cd * d - g_t if grad else None, s
 
 
 # pairs per chunk: the temporaries of one chunk stay within a few MiB
@@ -173,8 +169,23 @@ def _pair_samples(net: CurveNetwork, I: np.ndarray, J: np.ndarray):
         yield sl, T.take(Ic, axis=1), T.take(Jc, axis=1), samples(Ic, Jc)
 
 
-def _scatter(grad: np.ndarray, idx: np.ndarray, vals: np.ndarray):
-    """grad[:, idx] += vals for a (3, V) grad and (3, m) vals, repeats summed."""
+def _scatter_ends(grad: np.ndarray, net: CurveNetwork, I: np.ndarray,
+                  w: np.ndarray, g_end, m: np.ndarray, k: np.ndarray,
+                  s: np.ndarray, t: np.ndarray):
+    """Add the differential of pair terms at the ends of the edges I to the
+    (3, V) grad: w g_end[end] from the d-gradients, and -+ m (k T + (s.T) T
+    - s), the variation of the length (dl/dx = -+T) and of the tangent of
+    terms m l_I k, k summed over both orders and s from `_sample_kernels`.
+    """
+    v = m * (k * t + _dot3(s, t) * t - s)
+    P = len(I)
+    idx = np.empty(2 * P, dtype=int)
+    vals = np.empty((3, 2 * P))
+    for end, sign in enumerate((-1.0, 1.0)):
+        cols = slice(end * P, (end + 1) * P)
+        net.edges[:, end].take(I, out=idx[cols])
+        np.multiply(w, g_end[end], out=vals[:, cols])
+        vals[:, cols] += sign * v
     for c in range(3):
         grad[c] += np.bincount(idx, weights=vals[c], minlength=grad.shape[1])
 
@@ -191,63 +202,30 @@ def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
     differential.  k is even in d, so one set of endpoint differences serves
     both orders; without grad only the T_I order is evaluated.
     """
-    alpha, beta = params.alpha, params.beta
     lengths = net.geometry().lengths
-    ends = (net.edges[:, 0], net.edges[:, 1])
     energy = 0.0
     # near-contact overflow is deliberate: an inf energy makes the line
     # search reject the trial, so the warning is suppressed, not guarded
     with np.errstate(over="ignore", divide="ignore"):
         for sl, ti, tj, samples in _pair_samples(net, I, J):
-            li, lj = lengths.take(I[sl]), lengths.take(J[sl])
+            Ic, lj = I[sl], lengths.take(J[sl])
+            w = 0.25 * lengths.take(Ic) * lj
             tangents = (ti,) if grad is None else (ti, tj)
             tt = [_dot3(t, t) for t in tangents]
-            ksum = [0.0, 0.0]
+            k_i, k_j, s_t = 0.0, 0.0, 0.0
             g_end = [0.0, 0.0]      # d-gradients at the two ends of I
-            s_t = 0.0               # sum of c (T_I.d) d
-            for a, b, d, r2 in samples:
-                rb = r2 ** (-beta / 2)
-                cd, g_t = 0.0, 0.0
-                for side, t in enumerate(tangents):
-                    td = _dot3(t, d)
-                    cr2 = np.maximum(tt[side] * r2 - td * td, 0.0)
-                    # cr^(alpha-2), zero where cr = 0: the factors it
-                    # scales are O(cr), so the limit is zero for alpha > 1
-                    cam = np.zeros_like(cr2)
-                    np.power(cr2, (alpha - 2) / 2, out=cam, where=cr2 > 0)
-                    k = cr2 * cam * rb
-                    ksum[side] += k
-                    if grad is None:
-                        continue
-                    # dk/dd = c (|T|^2 d - (T.d) T) - beta k d / r2 and
-                    # dk/dT = c (r2 T - (T.d) d), with c = alpha cr^(alpha-2)
-                    # / r^beta
-                    c = alpha * cam * rb
-                    u = c * td
-                    cd = cd + c * tt[side] - beta * k / r2
-                    g_t = g_t + u * t
-                    if side == 0:
-                        s_t = s_t + u * d
+            for a, _, d, r2 in samples:
+                ks, g, s = _sample_kernels(d, r2, tangents, tt, params,
+                                           grad is not None)
+                k_i = k_i + ks[0]
                 if grad is not None:
-                    g_end[a] = g_end[a] + (cd * d - g_t)
-            w = 0.25 * li * lj
-            energy += w @ ksum[0]
-            if grad is None:
-                continue
-            # w / l_I = l_J / 4 scales both the length variation, dl/dx = -+T
-            # at the two ends, and the tangent variation (Id - T T^t) dk/dT,
-            # where the r2 T part of dk/dT projects away
-            v = 0.25 * lj * ((ksum[0] + ksum[1]) * ti + _dot3(s_t, ti) * ti
-                             - s_t)
-            P = len(w)
-            idx = np.empty(2 * P, dtype=int)
-            vals = np.empty((3, 2 * P))
-            for end, sign in enumerate((-1.0, 1.0)):
-                cols = slice(end * P, (end + 1) * P)
-                ends[end].take(I[sl], out=idx[cols])
-                np.multiply(w, g_end[end], out=vals[:, cols])
-                vals[:, cols] += sign * v
-            _scatter(grad, idx, vals)
+                    k_j, s_t = k_j + ks[1], s_t + s
+                    g_end[a] = g_end[a] + g
+            energy += w @ k_i
+            if grad is not None:
+                # w / l_I = l_J / 4 scales the length and tangent variations
+                _scatter_ends(grad, net, Ic, w, g_end, 0.25 * lj, k_i + k_j,
+                              s_t, ti)
     return energy
 
 

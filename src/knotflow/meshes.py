@@ -38,25 +38,47 @@ class TriangleMesh:
         return len(self.faces)
 
 
-def load_obj_mesh(path) -> TriangleMesh:
-    """Read an OBJ file with 'v' and triangular 'f' records."""
-    verts, faces = [], []
+def read_obj(path, key: str):
+    """The vertices and the `key` records ('l' lines or 'f' faces) of an OBJ
+    file: a list of [x, y, z] and a list of ("path:line", 0-based indices).
+    A malformed record raises ValueError naming its file and line."""
+    verts, records = [], []
+    noun = {"l": "line", "f": "face"}[key]
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
-                if len(idx) != 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: only triangular faces supported")
-                faces.append([i - 1 for i in idx])
+            where = f"{path}:{lineno}"
+            if parts[:1] == ["v"]:
+                try:
+                    xyz = [float(x) for x in parts[1:4]]
+                except ValueError:
+                    xyz = []
+                if len(xyz) < 3:
+                    raise ValueError(f"{where}: a vertex needs 3 numeric "
+                                     f"coordinates: {line.strip()!r}")
+                verts.append(xyz)
+            elif parts[:1] == [key]:
+                idx = [tok.split("/")[0] for tok in parts[1:]]
+                if not all(t.isdecimal() and int(t) > 0 for t in idx):
+                    raise ValueError(f"{where}: {noun} indices must be "
+                                     f"positive integers: {line.strip()!r}")
+                records.append((where, [int(t) - 1 for t in idx]))
+    for where, idx in records:
+        if max(idx, default=-1) >= len(verts):
+            raise ValueError(f"{where}: index {max(idx) + 1} is past the "
+                             f"{len(verts)} vertices")
+    return verts, records
+
+
+def load_obj_mesh(path) -> TriangleMesh:
+    """Read an OBJ file with 'v' and triangular 'f' records (`read_obj`)."""
+    verts, faces = read_obj(path, "f")
+    for where, face in faces:
+        if len(face) != 3:
+            raise ValueError(f"{where}: only triangular faces supported")
     if not verts or not faces:
         raise ValueError(f"{path}: no usable geometry")
-    return TriangleMesh(verts, faces)
+    return TriangleMesh(verts, [face for _, face in faces])
 
 
 class FaceTree:

@@ -53,7 +53,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           TangentConstraint, TotalLength)
 from .energy import EnergyParams, discrete_energy, validate_params
 from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult
-from .meshes import MeshSignedDistance, load_obj_mesh
+from .meshes import MeshSignedDistance, load_obj_mesh, read_obj
 from .network import CurveNetwork
 from .potentials import (ConstantField, FieldPotential,
                          LengthDifferencePotential, RotationField,
@@ -215,17 +215,17 @@ class Scene:
             elif kind == "edge-length":
                 specs.append(EdgeLengths.from_network(net, growth=growth))
             elif kind == "point":
-                vertex = _get(sec, "vertex", convert=int, origin=self.origin)
+                vertex = self._index(sec, "vertex", net.n_vertices)
                 raw = _get(sec, "target", default="auto", origin=self.origin)
                 target = net.vertices[vertex] if raw == "auto" \
                     else _vector(raw)
                 specs.append(PointConstraint(vertex, target))
             elif kind == "surface":
-                vertex = _get(sec, "vertex", convert=int, origin=self.origin)
+                vertex = self._index(sec, "vertex", net.n_vertices)
                 specs.append(SurfaceConstraint(
                     vertex, self._surface_for(sec)))
             elif kind == "tangent":
-                edge = _get(sec, "edge", convert=int, origin=self.origin)
+                edge = self._index(sec, "edge", net.n_edges)
                 raw = _get(sec, "target", default="auto", origin=self.origin)
                 target = net.geometry().tangents[edge] if raw == "auto" \
                     else _vector(raw) / np.linalg.norm(_vector(raw))
@@ -235,6 +235,14 @@ class Scene:
                     f"{self.origin}:{sec['__line__']}: unknown constraint "
                     f"type {kind!r}")
         return ConstraintSet(specs)
+
+    def _index(self, sec, key, count):
+        """The integer `key` of a section, checked to lie in 0..count-1."""
+        index = _get(sec, key, convert=int, origin=self.origin)
+        if not 0 <= index < count:
+            raise SceneError(f"{self.origin}:{sec[key][1]}: {key} {index} "
+                             f"is out of range 0..{count - 1}")
+        return index
 
     def _surface_for(self, sec):
         kind = _get(sec, "surface", default="sphere", origin=self.origin)
@@ -276,10 +284,11 @@ class Scene:
                 if not path.exists():
                     raise SceneError(f"{self.origin}:{sec['__line__']}: "
                                      f"obstacle not found: {path}")
-                exponent = sec.get("exponent")
-                pots.append(SurfacePotential(
-                    load_obj_mesh(path), weight,
-                    exponent=float(exponent[0]) if exponent else None))
+                exponent = _get(sec, "exponent", convert=float,
+                                origin=self.origin) \
+                    if "exponent" in sec else None
+                pots.append(SurfacePotential(load_obj_mesh(path), weight,
+                                             exponent=exponent))
             elif kind == "field":
                 name = _get(sec, "field", default="constant",
                             origin=self.origin)
@@ -486,27 +495,13 @@ def save_obj_curve(path, net: CurveNetwork):
 
 
 def load_obj_curve(path) -> CurveNetwork:
-    verts, edges = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if parts[0] == "v":
-                try:
-                    xyz = [float(x) for x in parts[1:4]]
-                except ValueError:
-                    xyz = []
-                if len(xyz) < 3:
-                    raise SceneError(f"{path}:{lineno}: a vertex needs 3 "
-                                     f"numeric coordinates: {line.strip()!r}")
-                verts.append(xyz)
-            elif parts[0] == "l":
-                if not all(t.isdecimal() and int(t) > 0 for t in parts[1:]):
-                    raise SceneError(f"{path}:{lineno}: line indices must be "
-                                     f"positive integers: {line.strip()!r}")
-                idx = [int(tok) - 1 for tok in parts[1:]]
-                edges.extend([[a, b] for a, b in zip(idx, idx[1:])])
+    """Read an OBJ file's 'v' and 'l' records (`meshes.read_obj`) as a curve
+    network; a malformed record raises SceneError naming file and line."""
+    try:
+        verts, lines = read_obj(path, "l")
+    except ValueError as exc:
+        raise SceneError(str(exc)) from None
+    edges = [[a, b] for _, idx in lines for a, b in zip(idx, idx[1:])]
     if not verts or not edges:
         raise SceneError(f"{path}: no polyline data")
     return CurveNetwork(np.array(verts), edges)

@@ -11,8 +11,8 @@ from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
 from oracles import (coverage_count, hier_apply_high, hier_apply_low,
-                     perturbed_polygon, regular_polygon, smooth_circle,
-                     theta_and_loop)
+                     kernel_value, perturbed_polygon, regular_polygon,
+                     smooth_circle, theta_and_loop)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -264,6 +264,27 @@ class TestCompiledFarField:
         want = block_sum_oracle(K, net, psi)
         assert got.shape == psi.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("kind", ["high", "low"])
+    def test_kbar_matches_scalar_loop(self, kind):
+        # each admissible block's kernel at the aggregates of its two nodes:
+        # 2 / r^(2 sigma + 1), or sum_T |T x d|^2 / r^(2 sigma + 5) over the
+        # two (non-unit) average tangents
+        net = smooth_circle()
+        bct = BlockClusterTree(EdgeBvh(net))
+        assert len(bct.adm_a) > 0
+        K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
+        com, tbar = bct.bvh.com, bct.bvh.avg_tangent
+        expo = 2 * SIGMA + 1
+        for a, b, kbar in zip(bct.adm_a, bct.adm_b, K.kbar):
+            if kind == "high":
+                want = 2.0 / np.linalg.norm(com[a] - com[b]) ** expo
+            else:
+                want = sum(kernel_value(com[a], com[b], t, 2.0, expo + 4)
+                           for t in (tbar[a], tbar[b]))
+            assert kbar == pytest.approx(want, rel=1e-13)
 
 
 class TestHierMetric:

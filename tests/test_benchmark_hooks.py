@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,3 +41,20 @@ def test_traced_operation_reads_its_layer_stats():
     # the step-start Barnes-Hut work runs inside the patched entry points
     assert out["layers"]["energy.diff_s"] > 0
     assert out["layers"]["bvh.refits"] > 0
+
+
+@pytest.mark.parametrize("workload", ["trefoil-dense", "trefoil-mg"])
+def test_untraced_workload_passes_its_output_checks(workload):
+    # one untraced operation each (about 2 s): the run reaches the target
+    # energy and every output check of `flowbench/worker.py` passes
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "flowbench/worker.py", "--workload", workload,
+         "--seed", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert "failure" not in out, out["failure"]
+    assert out["checks"] == []
+    assert out["stop_reason"] == "target-energy"

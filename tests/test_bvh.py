@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
+from knotflow.bvh import EdgeBvh, _far_terms, bh_differential, bh_energy
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
 from knotflow.network import CurveNetwork, edges_share_vertex
 from knotflow.scenes import generate_test_curve
 
-from oracles import (perturbed_polygon, refit_loop, regular_polygon,
-                     smooth_circle, theta_and_loop, traverse_dfs, tree_depth)
+from oracles import (kernel_value, perturbed_polygon, refit_loop,
+                     regular_polygon, smooth_circle, theta_and_loop,
+                     traverse_dfs, tree_depth)
 
 P36 = validate_params(3, 6)
 
@@ -170,6 +171,61 @@ class TestRefit:
             got = getattr(bvh, name)
             assert np.allclose(got, want, rtol=1e-14,
                                atol=1e-14 * np.abs(want).max()), name
+
+
+class TestFarField:
+    """The far field against scalar loops over the plan's (edge, node)
+    entries, with the fitted tree's aggregates and the plan frozen."""
+
+    @staticmethod
+    def frozen_far_field(net, eps=0.25):
+        bvh = EdgeBvh(net)
+        plan = bvh.plan(net, eps)
+        assert len(plan.far_edge) > 0
+        frozen = (plan.far_edge.tolist(), plan.far_node.tolist(),
+                  bvh.com.copy(), bvh.avg_tangent.copy(), bvh.mass.copy())
+        return bvh, plan, frozen
+
+    @staticmethod
+    def lumped_loop(net, frozen, both_orders=False):
+        """sum l_I m_a k(x_I - xbar_a, T_I), plus k(x_I - xbar_a, Tbar_a)
+        with both orders; Tbar_a is not a unit vector."""
+        far_edge, far_node, com, tbar, mass = frozen
+        geom = net.geometry()
+        total = 0.0
+        for e, a in zip(far_edge, far_node):
+            x = geom.midpoints[e]
+            k = kernel_value(x, com[a], geom.tangents[e], 3.0, 6.0)
+            if both_orders:
+                k += kernel_value(x, com[a], tbar[a], 3.0, 6.0)
+            total += geom.lengths[e] * mass[a] * k
+        return total
+
+    @pytest.mark.parametrize("make", [smooth_circle, lambda: CurveNetwork(
+        *theta_and_loop())], ids=["smooth-circle", "theta-and-loop"])
+    def test_energy_matches_scalar_loop(self, make):
+        net = make()
+        bvh, plan, frozen = self.frozen_far_field(net)
+        assert _far_terms(net, bvh, P36, plan) == pytest.approx(
+            self.lumped_loop(net, frozen), rel=1e-12)
+
+    @pytest.mark.parametrize("make", [smooth_circle, lambda: CurveNetwork(
+        *theta_and_loop())], ids=["smooth-circle", "theta-and-loop"])
+    def test_differential_matches_central_differences(self, make):
+        net = make()
+        bvh, plan, frozen = self.frozen_far_field(net)
+        grad = np.zeros((3, net.n_vertices))
+        _far_terms(net, bvh, P36, plan, grad=grad)
+        rng = np.random.default_rng(3)
+        # the smooth circle's edges are short (2 pi / 256), so its central
+        # differences err by about 2e-5 at h = 1e-5 and 2e-7 at h = 1e-6
+        h = 2e-7
+        for _ in range(3):
+            u = rng.normal(size=net.vertices.shape)
+            f = [self.lumped_loop(net.with_positions(net.vertices + s * h * u),
+                                  frozen, both_orders=True) for s in (1, -1)]
+            fd = (f[0] - f[1]) / (2 * h)
+            assert float(np.sum(grad.T * u)) == pytest.approx(fd, rel=1e-6)
 
 
 class TestMemory:

@@ -9,7 +9,7 @@ from knotflow.flow import minimal_projected_crossings
 from knotflow.scenes import (SceneError, generate_test_curve, load_obj_curve,
                              parse_scene, save_obj_curve, serialize_scene)
 
-from oracles import component_labels
+from oracles import component_labels, octahedron_sphere, save_obj_mesh
 
 MINIMAL_SCENE = """
 [curve]
@@ -59,6 +59,28 @@ class TestParse:
         assert strip(again) == strip(scene)
         assert again.build_flow_config() == scene.build_flow_config()
         assert again.output_settings() == scene.output_settings()
+
+    @pytest.mark.parametrize("record", [
+        "type = point\nvertex = -1", "type = point\nvertex = 99",
+        "type = surface\nvertex = 99", "type = tangent\nedge = 99"],
+        ids=["point-negative", "point-past", "surface-past", "tangent-past"])
+    def test_index_out_of_range_named(self, record):
+        text = MINIMAL_SCENE.replace("n = 24", "n = 16") \
+            + f"\n[constraint]\n{record}\n"
+        scene = parse_scene(text)
+        key = record.split("\n")[1].split(" = ")[0]
+        with pytest.raises(SceneError, match=f"<scene>:11: {key} -?[0-9]+ "
+                           f"is out of range 0..15"):
+            scene.build_constraints(scene.build_curve())
+
+    def test_bad_exponent_named(self, tmp_path):
+        save_obj_mesh(tmp_path / "ball.obj", octahedron_sphere())
+        path = tmp_path / "scene.knot"
+        path.write_text(MINIMAL_SCENE + "\n[potential]\ntype = surface\n"
+                        "path = ball.obj\nexponent = abc\n")
+        scene = parse_scene(path)
+        with pytest.raises(SceneError, match=":12: bad value for 'exponent'"):
+            scene.build_potentials(scene.build_params())
 
     def test_full_accel_rejected(self):
         text = MINIMAL_SCENE + "\n[flow]\naccel = full\n"
@@ -140,6 +162,14 @@ class TestObjCurves:
         path = tmp_path / "curve.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\n{record}\n")
         with pytest.raises(SceneError, match="curve.obj:3: line indices"):
+            load_obj_curve(path)
+
+
+    def test_line_index_past_count_named(self, tmp_path):
+        path = tmp_path / "curve.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nl 1 3\n")
+        with pytest.raises(SceneError, match="curve.obj:3: index 3 is past "
+                           "the 2 vertices"):
             load_obj_curve(path)
 
 

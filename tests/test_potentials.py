@@ -222,6 +222,21 @@ class TestMeshes:
         assert np.allclose(back.vertices, mesh.vertices)
         assert np.array_equal(back.faces, mesh.faces)
 
+    @pytest.mark.parametrize("record, message", [
+        ("f 0 1 2", "face indices must be positive integers"),
+        ("f -1 -2 -3", "face indices must be positive integers"),
+        ("f 1 2 x", "face indices must be positive integers"),
+        ("f 1 2 4", "index 4 is past the 3 vertices"),
+        ("v 1 2", "a vertex needs 3 numeric coordinates"),
+        ("f 1 2 3 1", "only triangular faces"),
+    ], ids=["zero-index", "negative-index", "non-integer", "past-count",
+            "short-vertex", "quad"])
+    def test_bad_record_named(self, tmp_path, record, message):
+        path = tmp_path / "mesh.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\n")
+        with pytest.raises(ValueError, match=f"mesh.obj:4: {message}"):
+            load_obj_mesh(path)
+
     def test_signed_distance_of_sphere(self):
         mesh = octahedron_sphere(radius=1.0, subdivisions=3)
         sdf = MeshSignedDistance(mesh)
