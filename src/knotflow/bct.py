@@ -3,7 +3,9 @@
 Kernel matrices K_IJ = k(p_I, p_J) l_I l_J over edge pairs are partitioned
 into admissible blocks (approximated by the rank-1 outer product of cluster
 length vectors, scaled by the kernel at the aggregate tangent-points) and
-near-field blocks (kept exact, assembled once into a sparse matrix).  The far
+near-field blocks (kept exact, assembled once into a sparse matrix), by one
+`bvh.sweep` of node pairs from the root block, as Barnes-Hut sweeps (edge,
+node) pairs; `bvh.run_pairs` lists the near blocks' edge pairs.  The far
 field is compiled once into fixed sparse factors, K_far = Up^T K_adm Up with
 Up the length-weighted node-membership matrix and K_adm the block kernel
 values, so one matvec costs O(memberships + blocks + near-field entries).
@@ -22,21 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
-from .bvh import EdgeBvh
+from .bvh import EdgeBvh, run_pairs, sweep
 from .energy import SelfContactError, _dot3, _pair_samples
 from .metric import average_matrix, derivative_matrix, metric_parts
-from .network import CurveNetwork, edges_share_vertex
+from .network import CurveNetwork, exact_pairs
 
 
 # Default admissibility parameter for hierarchical matvecs.  Block error
 # scales like eps^2 (first-order terms cancel against the length-weighted
-# aggregates); 0.125 keeps the matvec within 0.3% of the dense kernel matrix,
-# well inside the 1e-2 preconditioning budget.
+# aggregates).  At 0.125, `knotflow bench --only 4` reads errors of 1.5e-4
+# for the matvec (n = 256, 190 admissible blocks) and 3.3e-3 for the
+# multigrid solve (n <= 512), against dense, inside the 1e-2 budget.
 DEFAULT_BCT_EPS = 0.125
-
-# A block is kept exact, not split further, once neither side holds more
-# than NEAR_SIZE edges (or a side is a leaf).
-NEAR_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -104,73 +103,33 @@ def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
 class BlockClusterTree:
     """Partition of the edge-pair matrix into admissible and near blocks.
 
-    Construction proceeds breadth-first with all candidate blocks of one
-    generation tested in single vectorized sweeps.  Block (a, b), with
+    One `bvh.sweep` refines the root block breadth-first.  Block (a, b), with
     centers of mass at distance dist, is admissible when max(r_x) <= eps
-    dist, max(r_T) <= eps and 2 (r_x[a] + r_x[b]) < dist.  Every point of
-    a node's edges lies within 2 r_x of its center of mass (`EdgeBvh.refit`),
+    dist, max(r_T) <= eps and 2 (r_x[a] + r_x[b]) < dist.  Every point of a
+    node's edges lies within 2 r_x of its center of mass (`EdgeBvh.refit`),
     so the last term keeps identical and adjacent edge pairs, which the
     kernels exclude, out of every admissible block at any eps; at eps < 1/4
-    the first term implies it.  `adm_a`, `adm_b` and `near_a`, `near_b`
-    hold the node pairs of the admissible and the near blocks, generation
-    by generation.
+    the first term implies it.  Other blocks split down to leaf pairs, the
+    near blocks, so the tree's leaf size alone sets their size.  `adm_a`,
+    `adm_b` and `near_a`, `near_b` hold the node pairs of the admissible and
+    the near blocks, generation by generation.
     """
 
-    def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS,
-                 near_size: int = NEAR_SIZE):
+    def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS):
         self.bvh = bvh
         self.eps = float(eps)
-        self.near_size = int(near_size)
-        adm_a, adm_b = [], []
-        near_a, near_b = [], []
-        sizes = bvh.end - bvh.start
-        is_leaf = bvh.left < 0
-        a = np.array([0])
-        b = np.array([0])
-        while len(a):
-            if self.eps > 0:
-                d = bvh.com[a] - bvh.com[b]
-                dist2 = np.einsum("ni,ni->n", d, d)
-                rx = np.maximum(bvh.r_x[a], bvh.r_x[b])
-                rt = np.maximum(bvh.r_T[a], bvh.r_T[b])
-                sep = 2 * (bvh.r_x[a] + bvh.r_x[b])
-                ok = (sep * sep < dist2) \
-                    & (rx * rx <= self.eps ** 2 * dist2) & (rt <= self.eps)
-            else:
-                ok = np.zeros(len(a), dtype=bool)
-            adm_a.append(a[ok])
-            adm_b.append(b[ok])
-            a, b = a[~ok], b[~ok]
-            # a side is done when it is small or cannot be split further; keep
-            # splitting any oversized side so near blocks stay strictly local
-            done_a = (sizes[a] <= self.near_size) | is_leaf[a]
-            done_b = (sizes[b] <= self.near_size) | is_leaf[b]
-            settled = done_a & done_b
-            near_a.append(a[settled])
-            near_b.append(b[settled])
-            a, b = a[~settled], b[~settled]
-            done_a, done_b = done_a[~settled], done_b[~settled]
-            next_a, next_b = [], []
-            both = ~done_a & ~done_b
-            if np.any(both):
-                la, ra = bvh.left[a[both]], bvh.right[a[both]]
-                lb, rb = bvh.left[b[both]], bvh.right[b[both]]
-                next_a += [la, la, ra, ra]
-                next_b += [lb, rb, lb, rb]
-            only_a = ~done_a & done_b
-            if np.any(only_a):
-                next_a += [bvh.left[a[only_a]], bvh.right[a[only_a]]]
-                next_b += [b[only_a], b[only_a]]
-            only_b = done_a & ~done_b
-            if np.any(only_b):
-                next_a += [a[only_b], a[only_b]]
-                next_b += [bvh.left[b[only_b]], bvh.right[b[only_b]]]
-            a = np.concatenate(next_a) if next_a else np.zeros(0, dtype=int)
-            b = np.concatenate(next_b) if next_b else np.zeros(0, dtype=int)
-        # the sweep runs at least once, on the root block
-        self.adm_a, self.adm_b = np.concatenate(adm_a), np.concatenate(adm_b)
-        self.near_a = np.concatenate(near_a)
-        self.near_b = np.concatenate(near_b)
+
+        def admissible(a, b):
+            d = bvh.com[a] - bvh.com[b]
+            dist2 = np.einsum("ni,ni->n", d, d)
+            rx = np.maximum(bvh.r_x[a], bvh.r_x[b])
+            rt = np.maximum(bvh.r_T[a], bvh.r_T[b])
+            sep = 2 * (bvh.r_x[a] + bvh.r_x[b])
+            return (sep * sep < dist2) \
+                & (rx * rx <= self.eps ** 2 * dist2) & (rt <= self.eps)
+
+        self.adm_a, self.adm_b, self.near_a, self.near_b = sweep(
+            bvh, np.array([0]), np.array([0]), admissible)
         # far-field clusters: the nodes in any admissible block, the 0/1
         # matrix of the edges each contains, and each block as a row pair
         self.far_nodes, rows = np.unique(
@@ -178,31 +137,24 @@ class BlockClusterTree:
         self.adm_rows = rows[:len(self.adm_a)]
         self.adm_cols = rows[len(self.adm_a):]
         sizes = bvh.end[self.far_nodes] - bvh.start[self.far_nodes]
-        edges = np.concatenate([np.zeros(0, dtype=int)] + [
-            bvh.order[bvh.start[n]:bvh.end[n]] for n in self.far_nodes])
-        self.up = csr_matrix(
-            (np.ones(len(edges)),
-             (np.repeat(np.arange(len(sizes)), sizes), edges)),
-            shape=(len(sizes), len(bvh.order)))
+        rows, pos = run_pairs(np.arange(len(sizes)), np.ones_like(sizes),
+                              bvh.start[self.far_nodes], sizes)
+        self.up = csr_matrix((np.ones(len(rows)), (rows, bvh.order[pos])),
+                             shape=(len(sizes), len(bvh.order)))
         self._near_pairs = None
 
     def near_pair_arrays(self, net: CurveNetwork):
         """All exact near-field edge pairs (excluded pairs removed), cached.
 
-        Near block (a, b) holds n_a n_b pairs, listed row-major: its k-th
-        pair takes edge k // n_b of side a and edge k % n_b of side b.
+        Near block (a, b) holds n_a n_b pairs, listed row-major (`run_pairs`):
+        its k-th pair takes edge k // n_b of side a and edge k % n_b of side b.
         """
         if self._near_pairs is None:
             bvh = self.bvh
             a, b = self.near_a, self.near_b
-            n_b = bvh.end[b] - bvh.start[b]
-            runs = (bvh.end[a] - bvh.start[a]) * n_b
-            blk = np.repeat(np.arange(len(runs)), runs)
-            k = np.arange(len(blk)) - np.repeat(np.cumsum(runs) - runs, runs)
-            I = bvh.order[bvh.start[a][blk] + k // n_b[blk]]
-            J = bvh.order[bvh.start[b][blk] + k % n_b[blk]]
-            keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
-            self._near_pairs = (I[keep], J[keep])
+            I, J = run_pairs(bvh.start[a], bvh.end[a] - bvh.start[a],
+                             bvh.start[b], bvh.end[b] - bvh.start[b])
+            self._near_pairs = exact_pairs(net, bvh.order[I], bvh.order[J])
         return self._near_pairs
 
 

@@ -20,14 +20,18 @@ centers farther apart than 2 (r_x[a] + r_x[b]) share no edge or vertex.  No
 lumped group or admissible block can then hold an identical or adjacent pair;
 only the exact leaf and near-field pair lists drop those pairs, by index.
 
+Both accelerations refine pairs against the tree in one breadth-first loop,
+`sweep`, one vectorized admissibility call per generation: node pairs for
+the block cluster tree, (edge, node) pairs for Barnes-Hut.  `run_pairs`
+expands node runs into the exact pairs of either.
+
 A Barnes-Hut evaluation follows a plan (`bh_plan`), made once per tree fit
-and eps by a breadth-first traversal: each generation of (edge, node)
-candidates is tested in one vectorized sweep.  The plan lists the far field
-as flat (edge, node) entries, each edge lumped against a node's aggregates,
-and the leaf pairs (I, J) as one ordered pair list for the energy module's
-chunked pair kernel.  A far entry is one sample of that kernel at the
-aggregates, with the leaf pairs' scatter of the length and tangent
-variations, so one pass over the plan yields the energy and the
+and eps by that sweep of every edge from the root.  The plan lists the far
+field as flat (edge, node) entries, each edge lumped against a node's
+aggregates, and the leaf pairs (I, J) as one ordered pair list for the
+energy module's chunked pair kernel.  A far entry is one sample of that
+kernel at the aggregates, with the leaf pairs' scatter of the length and
+tangent variations, so one pass over the plan yields the energy and the
 differential, and the eps -> 0 limit reproduces the exact energy and
 differential up to summation order.
 """
@@ -40,7 +44,7 @@ import numpy as np
 
 from .energy import (EnergyParams, _dot3, _pair_chunks, _pair_terms,
                      _sample_kernels, _scatter_ends)
-from .network import CurveNetwork, edges_share_vertex
+from .network import CurveNetwork, exact_pairs
 
 
 # Edges (faces, for `meshes.FaceTree`) per leaf when no size is given.
@@ -166,20 +170,64 @@ class BhPlan(NamedTuple):
     J: np.ndarray           # their partners, in a leaf
 
 
-def bh_plan(net: CurveNetwork, bvh: EdgeBvh, eps: float) -> BhPlan:
-    """Barnes-Hut traversal of every edge against the tree, breadth-first.
+def run_pairs(start_a, n_a, start_b, n_b):
+    """Positions (pos_a, pos_b) of the pairs of each run pair, row-major:
+    run pair c couples start_a[c] + i, i < n_a[c], with start_b[c] + j,
+    j < n_b[c], and its k-th pair takes i = k // n_b[c], j = k % n_b[c]."""
+    # one row per position of side a, then one pair per position of side b
+    c = np.repeat(np.arange(len(n_a)), n_a)
+    row = start_a[c] + np.arange(len(c)) - np.repeat(np.cumsum(n_a) - n_a, n_a)
+    n = n_b[c]
+    return np.repeat(row, n), \
+        np.arange(n.sum()) + np.repeat(start_b[c] - np.cumsum(n) + n, n)
 
-    Each generation of (edge, node) candidates is tested in one sweep.  An
-    admissible candidate becomes a far entry, lumped against its node; the
-    others descend to both children, or stop at a leaf, whose runs expand
-    into the ordered leaf pairs (I traversing, J in the leaf) with identical
-    and adjacent pairs dropped, left to the exact trapezoid terms.
+
+def sweep(bvh: EdgeBvh, a: np.ndarray, b: np.ndarray, admissible,
+          split_a: bool = True):
+    """Refine the candidate pairs (a, b) down the tree, breadth-first.
+
+    Each generation is tested in one call of `admissible(a, b)`, a boolean
+    mask.  An admissible pair is far, a pair of leaves near, and any other
+    splits its sides that are not leaves, row-major: (la, lb), (la, rb), (ra,
+    lb), (ra, rb).  With split_a false, side a holds edges, which never
+    split.  Returns (far_a, far_b, near_a, near_b), generation by generation.
     """
+    leaf = bvh.left < 0
+
+    def halves(x, split):
+        return (bvh.left[x], bvh.right[x]) if split else (x,)
+
+    far, near = [], []
+    while len(a):
+        ok = admissible(a, b)
+        far.append((a[ok], b[ok]))
+        a, b = a[~ok], b[~ok]
+        done = leaf[a] & leaf[b] if split_a else leaf[b]
+        near.append((a[done], b[done]))
+        a, b = a[~done], b[~done]
+        if split_a:     # pairs splitting both sides, then a alone, b alone
+            sa, sb = ~leaf[a], ~leaf[b]
+            groups = ((sa & sb, True, True), (~sb, True, False),
+                      (~sa, False, True))
+        else:
+            groups = ((slice(None), False, True),)
+        pairs = [(x, y) for m, split_ma, split_mb in groups
+                 for x in halves(a[m], split_ma)
+                 for y in halves(b[m], split_mb)]
+        a, b = (np.concatenate(side) for side in zip(*pairs))
+    # the loop runs at least once, on the root candidates
+    return tuple(np.concatenate(side) for side in (*zip(*far), *zip(*near)))
+
+
+def bh_plan(net: CurveNetwork, bvh: EdgeBvh, eps: float) -> BhPlan:
+    """Barnes-Hut traversal of every edge against the tree: one `sweep` of
+    (edge, node) pairs from the root.  An admissible pair becomes a far
+    entry, lumped against its node; the rest reach leaves, whose runs expand
+    into the ordered leaf pairs (I traversing, J in the leaf) with identical
+    and adjacent pairs dropped, left to the exact trapezoid terms."""
     geom = net.geometry()
-    far_edge, far_node, leaf_edge, leaf_node = [], [], [], []
-    edge = np.arange(net.n_edges)
-    node = np.zeros(net.n_edges, dtype=int)
-    while len(edge):
+
+    def admissible(edge, node):
         dist = np.linalg.norm(geom.midpoints[edge] - bvh.com[node], axis=1)
         # the query edge's own half-length joins the node radius: the lumped
         # value also replaces the 4-point spread across edge I (so eps = 0
@@ -188,26 +236,15 @@ def bh_plan(net: CurveNetwork, bvh: EdgeBvh, eps: float) -> BhPlan:
         r_x = bvh.r_x[node]
         # the separation term keeps edge I from being lumped with itself or
         # a neighbor at any eps (module docstring); eps < 1/2 implies it
-        ok = (dist > 2 * r_x + half) & (r_x + half <= eps * dist) \
+        return (dist > 2 * r_x + half) & (r_x + half <= eps * dist) \
             & (bvh.r_T[node] <= eps)
-        far_edge.append(edge[ok])
-        far_node.append(node[ok])
-        edge, node = edge[~ok], node[~ok]
-        leaf = bvh.left[node] < 0
-        leaf_edge.append(edge[leaf])
-        leaf_node.append(node[leaf])
-        edge, node = edge[~leaf], node[~leaf]
-        edge = np.concatenate([edge, edge])
-        node = np.concatenate([bvh.left[node], bvh.right[node]])
-    edge, node = np.concatenate(leaf_edge), np.concatenate(leaf_node)
-    # the k-th pair of candidate c takes edge k of its leaf's run
-    runs = bvh.end[node] - bvh.start[node]
-    I = np.repeat(edge, runs)
-    J = bvh.order[np.arange(len(I))
-                  + np.repeat(bvh.start[node] - np.cumsum(runs) + runs, runs)]
-    keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
-    return BhPlan(np.concatenate(far_edge), np.concatenate(far_node),
-                  I[keep], J[keep])
+
+    far_edge, far_node, edge, node = sweep(
+        bvh, np.arange(net.n_edges), np.zeros(net.n_edges, dtype=int),
+        admissible, split_a=False)
+    I, J = run_pairs(edge, np.ones_like(edge), bvh.start[node],
+                     bvh.end[node] - bvh.start[node])
+    return BhPlan(far_edge, far_node, *exact_pairs(net, I, bvh.order[J]))
 
 
 def _far_terms(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,

@@ -139,9 +139,8 @@ class CurveNetwork:
         `with_positions` snapshot.
         """
         if "upper" not in self._topology:
-            ii, jj = np.triu_indices(self.n_edges, k=1)
-            keep = ~edges_share_vertex(self.edges[ii], self.edges[jj])
-            self._topology["upper"] = _read_only(ii[keep], jj[keep])
+            self._topology["upper"] = _read_only(*exact_pairs(
+                self, *np.triu_indices(self.n_edges, k=1)))
         return self._topology["upper"]
 
     def adjacent_vertex_triples(self) -> tuple[np.ndarray, ...]:
@@ -199,6 +198,14 @@ def edges_share_vertex(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     """Elementwise test whether edge rows ea and eb share an endpoint."""
     return ((ea[:, 0] == eb[:, 0]) | (ea[:, 0] == eb[:, 1])
             | (ea[:, 1] == eb[:, 0]) | (ea[:, 1] == eb[:, 1]))
+
+
+def exact_pairs(net: CurveNetwork, I: np.ndarray,
+                J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge pairs (I, J) the energy and the metric sum over: those that
+    are neither identical nor adjacent, in their given order."""
+    keep = (I != J) & ~edges_share_vertex(net.edges[I], net.edges[J])
+    return I[keep], J[keep]
 
 
 def edge_geometry(net: CurveNetwork) -> EdgeGeometry:

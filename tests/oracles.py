@@ -348,6 +348,35 @@ def traverse_dfs(net, bvh, eps):
     return far, np.concatenate(near_i), np.concatenate(near_j)
 
 
+def bct_dfs(bvh, eps):
+    """Block cluster tree block by block, recursively from the root block:
+    the reference for `bct.BlockClusterTree`.
+
+    Returns (admissible, near), the lists of node pairs (a, b) of the
+    admissible blocks and of the near blocks, which pair two leaves.
+    """
+    admissible, near = [], []
+
+    def visit(a, b):
+        dist = np.linalg.norm(bvh.com[a] - bvh.com[b])
+        if 2 * (bvh.r_x[a] + bvh.r_x[b]) < dist \
+                and max(bvh.r_x[a], bvh.r_x[b]) <= eps * dist \
+                and max(bvh.r_T[a], bvh.r_T[b]) <= eps:
+            admissible.append((a, b))
+            return
+        halves_a = [a] if bvh.left[a] < 0 else [bvh.left[a], bvh.right[a]]
+        halves_b = [b] if bvh.left[b] < 0 else [bvh.left[b], bvh.right[b]]
+        if len(halves_a) == len(halves_b) == 1:
+            near.append((a, b))
+            return
+        for x in halves_a:
+            for y in halves_b:
+                visit(x, y)
+
+    visit(0, 0)
+    return admissible, near
+
+
 def refit_loop(bvh, net):
     """`EdgeBvh.refit`'s aggregates recomputed node by node, bottom up: a
     dict of mass, com, avg_tangent, lo, hi, r_x and r_T."""

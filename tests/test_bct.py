@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
                           KernelSpec, dense_kernel_matrices,
@@ -10,9 +11,9 @@ from knotflow.metric import MetricOperator, metric_parts
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
-from oracles import (coverage_count, hier_apply_high, hier_apply_low,
-                     kernel_value, perturbed_polygon, regular_polygon,
-                     smooth_circle, theta_and_loop)
+from oracles import (bct_dfs, coverage_count, hier_apply_high,
+                     hier_apply_low, kernel_value, perturbed_polygon,
+                     regular_polygon, smooth_circle, theta_and_loop)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -45,7 +46,7 @@ class TestStructure:
         edges = np.concatenate([e1, e1 + 16])
         net = CurveNetwork(verts, edges)
         bvh = EdgeBvh(net, leaf_size=2)
-        bct = BlockClusterTree(bvh, eps=0.25, near_size=2)
+        bct = BlockClusterTree(bvh, eps=0.25)
         loop_of = np.zeros(net.n_edges, dtype=int)
         loop_of[16:] = 1
 
@@ -85,21 +86,25 @@ class TestStructure:
 
     def test_no_admissible_block_contains_excluded_pair(self):
         net = polygon_net(48, seed=2)
-        bvh = EdgeBvh(net, leaf_size=2)
-        self.check_no_excluded_pair(net, BlockClusterTree(bvh, eps=0.5))
+        bct = BlockClusterTree(EdgeBvh(net, leaf_size=2), eps=0.5)
+        assert len(bct.adm_a) > 0
+        self.check_no_excluded_pair(net, bct)
 
     def test_no_admissible_block_contains_excluded_pair_with_blocks(self):
-        net = polygon_net(48, seed=2)
-        bvh = EdgeBvh(net, leaf_size=2)
-        bct = BlockClusterTree(bvh, eps=0.5, near_size=2)
-        assert len(bct.adm_a) > 0
+        # at the default leaf size the admissible blocks hold several edges
+        # a side, so each block's every pair is checked, not a single one
+        net = smooth_circle()
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
+        bvh = bct.bvh
+        sizes = (bvh.end - bvh.start)[bct.adm_a] * (bvh.end - bvh.start)[bct.adm_b]
+        assert np.any(sizes > 1)
         self.check_no_excluded_pair(net, bct)
 
     def test_no_admissible_block_contains_excluded_pair_past_quarter_eps(self):
         # past eps = 1/4 the eps test alone admits blocks holding adjacent
         # pairs; the separation term must keep them out
         net = smooth_circle()
-        bct = BlockClusterTree(EdgeBvh(net), eps=0.6, near_size=2)
+        bct = BlockClusterTree(EdgeBvh(net), eps=0.6)
         assert len(bct.adm_a) > 0
         self.check_no_excluded_pair(net, bct)
 
@@ -249,14 +254,13 @@ def block_sum_oracle(K, net, psi):
 
 class TestCompiledFarField:
     @pytest.mark.parametrize("kind", ["high", "low"])
-    @pytest.mark.parametrize("sizes", [(8, 8), (2, 2)])
+    @pytest.mark.parametrize("leaf_size", [8, 2])
     @pytest.mark.parametrize("shape", [(), (4,)])
-    def test_matches_block_sum_oracle(self, kind, sizes, shape):
-        leaf_size, near_size = sizes
-        # at leaf and near size 8 the 96-gon has no admissible block
-        net = smooth_circle() if sizes == (8, 8) else polygon_net(96, seed=24)
+    def test_matches_block_sum_oracle(self, kind, leaf_size, shape):
+        # at leaf size 8 the 96-gon has no admissible block
+        net = smooth_circle() if leaf_size == 8 else polygon_net(96, seed=24)
         bvh = EdgeBvh(net, leaf_size=leaf_size)
-        bct = BlockClusterTree(bvh, eps=0.25, near_size=near_size)
+        bct = BlockClusterTree(bvh, eps=0.25)
         assert len(bct.adm_a) > 0
         K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
         psi = np.random.default_rng(25).normal(size=(net.n_edges, *shape))
@@ -435,3 +439,43 @@ class TestHierMetric:
         bvh.refit(moved)
         assert np.array_equal(hm.apply_stacked(vec), before)
         return len(hm.bct.adm_a)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("eps", [0.0, 0.125, 0.25, 0.6])
+    @pytest.mark.parametrize("leaf_size", [1, 2, 8])
+    @pytest.mark.parametrize("scene", ["smooth_circle", "theta_and_loop",
+                                       "perturbed_96"])
+    def test_blocks_match_recursive_oracle(self, scene, leaf_size, eps):
+        # the same admissible and near blocks, each once; only the order
+        # differs from the block-by-block recursion
+        net = {"smooth_circle": smooth_circle,
+               "theta_and_loop": lambda: CurveNetwork(*theta_and_loop()),
+               "perturbed_96": lambda: polygon_net(96, seed=24)}[scene]()
+        bct = BlockClusterTree(EdgeBvh(net, leaf_size=leaf_size), eps=eps)
+        admissible, near = bct_dfs(bct.bvh, eps)
+        got_adm = list(zip(bct.adm_a.tolist(), bct.adm_b.tolist()))
+        got_near = list(zip(bct.near_a.tolist(), bct.near_b.tolist()))
+        assert len(got_adm) == len(set(got_adm)) == len(admissible)
+        assert set(got_adm) == set(admissible)
+        assert len(got_near) == len(set(got_near)) == len(near)
+        assert set(got_near) == set(near)
+        if eps == 0.0:
+            assert not admissible
+
+    @pytest.mark.parametrize("leaf_size", [2, 8])
+    def test_up_matches_membership_loop(self, leaf_size):
+        net = smooth_circle()
+        bvh = EdgeBvh(net, leaf_size=leaf_size)
+        bct = BlockClusterTree(bvh, eps=0.25)
+        assert len(bct.far_nodes) > 0
+        # one row per far node, its run of edges in tree order
+        rows, edges = [], []
+        for row, node in enumerate(bct.far_nodes):
+            for edge in bvh.order[bvh.start[node]:bvh.end[node]]:
+                rows.append(row)
+                edges.append(edge)
+        want = csr_matrix((np.ones(len(rows)), (rows, edges)),
+                          shape=(len(bct.far_nodes), net.n_edges))
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(bct.up, part), getattr(want, part))

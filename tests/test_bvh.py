@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotflow.bvh import EdgeBvh, _far_terms, bh_differential, bh_energy
+from knotflow.bct import BlockClusterTree
+from knotflow.bvh import (EdgeBvh, _far_terms, bh_differential, bh_energy,
+                          run_pairs)
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
 from knotflow.network import CurveNetwork, edges_share_vertex
@@ -158,6 +160,16 @@ class TestPlan:
         assert len(plans) == 2
 
 
+class TestRunPairs:
+    def test_row_major_with_empty_runs(self):
+        # run pairs of 2 x 3, 0 x 2, 1 x 0 and 1 x 1 positions
+        pos_a, pos_b = run_pairs(
+            np.array([4, 9, 7, 0]), np.array([2, 0, 1, 1]),
+            np.array([10, 20, 30, 5]), np.array([3, 2, 0, 1]))
+        assert pos_a.tolist() == [4, 4, 4, 5, 5, 5, 0]
+        assert pos_b.tolist() == [10, 11, 12, 10, 11, 12, 5]
+
+
 class TestRefit:
     @pytest.mark.parametrize("net", [
         CurveNetwork(*perturbed_polygon(200, seed=11)),
@@ -229,8 +241,9 @@ class TestFarField:
 
 
 class TestMemory:
-    """The step start and the line-search trials stay far below a float64
-    E^2 / 2 pair list, 64 MiB at this size."""
+    """The step start, the line-search trials and the block cluster tree's
+    near field stay far below a float64 E^2 / 2 pair list, 64 MiB at this
+    size."""
 
     @pytest.mark.parametrize("trial", [False, True],
                              ids=["energy-and-differential", "trial-energy"])
@@ -247,6 +260,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
+
+    def test_block_cluster_tree_peak_allocation(self):
+        # the block partition and its exact near-field pair list
+        net = generate_test_curve("perturbed-circle", 4096, seed=5)
+        bvh = EdgeBvh(net)
+        tracemalloc.start()
+        try:
+            I, _ = BlockClusterTree(bvh).near_pair_arrays(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(I) > 0
+        assert peak < 32 * 2 ** 20
 
 
 class TestEnergy:
