@@ -67,6 +67,10 @@ class StepReport:
     step_size: float
     constraint_residual: float
     projection_iters: int
+    ls_trials: int                      # line-search trials, accepted one
+                                        # included
+    rejected_projection_iters: int      # corrections of the trials whose
+                                        # projection failed
     wall_time: float
     collision_limited: bool
     mg_cycles: int                      # V-cycles (one per flexible CG
@@ -380,9 +384,16 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
                 config: FlowConfig):
     """Backtracking search along gamma - tau * direction.
 
-    Returns (tau, new_net, f_new, projection_iters, collision_limited).
-    The Armijo test is evaluated after constraint projection, so accepted
-    steps decrease the recorded objective.  Raises StuckFlow on underflow.
+    Returns (tau, new_net, f_new, projection_iters, collision_limited,
+    trials, rejected_projection_iters): the trials tried, the accepted one
+    included, and the projection iterations spent on the trials whose
+    projection failed.  The Armijo test is evaluated after constraint
+    projection, so accepted steps decrease the recorded objective.  A trial
+    whose projection fails is rejected like one that fails Armijo; the
+    projection gives up as soon as its own contraction rate, the first ratio
+    left out, predicts it cannot reach tolerance within the budget (see
+    `project_onto_constraints`), so hopeless trials usually cost two
+    corrections instead of the whole budget.  Raises StuckFlow on underflow.
     """
     collision_limited = False
     if config.mode == "collision":
@@ -400,7 +411,9 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
         slope = slope / scale
         tau = 1.0
 
+    trials = rejected_iters = 0
     while tau > config.tau_floor:
+        trials += 1
         candidate = net.with_positions(net.vertices - tau * direction)
         try:
             if solver is not None and solver.constraints.k > 0:
@@ -409,11 +422,16 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
             else:
                 projected, proj_iters = candidate, 0
             f_new = objective.energy(projected)
-        except (ProjectionFailure, ValueError):
+        except ProjectionFailure as exc:
+            rejected_iters += exc.iterations
+            tau *= config.backtrack
+            continue
+        except ValueError:
             tau *= config.backtrack
             continue
         if np.isfinite(f_new) and f_new <= f0 - config.armijo * tau * slope:
-            return tau, projected, f_new, proj_iters, collision_limited
+            return (tau, projected, f_new, proj_iters, collision_limited,
+                    trials, rejected_iters)
         tau *= config.backtrack
     raise StuckFlow(f"line search underflow below {config.tau_floor:g}")
 
@@ -467,8 +485,8 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             stop_reason, stop_detail = "stuck", "non-positive slope"
             break
         try:
-            tau, current, f_new, proj_iters, limited = line_search(
-                current, g, objective, solver, f0, slope, config)
+            tau, current, f_new, proj_iters, limited, trials, rejected = \
+                line_search(current, g, objective, solver, f0, slope, config)
         except StuckFlow as exc:
             stop_reason, stop_detail = "stuck", str(exc)
             break
@@ -479,7 +497,8 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             step_size=tau,
             constraint_residual=float(np.linalg.norm(phi, np.inf))
             if len(phi) else 0.0,
-            projection_iters=proj_iters,
+            projection_iters=proj_iters, ls_trials=trials,
+            rejected_projection_iters=rejected,
             wall_time=time.perf_counter() - tic,
             collision_limited=limited, mg_cycles=solver.saddle.cycles,
             mg_unconverged=solver.saddle.unconverged,

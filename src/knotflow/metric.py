@@ -130,6 +130,27 @@ def checked_cholesky(M: np.ndarray):
     return factor, weak
 
 
+def cholesky_inverse(factor) -> np.ndarray:
+    """Inverse of SPD M from its lower Cholesky factor, as
+    `scipy.linalg.cho_factor(M, lower=True)` returns it; the inverse
+    overwrites the factor.
+
+    LAPACK's dpotri fills the lower triangle of M^-1 in place, which is then
+    mirrored 64 rows at a time, so no second (V x V) array is made;
+    cheaper than `cho_solve` on the identity.
+    """
+    inv, info = scipy.linalg.lapack.dpotri(factor[0], lower=1, overwrite_c=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotri failed with info = {info}")
+    n, strip = len(inv), 64
+    for s in range(0, n, strip):
+        e = min(s + strip, n)
+        inv[s:e, e:] = inv[e:, s:e].T
+        block = inv[s:e, s:e]
+        block[...] = np.tril(block) + np.tril(block, -1).T
+    return inv.T                # symmetric; the C-ordered view
+
+
 class SaddleFactor:
     """Exact solves of [[A_bar, C^T], [C, 0]] [x; lam] = [top; bottom] from
     the (V x V) metric A, the (k x 3V) Jacobian C and the dual masses.
@@ -163,7 +184,7 @@ class SaddleFactor:
                                        check_finite=False)
         # the explicit inverse A'^-1 (O(V^3) once) turns A_bar'^-1 C^T into
         # sparse products, cheaper than 3k triangular solves for k ~ V
-        inv = scipy.linalg.cho_solve(chol, np.eye(V), check_finite=False)
+        inv = cholesky_inverse(chol)
         self._Zt = np.hstack([C[:, c * V:(c + 1) * V] @ inv
                               for c in range(3)])   # C A_bar'^-1 (k x 3V)
         self._q = inv @ m                           # A'^-1 m

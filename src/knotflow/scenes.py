@@ -524,13 +524,15 @@ def export_frames(result: FlowResult, net_edges, out_dir, stride: int = 1,
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "gradient_norm", "step_size",
                          "constraint_residual", "projection_iters",
+                         "ls_trials", "rejected_projection_iters",
                          "wall_time", "collision_limited", "mg_cycles",
                          "mg_unconverged", "mg_residual", "mg_solves",
                          "bh_far", "bh_leaf_pairs"])
         for r in result.reports:
             writer.writerow([r.iteration, repr(r.energy), repr(r.gradient_norm),
                              repr(r.step_size), repr(r.constraint_residual),
-                             r.projection_iters, repr(r.wall_time),
+                             r.projection_iters, r.ls_trials,
+                             r.rejected_projection_iters, repr(r.wall_time),
                              int(r.collision_limited), r.mg_cycles,
                              r.mg_unconverged, repr(r.mg_residual),
                              r.mg_solves, r.bh_far, r.bh_leaf_pairs])

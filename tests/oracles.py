@@ -8,9 +8,10 @@ import math
 
 import numpy as np
 
+from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import average_matrix, derivative_matrix
-from knotflow.network import edges_share_vertex
+from knotflow.network import edges_share_vertex, unstack_fields
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import generate_test_curve
 
@@ -414,3 +415,27 @@ def refit_loop(bvh, net):
     out["r_T"] = np.linalg.norm(half[:, :3], axis=1)
     out["r_x"] = np.linalg.norm(half[:, 3:], axis=1)
     return out
+
+
+def project_full_budget(correction, constraints, net, max_iters=10):
+    """Constraint projection that always runs to its iteration budget.
+
+    The same corrections as `project_onto_constraints` without its
+    rate-based early stop: returns (network, iterations) on the first
+    iterate with |Phi|_inf <= PROJECTION_TOL, and raises ProjectionFailure
+    only after max_iters corrections.
+    """
+    current = net
+    phi = constraints.evaluate(current)
+    if phi.size == 0 or np.linalg.norm(phi, np.inf) <= PROJECTION_TOL:
+        return current, 0
+    for iteration in range(1, max_iters + 1):
+        x = correction(phi)
+        current = current.with_positions(
+            current.vertices + unstack_fields(x))
+        phi = constraints.evaluate(current)
+        if np.linalg.norm(phi, np.inf) <= PROJECTION_TOL:
+            return current, iteration
+    residual = float(np.linalg.norm(phi, np.inf))
+    raise ProjectionFailure(f"stalled at {residual:.3e}", residual=residual,
+                            iterations=max_iters, predicted=residual)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +290,14 @@ max_iters = 2
         out = capsys.readouterr().out
         assert code == 3
         assert out.startswith("max_iters (reached max_iters = 2): 2 iterations")
+
+
+def test_python_m_knotflow_runs_the_cli():
+    # `python -m knotflow` works from a source checkout, without installing
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "knotflow", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: knotflow")
+    assert "bench" in proc.stdout

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
-                                  PointConstraint, ProjectionFailure,
+from knotflow.constraints import (PROJECTION_TOL, Barycenter, ConstraintSet,
+                                  EdgeLengths, PointConstraint,
+                                  ProjectionFailure,
                                   RankDeficientConstraintsError,
                                   SphereSurface, SurfaceConstraint,
                                   TangentConstraint, TotalLength,
                                   project_onto_constraints)
 from knotflow.energy import validate_params
-from knotflow.flow import FlowConfig, StepSolver
+from knotflow.flow import (COLLISION_HORIZON, FlowConfig, Objective,
+                           StepSolver, collision_step_limit)
 from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.network import CurveNetwork, stack_fields
+from knotflow.scenes import generate_test_curve
 
-from oracles import perturbed_polygon, regular_polygon
+from oracles import perturbed_polygon, project_full_budget, regular_polygon
 
 CENTERED_SQUARE = CurveNetwork(
     [[-0.5, -0.5, 0.], [0.5, -0.5, 0.], [0.5, 0.5, 0.], [-0.5, 0.5, 0.]],
@@ -236,6 +239,119 @@ class TestProjectOntoConstraints:
         correction = dense_correction(net, p, cs)
         with pytest.raises(ProjectionFailure):
             project_onto_constraints(correction, cs, net, max_iters=1)
+
+
+def trefoil_trials(n, strategy, accel, count=4):
+    """The first `count` line-search candidates of the first step on the
+    `random-trefoil` scene of the benchmark's trefoil workloads (collision
+    stepping, barycenter and edge lengths), and a maker of fresh solvers
+    for them: a multigrid hierarchy keeps the residuals it has solved."""
+    net = generate_test_curve("random-trefoil", n, seed=8)
+    P = validate_params(3, 6)
+    cs = ConstraintSet([Barycenter.from_network(net),
+                        EdgeLengths.from_network(net)])
+    config = FlowConfig(mode="collision", accel=accel)
+    objective = Objective(P, accel=accel)
+    _, dE = objective.energy_and_differential(net)
+
+    def solver():
+        return StepSolver(strategy, net, P, cs, config, bvh=objective.bvh)
+
+    g = solver().direction(dE)
+    tau = min(2.0 / 3.0 * collision_step_limit(net, g, COLLISION_HORIZON), 1.0)
+    trials = [net.with_positions(net.vertices - tau * 0.5 ** j * g)
+              for j in range(count)]
+    return trials, cs, solver
+
+
+def scripted_projection(project, norms, max_iters=10):
+    """Run `project` on a one-row residual that reads norms[i] after i
+    corrections (each correction moves vertex 0 one unit along x)."""
+    net = CurveNetwork([[0., 0., 0.], [0., 1., 0.], [0., 0., 1.]],
+                       [[0, 1], [1, 2]])
+    step = np.zeros(3 * net.n_vertices)
+    step[0] = 1.0
+
+    class Scripted:
+        def evaluate(self, current):
+            return np.array([norms[round(current.vertices[0, 0])]])
+
+    return project(lambda phi: step, Scripted(), net, max_iters=max_iters)
+
+
+class TestProjectionEarlyStop:
+    @pytest.mark.parametrize("n, strategy, accel", [(128, "hs-mg", "bh"),
+                                                    (384, "hs", "exact")])
+    def test_real_trials_decided_as_full_budget(self, n, strategy, accel):
+        trials, cs, solver = trefoil_trials(n, strategy, accel)
+        accepted = []
+        for trial in trials:
+            outcomes = []
+            for project in (project_onto_constraints, project_full_budget):
+                try:
+                    outcomes.append(project(
+                        solver().saddle.solve_projection_step, cs, trial))
+                except ProjectionFailure as exc:
+                    outcomes.append(exc)
+            early, full = outcomes
+            if isinstance(full, ProjectionFailure):
+                assert isinstance(early, ProjectionFailure)
+                assert early.iterations <= full.iterations
+                assert early.predicted > PROJECTION_TOL
+            else:
+                assert early[1] == full[1]
+                assert np.array_equal(early[0].vertices, full[0].vertices)
+            accepted.append(not isinstance(full, ProjectionFailure))
+        # both kinds of trial occur on these scenes
+        assert True in accepted and False in accepted
+
+    def test_rate_reaching_tolerance_at_budget_runs_to_it(self):
+        # |Phi| halves exactly and meets the tolerance at the 10th correction
+        norms = [PROJECTION_TOL * 2.0 ** (10 - i) for i in range(11)]
+        _, iters = scripted_projection(project_onto_constraints, norms)
+        assert iters == 10
+
+    def test_first_ratio_transient_not_stopped(self):
+        # a first contraction of 0.41, then a steady 0.19: the 0.41 alone
+        # predicts failure after correction 1, the later rate reaches the
+        # tolerance at correction 10
+        norms = [0.05 * (0.41 * 0.19 ** (i - 1) if i else 1.0)
+                 for i in range(11)]
+        assert norms[9] > PROJECTION_TOL >= norms[10]
+        _, iters = scripted_projection(project_onto_constraints, norms)
+        assert iters == 10
+
+    def test_smallest_ratio_kept(self):
+        # one slow correction after fast ones does not stop the loop; the
+        # latest ratio, 0.5, would predict 2.2e-6 after correction 5
+        ratios = [0.41, 0.15, 0.15, 0.15, 0.5, 0.15, 0.15, 0.15, 0.15, 0.15]
+        norms = [0.1 * np.prod(ratios[:i]) for i in range(11)]
+        assert norms[9] > PROJECTION_TOL >= norms[10]
+        _, iters = scripted_projection(project_onto_constraints, norms)
+        assert iters == 10
+
+    @pytest.mark.parametrize("ratio", [0.51, 1.0, 2.0])
+    def test_slow_or_growing_residual_stops_at_correction_2(self, ratio):
+        norms = [PROJECTION_TOL * 2.0 ** 10 * ratio ** i for i in range(11)]
+        with pytest.raises(ProjectionFailure, match="stalled") as info:
+            scripted_projection(project_onto_constraints, norms)
+        assert info.value.iterations == 2
+        assert info.value.residual == norms[2]
+        assert info.value.predicted == pytest.approx(norms[2] * ratio ** 8)
+        assert "after 2 of 10 iterations" in str(info.value)
+        with pytest.raises(ProjectionFailure) as full:
+            scripted_projection(project_full_budget, norms)
+        assert full.value.iterations == 10
+
+    @pytest.mark.parametrize("norms", [[1.0, 0.5], [1.0, 0.0]])
+    def test_single_iteration_budget_unchanged(self, norms):
+        outcomes = []
+        for project in (project_onto_constraints, project_full_budget):
+            try:
+                outcomes.append(scripted_projection(project, norms, 1)[1])
+            except ProjectionFailure as exc:
+                outcomes.append((exc.iterations, exc.residual))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSchedules:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
-                                  PointConstraint,
+                                  PointConstraint, ProjectionFailure,
                                   RankDeficientConstraintsError, TotalLength)
 from knotflow.energy import discrete_differential, discrete_energy, validate_params
 from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
@@ -14,7 +14,7 @@ from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
                            projected_crossing_count, run_flow)
 from knotflow.multigrid import MgConfig, MultigridHierarchy
 from knotflow.network import CurveNetwork
-from knotflow.scenes import export_frames
+from knotflow.scenes import export_frames, generate_test_curve
 
 from oracles import perturbed_polygon, regular_polygon
 
@@ -127,10 +127,12 @@ class TestLineSearch:
         solver = StepSolver("hs", net, P36, cs, config)
         g = solver.direction(dE)
         slope = float(np.sum(dE * g))
-        tau, new_net, f_new, _, _ = line_search(net, g, objective, solver,
-                                                f0, slope, config)
+        tau, new_net, f_new, _, _, trials, rejected = line_search(
+            net, g, objective, solver, f0, slope, config)
         assert f_new < f0
         assert tau > 0
+        # only the rejected trials' corrections count as rejected
+        assert 0 <= rejected <= (trials - 1) * config.projection_max_iters
 
     def test_collision_mode_respects_tau_max(self):
         # near-contact configuration: two strands close together
@@ -308,6 +310,46 @@ class TestRunFlow:
             == [r.mg_residual for r in result.reports]
         assert [int(row["mg_solves"]) for row in rows] \
             == [r.mg_solves for r in result.reports]
+
+    def test_line_search_trials_reported(self, tmp_path, monkeypatch):
+        steps = []
+        init, project = StepSolver.__init__, StepSolver.project
+
+        def new_step(self, *args, **kwargs):
+            steps.append([])
+            init(self, *args, **kwargs)
+
+        def recorded_project(self, net, max_iters):
+            try:
+                out = project(self, net, max_iters)
+            except ProjectionFailure as exc:
+                steps[-1].append(exc.iterations)
+                raise
+            steps[-1].append(0)
+            return out
+
+        monkeypatch.setattr(StepSolver, "__init__", new_step)
+        monkeypatch.setattr(StepSolver, "project", recorded_project)
+        # the `trefoil-mg` benchmark scene, feasible from the start: its
+        # first trials fail projection
+        net = generate_test_curve("random-trefoil", 128, seed=8)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            EdgeLengths.from_network(net)])
+        config = FlowConfig(mode="collision", accel="bh", max_iters=2)
+        result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
+        assert len(result.reports) == len(steps) == 2
+        for r, trials in zip(result.reports, steps):
+            assert r.ls_trials == len(trials)
+            assert r.rejected_projection_iters == sum(trials)
+        failed = [it for trials in steps for it in trials if it]
+        assert failed and max(failed) < config.projection_max_iters
+        export_frames(result, net.edges, tmp_path)
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(row["ls_trials"]), int(row["rejected_projection_iters"]))
+                for row in rows] \
+            == [(r.ls_trials, r.rejected_projection_iters)
+                for r in result.reports]
 
     def test_exact_energy_once_per_trial_plus_start(self, monkeypatch):
         import knotflow.flow as flow

@@ -8,7 +8,8 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import validate_params
 from knotflow.flow import baseline_metric_matrix
 from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
-                             derivative_matrix, metric_parts)
+                             cholesky_inverse, derivative_matrix,
+                             metric_parts)
 from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
@@ -227,6 +228,22 @@ class TestDenseSolve:
         r = saddle_matrix(metric.A, C) @ np.concatenate([x, lam]) - full
         assert np.linalg.norm(r) < 1e-10 * np.linalg.norm(full)
         assert np.linalg.norm(C @ x) < 1e-8 * np.linalg.norm(x)
+
+
+    def test_cholesky_inverse_matches_identity_solve(self):
+        import scipy.linalg
+
+        net = CurveNetwork(*perturbed_polygon(96, seed=17))
+        A = MetricOperator(net, P36).A
+        m = net.dual_masses()
+        M = A + np.outer(m, m) * np.trace(A) / (len(m) * (m @ m))
+        chol = scipy.linalg.cho_factor(M, lower=True)
+        reference = scipy.linalg.cho_solve(chol, np.eye(len(M)))
+        # strips of 64 rows and a remainder of 32
+        inv = cholesky_inverse(chol)
+        assert np.array_equal(inv, inv.T)
+        assert np.abs(inv - reference).max() \
+            <= 1e-12 * np.abs(reference).max()
 
 
 def _constraint_case(name, net):
