@@ -20,10 +20,11 @@ centers farther apart than 2 (r_x[a] + r_x[b]) share no edge or vertex.  No
 lumped group or admissible block can then hold an identical or adjacent pair;
 only the exact leaf and near-field pair lists drop those pairs, by index.
 
-Both accelerations refine pairs against the tree in one breadth-first loop,
-`sweep`, one vectorized admissibility call per generation: node pairs for
-the block cluster tree, (edge, node) pairs for Barnes-Hut.  `run_pairs`
-expands node runs into the exact pairs of either.
+One breadth-first loop, `sweep`, refines pairs against a tree with one
+vectorized admissibility call per generation, for three users: node pairs
+for the block cluster tree, (edge, node) pairs for Barnes-Hut, and (edge,
+face cluster) pairs on a `meshes.FaceTree` for the obstacle potential
+(`potentials.surface_plan`).  `run_pairs` expands node runs into pairs.
 
 A Barnes-Hut evaluation follows a plan (`bh_plan`), made once per tree fit
 and eps by that sweep of every edge from the root.  The plan lists the far

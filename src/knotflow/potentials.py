@@ -12,7 +12,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .energy import EnergyParams
+from . import bvh
+from .energy import EnergyParams, _dot3, _pair_chunks
 from .meshes import FaceTree, TriangleMesh
 from .network import CurveNetwork
 
@@ -121,16 +122,34 @@ class LengthDifferencePotential:
 
 
 # A face cluster of bounding radius r at distance d from a midpoint is lumped
-# when r <= SURFACE_THETA * d.
+# when r <= SURFACE_THETA * d, so one at d = 0 is lumped only if r = 0 too.
 SURFACE_THETA = 0.1
+
+
+def surface_plan(tree: FaceTree, midpoints: np.ndarray):
+    """One `bvh.sweep` of every midpoint from the root of `tree`: the (edge,
+    node) entries lumped against a face cluster and the (edge, face) entries
+    of the leaves reached.  Returns (far_edge, far_node, edge, face)."""
+    E = len(midpoints)
+
+    def admissible(edge, node):
+        dist = np.linalg.norm(midpoints[edge] - tree.centroid[node], axis=1)
+        return tree.radius[node] <= SURFACE_THETA * dist
+
+    far_edge, far_node, edge, node = bvh.sweep(
+        tree, np.arange(E), np.zeros(E, dtype=int), admissible, split_a=False)
+    I, F = bvh.run_pairs(edge, np.ones_like(edge), tree.start[node],
+                         tree.end[node] - tree.start[node])
+    return far_edge, far_node, I, tree.order[F]
 
 
 class SurfacePotential:
     """Inverse-distance repulsion from a triangle mesh obstacle.
 
     Discretized with one quadrature point per edge midpoint and per face
-    centroid; far-away face clusters are lumped through an AABB tree.  The
-    exponent defaults to beta - alpha of the active energy parameters.
+    centroid; far-away face clusters are lumped through an AABB tree, on
+    the entries of `surface_plan`.  The exponent defaults to beta - alpha
+    of the active energy parameters.
     """
 
     def __init__(self, mesh: TriangleMesh, weight: float = 1.0,
@@ -149,54 +168,43 @@ class SurfacePotential:
 
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):
-        expo = self._power(params)
         geom = net.geometry()
-        value = 0.0
-        # dPhi/dx at each edge midpoint, plus the length factor pieces
-        per_edge_value = np.zeros(net.n_edges)
-        per_edge_force = np.zeros((net.n_edges, 3))
-        self._accumulate(geom.midpoints, expo, per_edge_value, per_edge_force)
-        value = float(np.sum(geom.lengths * per_edge_value))
+        per_edge_value, per_edge_force = self._midpoint_terms(
+            geom.midpoints, self._power(params))
         grad = np.zeros_like(net.vertices)
         # d(l_I)/dg = -+T_I; d(x_I)/dg = Id/2
-        np.add.at(grad, net.edges[:, 0],
-                  -geom.tangents * per_edge_value[:, None]
-                  + 0.5 * geom.lengths[:, None] * per_edge_force)
-        np.add.at(grad, net.edges[:, 1],
-                  geom.tangents * per_edge_value[:, None]
-                  + 0.5 * geom.lengths[:, None] * per_edge_force)
-        return value, grad
+        t = geom.tangents * per_edge_value[:, None]
+        m = 0.5 * geom.lengths[:, None] * per_edge_force
+        np.add.at(grad, net.edges[:, 0], m - t)
+        np.add.at(grad, net.edges[:, 1], m + t)
+        return float(np.sum(geom.lengths * per_edge_value)), grad
 
-    def _accumulate(self, midpoints, expo, values, forces):
-        """Add each midpoint's potential and its gradient into
-        `values` (E,) and `forces` (E, 3), walking the face tree."""
+    def _midpoint_terms(self, midpoints, expo):
+        """Each midpoint's potential, sum a / r^expo over its entries, (E,),
+        and its gradient, (E, 3).  A lumped entry takes its node's area and
+        centroid, a face entry its face's; chunk by chunk, one kernel serves
+        both.  An entry at r = 0 is contact and raises ValueError."""
         tree = self._tree
-        mesh = self.mesh
-        for i, x in enumerate(midpoints):
-            stack = [0]
-            while stack:
-                node = stack.pop()
-                d = x - tree.centroid[node]
-                dist = np.linalg.norm(d)
-                if dist == 0.0:
+        far_edge, far_node, edge, face = surface_plan(tree, midpoints)
+        # one table of sources: the nodes' aggregates, then the faces
+        area = np.concatenate([tree.area, self.mesh.face_areas])
+        center = np.vstack([tree.centroid, self.mesh.face_centroids]).T
+        E = len(midpoints)
+        values, forces = np.zeros(E), np.zeros((3, E))
+        for edges, src in ((far_edge, far_node),
+                           (edge, len(tree.area) + face)):
+            for sl in _pair_chunks(len(edges)):
+                e, s = edges[sl], src[sl]
+                d = midpoints.T.take(e, axis=1) - center.take(s, axis=1)
+                r2 = _dot3(d, d)
+                if np.any(r2 == 0.0):
                     raise ValueError("curve touches the obstacle mesh")
-                if tree.radius[node] <= SURFACE_THETA * dist:
-                    contrib = tree.area[node] / dist ** expo
-                    values[i] += contrib
-                    forces[i] += -expo * contrib / dist ** 2 * d
-                elif tree.left[node] >= 0:
-                    stack.append(tree.left[node])
-                    stack.append(tree.right[node])
-                else:
-                    sel = tree.order[tree.start[node]:tree.end[node]]
-                    dd = x - mesh.face_centroids[sel]
-                    r2 = np.einsum("fi,fi->f", dd, dd)
-                    if np.any(r2 == 0.0):
-                        raise ValueError("curve touches the obstacle mesh")
-                    r = np.sqrt(r2)
-                    contrib = mesh.face_areas[sel] / r ** expo
-                    values[i] += contrib.sum()
-                    forces[i] += np.einsum("f,fi->i", -expo * contrib / r2, dd)
+                contrib = area.take(s) / np.sqrt(r2) ** expo
+                values += np.bincount(e, contrib, minlength=E)
+                f = -expo * contrib / r2
+                for c in range(3):
+                    forces[c] += np.bincount(e, f * d[c], minlength=E)
+        return values, forces.T
 
 
 class FieldPotential:

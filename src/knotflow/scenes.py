@@ -43,7 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,
                           TangentConstraint, TotalLength)
 from .energy import EnergyParams, discrete_energy, validate_params
-from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult
+from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult, StepReport
 from .meshes import MeshSignedDistance, load_obj_mesh, read_obj
 from .network import CurveNetwork
 from .potentials import (ConstantField, FieldPotential,
@@ -522,20 +522,10 @@ def export_frames(result: FlowResult, net_edges, out_dir, stride: int = 1,
 
     with open(out / "log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "gradient_norm", "step_size",
-                         "constraint_residual", "projection_iters",
-                         "ls_trials", "rejected_projection_iters",
-                         "wall_time", "collision_limited", "mg_cycles",
-                         "mg_unconverged", "mg_residual", "mg_solves",
-                         "bh_far", "bh_leaf_pairs"])
+        writer.writerow([f.name for f in fields(StepReport)])
         for r in result.reports:
-            writer.writerow([r.iteration, repr(r.energy), repr(r.gradient_norm),
-                             repr(r.step_size), repr(r.constraint_residual),
-                             r.projection_iters, r.ls_trials,
-                             r.rejected_projection_iters, repr(r.wall_time),
-                             int(r.collision_limited), r.mg_cycles,
-                             r.mg_unconverged, repr(r.mg_residual),
-                             r.mg_solves, r.bh_far, r.bh_leaf_pairs])
+            writer.writerow([repr(v) if isinstance(v, float) else int(v)
+                             for v in astuple(r)])
 
     summary = {
         "iterations": len(result.reports),

@@ -12,7 +12,7 @@ from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import average_matrix, derivative_matrix
 from knotflow.network import edges_share_vertex, unstack_fields
-from knotflow.potentials import SurfacePotential
+from knotflow.potentials import SURFACE_THETA, SurfacePotential
 from knotflow.scenes import generate_test_curve
 
 
@@ -241,8 +241,9 @@ def coverage_count(bct):
 class ExhaustiveSurfacePotential(SurfacePotential):
     """`SurfacePotential` summed over every face, with no tree lumping."""
 
-    def _accumulate(self, midpoints, expo, values, forces):
+    def _midpoint_terms(self, midpoints, expo):
         mesh = self.mesh
+        values, forces = np.zeros(len(midpoints)), np.zeros_like(midpoints)
         for i, x in enumerate(midpoints):
             d = x - mesh.face_centroids
             r2 = np.einsum("fi,fi->f", d, d)
@@ -252,6 +253,50 @@ class ExhaustiveSurfacePotential(SurfacePotential):
             contrib = mesh.face_areas / r ** expo
             values[i] = contrib.sum()
             forces[i] = np.einsum("f,fi->i", -expo * contrib / r2, d)
+        return values, forces
+
+
+def surface_walk(tree, midpoints, expo):
+    """The face tree walked midpoint by midpoint from a node stack: the
+    reference for `potentials.surface_plan` and the surface potential's
+    midpoint terms.
+
+    Returns (lumped, faces, values, forces): the sets of (edge, node) pairs
+    lumped and of (edge, face) pairs summed face by face, and each
+    midpoint's potential (E,) and gradient (E, 3).  An evaluated node or
+    face at distance zero is contact and raises ValueError.
+    """
+    mesh = tree.mesh
+    lumped, faces = set(), set()
+    values, forces = np.zeros(len(midpoints)), np.zeros_like(midpoints)
+    for i, x in enumerate(midpoints):
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            d = x - tree.centroid[node]
+            dist = np.linalg.norm(d)
+            if tree.radius[node] <= SURFACE_THETA * dist:
+                if dist == 0.0:
+                    raise ValueError("curve touches the obstacle mesh")
+                lumped.add((i, node))
+                contrib = tree.area[node] / dist ** expo
+                values[i] += contrib
+                forces[i] += -expo * contrib / dist ** 2 * d
+            elif tree.left[node] >= 0:
+                stack.append(tree.left[node])
+                stack.append(tree.right[node])
+            else:
+                sel = tree.order[tree.start[node]:tree.end[node]]
+                faces.update((i, int(f)) for f in sel)
+                dd = x - mesh.face_centroids[sel]
+                r2 = np.einsum("fi,fi->f", dd, dd)
+                if np.any(r2 == 0.0):
+                    raise ValueError("curve touches the obstacle mesh")
+                r = np.sqrt(r2)
+                contrib = mesh.face_areas[sel] / r ** expo
+                values[i] += contrib.sum()
+                forces[i] += np.einsum("f,fi->i", -expo * contrib / r2, dd)
+    return lumped, faces, values, forces
 
 
 def save_obj_mesh(path, mesh):

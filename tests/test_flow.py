@@ -7,16 +7,19 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   PointConstraint, ProjectionFailure,
                                   RankDeficientConstraintsError, TotalLength)
 from knotflow.energy import discrete_differential, discrete_energy, validate_params
-from knotflow.flow import (FlowConfig, Objective, StepSolver, StuckFlow,
-                           baseline_metric_matrix, collision_step_limit,
-                           crossings_during_motion, line_search, mass_norm,
+from knotflow.flow import (FlowConfig, FlowResult, Objective, StepReport,
+                           StepSolver, StuckFlow, baseline_metric_matrix,
+                           collision_step_limit, crossings_during_motion,
+                           line_search, mass_norm,
                            minimal_projected_crossings,
                            projected_crossing_count, run_flow)
+from knotflow.meshes import MeshSignedDistance
 from knotflow.multigrid import MgConfig, MultigridHierarchy
 from knotflow.network import CurveNetwork
+from knotflow.potentials import SurfacePotential
 from knotflow.scenes import export_frames, generate_test_curve
 
-from oracles import perturbed_polygon, regular_polygon
+from oracles import octahedron_sphere, perturbed_polygon, regular_polygon
 
 P36 = validate_params(3, 6)
 
@@ -257,6 +260,43 @@ class TestRunFlow:
         assert len(plans) == 2
         objective.energy(net.with_positions(1.01 * net.vertices))
         assert len(plans) == 3
+
+    def test_flow_around_obstacle(self):
+        # a loop around a sphere, close to it: the surface potential keeps
+        # every vertex outside while the energy falls
+        circle = generate_test_curve("perturbed-circle", 64, seed=5)
+        net = CurveNetwork(1.5 * circle.vertices + np.array([0.0, 0.0, 0.3]),
+                           circle.edges)
+        mesh = octahedron_sphere(subdivisions=2)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs",
+                          potentials=[SurfacePotential(mesh)],
+                          config=FlowConfig(accel="exact", max_iters=3))
+        assert len(result.reports) == 3
+        assert np.all(np.diff(result.energies) < 0)
+        sdf = MeshSignedDistance(mesh)
+        assert len(result.frames) == 4
+        assert min(sdf.value(x) for frame in result.frames
+                   for x in frame) > 0
+
+    def test_log_columns_and_formats(self, tmp_path):
+        report = StepReport(
+            iteration=2, energy=0.1, gradient_norm=1.5e-7, step_size=0.25,
+            constraint_residual=0.0, projection_iters=3, ls_trials=2,
+            rejected_projection_iters=1, wall_time=1 / 3,
+            collision_limited=True, mg_cycles=12, mg_unconverged=0,
+            mg_residual=2e-09, mg_solves=4, bh_far=100, bh_leaf_pairs=2000)
+        net = smooth_perturbed_circle(8, seed=1)
+        result = FlowResult(reports=[report], net=net, stop_reason="max_iters",
+                            frames=[], stop_detail="")
+        export_frames(result, net.edges, tmp_path)
+        assert (tmp_path / "log.csv").read_bytes() == (
+            b"iteration,energy,gradient_norm,step_size,constraint_residual,"
+            b"projection_iters,ls_trials,rejected_projection_iters,wall_time,"
+            b"collision_limited,mg_cycles,mg_unconverged,mg_residual,"
+            b"mg_solves,bh_far,bh_leaf_pairs\r\n"
+            b"2,0.1,1.5e-07,0.25,0.0,3,2,1,0.3333333333333333,1,12,0,2e-09,"
+            b"4,100,2000\r\n")
 
     @pytest.mark.parametrize("strategy, accel", [("hs-mg", "bh"),
                                                  ("hs", "exact")])
