@@ -84,6 +84,22 @@ def median_split_tree(points: np.ndarray, leaf_size: int = LEAF_SIZE):
                             for a in (start, end, left, right))
 
 
+def tree_levels(start, left, right):
+    """The leaves of a `median_split_tree` in run order, and its internal
+    nodes by depth, deepest level first: the order in which a bottom-up pass
+    reduces the leaf runs with `reduceat` and then combines each level's
+    children."""
+    leaves = np.flatnonzero(left < 0)
+    levels = []
+    level = np.array([0])
+    while len(level):
+        inner = level[left[level] >= 0]
+        if len(inner):
+            levels.append(inner)
+        level = np.concatenate([left[inner], right[inner]])
+    return leaves[np.argsort(start[leaves])], levels[::-1]
+
+
 class EdgeBvh:
     """Flat-array binary BVH; edges are permuted so nodes own contiguous runs."""
 
@@ -92,17 +108,8 @@ class EdgeBvh:
         self.order, self.start, self.end, self.left, self.right = \
             median_split_tree(net.geometry().midpoints, self.leaf_size)
         self.n_nodes = len(self.left)
-        # leaves in run order, and the internal nodes by depth, deepest first
-        leaves = np.flatnonzero(self.left < 0)
-        self.leaves = leaves[np.argsort(self.start[leaves])]
-        self.levels = []
-        level = np.array([0])
-        while len(level):
-            inner = level[self.left[level] >= 0]
-            if len(inner):
-                self.levels.append(inner)
-            level = np.concatenate([self.left[inner], self.right[inner]])
-        self.levels.reverse()
+        self.leaves, self.levels = tree_levels(self.start, self.left,
+                                               self.right)
         self.mass = np.zeros(self.n_nodes)
         self.com = np.zeros((self.n_nodes, 3))
         self.avg_tangent = np.zeros((self.n_nodes, 3))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bvh import median_split_tree
+from .bvh import median_split_tree, tree_levels
 
 
 class TriangleMesh:
@@ -87,22 +87,35 @@ class FaceTree:
     Used to cull the far field of the surface potential: a node whose bounding
     radius is small relative to the query distance contributes a single lumped
     term (total area at the aggregate centroid).  The faces are split by
-    `bvh.median_split_tree` on their centroids.
+    `bvh.median_split_tree` on their centroids, and the aggregates reduce
+    the leaf runs and combine the levels bottom up, like `bvh.EdgeBvh.refit`.
     """
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
         self.order, self.start, self.end, self.left, self.right = \
             median_split_tree(mesh.face_centroids)
-        tri = mesh.vertices[mesh.faces[self.order]]      # (m, 3, 3)
-        areas = mesh.face_areas[self.order]
-        moments = areas[:, None] * mesh.face_centroids[self.order]
-        runs = [slice(s, e) for s, e in zip(self.start, self.end)]
-        self.area = np.array([areas[r].sum() for r in runs])
-        self.centroid = np.array([moments[r].sum(axis=0) for r in runs]) \
-            / np.maximum(self.area, 1e-300)[:, None]
-        self.lo = np.array([tri[r].min(axis=(0, 1)) for r in runs])
-        self.hi = np.array([tri[r].max(axis=(0, 1)) for r in runs])
+        self.leaves, self.levels = tree_levels(self.start, self.left,
+                                               self.right)
+        sel, leaves = self.order, self.leaves
+        runs = self.start[leaves]
+        tri = mesh.vertices[mesh.faces[sel]]      # (m, 3, 3)
+        areas = mesh.face_areas[sel]
+        n = len(self.left)
+        self.area, moment = np.zeros(n), np.zeros((n, 3))
+        self.lo, self.hi = np.zeros((n, 3)), np.zeros((n, 3))
+        self.area[leaves] = np.add.reduceat(areas, runs)
+        moment[leaves] = np.add.reduceat(
+            areas[:, None] * mesh.face_centroids[sel], runs)
+        self.lo[leaves] = np.minimum.reduceat(tri.min(axis=1), runs)
+        self.hi[leaves] = np.maximum.reduceat(tri.max(axis=1), runs)
+        for nodes in self.levels:
+            l, r = self.left[nodes], self.right[nodes]
+            self.area[nodes] = self.area[l] + self.area[r]
+            moment[nodes] = moment[l] + moment[r]
+            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
+            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
+        self.centroid = moment / np.maximum(self.area, 1e-300)[:, None]
         self.radius = 0.5 * np.linalg.norm(self.hi - self.lo, axis=1)
 
 

@@ -1,14 +1,19 @@
 """Geometric multigrid on curve networks for the projected saddle systems.
 
 Coarsening removes alternating interior vertices (endpoints, junctures, and
-constraint-pinned vertices always survive); prolongation keeps surviving
-values and averages the two black neighbors at removed ones.  Constrained
-systems are solved in projected form P A_bar P y = P a with the Euclidean
-projector P = I - C^T (C C^T)^{-1} C onto the constraint null space, which is
-the unique formula satisfying C P = 0 and P^2 = P.  A level holds P as
-I - Q Q^T with a dense orthonormal Q when C is at least half full (few
-global constraints), and through a sparse LU of C C^T otherwise (k of order
-V, as with edge lengths); see `MgLevel`.  Each solve is flexible
+constraint-pinned vertices always survive) along each chain of free
+vertices, from its smallest (fixed vertex, edge) anchor or, on a loop with
+no fixed vertex, from the first end of its lowest edge along that edge; a
+loop keeps at least three vertices (see `coarsen_network`).  Prolongation
+keeps surviving values and averages the two black neighbors at removed
+ones.
+
+Constrained systems are solved in projected form P A_bar P y = P a with the
+Euclidean projector P = I - C^T (C C^T)^{-1} C onto the constraint null
+space, which is the unique formula satisfying C P = 0 and P^2 = P.  A level
+holds P as I - Q Q^T with a dense orthonormal Q when C is at least half full
+(few global constraints), and through a sparse LU of C C^T otherwise (k of
+order V, as with edge lengths); see `MgLevel`.  Each solve is flexible
 conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
 one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
 which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, depth_first_order
 from scipy.sparse.linalg import splu
 
 from .bct import HierMetric
@@ -81,139 +87,90 @@ class MgConfig:
 def coarsen_network(net: CurveNetwork, keep: set[int] | None = None):
     """One coarsening sweep: remove alternating interior vertices.
 
+    A vertex is free when it has degree 2 and is not in `keep`; the free
+    vertices form chains, each a path between fixed vertices or a loop of
+    free vertices alone.  An anchored chain runs from its smallest (fixed
+    vertex, edge) anchor and loses its 1st, 3rd, ... vertices.  A free loop
+    of L vertices runs from the first end of its lowest edge along that
+    edge and loses its 2nd, 4th, ... vertices, at most L - 3 of them.  A
+    removed vertex whose two neighbors coincide, are joined by an edge
+    between kept vertices, or are joined by the contraction of a removed
+    vertex of lower index stays instead.
+
     Returns (coarse_net, J, vertex_map, edge_map) where J is the sparse
     prolongation (fine x coarse), vertex_map sends fine vertex index to its
     coarse index (-1 for removed), and edge_map sends each fine edge to the
-    coarse edge containing it.  Returns None when nothing can be removed.
+    coarse edge containing it.  The coarse edges are one per removed vertex,
+    in vertex order, from its neighbor across its lower edge to the other,
+    then the fine edges between kept vertices in edge order.  Returns None
+    when nothing can be removed.
     """
-    keep = set() if keep is None else set(keep)
-    V = net.n_vertices
-    degrees = net.degrees
-    special = (degrees != 2)
-    for v in keep:
-        special[v] = True
-
-    incident = [[] for _ in range(V)]
-    for e, (i, j) in enumerate(net.edges):
-        incident[i].append((j, e))
-        incident[j].append((i, e))
-
-    WHITE, BLACK, UNSET = 0, 1, 2
-    color = np.full(V, UNSET, dtype=int)
-    color[special] = BLACK
-    visited_edge = np.zeros(net.n_edges, dtype=bool)
-    walks = []
-
-    def walk_from(v0, e0):
-        """Follow the chain starting along edge e0 until a special vertex or
-        the starting point closes a loop."""
-        seq_v = [v0]
-        seq_e = []
-        prev, edge = v0, e0
-        while True:
-            seq_e.append(edge)
-            visited_edge[edge] = True
-            i, j = net.edges[edge]
-            nxt = j if i == prev else i
-            seq_v.append(nxt)
-            if special[nxt] or nxt == v0:
-                return seq_v, seq_e
-            options = [e for (_, e) in incident[nxt] if not visited_edge[e]]
-            if not options:
-                return seq_v, seq_e
-            prev = nxt
-            edge = options[0]
-
-    # chains anchored at special vertices first, then leftover pure loops
-    for v0 in np.flatnonzero(special):
-        for (_, e0) in incident[v0]:
-            if not visited_edge[e0]:
-                walks.append(walk_from(v0, e0))
-    for e0 in range(net.n_edges):
-        if not visited_edge[e0]:
-            v0 = net.edges[e0][0]
-            walks.append(walk_from(v0, e0))
-
-    for seq_v, _ in walks:
-        closed_loop = seq_v[0] == seq_v[-1] and not special[seq_v[0]]
-        interior = seq_v[:-1] if closed_loop else seq_v
-        if closed_loop:
-            color[seq_v[0]] = BLACK
-        # alternate along the walk; loops keep at least 3 black vertices
-        whites_allowed = (len(interior) - 3 if closed_loop else len(interior))
-        whites = 0
-        for idx in range(len(interior)):
-            v = interior[idx]
-            if color[v] != UNSET:
-                continue
-            prev_v = interior[idx - 1] if idx > 0 else seq_v[0]
-            if color[prev_v] == BLACK and (not closed_loop
-                                           or whites < whites_allowed):
-                color[v] = WHITE
-                whites += 1
-            else:
-                color[v] = BLACK
-
-    color[color == UNSET] = BLACK
-
-    # contracting a white vertex must not create a self-loop (bigon through
-    # one white) or a duplicate coarse edge (parallel contracted chains);
-    # flip offending whites back to black until the contraction is clean
-    while True:
-        white_idx = np.flatnonzero(color == WHITE)
-        if len(white_idx) == 0:
-            return None
-        offenders = []
-        used = set()
-        for e, (i, j) in enumerate(net.edges):
-            if color[i] == BLACK and color[j] == BLACK:
-                used.add((min(i, j), max(i, j)))
-        for w in white_idx:
-            (u, _), (v, _) = incident[w]
-            key = (min(u, v), max(u, v))
-            if u == v or key in used:
-                offenders.append(w)
-            else:
-                used.add(key)
-        if not offenders:
-            break
-        color[offenders] = BLACK
-
+    V, E = net.n_vertices, net.n_edges
+    a, b = net.edges.T
+    inner, inner_edges, across = net.interior_incidence()
+    free = net.degrees == 2
+    free[np.fromiter(keep or (), int)] = False
+    link = free[a] & free[b]
+    n_chains, chain = connected_components(
+        csr_matrix((np.ones(link.sum()), (a[link], b[link])), shape=(V, V)),
+        directed=False)
+    # an anchored chain starts at the free end of its smallest (fixed
+    # vertex, edge) anchor; a free loop at the first end of its lowest edge,
+    # where its other edge is cut to leave a path
+    anchor = np.flatnonzero(free[a] != free[b])
+    end = np.where(free[a[anchor]], a[anchor], b[anchor])
+    best = np.full(n_chains, V * E)
+    np.minimum.at(best, chain[end], (a[anchor] + b[anchor] - end) * E + anchor)
+    lowest = np.full(n_chains, E)
+    np.minimum.at(lowest, chain[a[link]], np.flatnonzero(link))
+    loop = (best == V * E) & (lowest < E)
+    first, v0 = best[best < V * E] % E, a[lowest[loop]]
+    cut = inner_edges[np.searchsorted(inner, v0)]
+    path = link.copy()
+    path[np.where(cut[:, 0] == lowest[loop], cut[:, 1], cut[:, 0])] = False
+    start = np.append(np.where(free[a[first]], a[first], b[first]), v0)
+    # one depth-first pass from a root joined to every start lists the
+    # chains one after another, each in order from its start
+    graph = csr_matrix((np.ones(path.sum() + len(start)),
+                        (np.append(a[path], np.full(len(start), V)),
+                         np.append(b[path], start))), shape=(V + 1, V + 1))
+    order = depth_first_order(graph, V, directed=False,
+                              return_predecessors=False)[1:]
+    label = chain[order]
+    step = np.arange(len(order))
+    pos = step - np.maximum.accumulate(
+        np.where(np.append(True, label[1:] != label[:-1]), step, 0))
+    size = np.bincount(chain)[label]
+    whites = np.sort(order[np.where(
+        loop[label], (pos % 2 == 1) & (pos < 2 * size - 6), pos % 2 == 0)])
+    # a white stays whose contraction makes a self-loop or an edge that a
+    # black pair or a lower white already makes
+    row = np.searchsorted(inner, whites)
+    black = np.ones(V, dtype=bool)
+    black[whites] = False
+    kept = black[a] & black[b]
+    keys = np.sort(np.vstack([net.edges[kept], across[row]]), axis=1) @ [V, 1]
+    unique = np.zeros(len(keys), dtype=bool)
+    unique[np.unique(keys, return_index=True)[1]] = True
+    clean = unique[kept.sum():] & (across[row, 0] != across[row, 1])
+    black[whites[~clean]] = True
+    whites, row = whites[clean], row[clean]
+    if not len(whites):
+        return None
+    black_idx = np.flatnonzero(black)
     vertex_map = np.full(V, -1, dtype=int)
-    black_idx = np.flatnonzero(color == BLACK)
     vertex_map[black_idx] = np.arange(len(black_idx))
-
-    # contract white vertices; each has exactly two (black) neighbors
-    coarse_edges = []
-    edge_map = np.full(net.n_edges, -1, dtype=int)
-    handled = np.zeros(net.n_edges, dtype=bool)
-    for w in white_idx:
-        (u, e1), (v, e2) = incident[w]
-        coarse_edges.append((vertex_map[u], vertex_map[v]))
-        edge_map[e1] = len(coarse_edges) - 1
-        edge_map[e2] = len(coarse_edges) - 1
-        handled[e1] = handled[e2] = True
-    for e in range(net.n_edges):
-        if not handled[e]:
-            i, j = net.edges[e]
-            coarse_edges.append((vertex_map[i], vertex_map[j]))
-            edge_map[e] = len(coarse_edges) - 1
-
-    coarse_net = CurveNetwork(net.vertices[black_idx], np.array(coarse_edges))
-
-    rows, cols, vals = [], [], []
-    rows.append(black_idx)
-    cols.append(vertex_map[black_idx])
-    vals.append(np.ones(len(black_idx)))
-    for w in white_idx:
-        (u, _), (v, _) = incident[w]
-        rows.append([w, w])
-        cols.append([vertex_map[u], vertex_map[v]])
-        vals.append([0.5, 0.5])
-    J = csr_matrix((np.concatenate([np.atleast_1d(v) for v in vals]),
-                    (np.concatenate([np.atleast_1d(r) for r in rows]),
-                     np.concatenate([np.atleast_1d(c) for c in cols]))),
-                   shape=(V, coarse_net.n_vertices))
+    edge_map = np.full(E, -1, dtype=int)
+    edge_map[inner_edges[row]] = np.arange(len(whites))[:, None]
+    rest = np.flatnonzero(edge_map < 0)
+    edge_map[rest] = len(whites) + np.arange(len(rest))
+    coarse_net = CurveNetwork(net.vertices[black_idx], vertex_map[
+        np.vstack([across[row], net.edges[rest]])])
+    J = csr_matrix((np.append(np.ones(len(black_idx)),
+                              np.full(2 * len(whites), 0.5)),
+                    (np.append(black_idx, np.repeat(whites, 2)),
+                     vertex_map[np.append(black_idx, across[row])])),
+                   shape=(V, len(black_idx)))
     return coarse_net, J, vertex_map, edge_map
 
 

@@ -76,8 +76,8 @@ class CurveNetwork:
         self.vertices = vertices
         self.edges = edges
         self._geometry = edge_geometry(self)   # rejects zero-length edges
-        # pair lists and adjacency triples, which depend on the edges
-        # alone; shared by snapshots
+        # pair lists, adjacency triples and interior incidence, which
+        # depend on the edges alone; shared by snapshots
         self._topology = topology
 
     @property
@@ -92,8 +92,8 @@ class CurveNetwork:
         """New network with the same edges and updated positions.
 
         The snapshot shares this network's validated edges and topology
-        caches (pair lists, adjacency triples); only the positions are
-        checked."""
+        caches (pair lists, adjacency triples, interior incidence); only the
+        positions are checked."""
         vertices = _checked_positions(vertices)
         if len(vertices) != self.n_vertices:
             raise InvalidNetworkError(
@@ -167,6 +167,24 @@ class CurveNetwork:
             self._topology["triples"] = _read_only(
                 rows, cols, full, group, J.astype(int))
         return self._topology["triples"]
+
+    def interior_incidence(self) -> tuple[np.ndarray, ...]:
+        """Each degree-2 vertex with its two edges, in edge order, and the
+        neighbors across them; cached like the pair lists.
+
+        Returns (vertices, edges, neighbors): the interior vertices in
+        increasing order, (n,), and for each its edges and neighbors, (n, 2).
+        """
+        if "interior" not in self._topology:
+            ends = self.edges.reshape(-1)
+            slots = np.argsort(ends, kind="stable")   # by vertex, then edge
+            degrees = self.degrees
+            vertices = np.flatnonzero(degrees == 2)
+            first = (np.cumsum(degrees) - degrees)[vertices]
+            slot = slots[first[:, None] + np.arange(2)]
+            self._topology["interior"] = _read_only(
+                vertices, slot // 2, ends[slot ^ 1])
+        return self._topology["interior"]
 
     def disjoint_edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Ordered edge pairs (I, J) sharing no vertex, row-major in (I, J):

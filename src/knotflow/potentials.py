@@ -101,24 +101,18 @@ class LengthDifferencePotential:
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):
         geom = net.geometry()
-        interior = net.interior_vertices
-        # the two incident edges of each interior vertex
-        incident = [[] for _ in range(net.n_vertices)]
-        for e, (i, j) in enumerate(net.edges):
-            incident[i].append(e)
-            incident[j].append(e)
-        value = 0.0
+        _, edges, _ = net.interior_incidence()
+        diff = geom.lengths[edges[:, 0]] - geom.lengths[edges[:, 1]]
+        # d|diff|^2 along each edge's tangent, +2 diff on the first, -2 diff
+        # on the second
+        weight = np.bincount(edges.reshape(-1),
+                             (2.0 * diff[:, None] * [1.0, -1.0]).reshape(-1),
+                             minlength=net.n_edges)
+        pull = weight[:, None] * geom.tangents
         grad = np.zeros_like(net.vertices)
-        for v in interior:
-            eI, eJ = incident[v]
-            diff = geom.lengths[eI] - geom.lengths[eJ]
-            value += diff * diff
-            for e, sign in ((eI, 1.0), (eJ, -1.0)):
-                i1, i2 = net.edges[e]
-                t = geom.tangents[e]
-                grad[i1] -= 2.0 * diff * sign * t
-                grad[i2] += 2.0 * diff * sign * t
-        return float(value), grad
+        np.add.at(grad, net.edges[:, 0], -pull)
+        np.add.at(grad, net.edges[:, 1], pull)
+        return float(diff @ diff), grad
 
 
 # A face cluster of bounding radius r at distance d from a midpoint is lumped

@@ -109,15 +109,18 @@ def _parse_sections(text: str, origin: str = "<scene>"):
     return sections
 
 
-def _get(section, key, default=None, convert=str, origin="<scene>"):
+_REQUIRED = object()   # `_get` default of a key the section must give
+
+
+def _get(section, key, default=_REQUIRED, convert=str, origin="<scene>"):
     if key not in section:
-        if default is not None or key in ("target", "path"):
-            if isinstance(default, str) and convert is not str:
-                return convert(default)
-            return default
-        raise SceneError(
-            f"{origin}:{section['__line__']}: [{section['__name__']}] "
-            f"needs {key!r}")
+        if default is _REQUIRED:
+            raise SceneError(
+                f"{origin}:{section['__line__']}: [{section['__name__']}] "
+                f"needs {key!r}")
+        if isinstance(default, str) and convert is not str:
+            return convert(default)
+        return default
     value, lineno = section[key]
     try:
         return convert(value)
@@ -159,7 +162,7 @@ class Scene:
         if kind not in CURVE_KINDS:
             raise SceneError(f"{self.origin}: unknown curve kind {kind!r}")
         if kind == "file":
-            rel = _get(sec, "path", origin=self.origin)
+            rel = _get(sec, "path", default=None, origin=self.origin)
             if rel is None:
                 raise SceneError(f"{self.origin}: curve kind 'file' "
                                  f"needs a path")
@@ -253,7 +256,7 @@ class Scene:
                           origin=self.origin)
             return SphereSurface(center=center, radius=radius)
         if kind == "mesh":
-            rel = _get(sec, "path", origin=self.origin)
+            rel = _get(sec, "path", default=None, origin=self.origin)
             if rel is None:
                 raise SceneError(f"{self.origin}:{sec['__line__']}: mesh "
                                  f"surface needs a path")
@@ -276,7 +279,7 @@ class Scene:
             elif kind == "length-difference":
                 pots.append(LengthDifferencePotential(weight))
             elif kind == "surface":
-                rel = _get(sec, "path", origin=self.origin)
+                rel = _get(sec, "path", default=None, origin=self.origin)
                 if rel is None:
                     raise SceneError(f"{self.origin}:{sec['__line__']}: "
                                      f"surface potential needs a path")
@@ -284,9 +287,8 @@ class Scene:
                 if not path.exists():
                     raise SceneError(f"{self.origin}:{sec['__line__']}: "
                                      f"obstacle not found: {path}")
-                exponent = _get(sec, "exponent", convert=float,
-                                origin=self.origin) \
-                    if "exponent" in sec else None
+                exponent = _get(sec, "exponent", default=None,
+                                convert=float, origin=self.origin)
                 pots.append(SurfacePotential(load_obj_mesh(path), weight,
                                              exponent=exponent))
             elif kind == "field":

@@ -7,11 +7,13 @@ deliberately separate from the library's vectorized implementations.
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import average_matrix, derivative_matrix
-from knotflow.network import edges_share_vertex, unstack_fields
+from knotflow.network import (CurveNetwork, edges_share_vertex,
+                              unstack_fields)
 from knotflow.potentials import SURFACE_THETA, SurfacePotential
 from knotflow.scenes import generate_test_curve
 
@@ -484,3 +486,165 @@ def project_full_budget(correction, constraints, net, max_iters=10):
     residual = float(np.linalg.norm(phi, np.inf))
     raise ProjectionFailure(f"stalled at {residual:.3e}", residual=residual,
                             iterations=max_iters, predicted=residual)
+
+
+def coarsen_walk(net, keep=None):
+    """Per-vertex chain walk: the reference for `multigrid.coarsen_network`.
+
+    Walks every chain from its special vertices (degree != 2 or kept) in
+    index order, then each leftover pure loop from the first end of its
+    lowest edge, colors alternately along each walk, and flips whites whose
+    contraction would make a self-loop or a duplicate edge back to black
+    until the contraction is clean.  Returns what `coarsen_network` returns.
+    """
+    keep = set() if keep is None else set(keep)
+    V = net.n_vertices
+    degrees = net.degrees
+    special = (degrees != 2)
+    for v in keep:
+        special[v] = True
+
+    incident = [[] for _ in range(V)]
+    for e, (i, j) in enumerate(net.edges):
+        incident[i].append((j, e))
+        incident[j].append((i, e))
+
+    WHITE, BLACK, UNSET = 0, 1, 2
+    color = np.full(V, UNSET, dtype=int)
+    color[special] = BLACK
+    visited_edge = np.zeros(net.n_edges, dtype=bool)
+    walks = []
+
+    def walk_from(v0, e0):
+        """Follow the chain starting along edge e0 until a special vertex or
+        the starting point closes a loop."""
+        seq_v = [v0]
+        seq_e = []
+        prev, edge = v0, e0
+        while True:
+            seq_e.append(edge)
+            visited_edge[edge] = True
+            i, j = net.edges[edge]
+            nxt = j if i == prev else i
+            seq_v.append(nxt)
+            if special[nxt] or nxt == v0:
+                return seq_v, seq_e
+            options = [e for (_, e) in incident[nxt] if not visited_edge[e]]
+            if not options:
+                return seq_v, seq_e
+            prev = nxt
+            edge = options[0]
+
+    # chains anchored at special vertices first, then leftover pure loops
+    for v0 in np.flatnonzero(special):
+        for (_, e0) in incident[v0]:
+            if not visited_edge[e0]:
+                walks.append(walk_from(v0, e0))
+    for e0 in range(net.n_edges):
+        if not visited_edge[e0]:
+            v0 = net.edges[e0][0]
+            walks.append(walk_from(v0, e0))
+
+    for seq_v, _ in walks:
+        closed_loop = seq_v[0] == seq_v[-1] and not special[seq_v[0]]
+        interior = seq_v[:-1] if closed_loop else seq_v
+        if closed_loop:
+            color[seq_v[0]] = BLACK
+        # alternate along the walk; loops keep at least 3 black vertices
+        whites_allowed = (len(interior) - 3 if closed_loop else len(interior))
+        whites = 0
+        for idx in range(len(interior)):
+            v = interior[idx]
+            if color[v] != UNSET:
+                continue
+            prev_v = interior[idx - 1] if idx > 0 else seq_v[0]
+            if color[prev_v] == BLACK and (not closed_loop
+                                           or whites < whites_allowed):
+                color[v] = WHITE
+                whites += 1
+            else:
+                color[v] = BLACK
+
+    color[color == UNSET] = BLACK
+
+    # contracting a white vertex must not create a self-loop (bigon through
+    # one white) or a duplicate coarse edge (parallel contracted chains);
+    # flip offending whites back to black until the contraction is clean
+    while True:
+        white_idx = np.flatnonzero(color == WHITE)
+        if len(white_idx) == 0:
+            return None
+        offenders = []
+        used = set()
+        for e, (i, j) in enumerate(net.edges):
+            if color[i] == BLACK and color[j] == BLACK:
+                used.add((min(i, j), max(i, j)))
+        for w in white_idx:
+            (u, _), (v, _) = incident[w]
+            key = (min(u, v), max(u, v))
+            if u == v or key in used:
+                offenders.append(w)
+            else:
+                used.add(key)
+        if not offenders:
+            break
+        color[offenders] = BLACK
+
+    vertex_map = np.full(V, -1, dtype=int)
+    black_idx = np.flatnonzero(color == BLACK)
+    vertex_map[black_idx] = np.arange(len(black_idx))
+
+    # contract white vertices; each has exactly two (black) neighbors
+    coarse_edges = []
+    edge_map = np.full(net.n_edges, -1, dtype=int)
+    handled = np.zeros(net.n_edges, dtype=bool)
+    for w in white_idx:
+        (u, e1), (v, e2) = incident[w]
+        coarse_edges.append((vertex_map[u], vertex_map[v]))
+        edge_map[e1] = len(coarse_edges) - 1
+        edge_map[e2] = len(coarse_edges) - 1
+        handled[e1] = handled[e2] = True
+    for e in range(net.n_edges):
+        if not handled[e]:
+            i, j = net.edges[e]
+            coarse_edges.append((vertex_map[i], vertex_map[j]))
+            edge_map[e] = len(coarse_edges) - 1
+
+    coarse_net = CurveNetwork(net.vertices[black_idx], np.array(coarse_edges))
+
+    rows, cols, vals = [], [], []
+    rows.append(black_idx)
+    cols.append(vertex_map[black_idx])
+    vals.append(np.ones(len(black_idx)))
+    for w in white_idx:
+        (u, _), (v, _) = incident[w]
+        rows.append([w, w])
+        cols.append([vertex_map[u], vertex_map[v]])
+        vals.append([0.5, 0.5])
+    J = csr_matrix((np.concatenate([np.atleast_1d(v) for v in vals]),
+                    (np.concatenate([np.atleast_1d(r) for r in rows]),
+                     np.concatenate([np.atleast_1d(c) for c in cols]))),
+                   shape=(V, coarse_net.n_vertices))
+    return coarse_net, J, vertex_map, edge_map
+
+
+def length_difference_loop(net):
+    """Per-vertex loop over the interior vertices: the reference for
+    `potentials.LengthDifferencePotential`.  Returns (value, gradient)."""
+    geom = net.geometry()
+    incident = [[] for _ in range(net.n_vertices)]
+    for e, (i, j) in enumerate(net.edges):
+        incident[i].append(e)
+        incident[j].append(e)
+    value = 0.0
+    grad = np.zeros_like(net.vertices)
+    for v in net.interior_vertices:
+        eI, eJ = incident[v]
+        diff = geom.lengths[eI] - geom.lengths[eJ]
+        value += diff * diff
+        for e, sign in ((eI, 1.0), (eJ, -1.0)):
+            i1, i2 = net.edges[e]
+            t = geom.tangents[e]
+            grad[i1] -= 2.0 * diff * sign * t
+            grad[i2] += 2.0 * diff * sign * t
+    return float(value), grad

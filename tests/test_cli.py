@@ -86,6 +86,18 @@ class TestParse:
         with pytest.raises(SceneError, match=":12: bad value for 'exponent'"):
             scene.build_potentials(scene.build_params())
 
+    def test_stride_only_output_section(self):
+        scene = parse_scene(MINIMAL_SCENE + "\n[output]\nstride = 5\n")
+        assert scene.output_settings() == {"directory": None, "stride": 5}
+
+    @pytest.mark.parametrize("text, message", [
+        ("[curve]\nkind = file\n", "<scene>: curve kind 'file' needs a path"),
+        ("[curve]\nn = 8\n", "<scene>:1: \\[curve\\] needs 'kind'"),
+    ], ids=["path", "required"])
+    def test_missing_key_messages(self, text, message):
+        with pytest.raises(SceneError, match=message):
+            parse_scene(text).build_curve()
+
     def test_full_accel_rejected(self):
         text = MINIMAL_SCENE + "\n[flow]\naccel = full\n"
         with pytest.raises(SceneError, match="unknown accel 'full'"):
@@ -220,6 +232,17 @@ max_iters = 4
         assert summary["iterations"] <= 4
         frames = sorted(out.glob("frame_*.obj"))
         assert len(frames) >= 2
+
+    def test_solve_out_with_stride_only_output_section(self, tmp_path):
+        scene = self.scene_file(tmp_path, "\n[flow]\nmax_iters = 4\n"
+                                          "\n[output]\nstride = 3\n")
+        out = tmp_path / "out"
+        main(["solve", str(scene), "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        # frames 0 and 3 by the stride, then the last one
+        assert summary["iterations"] == 4
+        assert summary["frames_written"] == 3
+        assert len(list(out.glob("frame_*.obj"))) == 3
 
     def test_duplicate_curve_section_rejected(self, tmp_path):
         path = tmp_path / "bad.knot"

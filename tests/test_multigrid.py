@@ -7,14 +7,114 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   project_onto_constraints)
 from knotflow.energy import discrete_differential, validate_params
 from knotflow.metric import MetricOperator, SaddleFactor
-from knotflow.multigrid import (MgConfig, MgLevel, MultigridHierarchy,
-                                coarsen_network, restrict_constraints)
+from knotflow.multigrid import (COARSEST_SIZE, MgConfig, MgLevel,
+                                MultigridHierarchy, coarsen_network,
+                                restrict_constraints)
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
 
-from oracles import perturbed_polygon, regular_polygon, smooth_circle
+from oracles import (coarsen_walk, perturbed_polygon, regular_polygon,
+                     smooth_circle, theta_and_loop)
 
 P36 = validate_params(3, 6)
+
+
+def y_junction(leg=5):
+    """A Y junction: three straight legs of `leg` vertices from vertex 0."""
+    verts = [[0., 0., 0.]]
+    edges = []
+    for direction in np.array([[1., 0., 0.], [-0.5, 1., 0.],
+                               [-0.5, -1., 0.]]):
+        prev = 0
+        for k in range(1, leg + 1):
+            verts.append((k * direction).tolist())
+            edges.append([prev, len(verts) - 1])
+            prev = len(verts) - 1
+    return CurveNetwork(np.array(verts), edges)
+
+
+def coarsening_scenes():
+    """The networks the coarsening tests run on, by name."""
+    scenes = {f"polygon-{n}": CurveNetwork(*regular_polygon(n))
+              for n in range(3, 17)}
+    scenes |= {f"perturbed-{n}": CurveNetwork(*perturbed_polygon(n, seed=n))
+               for n in (5, 12, 32)}
+    scenes["theta-and-loop"] = CurveNetwork(*theta_and_loop())
+    scenes["small-theta-and-loop"] = CurveNetwork(*theta_and_loop(3, 5))
+    scenes["grid-braid"] = generate_test_curve("grid-braid", 120, seed=3)
+    scenes["y-junction"] = y_junction()
+    return scenes
+
+
+def relabelled(net, rng):
+    """`net` with permuted vertices and edges and randomly flipped edges."""
+    perm = rng.permutation(net.n_vertices)
+    edges = perm[net.edges][rng.permutation(net.n_edges)]
+    flip = rng.random(net.n_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    verts = np.empty_like(net.vertices)
+    verts[perm] = net.vertices
+    return CurveNetwork(verts, edges)
+
+
+def assert_coarsens_like_walk(net, keep=None):
+    """`coarsen_network` returns exactly what the walk returns; the result
+    of either, or None."""
+    got, want = coarsen_network(net, keep), coarsen_walk(net, keep)
+    assert (got is None) == (want is None)
+    if want is None:
+        return None
+    assert np.array_equal(got[0].vertices, want[0].vertices)
+    assert np.array_equal(got[0].edges, want[0].edges)
+    assert got[1].shape == want[1].shape and (got[1] != want[1]).nnz == 0
+    assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[3], want[3])
+    return got
+
+
+class TestCoarseningMatchesWalk:
+    @pytest.mark.parametrize("name", list(coarsening_scenes()))
+    def test_scene(self, name):
+        net = coarsening_scenes()[name]
+        assert_coarsens_like_walk(net)
+        assert_coarsens_like_walk(net, keep={0})
+
+    # Past n = 1024 the random trefoil takes seconds and GBs to generate (an
+    # all-pairs crossing check); coarsening reads only the edges and the
+    # pins, and its edges are the perturbed circle's loop at every n.
+    @pytest.mark.parametrize("kind, seed, sizes", [
+        ("perturbed-circle", 5, (128, 256, 512, 1024, 2048, 4096)),
+        ("random-trefoil", 8, (128, 256, 512, 1024))])
+    def test_level_chains(self, kind, seed, sizes):
+        for n in sizes:
+            net, levels = generate_test_curve(kind, n, seed=seed), 0
+            assert np.array_equal(net.edges, generate_test_curve(
+                "perturbed-circle", n, seed=5).edges)
+            while net.n_vertices > COARSEST_SIZE:
+                out = assert_coarsens_like_walk(net)
+                if out is None:
+                    break
+                net, levels = out[0], levels + 1
+            assert levels >= 2
+
+    def test_parallel_contractions_keep_the_lower_white(self):
+        # pins 0 and 2 split the square into two chains whose whites, 1 and
+        # 3, would both contract to the edge (0, 2): vertex 3 stays
+        coarse, _, vmap, _ = assert_coarsens_like_walk(
+            CurveNetwork(*regular_polygon(4)), keep={0, 2})
+        assert coarse.n_vertices == 3 and vmap[1] == -1 and vmap[3] >= 0
+
+    def test_relabelled_with_pins(self):
+        rng = np.random.default_rng(19)
+        scenes = list(coarsening_scenes().values())
+        outcomes = []
+        for trial in range(340):
+            net = relabelled(scenes[trial % len(scenes)], rng)
+            keep = set(rng.choice(net.n_vertices, size=trial % 3,
+                                  replace=False).tolist())
+            outcomes.append(assert_coarsens_like_walk(net, keep) is None)
+        # both outcomes occur, so the None branch is compared as well
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 class TestCoarsening:
@@ -37,18 +137,7 @@ class TestCoarsening:
         assert coarse.total_length() == pytest.approx(2.0)
 
     def test_junctures_survive_every_level(self):
-        # Y junction with three 5-vertex legs
-        verts = [[0., 0., 0.]]
-        edges = []
-        for leg, direction in enumerate(np.array(
-                [[1., 0., 0.], [-0.5, 1., 0.], [-0.5, -1., 0.]])):
-            prev = 0
-            for k in range(1, 6):
-                verts.append((k * direction).tolist())
-                idx = len(verts) - 1
-                edges.append([prev, idx])
-                prev = idx
-        net = CurveNetwork(np.array(verts), edges)
+        net = y_junction()
         while True:
             out = coarsen_network(net)
             if out is None:

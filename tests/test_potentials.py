@@ -15,8 +15,9 @@ from knotflow.potentials import (ConstantField, FieldPotential,
 from knotflow.scenes import generate_test_curve
 
 from oracles import (ExhaustiveSurfacePotential, finite_difference_gradient,
-                     octahedron_sphere, perturbed_polygon, regular_polygon,
-                     save_obj_mesh, surface_walk, tree_depth)
+                     length_difference_loop, octahedron_sphere,
+                     perturbed_polygon, regular_polygon, save_obj_mesh,
+                     surface_walk, theta_and_loop, tree_depth)
 
 P36 = validate_params(3, 6)
 
@@ -84,6 +85,26 @@ class TestLengthDifference:
         edges = [[i, i + 1] for i in range(6)]
         net = CurveNetwork(verts, edges)
         fd_check(LengthDifferencePotential(), net, rel=1e-6)
+
+    def test_fd_on_theta_and_loop(self):
+        # junctures, three jittered arcs and a separate loop
+        net = CurveNetwork(*theta_and_loop())
+        assert fd_check(LengthDifferencePotential(), net, rel=1e-6) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_vertex_loop(self, seed):
+        verts, edges = theta_and_loop(seed=seed)
+        rng = np.random.default_rng(seed)
+        # relabel and flip edges, and pull the loop out of regular
+        edges = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        net = CurveNetwork(verts * rng.uniform(0.9, 1.1, verts.shape), edges)
+        value, grad = LengthDifferencePotential().value_and_differential(net)
+        want, want_grad = length_difference_loop(net)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert np.max(np.abs(grad - want_grad)) \
+            <= 1e-12 * np.max(np.abs(want_grad))
 
 
 class TestFaceTree:
