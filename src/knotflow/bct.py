@@ -251,15 +251,18 @@ class HierMetric:
     dense when it holds at least 2/3 V^2 entries, where 8 bytes per dense
     entry cost no more than CSR's 12 per nonzero, and as CSR otherwise.
     `k_high` and `k_low` keep the two kernel matrices and `bct` the block
-    partition.
+    partition: the given one, on a tree fitted to `net`, or one built at
+    `eps` on a new tree.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
-                 bvh: EdgeBvh | None = None, eps: float = DEFAULT_BCT_EPS):
+                 eps: float = DEFAULT_BCT_EPS,
+                 bct: BlockClusterTree | None = None):
         self.net = net
         self.sigma = float(sigma)
-        self.bvh = bvh if bvh is not None else EdgeBvh(net)
-        self.bct = BlockClusterTree(self.bvh, eps=eps)
+        self.bct = bct if bct is not None \
+            else BlockClusterTree(EdgeBvh(net), eps=eps)
+        self.bvh = self.bct.bvh
         I, J = self.bct.near_pair_arrays(net)
         high, low = trapezoid_kernels(net, self.sigma, I, J)
         self.k_high = HierKernelMatrix(

@@ -21,10 +21,15 @@ lumped group or admissible block can then hold an identical or adjacent pair;
 only the exact leaf and near-field pair lists drop those pairs, by index.
 
 One breadth-first loop, `sweep`, refines pairs against a tree with one
-vectorized admissibility call per generation, for three users: node pairs
-for the block cluster tree, (edge, node) pairs for Barnes-Hut, and (edge,
-face cluster) pairs on a `meshes.FaceTree` for the obstacle potential
-(`potentials.surface_plan`).  `run_pairs` expands node runs into pairs.
+vectorized admissibility call per generation, for four users: node pairs
+for the block cluster tree, (edge, node) pairs for Barnes-Hut, (edge, face
+cluster) pairs on a `meshes.FaceTree` for the obstacle potential
+(`potentials.surface_plan`), and node pairs with overlapping boxes for the
+broad phase (`overlap_pairs`) of the collision, crossing and gap queries.
+`run_pairs` expands node runs into pairs.  `node_boxes` bounds per-item
+boxes bottom up on a tree's topology, for `EdgeBvh.refit`, `FaceTree` and
+the broad phase, whose swept, projected or padded edge boxes ride on a tree
+fitted to other positions.
 
 A Barnes-Hut evaluation follows a plan (`bh_plan`), made once per tree fit
 and eps by that sweep of every edge from the root.  The plan lists the far
@@ -84,6 +89,24 @@ def median_split_tree(points: np.ndarray, leaf_size: int = LEAF_SIZE):
                             for a in (start, end, left, right))
 
 
+def node_boxes(tree, lo: np.ndarray, hi: np.ndarray):
+    """Per-node bounds (lo, hi), (n_nodes, d), of per-item boxes (lo, hi),
+    (n, d) in item order, on a `median_split_tree` with its `tree_levels`:
+    each leaf run reduced in one pass, then the internal nodes combined one
+    depth level at a time, bottom up.  Only the topology is read, so the
+    boxes may belong to other positions than those the tree was split on."""
+    node_lo = np.empty((len(tree.left), lo.shape[1]))
+    node_hi = np.empty((len(tree.left), hi.shape[1]))
+    runs = tree.start[tree.leaves]
+    node_lo[tree.leaves] = np.minimum.reduceat(lo[tree.order], runs)
+    node_hi[tree.leaves] = np.maximum.reduceat(hi[tree.order], runs)
+    for nodes in tree.levels:
+        l, r = tree.left[nodes], tree.right[nodes]
+        node_lo[nodes] = np.minimum(node_lo[l], node_lo[r])
+        node_hi[nodes] = np.maximum(node_hi[l], node_hi[r])
+    return node_lo, node_hi
+
+
 def tree_levels(start, left, right):
     """The leaves of a `median_split_tree` in run order, and its internal
     nodes by depth, deepest level first: the order in which a bottom-up pass
@@ -113,10 +136,6 @@ class EdgeBvh:
         self.mass = np.zeros(self.n_nodes)
         self.com = np.zeros((self.n_nodes, 3))
         self.avg_tangent = np.zeros((self.n_nodes, 3))
-        self.r_x = np.zeros(self.n_nodes)
-        self.r_T = np.zeros(self.n_nodes)
-        self.lo = np.zeros((self.n_nodes, 6))
-        self.hi = np.zeros((self.n_nodes, 6))
         self.refit(net)
 
     def refit(self, net: CurveNetwork):
@@ -134,17 +153,12 @@ class EdgeBvh:
         sel, leaves = self.order, self.leaves
         runs = self.start[leaves]
         w = geom.lengths[sel]
-        t = geom.tangents[sel]
-        ends = net.vertices[net.edges[sel]]
         self.mass[leaves] = np.add.reduceat(w, runs)
         m = self.mass[leaves, None]
         self.com[leaves] = np.add.reduceat(w[:, None] * geom.midpoints[sel],
                                            runs) / m
-        self.avg_tangent[leaves] = np.add.reduceat(w[:, None] * t, runs) / m
-        self.lo[leaves] = np.minimum.reduceat(
-            np.hstack([t, ends.min(axis=1)]), runs)
-        self.hi[leaves] = np.maximum.reduceat(
-            np.hstack([t, ends.max(axis=1)]), runs)
+        self.avg_tangent[leaves] = np.add.reduceat(
+            w[:, None] * geom.tangents[sel], runs) / m
         for nodes in self.levels:
             l, r = self.left[nodes], self.right[nodes]
             ml, mr = self.mass[l, None], self.mass[r, None]
@@ -153,8 +167,10 @@ class EdgeBvh:
             self.com[nodes] = (ml * self.com[l] + mr * self.com[r]) / m
             self.avg_tangent[nodes] = (ml * self.avg_tangent[l]
                                        + mr * self.avg_tangent[r]) / m
-            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
-            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
+        ends = net.vertices[net.edges]
+        self.lo, self.hi = node_boxes(
+            self, np.hstack([geom.tangents, ends.min(axis=1)]),
+            np.hstack([geom.tangents, ends.max(axis=1)]))
         half = 0.5 * (self.hi - self.lo)
         self.r_T = np.linalg.norm(half[:, :3], axis=1)
         self.r_x = np.linalg.norm(half[:, 3:], axis=1)
@@ -225,6 +241,38 @@ def sweep(bvh: EdgeBvh, a: np.ndarray, b: np.ndarray, admissible,
         a, b = (np.concatenate(side) for side in zip(*pairs))
     # the loop runs at least once, on the root candidates
     return tuple(np.concatenate(side) for side in (*zip(*far), *zip(*near)))
+
+
+def overlap_pairs(net: CurveNetwork, bvh: EdgeBvh, lo: np.ndarray,
+                  hi: np.ndarray, pad: float = 0.0):
+    """The edge pairs (I, J), I < J, that share no vertex and whose boxes
+    (lo, hi), (E, d) in edge order, overlap to within `pad` on every axis.
+
+    The broad phase of the collision, crossing and gap queries: `node_boxes`
+    bounds the boxes on the tree's topology, and one `sweep` of node pairs
+    from (root, root) drops the pairs whose node boxes are separated by more
+    than pad on some axis, and the mirrored half, start[a] > start[b], of
+    the pairs of distinct nodes (whose runs never interleave).  `run_pairs`
+    expands the surviving leaf pairs, keeping positions pos_a < pos_b, and
+    `exact_pairs` drops the adjacent ones.  The per-pair box test runs last,
+    so the pairs are those it selects from all E^2 / 2, whatever positions
+    the tree was split on.
+    """
+    node_lo, node_hi = node_boxes(bvh, lo, hi)
+
+    def dropped(a, b):
+        apart = (node_lo[a] > node_hi[b] + pad) \
+            | (node_lo[b] > node_hi[a] + pad)
+        return apart.any(axis=1) | (bvh.start[a] > bvh.start[b])
+
+    *_, a, b = sweep(bvh, np.array([0]), np.array([0]), dropped)
+    pa, pb = run_pairs(bvh.start[a], bvh.end[a] - bvh.start[a],
+                       bvh.start[b], bvh.end[b] - bvh.start[b])
+    ahead = pa < pb
+    I, J = exact_pairs(net, bvh.order[pa[ahead]], bvh.order[pb[ahead]])
+    keep = np.all((lo[I] <= hi[J] + pad) & (lo[J] <= hi[I] + pad), axis=1)
+    I, J = I[keep], J[keep]
+    return np.minimum(I, J), np.maximum(I, J)
 
 
 def bh_plan(net: CurveNetwork, bvh: EdgeBvh, eps: float) -> BhPlan:

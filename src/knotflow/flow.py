@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .bvh import BhPlan, EdgeBvh, bh_differential, bh_energy
+from .bvh import BhPlan, EdgeBvh, bh_differential, bh_energy, overlap_pairs
 from .constraints import PROJECTION_TOL, ConstraintSet, ProjectionFailure
 from .energy import EnergyParams, discrete_differential, discrete_energy
 from .metric import MetricOperator, SaddleFactor
@@ -284,52 +284,62 @@ def _segment_gap(p1, p2, q1, q2):
 
 
 def collision_step_limit(net: CurveNetwork, direction: np.ndarray,
-                         cap: float = 1e3) -> float:
+                         cap: float = 1e3,
+                         bvh: EdgeBvh | None = None) -> float:
     """First time tau at which any non-adjacent edge pair crosses while the
-    vertices move along gamma - tau * direction; returns cap if none."""
+    vertices move along gamma - tau * direction; returns cap if none.  `bvh`
+    (optional) lends its topology to the broad phase (`_collision_times`)."""
     hits = _collision_times(net, net.vertices, -np.asarray(direction, float),
-                            cap)
+                            cap, bvh)
     return float(hits.min()) if len(hits) else cap
 
 
 def crossings_during_motion(net: CurveNetwork, start: np.ndarray,
-                            end: np.ndarray) -> int:
+                            end: np.ndarray,
+                            bvh: EdgeBvh | None = None) -> int:
     """Count edge-pair crossing events along the linear motion start -> end.
 
     Contacts already present at the start frame are not re-counted."""
-    hits = _collision_times(net, start, end - start, 1.0)
+    hits = _collision_times(net, start, end - start, 1.0, bvh)
     return int(np.sum(hits > 1e-12))
 
 
 def _collision_times(net: CurveNetwork, base: np.ndarray,
-                     velocity: np.ndarray, cap: float) -> np.ndarray:
+                     velocity: np.ndarray, cap: float,
+                     bvh: EdgeBvh | None = None) -> np.ndarray:
     """First-contact times in (0, cap] over all non-adjacent edge pairs of
     `net`'s topology, for vertices moving from `base` along `velocity`.
 
     Conservative advancement on linear vertex trajectories: the edge-edge gap
     can shrink at most at the sum of the two segments' maximal relative
     endpoint speeds, so advancing by gap/rate can never skip a crossing.
-    Pairs whose swept bounding boxes never overlap are pruned up front.
+    Only pairs whose swept bounding boxes (each edge's endpoints at times 0
+    and cap) overlap can touch; the broad phase `overlap_pairs` finds
+    exactly those on the topology of `bvh` (a tree built on `net` when None)
+    instead of testing all E^2 / 2 pairs.  The hit times come in no
+    particular order; callers take their minimum or count.
     """
-    edges = net.edges
-    ii, jj = net.disjoint_edge_pairs_upper()
+    ends = base[net.edges]                  # (E, 2, 3), at times 0 and cap
+    moved = ends + cap * velocity[net.edges]
+    lo = np.minimum(ends.min(axis=1), moved.min(axis=1))
+    hi = np.maximum(ends.max(axis=1), moved.max(axis=1))
+    pad = 1e-12 * max(1.0, np.abs(hi).max())
+    ii, jj = overlap_pairs(net, bvh if bvh is not None else EdgeBvh(net),
+                           lo, hi, pad)
+    return _contact_times(net, base, velocity, cap, ii, jj)
+
+
+def _contact_times(net: CurveNetwork, base: np.ndarray, velocity: np.ndarray,
+                   cap: float, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The narrow phase of `_collision_times`: first-contact times in
+    (0, cap] of the edge pairs (ii, jj) by conservative advancement."""
     if len(ii) == 0:
         return np.zeros(0)
-
+    edges = net.edges
     p0 = base[edges[:, 0]]
     p1 = base[edges[:, 1]]
     v0 = velocity[edges[:, 0]]
     v1 = velocity[edges[:, 1]]
-    lo = np.minimum(np.minimum(p0, p1),
-                    np.minimum(p0 + cap * v0, p1 + cap * v1))
-    hi = np.maximum(np.maximum(p0, p1),
-                    np.maximum(p0 + cap * v0, p1 + cap * v1))
-    pad = 1e-12 * max(1.0, np.abs(hi).max())
-    overlap = np.all((lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad),
-                     axis=1)
-    ii, jj = ii[overlap], jj[overlap]
-    if len(ii) == 0:
-        return np.zeros(0)
 
     # common-motion reduction: the gap only depends on relative positions, so
     # subtract each pair's mean velocity before bounding the closing rate
@@ -398,7 +408,8 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
     collision_limited = False
     if config.mode == "collision":
         # a short CCD horizon keeps swept-box pruning effective
-        tau_max = collision_step_limit(net, direction, cap=COLLISION_HORIZON)
+        tau_max = collision_step_limit(net, direction, cap=COLLISION_HORIZON,
+                                       bvh=objective.bvh)
         if tau_max <= config.tau_floor:
             raise StuckFlow("collision limit is zero; curve is in contact")
         collision_limited = tau_max < COLLISION_HORIZON
@@ -518,8 +529,13 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
 
 
 def projected_crossing_count(net: CurveNetwork,
-                             view: np.ndarray | None = None) -> int:
-    """Count proper crossings of the diagram projected along `view`."""
+                             view: np.ndarray | None = None,
+                             bvh: EdgeBvh | None = None) -> int:
+    """Count proper crossings of the diagram projected along `view`.
+
+    Only edges whose boxes in the view plane overlap can cross there; the
+    broad phase `overlap_pairs` lists them on the topology of `bvh` (a tree
+    built on `net` when None)."""
     if view is None:
         view = np.array([0.1234, 0.3456, 0.9123])
     view = np.asarray(view, float)
@@ -532,11 +548,12 @@ def projected_crossing_count(net: CurveNetwork,
     u /= np.linalg.norm(u)
     w = np.cross(view, u)
     pts = np.stack([net.vertices @ u, net.vertices @ w], axis=1)
-    ii, jj = net.disjoint_edge_pairs_upper()
-    p1 = pts[net.edges[ii, 0]]
-    p2 = pts[net.edges[ii, 1]]
-    q1 = pts[net.edges[jj, 0]]
-    q2 = pts[net.edges[jj, 1]]
+    ends = pts[net.edges]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    ii, jj = overlap_pairs(net, bvh if bvh is not None else EdgeBvh(net),
+                           lo, hi, 1e-12 * max(1.0, np.abs(pts).max()))
+    p1, p2 = ends[ii, 0], ends[ii, 1]
+    q1, q2 = ends[jj, 0], ends[jj, 1]
 
     def orient(a, b, c):
         return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
@@ -553,9 +570,10 @@ def minimal_projected_crossings(net: CurveNetwork, samples: int = 24,
                                 seed: int = 0) -> int:
     """Minimum projected crossing count over sampled view directions."""
     rng = np.random.default_rng(seed)
+    bvh = EdgeBvh(net)
     best = None
     for _ in range(samples):
         v = rng.normal(size=3)
-        count = projected_crossing_count(net, v)
+        count = projected_crossing_count(net, v, bvh)
         best = count if best is None else min(best, count)
     return best

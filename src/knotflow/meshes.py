@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bvh import median_split_tree, tree_levels
+from .bvh import median_split_tree, node_boxes, tree_levels
 
 
 class TriangleMesh:
@@ -99,22 +99,18 @@ class FaceTree:
                                                self.right)
         sel, leaves = self.order, self.leaves
         runs = self.start[leaves]
-        tri = mesh.vertices[mesh.faces[sel]]      # (m, 3, 3)
         areas = mesh.face_areas[sel]
         n = len(self.left)
         self.area, moment = np.zeros(n), np.zeros((n, 3))
-        self.lo, self.hi = np.zeros((n, 3)), np.zeros((n, 3))
         self.area[leaves] = np.add.reduceat(areas, runs)
         moment[leaves] = np.add.reduceat(
             areas[:, None] * mesh.face_centroids[sel], runs)
-        self.lo[leaves] = np.minimum.reduceat(tri.min(axis=1), runs)
-        self.hi[leaves] = np.maximum.reduceat(tri.max(axis=1), runs)
         for nodes in self.levels:
             l, r = self.left[nodes], self.right[nodes]
             self.area[nodes] = self.area[l] + self.area[r]
             moment[nodes] = moment[l] + moment[r]
-            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
-            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
+        tri = mesh.vertices[mesh.faces]           # (m, 3, 3)
+        self.lo, self.hi = node_boxes(self, tri.min(axis=1), tri.max(axis=1))
         self.centroid = moment / np.maximum(self.area, 1e-300)[:, None]
         self.radius = 0.5 * np.linalg.norm(self.hi - self.lo, axis=1)
 

@@ -17,10 +17,11 @@ order V, as with edge lengths); see `MgLevel`.  Each solve is flexible
 conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
 one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
 which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
-coarsest level uses a dense pseudoinverse.  Levels above DENSE_CUTOFF
-vertices apply the hierarchical metric (`HierMetric`), smaller ones the
-assembled dense one (`MetricOperator`); both answer `apply` and
-`apply_stacked`.
+coarsest level uses a dense pseudoinverse.  A level whose block cluster
+tree has an admissible block applies the hierarchical metric (`HierMetric`,
+built on that tree); one without a far field, where `HierMetric` would be
+the same metric stored as CSR, the assembled dense one (`MetricOperator`).
+Both answer `apply` and `apply_stacked`.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -41,7 +42,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 from scipy.sparse.linalg import splu
 
-from .bct import HierMetric
+from .bct import BlockClusterTree, HierMetric
+from .bvh import EdgeBvh
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SurfaceConstraint,
                           TangentConstraint, TotalLength)
@@ -50,13 +52,6 @@ from .metric import RANK_PIVOT_TOL, MetricOperator, checked_cholesky
 from .network import CurveNetwork
 
 COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
-# Levels at or below this many vertices assemble the dense metric.  Both
-# metrics apply the same formula, but below this size the dense one sets up
-# faster: with `HierMetric` on every level the hierarchy setup median of the
-# random-trefoil n = 128 workload (levels of 128, 64 and 32 vertices) rose
-# from 30 to 46 ms, and of the perturbed-circle n = 256 one from 76 to 88 ms
-# (2 CPUs, one BLAS thread), with the same solver counts.
-DENSE_CUTOFF = 96
 # Relative distance |phi - Phi c| / |phi| from the span of a step's solved
 # residuals Phi up to which a projection correction is combined from the
 # stored ones; the combination then meets C x = -phi to this relative error.
@@ -227,10 +222,9 @@ class MgLevel:
         self.scale = 1.0
         C = constraints.jacobian(net)
         self.C = C
-        if net.n_vertices > DENSE_CUTOFF:
-            self.metric = HierMetric(net, params.sigma, bvh=bvh)
-        else:
-            self.metric = MetricOperator(net, params)
+        bct = BlockClusterTree(bvh if bvh is not None else EdgeBvh(net))
+        self.metric = HierMetric(net, params.sigma, bct=bct) \
+            if len(bct.adm_a) else MetricOperator(net, params)
         self.Q = None
         if 3 * net.n_vertices * C.shape[0] <= 2 * C.nnz:
             factor, self.rank_suspect = checked_cholesky((C @ C.T).toarray())

@@ -48,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bvh import EdgeBvh, overlap_pairs
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,
                           TangentConstraint, TotalLength)
@@ -429,6 +430,8 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
 
         base_net = generate_test_curve("torus-knot", n, seed, p=2, q=3)
         base = base_net.vertices
+        # one tree on the base curve serves every trial's broad phases
+        bvh = EdgeBvh(base_net)
         rng = np.random.default_rng(seed)
         amplitude = kwargs.get("amplitude", 1.0)
         margin = 1.2 * base_net.total_length() / n
@@ -440,8 +443,9 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
                     + coeff[1] * np.sin(k * theta)[:, None]
             verts = base + bump
             net = CurveNetwork(verts, loop_edges)
-            if _min_pair_gap(net, min_index_gap=5) > margin \
-                    and crossings_during_motion(base_net, base, verts) == 0:
+            if _min_pair_gap(net, 5, cutoff=margin, bvh=bvh) > margin \
+                    and crossings_during_motion(base_net, base, verts,
+                                                bvh) == 0:
                 return net
             amplitude *= 0.7
         return CurveNetwork(base, loop_edges)
@@ -463,23 +467,47 @@ def generate_test_curve(kind: str, n: int, seed: int = 0,
     return CurveNetwork(np.array(verts), edges)
 
 
-def _min_pair_gap(net: CurveNetwork, min_index_gap: int = 1) -> float:
+def _min_pair_gap(net: CurveNetwork, min_index_gap: int = 1,
+                  cutoff: float | None = None,
+                  bvh: EdgeBvh | None = None) -> float:
     """Minimum distance between non-adjacent edges (embeddedness margin).
 
     For single closed loops, min_index_gap > 1 skips pairs that are close
     along the curve, leaving the strand-to-strand separation that matters for
     near-contact behavior (pairs a few edges apart sit at roughly one edge
     length by smoothness alone).
+
+    Only pairs whose edge boxes lie within `cutoff` of each other on every
+    axis are measured (the broad phase `overlap_pairs` on the topology of
+    `bvh`, a tree built on `net` when None).  The result is exact whenever
+    the true minimum is at most cutoff, and above cutoff (inf when no pair
+    is measured) otherwise, so a test `gap > cutoff` decides as on the exact
+    minimum.  Without a cutoff the minimum is exact: the cutoff starts at
+    the longest edge and grows fourfold until a pair lies within it or it
+    spans the whole curve.
     """
     from .flow import _segment_gap
 
+    bvh = bvh if bvh is not None else EdgeBvh(net)
+    if cutoff is None:
+        cutoff = float(net.geometry().lengths.max())
+        extent = float(np.ptp(net.vertices, axis=0).max())
+        while (gap := _min_pair_gap(net, min_index_gap, cutoff, bvh)) \
+                > cutoff and cutoff <= extent:
+            cutoff *= 4.0
+        return gap
     E = net.n_edges
-    ii, jj = net.disjoint_edge_pairs_upper()
+    p = net.vertices
+    ends = p[net.edges]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    # the slack keeps rounding in the box test from dropping a pair whose
+    # computed gap is at most cutoff
+    ii, jj = overlap_pairs(net, bvh, lo, hi,
+                           cutoff + 1e-12 * max(1.0, np.abs(p).max()))
     if min_index_gap > 1:
         cyc = np.minimum(np.abs(ii - jj), E - np.abs(ii - jj))
         keep = cyc >= min_index_gap
         ii, jj = ii[keep], jj[keep]
-    p = net.vertices
     gaps = _segment_gap(p[net.edges[ii, 0]], p[net.edges[ii, 1]],
                         p[net.edges[jj, 0]], p[net.edges[jj, 1]])
     return float(gaps.min()) if len(gaps) else np.inf

@@ -648,3 +648,84 @@ def length_difference_loop(net):
             grad[i1] -= 2.0 * diff * sign * t
             grad[i2] += 2.0 * diff * sign * t
     return float(value), grad
+
+
+def swept_boxes(net, base, velocity, cap):
+    """Each edge's box over its endpoints at times 0 and cap, and the
+    rounding pad of the box test: (lo, hi, pad), as `flow._collision_times`
+    makes them."""
+    p0, p1 = base[net.edges[:, 0]], base[net.edges[:, 1]]
+    v0, v1 = velocity[net.edges[:, 0]], velocity[net.edges[:, 1]]
+    lo = np.minimum(np.minimum(p0, p1),
+                    np.minimum(p0 + cap * v0, p1 + cap * v1))
+    hi = np.maximum(np.maximum(p0, p1),
+                    np.maximum(p0 + cap * v0, p1 + cap * v1))
+    return lo, hi, 1e-12 * max(1.0, np.abs(hi).max())
+
+
+def swept_box_pairs(net, base, velocity, cap):
+    """The non-adjacent pairs I < J whose boxes swept over [0, cap] overlap,
+    tested over all E^2 / 2 pairs of the cached pair list: the reference
+    for the broad phase of `flow._collision_times`."""
+    ii, jj = net.disjoint_edge_pairs_upper()
+    lo, hi, pad = swept_boxes(net, base, velocity, cap)
+    overlap = np.all((lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad),
+                     axis=1)
+    return ii[overlap], jj[overlap]
+
+
+def collision_times_all_pairs(net, base, velocity, cap):
+    """`flow._collision_times` with the all-pairs broad phase."""
+    from knotflow.flow import _contact_times
+
+    return _contact_times(net, base, velocity, cap,
+                          *swept_box_pairs(net, base, velocity, cap))
+
+
+def crossings_all_pairs(net, start, end, bvh=None):
+    """`flow.crossings_during_motion` with the all-pairs broad phase; `bvh`
+    is accepted and ignored, so the oracle can stand in for it."""
+    hits = collision_times_all_pairs(net, start, end - start, 1.0)
+    return int(np.sum(hits > 1e-12))
+
+
+def projected_crossings_all_pairs(net, view):
+    """Proper crossings of the diagram projected along `view`, tested over
+    every non-adjacent pair: the reference for
+    `flow.projected_crossing_count`, in the same frame."""
+    view = np.asarray(view, float)
+    view = view / np.linalg.norm(view)
+    helper = np.array([1.0, 0.0, 0.0])
+    if abs(view @ helper) > 0.9:
+        helper = np.array([0.0, 1.0, 0.0])
+    u = np.cross(view, helper)
+    u /= np.linalg.norm(u)
+    w = np.cross(view, u)
+    pts = np.stack([net.vertices @ u, net.vertices @ w], axis=1)
+    ii, jj = net.disjoint_edge_pairs_upper()
+    p1, p2 = pts[net.edges[ii, 0]], pts[net.edges[ii, 1]]
+    q1, q2 = pts[net.edges[jj, 0]], pts[net.edges[jj, 1]]
+
+    def orient(a, b, c):
+        return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) \
+            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+
+    return int(np.sum((orient(q1, q2, p1) * orient(q1, q2, p2) < 0)
+                      & (orient(p1, p2, q1) * orient(p1, p2, q2) < 0)))
+
+
+def min_pair_gap_all_pairs(net, min_index_gap=1, cutoff=None, bvh=None):
+    """The minimum gap over every non-adjacent pair at least min_index_gap
+    apart along a loop: the reference for `scenes._min_pair_gap`, which it
+    can stand in for (cutoff and bvh are accepted and ignored)."""
+    from knotflow.flow import _segment_gap
+
+    E = net.n_edges
+    ii, jj = net.disjoint_edge_pairs_upper()
+    if min_index_gap > 1:
+        cyc = np.minimum(np.abs(ii - jj), E - np.abs(ii - jj))
+        ii, jj = ii[cyc >= min_index_gap], jj[cyc >= min_index_gap]
+    p = net.vertices
+    gaps = _segment_gap(p[net.edges[ii, 0]], p[net.edges[ii, 1]],
+                        p[net.edges[jj, 0]], p[net.edges[jj, 1]])
+    return float(gaps.min()) if len(gaps) else np.inf

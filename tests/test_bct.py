@@ -431,7 +431,7 @@ class TestHierMetric:
     @staticmethod
     def check_refit_leaves_metric(net):
         bvh = EdgeBvh(net)
-        hm = HierMetric(net, SIGMA, bvh=bvh)
+        hm = HierMetric(net, SIGMA, bct=BlockClusterTree(bvh))
         assert hm.bvh is bvh
         vec = np.random.default_rng(29).normal(size=3 * net.n_vertices)
         before = hm.apply_stacked(vec)

@@ -5,15 +5,21 @@ import pytest
 
 from knotflow.bct import BlockClusterTree
 from knotflow.bvh import (EdgeBvh, _far_terms, bh_differential, bh_energy,
-                          run_pairs)
+                          overlap_pairs, run_pairs)
 from knotflow.energy import (discrete_differential, discrete_energy,
                              validate_params)
+from knotflow.flow import (_collision_times, collision_step_limit,
+                           crossings_during_motion,
+                           minimal_projected_crossings,
+                           projected_crossing_count)
 from knotflow.network import CurveNetwork, edges_share_vertex
-from knotflow.scenes import generate_test_curve
+from knotflow.scenes import _min_pair_gap, generate_test_curve
 
-from oracles import (kernel_value, perturbed_polygon, refit_loop,
-                     regular_polygon, smooth_circle, theta_and_loop,
-                     traverse_dfs, tree_depth)
+from oracles import (collision_times_all_pairs, crossings_all_pairs,
+                     kernel_value, min_pair_gap_all_pairs, perturbed_polygon,
+                     projected_crossings_all_pairs, refit_loop,
+                     regular_polygon, smooth_circle, swept_box_pairs,
+                     swept_boxes, theta_and_loop, traverse_dfs, tree_depth)
 
 P36 = validate_params(3, 6)
 
@@ -261,6 +267,20 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
 
+    def test_collision_broad_phase_peak_allocation(self):
+        # swept boxes of a small motion, their pairs and the hit times
+        net = generate_test_curve("perturbed-circle", 4096, seed=5)
+        bvh = EdgeBvh(net)
+        direction = smooth_motion(net, 1e-3, seed=3)
+        tracemalloc.start()
+        try:
+            tau = collision_step_limit(net, direction, 1.5, bvh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau == 1.5
+        assert peak < 24 * 2 ** 20
+
     def test_block_cluster_tree_peak_allocation(self):
         # the block partition and its exact near-field pair list
         net = generate_test_curve("perturbed-circle", 4096, seed=5)
@@ -273,6 +293,141 @@ class TestMemory:
             tracemalloc.stop()
         assert len(I) > 0
         assert peak < 32 * 2 ** 20
+
+
+def broad_phase_scenes():
+    """(name, net): a knot, a network with junctures and a separate loop,
+    open strands and a planar circle."""
+    return [
+        ("random-trefoil", generate_test_curve("random-trefoil", 128, seed=5)),
+        ("theta-and-loop", CurveNetwork(*theta_and_loop())),
+        ("grid-braid", generate_test_curve("grid-braid", 90, seed=3)),
+        ("perturbed-circle", generate_test_curve("perturbed-circle", 96,
+                                                 seed=5)),
+    ]
+
+
+def smooth_motion(net, scale, seed):
+    """A smooth random velocity field: a few low Fourier modes of the
+    vertex index, so neighbors move alike and far strands differently."""
+    rng = np.random.default_rng(seed)
+    theta = 2 * np.pi * np.arange(net.n_vertices) / net.n_vertices
+    v = np.zeros((net.n_vertices, 3))
+    for k in range(1, 4):
+        a, b = rng.uniform(-1, 1, (2, 3))
+        v += (a * np.cos(k * theta)[:, None]
+              + b * np.sin(k * theta)[:, None]) / k
+    return scale * v
+
+
+def pair_set(I, J):
+    return set(zip(I.tolist(), J.tolist()))
+
+
+class TestBroadPhase:
+    """The tree broad phase finds exactly the pairs the all-pairs box test
+    keeps, and the queries built on it equal their all-pairs oracles."""
+
+    @pytest.mark.parametrize("name,net", broad_phase_scenes(),
+                             ids=[s[0] for s in broad_phase_scenes()])
+    @pytest.mark.parametrize("scale,cap", [(0.05, 1.0), (0.3, 1.5),
+                                           (2.0, 4.0)])
+    def test_collision_times_match_all_pairs(self, name, net, scale, cap):
+        velocity = smooth_motion(net, scale, seed=len(name))
+        base = net.vertices
+        lo, hi, pad = swept_boxes(net, base, velocity, cap)
+        for bvh in (EdgeBvh(net), EdgeBvh(net, leaf_size=1),
+                    EdgeBvh(net.with_positions(base + cap * velocity))):
+            I, J = overlap_pairs(net, bvh, lo, hi, pad)
+            assert np.all(I < J)
+            assert len(pair_set(I, J)) == len(I)
+            assert pair_set(I, J) \
+                == pair_set(*swept_box_pairs(net, base, velocity, cap))
+            hits = _collision_times(net, base, velocity, cap, bvh)
+            want = collision_times_all_pairs(net, base, velocity, cap)
+            assert np.array_equal(np.sort(hits), np.sort(want))
+        end = base + velocity
+        assert crossings_during_motion(net, base, end) \
+            == crossings_all_pairs(net, base, end)
+        want = collision_times_all_pairs(net, base, -velocity, cap)
+        assert collision_step_limit(net, velocity, cap) \
+            == (want.min() if len(want) else cap)
+
+    def test_motions_with_contacts(self):
+        # the wide motions must reach contacts, or the hit times test nothing
+        net = generate_test_curve("random-trefoil", 128, seed=5)
+        hits = collision_times_all_pairs(net, net.vertices,
+                                         smooth_motion(net, 2.0, 14), 4.0)
+        assert len(hits) > 0
+
+    def test_wide_sweep_between_trefoil_frames(self, monkeypatch):
+        # two random trefoils on the same edges, the second with its axes
+        # turned: the swept boxes span much of the knot, so node pairs
+        # survive deep into the tree and the mirrored half is dropped all the
+        # way down
+        import knotflow.bvh as bvh_module
+
+        a = generate_test_curve("random-trefoil", 128, seed=5)
+        b = generate_test_curve("random-trefoil", 128, seed=9).vertices
+        b = b[:, [1, 2, 0]] * [-1, 1, 1]
+        velocity = b - a.vertices
+        want = swept_box_pairs(a, a.vertices, velocity, 1.0)
+        assert len(want[0]) > len(a.disjoint_edge_pairs_upper()[0]) // 4
+        swept, sweep = [], bvh_module.sweep
+
+        def recording_sweep(*args):
+            out = sweep(*args)
+            swept.append(out[2:])
+            return out
+
+        monkeypatch.setattr(bvh_module, "sweep", recording_sweep)
+        tree = EdgeBvh(a)
+        I, J = overlap_pairs(a, tree,
+                             *swept_boxes(a, a.vertices, velocity, 1.0))
+        assert len(pair_set(I, J)) == len(I)
+        assert pair_set(I, J) == pair_set(*want)
+        # the leaves get each unordered pair of leaves once, and pairs of
+        # distinct leaves in many places of the tree
+        leaf_a, leaf_b = swept[0]
+        assert np.all(tree.start[leaf_a] <= tree.start[leaf_b])
+        assert len(pair_set(leaf_a, leaf_b)) == len(leaf_a)
+        assert np.sum(leaf_a != leaf_b) > len(tree.leaves)
+        hits = _collision_times(a, a.vertices, velocity, 1.0)
+        oracle = collision_times_all_pairs(a, a.vertices, velocity, 1.0)
+        assert len(oracle) > 0
+        assert np.array_equal(np.sort(hits), np.sort(oracle))
+        assert crossings_during_motion(a, a.vertices, b) \
+            == crossings_all_pairs(a, a.vertices, b)
+
+    @pytest.mark.parametrize("name,net", broad_phase_scenes(),
+                             ids=[s[0] for s in broad_phase_scenes()])
+    def test_projected_crossings_match_all_pairs(self, name, net):
+        rng = np.random.default_rng(21)
+        bvh = EdgeBvh(net)
+        for view in [[0.1234, 0.3456, 0.9123], [1, 0, 0], [0, 0, 1],
+                     *rng.normal(size=(6, 3))]:
+            want = projected_crossings_all_pairs(net, view)
+            assert projected_crossing_count(net, view) == want
+            assert projected_crossing_count(net, view, bvh) == want
+
+    def test_trefoil_diagrams_keep_their_crossings(self):
+        net = generate_test_curve("random-trefoil", 128, seed=8)
+        counts = [projected_crossings_all_pairs(net, v) for v in
+                  np.random.default_rng(0).normal(size=(40, 3))]
+        assert minimal_projected_crossings(net, samples=40) == min(counts) == 3
+
+    @pytest.mark.parametrize("name,net", broad_phase_scenes(),
+                             ids=[s[0] for s in broad_phase_scenes()])
+    @pytest.mark.parametrize("min_index_gap", [1, 5])
+    def test_min_pair_gap_matches_all_pairs(self, name, net, min_index_gap):
+        want = min_pair_gap_all_pairs(net, min_index_gap)
+        assert _min_pair_gap(net, min_index_gap) == want
+        bvh = EdgeBvh(net)
+        for cutoff in (want, 2 * want, 10 * want, net.total_length()):
+            assert _min_pair_gap(net, min_index_gap, cutoff, bvh) == want
+        # below the true minimum the result only has to stay above cutoff
+        for cutoff in (0.0, 0.5 * want, 0.99 * want):
+            assert _min_pair_gap(net, min_index_gap, cutoff, bvh) > cutoff
 
 
 class TestEnergy:

@@ -140,6 +140,24 @@ class TestGenerators:
         net = generate_test_curve("random-trefoil", 128, seed=5)
         assert minimal_projected_crossings(net, samples=40) == 3
 
+    @pytest.mark.parametrize("n", [48, 128, 384])
+    @pytest.mark.parametrize("seed", [5, 8, 9])
+    def test_random_trefoil_equals_all_pairs_certificate(self, monkeypatch,
+                                                         n, seed):
+        # the tree broad phases accept and reject the same trial bumps as
+        # the all-pairs gap and crossing checks
+        import knotflow.flow
+        import knotflow.scenes
+        from oracles import crossings_all_pairs, min_pair_gap_all_pairs
+
+        fast = generate_test_curve("random-trefoil", n, seed=seed)
+        monkeypatch.setattr(knotflow.scenes, "_min_pair_gap",
+                            min_pair_gap_all_pairs)
+        monkeypatch.setattr(knotflow.flow, "crossings_during_motion",
+                            crossings_all_pairs)
+        slow = generate_test_curve("random-trefoil", n, seed=seed)
+        assert np.array_equal(fast.vertices, slow.vertices)
+
     def test_determinism(self):
         a = generate_test_curve("random-trefoil", 64, seed=9)
         b = generate_test_curve("random-trefoil", 64, seed=9)
