@@ -26,7 +26,8 @@ from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
 from .bvh import EdgeBvh, run_pairs, sweep
 from .energy import SelfContactError, _dot3, _pair_samples
-from .metric import average_matrix, derivative_matrix, metric_parts
+from .metric import (average_matrix, dense_kernel_matrices, derivative_matrix,
+                     metric_parts)
 from .network import CurveNetwork, exact_pairs
 
 
@@ -79,10 +80,12 @@ def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
 
     Returns (high, low): high = 1/2 l_I l_J sum_ab r^-(2 sigma + 1) and
     low = 1/4 l_I l_J sum_ab r^-(2 sigma + 1) (k24(T_I) + k24(T_J)) with
-    k24(T) = |T x d|^2 / r^4, both symmetric in (I, J).  The dense metric
-    and the exact near field use these entries, so the eps -> 0 metric
-    matvec reproduces the dense Gram matrices exactly.  The samples come
-    from the energy's chunked pair gather.
+    k24(T) = |T x d|^2 / r^4, both symmetric in (I, J).  They serve the
+    exact near field of the block cluster tree.  The dense metric takes the
+    same entries, up to rounding, from the vertex sums of
+    `metric.dense_kernel_matrices`, so the eps -> 0 metric matvec
+    reproduces the dense Gram matrices to rounding.  The samples come from
+    the energy's chunked pair gather.
     """
     geom = net.geometry()
     expo = 2 * sigma + 1
@@ -206,24 +209,6 @@ class HierKernelMatrix:
         if self._row_sums is None:
             self._row_sums = self.matvec(np.ones(self.n_edges))
         return self._row_sums
-
-
-def dense_kernel_matrices(net: CurveNetwork,
-                          sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact dense (E x E) high- and low-order K, excluded pairs zeroed.
-
-    One trapezoid pass over the I < J half of the network's cached disjoint
-    pairs; both kernels are symmetric, so each entry is mirrored.
-    """
-    E = net.n_edges
-    I, J = net.disjoint_edge_pairs_upper()
-    out = []
-    for vals in trapezoid_kernels(net, sigma, I, J):
-        K = np.zeros((E, E))
-        K[I, J] = vals
-        K[J, I] = vals
-        out.append(K)
-    return out[0], out[1]
 
 
 def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bct import (DEFAULT_BCT_EPS, BlockClusterTree, HierKernelMatrix,
-                  KernelSpec, dense_kernel_matrices, dense_kernel_matrix)
+                  KernelSpec, dense_kernel_matrix)
 from .bvh import EdgeBvh, bh_differential
 from .constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
 from .energy import discrete_differential, discrete_energy, validate_params
 from .flow import (FlowConfig, crossings_during_motion, mass_norm,
                    minimal_projected_crossings, run_flow)
-from .metric import MetricOperator, SaddleFactor, metric_parts
+from .metric import (MetricOperator, SaddleFactor, dense_kernel_matrices,
+                     metric_parts)
 from .multigrid import MultigridHierarchy
 from .network import CurveNetwork, stack_fields
 from .scenes import generate_test_curve

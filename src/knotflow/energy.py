@@ -9,9 +9,19 @@ using the first edge's unit tangent.  Two passes evaluate it.
 
 The exact energy and differential sum over vertices, not edge pairs: the
 inner sum over the endpoints x_w of the edges J disjoint from I folds into a
-weight M[I, w], the total length of those edges at w.  `_vertex_terms`
-walks row blocks of edges against all vertices, takes the differences by
-broadcasting and evaluates 2 E V kernels, where the pair form takes 4 E^2.
+weight M[I, w], the total length of those edges at w.  `_vertex_blocks`
+walks row blocks of edges against all vertices and takes the differences by
+broadcasting, so `_vertex_terms` evaluates 2 E V kernels, where the pair
+form takes 4 E^2.
+
+The dense H^s metric reads the same samples.  Its kernel matrices sum
+r^-(2 sigma + 1), and r^-(2 sigma + 1) |T_I x d|^2 / r^4, over the four
+endpoint pairs of two edges, so they split into (E x V) sums over the ends
+of I against each vertex w (`metric_kernel_sums`), which
+`metric.dense_kernel_matrices` gathers at the ends of J.  On the dense
+"hs" path the step's differential pass fills those sums alongside the
+differential (`discrete_differential` with `sums`); elsewhere
+`metric_kernel_sums` walks `_vertex_blocks` for them alone.
 
 The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
 chunks of 4096: k is even in p - q, so one set of endpoint differences,
@@ -240,21 +250,85 @@ def _row_blocks(n_edges: int, n_vertices: int):
         yield start, min(start + step, n_edges)
 
 
+def _vertex_blocks(net: CurveNetwork):
+    """The row blocks of the vertex-form passes: edges r0:r1 against all
+    vertices, differences broadcast, not gathered.
+
+    Yields (r0, r1, u, pos, zero, X, samples): the block's slice u of
+    `adjacent_vertex_triples`, the flat positions pos of its (I, w) pairs in
+    the (rows x V) block and zero those of them where every edge at w is
+    adjacent to I (w = I_a among them); the vertex positions X relative to
+    the block's center; and an iterator over the ends a of the block's
+    edges, to be consumed before the next block, giving (a, p, r2, td, cr2):
+    the ends p = x(I_a) in the same frame, and r2 = |d|^2, td = T_I.d and
+    cr2 = |T_I x d|^2 for d = p - x_w.  r2 reads 1 at the positions zero,
+    whose kernels the passes zero; a zero distance at any other vertex with
+    an edge raises SelfContactError.
+    """
+    tangents, edges = net.geometry().tangents, net.edges
+    E, V = net.n_edges, net.n_vertices
+    rows, cols, full, _, _ = net.adjacent_vertex_triples()
+    isolated = net.degrees == 0
+
+    def samples(r0, r1, zero, X):
+        t = tangents[r0:r1]
+        for a in range(2):
+            p = X[edges[r0:r1, a]]
+            dx, dy, dz = (p[:, c, None] - X[:, c] for c in range(3))
+            r2 = dx * dx + dy * dy + dz * dz
+            r2.flat[zero] = 1.0
+            if r2.min() == 0.0:
+                hit = r2 == 0.0
+                if np.any(hit[:, ~isolated]):
+                    raise SelfContactError("coincident vertices on "
+                                           "non-adjacent edges; curve "
+                                           "touches itself")
+                r2[hit] = 1.0
+            td = dx * t[:, 0, None]
+            td += dy * t[:, 1, None]
+            td += dz * t[:, 2, None]
+            del dx, dy, dz
+            yield a, p, r2, td, np.maximum(r2 - td * td, 0.0)
+
+    for r0, r1 in _row_blocks(E, V):
+        u = slice(*np.searchsorted(rows, (r0, r1)))
+        pos = (rows[u] - r0) * V + cols[u]
+        zero = pos[full[u]]
+        # positions relative to the block's center: sum_w A (p - x_w) is
+        # expanded as p sum_w A - A X, whose rounding grows with |p|
+        X = net.vertices[edges[r0:r1]].reshape(-1, 3)
+        X = net.vertices - X.mean(axis=0)
+        yield r0, r1, u, pos, zero, X, samples(r0, r1, zero, X)
+
+
+def _add_kernel_sums(sums: np.ndarray, r2: np.ndarray, cr2: np.ndarray,
+                     zero: np.ndarray, expo: float):
+    """Add one end's r^-expo and r^-expo |T_I x d|^2 / r^4 to a (2, rows, V)
+    block of the metric kernel sums, zeroed at the flat positions `zero`."""
+    h = r2 ** (-expo / 2)
+    h.flat[zero] = 0.0
+    sums[0] += h
+    h *= cr2
+    h /= r2 * r2
+    sums[1] += h
+
+
 def _vertex_terms(net: CurveNetwork, params: EnergyParams,
-                  grad: np.ndarray | None = None) -> float:
+                  grad: np.ndarray | None = None,
+                  sums: np.ndarray | None = None) -> float:
     """The energy as sum_I (1/4) l_I sum_a sum_w M[I, w] k(x(I_a) - x_w, T_I).
 
     M[I, w] sums l_J over the edges J at vertex w that share no vertex with
     I: the incident length S[w] less the adjacent edges of
     `adjacent_vertex_triples`, and exactly zero where every edge at w is
-    adjacent to I (w = I_a among them).  The pass walks row blocks of edges
-    against all vertices, for both ends a; differences are broadcast, not
-    gathered.  Kernels where M = 0 are zeroed, not evaluated, and a zero
-    distance anywhere else raises SelfContactError.  When grad, a (V, 3)
-    array, is given, the differential is added to it: row sums, column
-    sums and (rows x V) @ (V x 3) products give the partials in the
-    endpoints, the tangents and the lengths l_I, and column sums less the
-    same adjacency correction give the dependence of M on l_J.
+    adjacent to I.  The pass walks `_vertex_blocks`; kernels where M = 0 are
+    zeroed, not evaluated.  When grad, a (V, 3) array, is given, the
+    differential is added to it: row sums, column sums and (rows x V) @ (V
+    x 3) products give the partials in the endpoints, the tangents and the
+    lengths l_I, and column sums less the same adjacency correction give
+    the dependence of M on l_J.  When sums, a (2, E, V) array, is given,
+    the metric kernel sums of `metric_kernel_sums` are added to it from the
+    same samples.
     """
     alpha, beta = params.alpha, params.beta
     geom = net.geometry()
@@ -276,35 +350,15 @@ def _vertex_terms(net: CurveNetwork, params: EnergyParams,
     # near-contact overflow is deliberate: an inf energy makes the line
     # search reject the trial, so the warning is suppressed, not guarded
     with np.errstate(over="ignore", divide="ignore"):
-        for r0, r1 in _row_blocks(E, V):
-            u = slice(*np.searchsorted(rows, (r0, r1)))
-            pos = (rows[u] - r0) * V + cols[u]
-            zero = pos[full[u]]
+        for r0, r1, u, pos, zero, X, samples in _vertex_blocks(net):
             W = np.multiply.outer(lq[r0:r1], S)
             W.flat[pos] = lq[rows[u]] * M[u]
             t = tangents[r0:r1]
             ks = np.zeros_like(W)
-            # positions relative to the block's center: sum_w A (p - x_w) is
-            # expanded as p sum_w A - A X, whose rounding grows with |p|
-            X = net.vertices[edges[r0:r1]].reshape(-1, 3)
-            X = net.vertices - X.mean(axis=0)
-            for a in range(2):
-                p = X[edges[r0:r1, a]]
-                dx, dy, dz = (p[:, c, None] - X[:, c] for c in range(3))
-                r2 = dx * dx + dy * dy + dz * dz
-                r2.flat[zero] = 1.0     # M = 0 there: any finite value
-                if r2.min() == 0.0:
-                    hit = r2 == 0.0
-                    if np.any(W[hit] > 0):
-                        raise SelfContactError("coincident vertices on "
-                                               "non-adjacent edges; curve "
-                                               "touches itself")
-                    r2[hit] = 1.0
-                td = dx * t[:, 0, None]
-                td += dy * t[:, 1, None]
-                td += dz * t[:, 2, None]
-                del dx, dy, dz
-                cr2 = np.maximum(r2 - td * td, 0.0)
+            for a, p, r2, td, cr2 in samples:
+                if sums is not None:
+                    _add_kernel_sums(sums[:, r0:r1], r2, cr2, zero,
+                                     2 * params.sigma + 1)
                 rb = r2 ** (-beta / 2)
                 if grad is None:
                     k = cr2 ** (alpha / 2)
@@ -355,13 +409,36 @@ def _vertex_terms(net: CurveNetwork, params: EnergyParams,
     return energy
 
 
+def metric_kernel_sums(net: CurveNetwork, sigma: float) -> np.ndarray:
+    """The (2, E, V) vertex sums of the metric kernels over the ends of
+    each edge I: r^-(2 sigma + 1) and r^-(2 sigma + 1) |T_I x d|^2 / r^4,
+    with d = x(I_a) - x_w and r = |d|, summed over both ends a and zero
+    where every edge at w is adjacent to I.
+
+    `metric.dense_kernel_matrices` forms the dense kernel matrices from
+    them.  `discrete_differential` fills the same sums in its own pass when
+    asked; this runs `_vertex_blocks` for the sums alone.
+    """
+    sums = np.zeros((2, net.n_edges, net.n_vertices))
+    for r0, r1, _, _, zero, _, samples in _vertex_blocks(net):
+        for _, _, r2, _, cr2 in samples:
+            _add_kernel_sums(sums[:, r0:r1], r2, cr2, zero, 2 * sigma + 1)
+    return sums
+
+
 def discrete_energy(net: CurveNetwork, params: EnergyParams) -> float:
     """Trapezoidal tangent-point energy over all ordered non-adjacent edge pairs."""
     return _vertex_terms(net, params)
 
 
-def discrete_differential(net: CurveNetwork, params: EnergyParams) -> np.ndarray:
-    """Exact gradient of the discrete energy w.r.t. vertex positions, (V, 3)."""
+def discrete_differential(net: CurveNetwork, params: EnergyParams,
+                          sums: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of the discrete energy w.r.t. vertex positions, (V, 3).
+
+    When `sums`, a (2, E, V) array, is given, the same pass adds the metric
+    kernel sums of `metric_kernel_sums` to it, for the dense H^s metric of
+    the step.
+    """
     grad = np.zeros((net.n_vertices, 3))
-    _vertex_terms(net, params, grad=grad)
+    _vertex_terms(net, params, grad=grad, sums=sums)
     return grad

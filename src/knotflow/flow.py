@@ -141,24 +141,34 @@ class Objective:
     """Energy + weighted potentials with exact or Barnes-Hut evaluation.
 
     On the exact path the last evaluated total is kept with its network, so
-    the step start does not recompute the energy of the accepted trial.  On
-    the Barnes-Hut path each tree fit makes one plan (`EdgeBvh.plan`): the
-    step start builds a tree and takes the energy and the differential from
-    one pass over its plan, which `plan` keeps for the step's telemetry;
-    each line-search trial refits the tree and plans again.
+    the step start does not recompute the energy of the accepted trial.
+    With `metric_sums`, the step start's differential pass also fills the
+    metric kernel sums of the dense H^s metric (`discrete_differential`),
+    kept in `sums` for the step's `StepSolver`.  On the Barnes-Hut path
+    each tree fit makes one plan (`EdgeBvh.plan`): the step start builds a
+    tree and takes the energy and the differential from one pass over its
+    plan, which `plan` keeps for the step's telemetry; each line-search
+    trial refits the tree and plans again.
     """
 
     def __init__(self, params: EnergyParams, potentials=(),
-                 accel: str = "exact", bh_eps: float = 0.25):
+                 accel: str = "exact", bh_eps: float = 0.25,
+                 metric_sums: bool = False):
         self.params = params
         self.potentials = tuple(potentials)
         self.accel = accel
         self.bh_eps = bh_eps
+        self.metric_sums = metric_sums
         # tree fitted to the last evaluated network (None on the exact path)
         self.bvh: EdgeBvh | None = None
         self._bvh_net: CurveNetwork | None = None
         # the step-start plan (None on the exact path)
         self.plan: BhPlan | None = None
+        # the step start's metric kernel sums (None unless the exact path
+        # was asked for them)
+        self.sums: np.ndarray | None = None
+        # the exact path's broad-phase tree, built once (`ccd_tree`)
+        self._ccd_tree: EdgeBvh | None = None
         self._last: tuple[CurveNetwork, float] | None = None
 
     def energy(self, net: CurveNetwork) -> float:
@@ -187,7 +197,9 @@ class Objective:
         if self.accel == "exact":
             value = self._last[1] if cached \
                 else discrete_energy(net, self.params)
-            grad = discrete_differential(net, self.params)
+            self.sums = np.zeros((2, net.n_edges, net.n_vertices)) \
+                if self.metric_sums else None
+            grad = discrete_differential(net, self.params, sums=self.sums)
         else:
             self.bvh, self._bvh_net = EdgeBvh(net), net
             value, grad = bh_differential(net, self.bvh, self.params,
@@ -202,6 +214,18 @@ class Objective:
             self._last = (net, value)
         return value, grad
 
+    def ccd_tree(self, net: CurveNetwork) -> EdgeBvh:
+        """A tree for the collision broad phase, which reads only its
+        topology: the step-start tree on the Barnes-Hut path; on the exact
+        path one tree, built on `net` at the first call and kept for the
+        whole flow, never fitted to the later networks and so never handed
+        on as the `bvh` of a step."""
+        if self.bvh is not None:
+            return self.bvh
+        if self._ccd_tree is None:
+            self._ccd_tree = EdgeBvh(net)
+        return self._ccd_tree
+
 
 class StepSolver:
     """Per-step frozen preconditioner: direction solve + projection solve.
@@ -211,16 +235,20 @@ class StepSolver:
     `solve_projection_step`, `rank_suspect` and the V-cycle tallies
     `solves`, `cycles`, `unconverged` and `residual` (zeros on the exact
     factor).
-    `bvh` (optional) is a tree fitted to `net` for the multigrid metric.
+    `bvh` (optional) is a tree fitted to `net` for the multigrid metric,
+    and `sums` (optional) the metric kernel sums of `net` for the dense
+    "hs" metric, as `Objective.energy_and_differential` leaves them.
     Rank loss of the Jacobian shows in the factorization the solver builds
     (the constraint block of the saddle factor, the level-0 C C^T factor on
     "hs-mg"); only then does the SVD of `ConstraintSet.check_rank` run, to
-    name the dependent rows.
+    name the dependent rows.  `run_flow` has no check of its own: its first
+    solver, for the initial projection or the first step, finds rank loss
+    present from the start.
     """
 
     def __init__(self, strategy: str, net: CurveNetwork, params: EnergyParams,
                  constraints: ConstraintSet, config: FlowConfig,
-                 bvh: EdgeBvh | None = None):
+                 bvh: EdgeBvh | None = None, sums: np.ndarray | None = None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.constraints = constraints
@@ -233,7 +261,7 @@ class StepSolver:
                 self.saddle = MultigridHierarchy(net, params, constraints,
                                                  config.mg, bvh=bvh)
             else:
-                A = MetricOperator(net, params).A if strategy == "hs" \
+                A = MetricOperator(net, params, sums).A if strategy == "hs" \
                     else baseline_metric_matrix(net, strategy)
                 self.saddle = SaddleFactor(A, C, net.dual_masses())
         except np.linalg.LinAlgError:
@@ -409,7 +437,7 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
     if config.mode == "collision":
         # a short CCD horizon keeps swept-box pruning effective
         tau_max = collision_step_limit(net, direction, cap=COLLISION_HORIZON,
-                                       bvh=objective.bvh)
+                                       bvh=objective.ccd_tree(net))
         if tau_max <= config.tau_floor:
             raise StuckFlow("collision limit is zero; curve is in contact")
         collision_limited = tau_max < COLLISION_HORIZON
@@ -454,15 +482,11 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
     """Minimize the total objective under constraints; see module docstring."""
     config = config or FlowConfig()
     objective = Objective(params, potentials, accel=config.accel,
-                          bh_eps=config.bh_eps)
+                          bh_eps=config.bh_eps, metric_sums=strategy == "hs")
     reports = []
     current = net
     stop_reason = "max_iters"
     stop_detail = f"reached max_iters = {config.max_iters}"
-    # the only SVD rank check; steps detect later rank loss from their
-    # factorizations (StepSolver)
-    constraints.check_rank(constraints.jacobian(current))
-
     # restore feasibility once up front so per-step projections only ever
     # handle the small drift introduced by a line-search step
     phi0 = constraints.evaluate(current)
@@ -483,7 +507,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
         constraints.advance_schedules()
         f0, dE = objective.energy_and_differential(current)
         solver = StepSolver(strategy, current, params, constraints, config,
-                            bvh=objective.bvh)
+                            bvh=objective.bvh, sums=objective.sums)
         g = solver.direction(dE)
         grad_norm = mass_norm(current, g)
         if grad_norm <= config.stop_tolerance:

@@ -9,21 +9,30 @@ matrices differs:
 
 D_c is component c of the edgewise derivative (`derivative_matrix`), E the
 vertex-to-edge average (`average_matrix`), and K, K0 the (E x E) high- and
-low-order kernel matrices.  `MetricOperator` passes the dense K, K0 of one
-trapezoid pass over the non-adjacent edge pairs
-(`bct.dense_kernel_matrices`) and their own row sums.  `bct.HierMetric`
-passes the sparse exact near fields of its kernel matrices with the row
-sums of the whole hierarchical K = K_near + K_far.  It subtracts the far
-field's D_c^T K_far D_c and E^T K0_far E on its own, so what it applies is
-the formula for that K, and the diagonal of its row sums kills constants
-whatever the block approximation error.  Both parts kill
-globally constant functions, so A is singular and gradient solves go
-through a saddle system [[A_bar, C^T], [C, 0]] with A_bar = blockdiag(A, A,
-A) and at least one translation-fixing constraint row in C.
+low-order kernel matrices.  Each part is one congruence: D_c = diag(T_c /
+l) G with G the signed incidence (`difference_matrix`), so
+
+    sum_c D_c^T M D_c = G^T (M o T T^T / l l^T) G
+
+for any M, the Hadamard factor summing the three components.
+`MetricOperator` passes the dense K, K0 of `dense_kernel_matrices` and
+their own row sums.  Those matrices gather the (E x V) vertex sums of the
+kernels, which the step's differential pass fills from its own samples
+(`energy.discrete_differential`) or `energy.metric_kernel_sums` computes,
+so no E^2 pair list is read.  `bct.HierMetric` passes the sparse exact
+near fields of its kernel matrices with the row sums of the whole
+hierarchical K = K_near + K_far.  It subtracts the far field's D_c^T K_far
+D_c and E^T K0_far E on its own, so what it applies is the formula for
+that K, and the diagonal of its row sums kills constants whatever the
+block approximation error.  Both parts kill globally constant functions,
+so A is singular and gradient solves go through a saddle system [[A_bar,
+C^T], [C, 0]] with A_bar = blockdiag(A, A, A) and at least one
+translation-fixing constraint row in C.
 
 `SaddleFactor` solves that system exactly without forming it.  With m the
 (scaled) dual masses and U = blockdiag(m, m, m), A' = A + m m^T is SPD; it
-is Cholesky-factored and inverted once per step.  Writing A_bar = A_bar' -
+is Cholesky-factored and inverted once per step, and C A_bar'^-1 is one
+sparse product with C reindexed as (3k x V).  Writing A_bar = A_bar' -
 U U^T turns the saddle system into one bordered by B = [C; U^T], whose
 Schur complement S = B A_bar'^-1 B^T - diag(0_k, I_3) is solved through a
 Cholesky factor of its SPD (k x k) block C A_bar'^-1 C^T and a dense 3 x 3
@@ -35,9 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix, diags_array
+from scipy.sparse import csr_matrix, diags_array, issparse
 
-from .energy import EnergyParams
+from .energy import EnergyParams, metric_kernel_sums
 from .network import CurveNetwork
 
 # Relative Cholesky pivot (pivot^2 over its diagonal entry) below which the
@@ -71,11 +80,57 @@ def average_matrix(net: CurveNetwork) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(E, net.n_vertices))
 
 
+def difference_matrix(net: CurveNetwork) -> csr_matrix:
+    """Sparse (E x V) signed incidence: (G u)_I = u_{i2} - u_{i1}."""
+    E = net.n_edges
+    vals = np.tile([-1.0, 1.0], E)
+    return csr_matrix((vals, net.edges.reshape(-1), 2 * np.arange(E + 1)),
+                      shape=(E, net.n_vertices))
+
+
+def dense_kernel_matrices(net: CurveNetwork, sigma: float,
+                          sums: np.ndarray | None = None):
+    """Exact dense (E x E) high- and low-order K, excluded pairs zeroed.
+
+    From the vertex sums Hs, Ls of `energy.metric_kernel_sums` (given, as
+    `discrete_differential` fills them, or computed here): K[I, J] = 1/2
+    l_I l_J (Hs[I, J_0] + Hs[I, J_1]) sums r^-(2 sigma + 1) over the four
+    endpoint pairs, and K0 = L + L^T with L[I, J] = 1/4 l_I l_J (Ls[I, J_0]
+    + Ls[I, J_1]) symmetrizes the low-order term over the argument order.
+    The identical and adjacent pairs of `adjacent_vertex_triples` are zeroed.
+    """
+    if sums is None:
+        sums = metric_kernel_sums(net, sigma)
+    lengths = net.geometry().lengths
+    ends = net.edges.T
+    ll = np.multiply.outer(lengths, lengths)
+    K, L = (s.take(ends[0], axis=1) + s.take(ends[1], axis=1) for s in sums)
+    K *= ll
+    K *= 0.5
+    L *= ll
+    L *= 0.25
+    K0 = L + L.T
+    rows, _, _, group, J = net.adjacent_vertex_triples()
+    K[rows[group], J] = 0.0
+    K0[rows[group], J] = 0.0
+    return K, K0
+
+
 def _congruence(op: csr_matrix, M):
     """op^T M op for a sparse (E x V) op and a symmetric M, in M's storage:
     an array for a dense M, CSR for a sparse one."""
     opT = op.T.tocsr()
     return opT @ (opT @ M).T
+
+
+def _tangent_scaled(K, U: np.ndarray):
+    """K o U U^T, the entries K[I, J] scaled by U_I . U_J, in K's storage."""
+    if not issparse(K):
+        return K * (U @ U.T)
+    K = csr_matrix(K)
+    I = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    scale = np.einsum("ij,ij->i", U[I], U[K.indices])
+    return csr_matrix((K.data * scale, K.indices, K.indptr), shape=K.shape)
 
 
 def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
@@ -84,25 +139,33 @@ def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
     B = sum_c D_c^T (diag(rows) - K) D_c and B0 = E^T (diag(rows0) - K0) E
     (module docstring) for (E x E) kernel matrices K, K0, both dense arrays
     or both scipy sparse; the parts come back dense or CSR alike.  `rows`
-    and `rows0` default to the row sums of K and K0.
+    and `rows0` default to the row sums of K and K0.  Each part is one
+    congruence (module docstring): B's with the signed incidence of
+    `difference_matrix`, B0's with the averaging matrix.
     """
     if rows is None:
         rows = np.asarray(K.sum(axis=1)).ravel()
     if rows0 is None:
         rows0 = np.asarray(K0.sum(axis=1)).ravel()
-    M = diags_array(rows) - K
-    D = derivative_matrix(net)
-    B = sum(_congruence(D[c::3], M) for c in range(3))
-    return B, _congruence(average_matrix(net), diags_array(rows0) - K0)
+    geom = net.geometry()
+    U = geom.tangents / geom.lengths[:, None]
+    scaled = diags_array(rows * np.einsum("ij,ij->i", U, U)) \
+        - _tangent_scaled(K, U)
+    return (_congruence(difference_matrix(net), scaled),
+            _congruence(average_matrix(net), diags_array(rows0) - K0))
 
 
 class MetricOperator:
-    """Assembled dense metric A = B + B0 with the `HierMetric` applies."""
+    """Assembled dense metric A = B + B0 with the `HierMetric` applies.
 
-    def __init__(self, net: CurveNetwork, params: EnergyParams):
-        from .bct import dense_kernel_matrices
+    `sums` are the metric kernel sums of `net`, as `discrete_differential`
+    fills them; without them `dense_kernel_matrices` computes its own.
+    """
 
-        A, B0 = metric_parts(net, *dense_kernel_matrices(net, params.sigma))
+    def __init__(self, net: CurveNetwork, params: EnergyParams,
+                 sums: np.ndarray | None = None):
+        A, B0 = metric_parts(net, *dense_kernel_matrices(net, params.sigma,
+                                                         sums))
         A += B0
         self.A = A
         self.n = net.n_vertices
@@ -177,6 +240,10 @@ class SaddleFactor:
                 "translation-fixing constraint")
         C = csr_matrix(C)
         V, k = A.shape[0], C.shape[0]
+        # C reindexed as (3k x V): row 3i + c holds C[i, cV:(c+1)V]
+        C3 = C.tocoo()
+        comp, col = np.divmod(C3.col, V)
+        C3 = csr_matrix((C3.data, (3 * C3.row + comp, col)), shape=(3 * k, V))
         m = np.asarray(masses, dtype=float)
         # scale m so that m m^T adds an eigenvalue of the size of A's diagonal
         m = m * np.sqrt(np.trace(A) / (V * (m @ m)))
@@ -185,8 +252,7 @@ class SaddleFactor:
         # the explicit inverse A'^-1 (O(V^3) once) turns A_bar'^-1 C^T into
         # sparse products, cheaper than 3k triangular solves for k ~ V
         inv = cholesky_inverse(chol)
-        self._Zt = np.hstack([C[:, c * V:(c + 1) * V] @ inv
-                              for c in range(3)])   # C A_bar'^-1 (k x 3V)
+        self._Zt = (C3 @ inv).reshape(k, 3 * V)     # C A_bar'^-1
         self._q = inv @ m                           # A'^-1 m
         Q = np.zeros((3 * V, 3))
         for c in range(3):

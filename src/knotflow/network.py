@@ -76,7 +76,7 @@ class CurveNetwork:
         self.vertices = vertices
         self.edges = edges
         self._geometry = edge_geometry(self)   # rejects zero-length edges
-        # pair lists, adjacency triples and interior incidence, which
+        # adjacency triples, interior incidence and the pair list, which
         # depend on the edges alone; shared by snapshots
         self._topology = topology
 
@@ -92,8 +92,8 @@ class CurveNetwork:
         """New network with the same edges and updated positions.
 
         The snapshot shares this network's validated edges and topology
-        caches (pair lists, adjacency triples, interior incidence); only the
-        positions are checked."""
+        caches (adjacency triples, interior incidence, the pair list); only
+        the positions are checked."""
         vertices = _checked_positions(vertices)
         if len(vertices) != self.n_vertices:
             raise InvalidNetworkError(
@@ -132,20 +132,9 @@ class CurveNetwork:
         np.add.at(masses, self.edges[:, 1], 0.5 * lengths)
         return masses
 
-    def disjoint_edge_pairs_upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge pairs I < J sharing no vertex, as two read-only index arrays.
-
-        Topology alone fixes them, so they are built once and shared by every
-        `with_positions` snapshot.
-        """
-        if "upper" not in self._topology:
-            self._topology["upper"] = _read_only(*exact_pairs(
-                self, *np.triu_indices(self.n_edges, k=1)))
-        return self._topology["upper"]
-
     def adjacent_vertex_triples(self) -> tuple[np.ndarray, ...]:
         """Triples (I, w, J) with J = I or J sharing a vertex with I, and w a
-        vertex of J, grouped by their (I, w) pair; cached like the pair lists.
+        vertex of J, grouped by their (I, w) pair; built once per topology.
 
         Returns (rows, cols, full, group, J): the distinct pairs (rows[u],
         cols[u]), sorted by row and then column; full[u], true where every
@@ -170,7 +159,7 @@ class CurveNetwork:
 
     def interior_incidence(self) -> tuple[np.ndarray, ...]:
         """Each degree-2 vertex with its two edges, in edge order, and the
-        neighbors across them; cached like the pair lists.
+        neighbors across them; built once per topology.
 
         Returns (vertices, edges, neighbors): the interior vertices in
         increasing order, (n,), and for each its edges and neighbors, (n, 2).
@@ -187,13 +176,15 @@ class CurveNetwork:
         return self._topology["interior"]
 
     def disjoint_edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered edge pairs (I, J) sharing no vertex, row-major in (I, J):
-        both orders of each `disjoint_edge_pairs_upper` pair, cached alike."""
+        """Ordered edge pairs (I, J) sharing no vertex, row-major in (I, J),
+        as two read-only index arrays, built once per topology.
+
+        Nothing in the package reads this E^2 list: it stays only for the
+        `flowbench` spans, which patch it, and for tests.
+        """
         if "ordered" not in self._topology:
-            ui, uj = self.disjoint_edge_pairs_upper()
-            ii, jj = np.concatenate([ui, uj]), np.concatenate([uj, ui])
-            order = np.lexsort((jj, ii))
-            self._topology["ordered"] = _read_only(ii[order], jj[order])
+            self._topology["ordered"] = _read_only(*exact_pairs(
+                self, *np.divmod(np.arange(self.n_edges ** 2), self.n_edges)))
         return self._topology["ordered"]
 
 

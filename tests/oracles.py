@@ -9,10 +9,11 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from knotflow.bct import trapezoid_kernels
 from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import average_matrix, derivative_matrix
-from knotflow.network import (CurveNetwork, edges_share_vertex,
+from knotflow.network import (CurveNetwork, edges_share_vertex, exact_pairs,
                               unstack_fields)
 from knotflow.potentials import SURFACE_THETA, SurfacePotential
 from knotflow.scenes import generate_test_curve
@@ -650,6 +651,48 @@ def length_difference_loop(net):
     return float(value), grad
 
 
+def disjoint_pairs_upper(net):
+    """The edge pairs I < J that share no vertex, all E^2 / 2 of them."""
+    return exact_pairs(net, *np.triu_indices(net.n_edges, k=1))
+
+
+def pair_kernel_matrices(net, sigma):
+    """Dense (E x E) high- and low-order K from one trapezoid pass over the
+    disjoint pairs I < J, each entry mirrored: the pair form that
+    `metric.dense_kernel_matrices` replaces."""
+    E = net.n_edges
+    I, J = disjoint_pairs_upper(net)
+    out = []
+    for vals in trapezoid_kernels(net, sigma, I, J):
+        K = np.zeros((E, E))
+        K[I, J] = vals
+        K[J, I] = vals
+        out.append(K)
+    return out[0], out[1]
+
+
+def four_congruence_parts(net, K, K0):
+    """(B, B0) of dense kernel matrices as four congruences: one per
+    component D_c of the edgewise derivative, one with the averaging
+    matrix; the reference for `metric.metric_parts`."""
+    def congruence(op, M):
+        op = op.toarray()
+        return op.T @ M @ op
+
+    D = derivative_matrix(net)
+    M = np.diag(K.sum(axis=1)) - K
+    B = sum(congruence(D[c::3], M) for c in range(3))
+    return B, congruence(average_matrix(net), np.diag(K0.sum(axis=1)) - K0)
+
+
+def saddle_product(C, inv):
+    """C A_bar'^-1 as three column-block products side by side: the
+    reference for `SaddleFactor._Zt`, from C (k x 3V) and the (V x V)
+    inverse."""
+    C, V = csr_matrix(C), len(inv)
+    return np.hstack([C[:, c * V:(c + 1) * V] @ inv for c in range(3)])
+
+
 def swept_boxes(net, base, velocity, cap):
     """Each edge's box over its endpoints at times 0 and cap, and the
     rounding pad of the box test: (lo, hi, pad), as `flow._collision_times`
@@ -665,9 +708,9 @@ def swept_boxes(net, base, velocity, cap):
 
 def swept_box_pairs(net, base, velocity, cap):
     """The non-adjacent pairs I < J whose boxes swept over [0, cap] overlap,
-    tested over all E^2 / 2 pairs of the cached pair list: the reference
-    for the broad phase of `flow._collision_times`."""
-    ii, jj = net.disjoint_edge_pairs_upper()
+    tested over all E^2 / 2 pairs: the reference for the broad phase of
+    `flow._collision_times`."""
+    ii, jj = disjoint_pairs_upper(net)
     lo, hi, pad = swept_boxes(net, base, velocity, cap)
     overlap = np.all((lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad),
                      axis=1)
@@ -702,7 +745,7 @@ def projected_crossings_all_pairs(net, view):
     u /= np.linalg.norm(u)
     w = np.cross(view, u)
     pts = np.stack([net.vertices @ u, net.vertices @ w], axis=1)
-    ii, jj = net.disjoint_edge_pairs_upper()
+    ii, jj = disjoint_pairs_upper(net)
     p1, p2 = pts[net.edges[ii, 0]], pts[net.edges[ii, 1]]
     q1, q2 = pts[net.edges[jj, 0]], pts[net.edges[jj, 1]]
 
@@ -721,7 +764,7 @@ def min_pair_gap_all_pairs(net, min_index_gap=1, cutoff=None, bvh=None):
     from knotflow.flow import _segment_gap
 
     E = net.n_edges
-    ii, jj = net.disjoint_edge_pairs_upper()
+    ii, jj = disjoint_pairs_upper(net)
     if min_index_gap > 1:
         cyc = np.minimum(np.abs(ii - jj), E - np.abs(ii - jj))
         ii, jj = ii[cyc >= min_index_gap], jj[cyc >= min_index_gap]

@@ -3,11 +3,11 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec, dense_kernel_matrices,
-                          dense_kernel_matrix)
+                          KernelSpec, dense_kernel_matrix)
 from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
-from knotflow.metric import MetricOperator, metric_parts
+from knotflow.metric import (MetricOperator, dense_kernel_matrices,
+                             metric_parts)
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 

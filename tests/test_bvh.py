@@ -16,7 +16,7 @@ from knotflow.network import CurveNetwork, edges_share_vertex
 from knotflow.scenes import _min_pair_gap, generate_test_curve
 
 from oracles import (collision_times_all_pairs, crossings_all_pairs,
-                     kernel_value, min_pair_gap_all_pairs, perturbed_polygon,
+                     disjoint_pairs_upper, kernel_value, min_pair_gap_all_pairs, perturbed_polygon,
                      projected_crossings_all_pairs, refit_loop,
                      regular_polygon, smooth_circle, swept_box_pairs,
                      swept_boxes, theta_and_loop, traverse_dfs, tree_depth)
@@ -372,7 +372,7 @@ class TestBroadPhase:
         b = b[:, [1, 2, 0]] * [-1, 1, 1]
         velocity = b - a.vertices
         want = swept_box_pairs(a, a.vertices, velocity, 1.0)
-        assert len(want[0]) > len(a.disjoint_edge_pairs_upper()[0]) // 4
+        assert len(want[0]) > len(disjoint_pairs_upper(a)[0]) // 4
         swept, sweep = [], bvh_module.sweep
 
         def recording_sweep(*args):

@@ -421,11 +421,79 @@ class TestRunFlow:
         assert len(result.reports) == 4
         assert calls["trials"] >= 4
         assert calls["energy"] == calls["trials"] + 1
-        # the SVD rank check runs once, before the loop
-        assert calls["rank"] == 1
+        # no SVD rank check: each step's factorization shows rank loss
+        assert calls["rank"] == 0
         # the cached step-start energy is the accepted trial's energy
         assert result.reports[-1].energy \
             == pytest.approx(discrete(result.net, P36), rel=1e-14)
+
+    def test_dense_metric_reads_the_differential_pass(self, monkeypatch):
+        # on an exact "hs" flow the vertex pass runs once per energy and once
+        # per step start, which also fills the metric kernel sums, so
+        # MetricOperator runs no pass of its own; other metrics never fill
+        # them, and without the exact pass "hs" computes its own
+        import knotflow.energy as energy
+        import knotflow.flow as flow
+        import knotflow.metric as metric
+
+        calls = dict.fromkeys(("blocks", "energy", "own", "sums"), 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name, key in (
+                (energy, "_vertex_blocks", "blocks"),
+                (flow, "discrete_energy", "energy"),
+                (metric, "metric_kernel_sums", "own"),
+                (energy, "_add_kernel_sums", "sums")):
+            monkeypatch.setattr(module, name,
+                                counted(key, getattr(module, name)))
+        net = smooth_perturbed_circle(24, seed=20)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs",
+                          config=FlowConfig(max_iters=4))
+        steps = len(result.reports)
+        assert steps == 4
+        assert calls["blocks"] == calls["energy"] + steps
+        # one row block of 24 edges, two ends per step start
+        assert calls["sums"] == 2 * steps and calls["own"] == 0
+        for strategy in ("l2", "h1", "h2"):
+            calls.update(own=0, sums=0)
+            run_flow(net, P36, cs, strategy=strategy,
+                     config=FlowConfig(max_iters=2))
+            assert calls["own"] == calls["sums"] == 0
+        calls.update(own=0)
+        result = run_flow(net, P36, cs, strategy="hs",
+                          config=FlowConfig(accel="bh", max_iters=2))
+        assert calls["own"] == len(result.reports) == 2
+
+    def test_exact_collision_flow_builds_one_tree(self, monkeypatch):
+        # the exact path's broad phase keeps one tree topology for the whole
+        # flow and never hands it to a step as a tree fitted to its network
+        import knotflow.flow as flow
+
+        built, handed = [], []
+        tree, init = flow.EdgeBvh, StepSolver.__init__
+
+        def recorded(self, *args, bvh=None, **kwargs):
+            handed.append(bvh)
+            init(self, *args, bvh=bvh, **kwargs)
+
+        monkeypatch.setattr(flow, "EdgeBvh",
+                            lambda net: built.append(net) or tree(net))
+        monkeypatch.setattr(StepSolver, "__init__", recorded)
+        net = smooth_perturbed_circle(32, seed=12)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs",
+                          config=FlowConfig(mode="collision", max_iters=5))
+        assert len(result.reports) == 5
+        assert len(built) == 1
+        assert handed == [None] * 5
 
     def test_stop_detail_names_the_cause(self, tmp_path):
         import json

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, issparse
 
-from knotflow.bct import dense_kernel_matrices
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   PointConstraint, TotalLength)
 from knotflow.energy import validate_params
 from knotflow.flow import baseline_metric_matrix
 from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
-                             cholesky_inverse, derivative_matrix,
-                             metric_parts)
+                             cholesky_inverse, dense_kernel_matrices,
+                             derivative_matrix, metric_parts)
 from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
-                     lu_saddle_solve, perturbed_polygon, regular_polygon,
-                     saddle_matrix, theta_and_loop)
+                     four_congruence_parts, lu_saddle_solve,
+                     pair_kernel_matrices, perturbed_polygon, regular_polygon,
+                     saddle_matrix, saddle_product, theta_and_loop)
 
 SIGMA = 2.0 / 3.0
 P36 = validate_params(3, 6)         # sigma = 2/3
@@ -100,6 +100,73 @@ class TestWeights:
         net = CurveNetwork(verts, [[i, i + 1] for i in range(5)])
         _, K0 = dense_kernel_matrices(net, SIGMA)
         assert np.allclose(K0, 0.0, atol=1e-14)
+
+
+def oracle_net(shape):
+    if shape == "random-trefoil-384":
+        from knotflow.scenes import generate_test_curve
+
+        return generate_test_curve("random-trefoil", 384, seed=8)
+    return CurveNetwork(*theta_and_loop())
+
+
+def max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestDenseAssemblyOracles:
+    """The vertex-sum kernels, the one-congruence parts and the one-product
+    saddle factor against the pair-form, four-congruence and column-block
+    references they replace."""
+
+    @pytest.mark.parametrize("shape", ["random-trefoil-384",
+                                       "theta-and-loop"])
+    def test_kernels_and_metric_match_pair_form(self, shape):
+        net = oracle_net(shape)
+        K, K0 = dense_kernel_matrices(net, P36.sigma)
+        want_K, want_K0 = pair_kernel_matrices(net, P36.sigma)
+        # the same zero pattern: identical and adjacent pairs
+        assert np.array_equal(K == 0, want_K == 0)
+        assert max_rel(K, want_K) <= 1e-13
+        # |T x d|^2 = r^2 - (T.d)^2 cancels on nearly collinear pairs, so
+        # K0 keeps fewer correct digits of its largest entry than K
+        assert max_rel(K0, want_K0) <= 1e-12
+        A = MetricOperator(net, P36).A
+        want = sum(four_congruence_parts(net, want_K, want_K0))
+        assert max_rel(A, want) <= 1e-13
+
+    @pytest.mark.parametrize("shape", ["random-trefoil-384",
+                                       "theta-and-loop"])
+    def test_one_congruence_parts_in_both_storages(self, shape):
+        net = oracle_net(shape)
+        K, K0 = dense_kernel_matrices(net, P36.sigma)
+        want = four_congruence_parts(net, K, K0)
+        for kernels in ((K, K0), (csr_matrix(K), csr_matrix(K0))):
+            for got, part in zip(metric_parts(net, *kernels), want):
+                got = got.toarray() if issparse(got) else got
+                assert max_rel(got, part) <= 1e-13
+
+    def test_differential_pass_fills_the_same_sums(self):
+        from knotflow.energy import discrete_differential, metric_kernel_sums
+
+        net = oracle_net("theta-and-loop")
+        sums = np.zeros((2, net.n_edges, net.n_vertices))
+        grad = discrete_differential(net, P36, sums=sums)
+        assert np.array_equal(grad, discrete_differential(net, P36))
+        assert np.array_equal(sums, metric_kernel_sums(net, P36.sigma))
+        assert np.array_equal(MetricOperator(net, P36, sums).A,
+                              MetricOperator(net, P36).A)
+
+    @pytest.mark.parametrize("shape", ["random-trefoil-384",
+                                       "theta-and-loop"])
+    def test_saddle_product_matches_column_blocks(self, shape):
+        net = oracle_net(shape)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            EdgeLengths.from_network(net)])
+        C = cs.jacobian(net)
+        factor = SaddleFactor(MetricOperator(net, P36).A, C,
+                              net.dual_masses())
+        assert np.array_equal(factor._Zt, saddle_product(C, factor._inv))
 
 
 class TestGramMatrices:
