@@ -38,6 +38,13 @@ from .network import CurveNetwork, exact_pairs
 # multigrid solve (n <= 512), against dense, inside the 1e-2 budget.
 DEFAULT_BCT_EPS = 0.125
 
+# Fill of a square matrix from which dense storage costs no more than CSR
+# (8 bytes per dense entry against 12 per nonzero).  `HierMetric` stores S
+# dense from this fill on, and a multigrid level whose near blocks hold this
+# share of the E^2 ordered edge pairs applies the exact dense metric instead
+# (`multigrid.MgLevel`).
+DENSE_FILL = 2 / 3
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -233,8 +240,10 @@ class HierMetric:
     S is `metric.metric_parts` of the sparse near fields with the row sums
     of the same approximate K, far field included, so constants are
     annihilated regardless of the block approximation error.  S is kept
-    dense when it holds at least 2/3 V^2 entries, where 8 bytes per dense
-    entry cost no more than CSR's 12 per nonzero, and as CSR otherwise.
+    dense when it holds at least DENSE_FILL V^2 entries, where 8 bytes per
+    dense entry cost no more than CSR's 12 per nonzero, and as CSR
+    otherwise.  A multigrid level never builds a `HierMetric` whose near
+    field reaches that fill; it takes the exact dense metric instead.
     `k_high` and `k_low` keep the two kernel matrices and `bct` the block
     partition: the given one, on a tree fitted to `net`, or one built at
     `eps` on a new tree.
@@ -258,7 +267,7 @@ class HierMetric:
         B, B0 = metric_parts(net, self.k_high.near, self.k_low.near,
                              self.k_high.row_sums(), self.k_low.row_sums())
         S = B + B0
-        self.S = S.toarray() if 3 * S.nnz >= 2 * self.n ** 2 else S
+        self.S = S.toarray() if S.nnz >= DENSE_FILL * self.n ** 2 else S
         D, up = derivative_matrix(net), self.k_high.up
         self.W = vstack([up @ D[c::3] for c in range(3)]
                         + [up @ average_matrix(net)], format="csr")

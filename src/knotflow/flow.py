@@ -78,6 +78,8 @@ class StepReport:
     mg_unconverged: int                 # solves ending above the target
     mg_residual: float                  # largest final true relative residual
     mg_solves: int                      # multigrid solves of the step
+    mg_hier_levels: int                 # levels applying HierMetric (0 on
+                                        # the exact path)
     bh_far: int                         # far (edge, node) entries and leaf
     bh_leaf_pairs: int                  # pairs of the step-start Barnes-Hut
                                         # plan (0 on the exact path)
@@ -539,6 +541,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             mg_unconverged=solver.saddle.unconverged,
             mg_residual=solver.saddle.residual,
             mg_solves=solver.saddle.solves,
+            mg_hier_levels=solver.saddle.hier_levels,
             bh_far=0 if plan is None else len(plan.far_edge),
             bh_leaf_pairs=0 if plan is None else len(plan.I)))
         if keep_frames:

@@ -133,6 +133,16 @@ def _tangent_scaled(K, U: np.ndarray):
     return csr_matrix((K.data * scale, K.indices, K.indptr), shape=K.shape)
 
 
+def _diag_minus(rows: np.ndarray, M, overwrite: bool = False):
+    """diag(rows) - M in M's storage.  A dense M is negated, in place with
+    `overwrite`, and gets the rows added to its diagonal."""
+    if issparse(M):
+        return diags_array(rows) - M
+    M = np.negative(M, out=M if overwrite else None)
+    M.flat[::len(rows) + 1] += rows
+    return M
+
+
 def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
     """(V x V) high- and low-order parts (B, B0) of the metric.
 
@@ -149,10 +159,10 @@ def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
         rows0 = np.asarray(K0.sum(axis=1)).ravel()
     geom = net.geometry()
     U = geom.tangents / geom.lengths[:, None]
-    scaled = diags_array(rows * np.einsum("ij,ij->i", U, U)) \
-        - _tangent_scaled(K, U)
+    scaled = _diag_minus(rows * np.einsum("ij,ij->i", U, U),
+                         _tangent_scaled(K, U), overwrite=True)
     return (_congruence(difference_matrix(net), scaled),
-            _congruence(average_matrix(net), diags_array(rows0) - K0))
+            _congruence(average_matrix(net), _diag_minus(rows0, K0)))
 
 
 class MetricOperator:
@@ -227,10 +237,11 @@ class SaddleFactor:
 
     `solve_gradient` and `solve_projection_step` are the calls
     `MultigridHierarchy` answers too; an exact solve leaves its V-cycle
-    tallies `solves`, `cycles`, `unconverged` and `residual` at zero.
+    tallies `solves`, `cycles`, `unconverged` and `residual` and its count of
+    hierarchical metric levels `hier_levels` at zero.
     """
 
-    solves = cycles = unconverged = 0
+    solves = cycles = unconverged = hier_levels = 0
     residual = 0.0
 
     def __init__(self, A: np.ndarray, C, masses: np.ndarray):

@@ -17,11 +17,14 @@ order V, as with edge lengths); see `MgLevel`.  Each solve is flexible
 conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
 one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
 which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
-coarsest level uses a dense pseudoinverse.  A level whose block cluster
-tree has an admissible block applies the hierarchical metric (`HierMetric`,
-built on that tree); one without a far field, where `HierMetric` would be
-the same metric stored as CSR, the assembled dense one (`MetricOperator`).
-Both answer `apply` and `apply_stacked`.
+coarsest level uses a dense pseudoinverse.  Each level applies the
+assembled dense metric (`MetricOperator`) when the near blocks of its block
+cluster tree hold at least `bct.DENSE_FILL` (2/3) of the E^2 ordered edge
+pairs, and the hierarchical metric (`HierMetric`, built on that tree)
+otherwise.  From that fill on, `HierMetric` stores its near part S dense and
+adds the far field to it, so it builds and applies more than the exact
+metric it approximates; a level without an admissible block is all near
+field.  Both metrics answer `apply` and `apply_stacked`.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -42,7 +45,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, depth_first_order
 from scipy.sparse.linalg import splu
 
-from .bct import BlockClusterTree, HierMetric
+from .bct import DENSE_FILL, BlockClusterTree, HierMetric
 from .bvh import EdgeBvh
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SurfaceConstraint,
@@ -206,6 +209,12 @@ class MgLevel:
     None and C C^T gets a sparse LU.  A tiny relative pivot of either
     factor sets `rank_suspect`.
 
+    `metric` is the exact `MetricOperator` when the near blocks of the
+    level's block cluster tree, on `bvh` (a tree fitted to `net`) or a new
+    one, hold at least DENSE_FILL of the E^2 ordered edge pairs (the sum of
+    n_a n_b over the near blocks (a, b)), and the `HierMetric` on that tree
+    otherwise (module docstring).
+
     `scale` corrects the rediscretized coarse metric toward the Galerkin
     operator J^T A_fine J: the nonlocal Gram matrices are not refinement-
     consistent (the omitted near-diagonal band widens with h), so unscaled
@@ -222,9 +231,13 @@ class MgLevel:
         self.scale = 1.0
         C = constraints.jacobian(net)
         self.C = C
-        bct = BlockClusterTree(bvh if bvh is not None else EdgeBvh(net))
-        self.metric = HierMetric(net, params.sigma, bct=bct) \
-            if len(bct.adm_a) else MetricOperator(net, params)
+        bvh = bvh if bvh is not None else EdgeBvh(net)
+        bct = BlockClusterTree(bvh)
+        sizes = bvh.end - bvh.start
+        near = sizes[bct.near_a] @ sizes[bct.near_b]
+        self.metric = MetricOperator(net, params) \
+            if near >= DENSE_FILL * net.n_edges ** 2 \
+            else HierMetric(net, params.sigma, bct=bct)
         self.Q = None
         if 3 * net.n_vertices * C.shape[0] <= 2 * C.nnz:
             factor, self.rank_suspect = checked_cholesky((C @ C.T).toarray())
@@ -285,8 +298,9 @@ class MultigridHierarchy:
     `rank_suspect` (from the finest level's C C^T factor, Cholesky or LU).
     Every solve adds to the tallies `solves` (solves), `cycles` (V-cycles),
     `unconverged` (solves ending above the residual target) and `residual`
-    (largest final true relative residual).  `bvh` (optional) is a tree
-    fitted to `net` for the finest level's metric.
+    (largest final true relative residual).  `hier_levels` counts the levels
+    that apply `HierMetric`.  `bvh` (optional) is a tree fitted to `net` for
+    the finest level's metric.
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`
@@ -319,6 +333,8 @@ class MultigridHierarchy:
             self.levels.append(
                 MgLevel(coarse, params, cs, prolongation=J))
             current = coarse
+        self.hier_levels = sum(isinstance(level.metric, HierMetric)
+                               for level in self.levels)
         self._fit_coarse_scales()
         self._coarse_pinv = None
 

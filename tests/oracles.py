@@ -7,12 +7,13 @@ deliberately separate from the library's vectorized implementations.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags_array
 
 from knotflow.bct import trapezoid_kernels
 from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
-from knotflow.metric import average_matrix, derivative_matrix
+from knotflow.metric import (_congruence, _tangent_scaled, average_matrix,
+                             derivative_matrix, difference_matrix)
 from knotflow.network import (CurveNetwork, edges_share_vertex, exact_pairs,
                               unstack_fields)
 from knotflow.potentials import SURFACE_THETA, SurfacePotential
@@ -199,6 +200,18 @@ def smooth_circle():
     Far-field tests therefore also run on this curve.
     """
     return generate_test_curve("perturbed-circle", 256, seed=5)
+
+
+def mixed_circle():
+    """A 512-edge perturbed circle whose multigrid hierarchy mixes metrics.
+
+    The near blocks of its finest level hold a quarter of the edge pairs, so
+    that level applies `HierMetric`; the coarser levels' near blocks hold
+    0.77 of them or more, so they apply the dense metric.  Multigrid tests
+    of the hierarchical metric run on this curve, where `smooth_circle`
+    gets a dense hierarchy.
+    """
+    return generate_test_curve("perturbed-circle", 512, seed=5)
 
 
 def segments_cross_2d(p1, p2, q1, q2):
@@ -683,6 +696,19 @@ def four_congruence_parts(net, K, K0):
     M = np.diag(K.sum(axis=1)) - K
     B = sum(congruence(D[c::3], M) for c in range(3))
     return B, congruence(average_matrix(net), np.diag(K0.sum(axis=1)) - K0)
+
+
+def diags_metric_parts(net, K, K0):
+    """(B, B0) with diag(rows) - K formed as a scipy `diags_array` minus K,
+    the kernels' own row sums on the diagonal: the form that
+    `metric.metric_parts` replaces with an in-place negation of dense K."""
+    geom = net.geometry()
+    U = geom.tangents / geom.lengths[:, None]
+    rows, rows0 = K.sum(axis=1), K0.sum(axis=1)
+    scaled = diags_array(rows * np.einsum("ij,ij->i", U, U)) \
+        - _tangent_scaled(K, U)
+    return (_congruence(difference_matrix(net), scaled),
+            _congruence(average_matrix(net), diags_array(rows0) - K0))
 
 
 def saddle_product(C, inv):

@@ -236,7 +236,9 @@ class TestRunFlow:
             == [r.mg_unconverged for r in result.reports]
 
     def test_multigrid_metric_shares_objective_tree(self):
-        net = smooth_perturbed_circle(128, seed=16)
+        # at n = 512 the finest level's near field is sparse enough for
+        # HierMetric, which keeps the tree
+        net = smooth_perturbed_circle(512, seed=16)
         cs = ConstraintSet([Barycenter()])
         objective = Objective(P36, accel="bh")
         objective.energy_and_differential(net)
@@ -285,7 +287,8 @@ class TestRunFlow:
             constraint_residual=0.0, projection_iters=3, ls_trials=2,
             rejected_projection_iters=1, wall_time=1 / 3,
             collision_limited=True, mg_cycles=12, mg_unconverged=0,
-            mg_residual=2e-09, mg_solves=4, bh_far=100, bh_leaf_pairs=2000)
+            mg_residual=2e-09, mg_solves=4, mg_hier_levels=1, bh_far=100,
+            bh_leaf_pairs=2000)
         net = smooth_perturbed_circle(8, seed=1)
         result = FlowResult(reports=[report], net=net, stop_reason="max_iters",
                             frames=[], stop_detail="")
@@ -294,9 +297,9 @@ class TestRunFlow:
             b"iteration,energy,gradient_norm,step_size,constraint_residual,"
             b"projection_iters,ls_trials,rejected_projection_iters,wall_time,"
             b"collision_limited,mg_cycles,mg_unconverged,mg_residual,"
-            b"mg_solves,bh_far,bh_leaf_pairs\r\n"
+            b"mg_solves,mg_hier_levels,bh_far,bh_leaf_pairs\r\n"
             b"2,0.1,1.5e-07,0.25,0.0,3,2,1,0.3333333333333333,1,12,0,2e-09,"
-            b"4,100,2000\r\n")
+            b"4,1,100,2000\r\n")
 
     @pytest.mark.parametrize("strategy, accel", [("hs-mg", "bh"),
                                                  ("hs", "exact")])
@@ -314,6 +317,23 @@ class TestRunFlow:
         assert [(int(row["bh_far"]), int(row["bh_leaf_pairs"]))
                 for row in rows] \
             == [(r.bh_far, r.bh_leaf_pairs) for r in result.reports]
+
+    @pytest.mark.parametrize("n, strategy, levels", [(512, "hs-mg", 2),
+                                                     (128, "hs-mg", 0),
+                                                     (128, "hs", 0)])
+    def test_hierarchical_levels_reported(self, n, strategy, levels,
+                                          tmp_path):
+        # the near fields of the n = 512 and 256 levels hold less than
+        # DENSE_FILL of their edge pairs; n = 128 and below are dense
+        net = smooth_perturbed_circle(n, seed=16)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy=strategy,
+                          config=FlowConfig(accel="bh", max_iters=1))
+        assert [r.mg_hier_levels for r in result.reports] == [levels]
+        export_frames(result, net.edges, tmp_path)
+        with open(tmp_path / "log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["mg_hier_levels"]) for row in rows] == [levels]
 
     def test_final_vcycle_residual_reported(self, tmp_path, monkeypatch):
         steps = []

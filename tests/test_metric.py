@@ -12,7 +12,8 @@ from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
 from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 
 from oracles import (brute_high_order_form, brute_low_order_form,
-                     four_congruence_parts, lu_saddle_solve,
+                     diags_metric_parts, four_congruence_parts,
+                     lu_saddle_solve,
                      pair_kernel_matrices, perturbed_polygon, regular_polygon,
                      saddle_matrix, saddle_product, theta_and_loop)
 
@@ -145,6 +146,18 @@ class TestDenseAssemblyOracles:
             for got, part in zip(metric_parts(net, *kernels), want):
                 got = got.toarray() if issparse(got) else got
                 assert max_rel(got, part) <= 1e-13
+
+    @pytest.mark.parametrize("shape", ["random-trefoil-384",
+                                       "theta-and-loop"])
+    def test_dense_parts_match_diags_form_exactly(self, shape):
+        net = oracle_net(shape)
+        K, K0 = dense_kernel_matrices(net, P36.sigma)
+        kept = K.copy(), K0.copy()
+        want = diags_metric_parts(net, K, K0)
+        for got, part in zip(metric_parts(net, K, K0), want):
+            assert not issparse(got) and np.array_equal(got, part)
+        # the caller's kernels are left as they were
+        assert all(np.array_equal(a, b) for a, b in zip((K, K0), kept))
 
     def test_differential_pass_fills_the_same_sums(self):
         from knotflow.energy import discrete_differential, metric_kernel_sums

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from knotflow.bct import HierMetric
+from knotflow.bct import DENSE_FILL, BlockClusterTree, HierMetric
+from knotflow.bvh import EdgeBvh
 from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   PointConstraint, TotalLength,
                                   project_onto_constraints)
@@ -13,8 +14,8 @@ from knotflow.multigrid import (COARSEST_SIZE, MgConfig, MgLevel,
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
 
-from oracles import (coarsen_walk, perturbed_polygon, regular_polygon,
-                     smooth_circle, theta_and_loop)
+from oracles import (coarsen_walk, mixed_circle, perturbed_polygon,
+                     regular_polygon, theta_and_loop)
 
 P36 = validate_params(3, 6)
 
@@ -238,7 +239,7 @@ class TestProjector:
 
     def test_apply_projected_projects_once(self):
         # operands already in null(C) need no projection before the metric
-        net = smooth_circle()
+        net = mixed_circle()
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         hier = hierarchy_for(net, cs)
         rng = np.random.default_rng(31)
@@ -272,6 +273,37 @@ class TestProjector:
         assert level.rank_suspect
 
 
+def near_fill(net):
+    """Share of the E^2 ordered edge pairs in the near blocks of a block
+    cluster tree on a new tree fitted to `net`."""
+    bct = BlockClusterTree(EdgeBvh(net))
+    sizes = bct.bvh.end - bct.bvh.start
+    return sizes[bct.near_a] @ sizes[bct.near_b] / net.n_edges ** 2
+
+
+class TestLevelMetric:
+    """A level applies the exact dense metric once the near blocks of its
+    block cluster tree hold DENSE_FILL of the edge pairs."""
+
+    @pytest.mark.parametrize("n, kinds", [
+        (256, [MetricOperator] * 4),
+        (512, [HierMetric] + [MetricOperator] * 4)])
+    def test_metric_follows_near_fill(self, n, kinds):
+        net = generate_test_curve("perturbed-circle", n, seed=5)
+        hier = hierarchy_for(net, ConstraintSet([Barycenter()]))
+        assert [type(level.metric) for level in hier.levels] == kinds
+        for level in hier.levels:
+            assert (near_fill(level.net) >= DENSE_FILL) \
+                == isinstance(level.metric, MetricOperator)
+        assert hier.hier_levels == kinds.count(HierMetric)
+
+    def test_dense_level_metric_is_exact(self):
+        hier = hierarchy_for(mixed_circle(), ConstraintSet([Barycenter()]))
+        for level in hier.levels[1:]:
+            assert np.array_equal(level.metric.A,
+                                  MetricOperator(level.net, P36).A)
+
+
 class TestVcycle:
     def test_zero_rhs(self):
         verts, edges = perturbed_polygon(64, seed=2)
@@ -286,7 +318,8 @@ class TestVcycle:
         self.check_close_to_dense_solve(CurveNetwork(verts, edges))
 
     def test_metric_system_close_to_dense_solve_with_blocks(self):
-        assert self.check_close_to_dense_solve(smooth_circle()) > 0
+        # a mixed hierarchy: HierMetric on the finest level, dense below
+        assert self.check_close_to_dense_solve(mixed_circle()) > 0
 
     @staticmethod
     def check_close_to_dense_solve(net):
