@@ -20,6 +20,7 @@ evaluates both: four samples give an exact entry, one an admissible block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
@@ -122,7 +123,8 @@ class BlockClusterTree:
     the first term implies it.  Other blocks split down to leaf pairs, the
     near blocks, so the tree's leaf size alone sets their size.  `adm_a`,
     `adm_b` and `near_a`, `near_b` hold the node pairs of the admissible and
-    the near blocks, generation by generation.
+    the near blocks, generation by generation.  The far-field clusters
+    `far_nodes`, `adm_rows`, `adm_cols` and `up` are built on first use.
     """
 
     def __init__(self, bvh: EdgeBvh, eps: float = DEFAULT_BCT_EPS):
@@ -140,18 +142,33 @@ class BlockClusterTree:
 
         self.adm_a, self.adm_b, self.near_a, self.near_b = sweep(
             bvh, np.array([0]), np.array([0]), admissible)
-        # far-field clusters: the nodes in any admissible block, the 0/1
-        # matrix of the edges each contains, and each block as a row pair
-        self.far_nodes, rows = np.unique(
-            np.concatenate([self.adm_a, self.adm_b]), return_inverse=True)
-        self.adm_rows = rows[:len(self.adm_a)]
-        self.adm_cols = rows[len(self.adm_a):]
+        self._near_pairs = None
+
+    # a multigrid level that takes the dense metric never reads these
+    @cached_property
+    def far_nodes(self) -> np.ndarray:
+        """The nodes in any admissible block, sorted."""
+        return np.unique(np.concatenate([self.adm_a, self.adm_b]))
+
+    @cached_property
+    def adm_rows(self) -> np.ndarray:
+        """Each admissible block's side a as a row of `up`."""
+        return np.searchsorted(self.far_nodes, self.adm_a)
+
+    @cached_property
+    def adm_cols(self) -> np.ndarray:
+        """Each admissible block's side b as a row of `up`."""
+        return np.searchsorted(self.far_nodes, self.adm_b)
+
+    @cached_property
+    def up(self) -> csr_matrix:
+        """The 0/1 (far nodes x E) matrix of the edges each far node holds."""
+        bvh = self.bvh
         sizes = bvh.end[self.far_nodes] - bvh.start[self.far_nodes]
         rows, pos = run_pairs(np.arange(len(sizes)), np.ones_like(sizes),
                               bvh.start[self.far_nodes], sizes)
-        self.up = csr_matrix((np.ones(len(rows)), (rows, bvh.order[pos])),
-                             shape=(len(sizes), len(bvh.order)))
-        self._near_pairs = None
+        return csr_matrix((np.ones(len(rows)), (rows, bvh.order[pos])),
+                          shape=(len(sizes), len(bvh.order)))
 
     def near_pair_arrays(self, net: CurveNetwork):
         """All exact near-field edge pairs (excluded pairs removed), cached.

@@ -80,6 +80,8 @@ class StepReport:
     mg_solves: int                      # multigrid solves of the step
     mg_hier_levels: int                 # levels applying HierMetric (0 on
                                         # the exact path)
+    mg_levels: int                      # multigrid levels (0 on the exact
+                                        # path)
     bh_far: int                         # far (edge, node) entries and leaf
     bh_leaf_pairs: int                  # pairs of the step-start Barnes-Hut
                                         # plan (0 on the exact path)
@@ -236,7 +238,7 @@ class StepSolver:
     `MultigridHierarchy`; both answer `solve_gradient`,
     `solve_projection_step`, `rank_suspect` and the V-cycle tallies
     `solves`, `cycles`, `unconverged` and `residual` (zeros on the exact
-    factor).
+    factor), and `levels` (empty on it).
     `bvh` (optional) is a tree fitted to `net` for the multigrid metric,
     and `sums` (optional) the metric kernel sums of `net` for the dense
     "hs" metric, as `Objective.energy_and_differential` leaves them.
@@ -542,6 +544,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
             mg_residual=solver.saddle.residual,
             mg_solves=solver.saddle.solves,
             mg_hier_levels=solver.saddle.hier_levels,
+            mg_levels=len(solver.saddle.levels),
             bh_far=0 if plan is None else len(plan.far_edge),
             bh_leaf_pairs=0 if plan is None else len(plan.I)))
         if keep_frames:

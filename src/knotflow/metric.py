@@ -238,11 +238,13 @@ class SaddleFactor:
     `solve_gradient` and `solve_projection_step` are the calls
     `MultigridHierarchy` answers too; an exact solve leaves its V-cycle
     tallies `solves`, `cycles`, `unconverged` and `residual` and its count of
-    hierarchical metric levels `hier_levels` at zero.
+    hierarchical metric levels `hier_levels` at zero, and it has no multigrid
+    `levels`.
     """
 
     solves = cycles = unconverged = hier_levels = 0
     residual = 0.0
+    levels = ()
 
     def __init__(self, A: np.ndarray, C, masses: np.ndarray):
         if C is None or C.shape[0] == 0:

@@ -16,23 +16,28 @@ holds P as I - Q Q^T with a dense orthonormal Q when C is at least half full
 order V, as with edge lengths); see `MgLevel`.  Each solve is flexible
 conjugate gradient (Notay, SIAM J. Sci. Comput. 22, 2000) preconditioned by
 one V-cycle; the V-cycle smooths with a few plain conjugate gradient steps,
-which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.  The
-coarsest level uses a dense pseudoinverse.  Each level applies the
-assembled dense metric (`MetricOperator`) when the near blocks of its block
-cluster tree hold at least `bct.DENSE_FILL` (2/3) of the E^2 ordered edge
-pairs, and the hierarchical metric (`HierMetric`, built on that tree)
-otherwise.  From that fill on, `HierMetric` stores its near part S dense and
-adds the far field to it, so it builds and applies more than the exact
-metric it approximates; a level without an admissible block is all near
-field.  Both metrics answer `apply` and `apply_stacked`.
+which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.
+
+A level applies the assembled dense metric (`MetricOperator`) when the near
+blocks of its block cluster tree hold at least `bct.DENSE_FILL` (2/3) of the
+E^2 ordered edge pairs, and the hierarchical metric (`HierMetric`, built on
+that tree) otherwise.  From that fill on, `HierMetric` stores its near part
+S dense and adds the far field to it, so it builds and applies more than the
+exact metric it approximates; a level without an admissible block is all
+near field.  Both metrics answer `apply` and `apply_stacked`.  Coarsening
+stops at the first dense level (or at COARSEST_SIZE, or when nothing can be
+removed), and one `SaddleFactor` of the last level's metric solves that
+level exactly, once factored per step, where V-cycles below it would only
+approximate that solve.  A hierarchy whose finest level is dense is that
+factor alone.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
 keeps the residuals it has solved for and their corrections; a residual in
 their span (to SPAN_TOL) is answered by the same combination of the stored
-corrections, with no V-cycle.  With k constraints a step thus makes at most
-k projection solves, however many projection iterations and line-search
-trials it takes.
+corrections, with no V-cycle.  With k constraints a step thus solves for
+at most k projection corrections, however many projection iterations and
+line-search trials it takes.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SurfaceConstraint,
                           TangentConstraint, TotalLength)
 from .energy import EnergyParams
-from .metric import RANK_PIVOT_TOL, MetricOperator, checked_cholesky
+from .metric import (RANK_PIVOT_TOL, MetricOperator, SaddleFactor,
+                     checked_cholesky)
 from .network import CurveNetwork
 
 COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
@@ -68,7 +74,9 @@ class MgConfig:
     `smoother_iters` conjugate gradient steps smooth before and after each
     coarse correction; `max_vcycles` caps the V-cycles, one per flexible CG
     iteration, of one solve; a solve stops once its true relative residual
-    |b - M y| / |b| is at most `target_rel_residual`.
+    |b - M y| / |b| is at most `target_rel_residual` (a projection
+    correction's solve takes its residual relative to the correction's own
+    scale; see `MultigridHierarchy.solve_projection_step`).
     """
 
     smoother_iters: int = 3
@@ -213,7 +221,8 @@ class MgLevel:
     level's block cluster tree, on `bvh` (a tree fitted to `net`) or a new
     one, hold at least DENSE_FILL of the E^2 ordered edge pairs (the sum of
     n_a n_b over the near blocks (a, b)), and the `HierMetric` on that tree
-    otherwise (module docstring).
+    otherwise (module docstring).  A level with the dense metric is the last
+    of its hierarchy, which factors it instead of smoothing it.
 
     `scale` corrects the rediscretized coarse metric toward the Galerkin
     operator J^T A_fine J: the nonlocal Gram matrices are not refinement-
@@ -296,11 +305,15 @@ class MultigridHierarchy:
     Answers the calls of the exact `SaddleFactor` with V-cycle-preconditioned
     flexible CG: `solve_gradient(b)`, `solve_projection_step(phi)` and
     `rank_suspect` (from the finest level's C C^T factor, Cholesky or LU).
+    The levels apply `HierMetric` down to the first dense level, the last
+    one, whose projected system one `SaddleFactor` (`_saddle`) solves
+    exactly.  A one-level hierarchy answers both calls from that factor.
     Every solve adds to the tallies `solves` (solves), `cycles` (V-cycles),
     `unconverged` (solves ending above the residual target) and `residual`
-    (largest final true relative residual).  `hier_levels` counts the levels
-    that apply `HierMetric`.  `bvh` (optional) is a tree fitted to `net` for
-    the finest level's metric.
+    (largest final true relative residual); an answer from the factor adds
+    to `solves` alone.  `hier_levels` counts the levels that apply
+    `HierMetric`.  `bvh` (optional) is a tree fitted to `net` for the finest
+    level's metric.
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`
@@ -323,7 +336,8 @@ class MultigridHierarchy:
             MgLevel(net, params, constraints, bvh=bvh)]
         self.rank_suspect = self.levels[0].rank_suspect
         current, cs = net, constraints
-        while current.n_vertices > COARSEST_SIZE:
+        while isinstance(self.levels[-1].metric, HierMetric) \
+                and current.n_vertices > COARSEST_SIZE:
             out = coarsen_network(current, keep=keep)
             if out is None:
                 break
@@ -336,7 +350,10 @@ class MultigridHierarchy:
         self.hier_levels = sum(isinstance(level.metric, HierMetric)
                                for level in self.levels)
         self._fit_coarse_scales()
-        self._coarse_pinv = None
+        bottom = self.levels[-1]
+        A = bottom.metric.A if isinstance(bottom.metric, MetricOperator) \
+            else bottom.metric.apply(np.eye(bottom.net.n_vertices))
+        self._saddle = SaddleFactor(A, bottom.C, bottom.net.dual_masses())
 
     def _fit_coarse_scales(self):
         """Match each coarse metric's smooth-mode response to the Galerkin
@@ -360,14 +377,9 @@ class MultigridHierarchy:
                 level.scale *= num / den
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        level = self.levels[-1]
-        if self._coarse_pinv is None:
-            V = level.net.n_vertices
-            P = level.project(np.eye(3 * V))
-            A = level.scale * level.metric.apply(np.eye(V))
-            self._coarse_pinv = np.linalg.pinv(P @ np.kron(np.eye(3), A) @ P,
-                                               rcond=1e-10)
-        return self._coarse_pinv @ b
+        """The last level's M x = b for b in null(C), by the saddle factor
+        of its unscaled metric."""
+        return self._saddle.solve_gradient(b) / self.levels[-1].scale
 
     def _smooth(self, level: MgLevel, b: np.ndarray,
                 x: np.ndarray | None = None):
@@ -416,22 +428,24 @@ class MultigridHierarchy:
             x = self._smooth(self.levels[i], rhs[i], x)[0]
         return x
 
-    def vcycle_solve(self, b: np.ndarray):
+    def vcycle_solve(self, b: np.ndarray, x: np.ndarray | None = None,
+                     norm_b: float | None = None):
         """Solve P A_bar P y = b for b in null(C); returns (y, info dict).
 
-        Flexible conjugate gradient from `_initial_guess`, preconditioned by
-        one V-cycle per iteration, with the Polak-Ribiere beta
-        z.(r - r_old) / (z_old.r_old).  The residual r = b - M y is computed
-        anew each iteration; info holds its relative norms (`residuals`),
-        the V-cycles run (`cycles`) and whether the last norm met the target
-        (`converged`).
+        Flexible conjugate gradient from x (`_initial_guess(b)` if None),
+        preconditioned by one V-cycle per iteration, with the Polak-Ribiere
+        beta z.(r - r_old) / (z_old.r_old).  The residual r = b - M y is
+        computed anew each iteration; info holds its norms relative to
+        norm_b (|b| if None) as `residuals`, the V-cycles run (`cycles`) and
+        whether the last one met the target (`converged`).
         """
-        norm_b = float(np.linalg.norm(b))
+        if norm_b is None:
+            norm_b = float(np.linalg.norm(b))
         if norm_b == 0.0:
             return np.zeros_like(b), {"residuals": [0.0], "converged": True,
                                       "cycles": 0}
         top = self.levels[0]
-        x = self._initial_guess(b)
+        x = self._initial_guess(b) if x is None else x
         r = b - top.apply_projected(x)
         residuals = [float(np.linalg.norm(r)) / norm_b]
         cycles = 0
@@ -454,9 +468,10 @@ class MultigridHierarchy:
                 "converged": residuals[-1] <= self.config.target_rel_residual}
         return x, info
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def _solve(self, b: np.ndarray, x: np.ndarray | None = None,
+               norm_b: float | None = None) -> np.ndarray:
         """`vcycle_solve`, with its info added to the tallies."""
-        y, info = self.vcycle_solve(b)
+        y, info = self.vcycle_solve(b, x, norm_b)
         self.solves += 1
         self.cycles += info["cycles"]
         self.unconverged += not info["converged"]
@@ -465,29 +480,61 @@ class MultigridHierarchy:
 
     def solve_gradient(self, differential_stacked: np.ndarray) -> np.ndarray:
         """Multigrid version of the tangent-space gradient saddle solve."""
+        if len(self.levels) == 1:
+            self.solves += 1
+            return self._saddle.solve_gradient(differential_stacked)
         top = self.levels[0]
         return top.project(self._solve(top.project(differential_stacked)))
 
     def solve_projection_step(self, phi: np.ndarray) -> np.ndarray:
         """Multigrid version of one constraint-restoration saddle solve.
 
-        Returns x with C x = -phi, metric-minimal: x = z - y where z is the
-        least-norm solution of C z = -phi and y solves the projected system
-        with RHS P A_bar z.  A phi within SPAN_TOL of the span of the
-        residuals solved before on this hierarchy, phi ~ Phi c, gets X c from
-        their corrections X instead of a solve.  Each stored pair meets
-        C x_j = -phi_j (z is exact and P y lies in null(C)), so X c meets
+        Returns x with C x = -phi, metric-minimal: x = z - P y where z is
+        the least-norm solution of C z = -phi and y solves the projected
+        system M y = P A_bar z.  A residual target relative to |P A_bar z|
+        would be the wrong scale: a rough z (a noisy curve, or a curve after
+        a few flow steps) makes P A_bar z far larger than the residual of
+        x's own size, and such a solve left x 5-40% off.  So x starts from z
+        corrected by `_initial_guess` alone, and its error e, which solves
+        M e = r with r = P A_bar x, is estimated by `_initial_guess(r)`:
+        rel^2 = r.e / x.A_bar x estimates the squared relative error of x in
+        the metric norm.  While rel exceeds the residual target, a solve of
+        M e = r from that estimate corrects x, its residual taken relative
+        to |r| / rel, the residual an error as large as x would leave.  One
+        such solve can stop short when the error is rough; a second, from
+        the new estimate, is allowed.
+
+        A phi within SPAN_TOL of the span of the residuals solved before on
+        this hierarchy, phi ~ Phi c, gets X c from their corrections X
+        instead of a solve.  Each stored pair meets C x_j = -phi_j (z is
+        exact and every correction is projected onto null(C)), so X c meets
         C x = -phi up to the span residual.  Any other phi is solved, and
-        the pair is stored.
+        the pair is stored; a one-level hierarchy solves it by its factor.
         """
         c = np.linalg.lstsq(self._phis, phi, rcond=None)[0]
         if np.linalg.norm(phi - self._phis @ c) \
                 <= SPAN_TOL * np.linalg.norm(phi):
             return self._xs @ c
-        top = self.levels[0]
-        z = top.min_norm_solution(-phi)
-        b = top.project(top.scale * top.metric.apply_stacked(z))
-        x = z - top.project(self._solve(b))
+        if len(self.levels) == 1:
+            self.solves += 1
+            x = self._saddle.solve_projection_step(phi)
+        else:
+            top = self.levels[0]
+            x = top.min_norm_solution(-phi)
+            x = x - top.project(self._initial_guess(
+                top.project(top.scale * top.metric.apply_stacked(x))))
+            for _ in range(2):
+                Ax = top.scale * top.metric.apply_stacked(x)
+                r = top.project(Ax)
+                e = top.project(self._initial_guess(r))
+                xAx, re = float(x @ Ax), float(r @ e)
+                # x.A_bar x <= 0 only at rounding level, when x is a
+                # translation, the exact answer to a barycenter residual
+                if xAx <= 0.0 \
+                        or re <= self.config.target_rel_residual ** 2 * xAx:
+                    break
+                x = x - top.project(self._solve(
+                    r, e, float(np.linalg.norm(r)) * np.sqrt(xAx / re)))
         self._phis = np.column_stack([self._phis, phi])
         self._xs = np.column_stack([self._xs, x])
         return x

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags_array
 
 from knotflow.bct import trapezoid_kernels
+from knotflow.bvh import run_pairs
 from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import (_congruence, _tangent_scaled, average_matrix,
@@ -439,6 +440,21 @@ def bct_dfs(bvh, eps):
     return admissible, near
 
 
+def eager_far_field(bct):
+    """The far-field clusters of a block cluster tree, built in one pass:
+    (far_nodes, adm_rows, adm_cols, up) from one `np.unique` with inverse
+    and the membership run of each node."""
+    bvh = bct.bvh
+    far_nodes, rows = np.unique(np.concatenate([bct.adm_a, bct.adm_b]),
+                                return_inverse=True)
+    sizes = bvh.end[far_nodes] - bvh.start[far_nodes]
+    rows_up, pos = run_pairs(np.arange(len(sizes)), np.ones_like(sizes),
+                             bvh.start[far_nodes], sizes)
+    up = csr_matrix((np.ones(len(rows_up)), (rows_up, bvh.order[pos])),
+                    shape=(len(sizes), len(bvh.order)))
+    return far_nodes, rows[:len(bct.adm_a)], rows[len(bct.adm_a):], up
+
+
 def refit_loop(bvh, net):
     """`EdgeBvh.refit`'s aggregates recomputed node by node, bottom up: a
     dict of mass, com, avg_tangent, lo, hi, r_x and r_T."""
@@ -717,6 +733,15 @@ def saddle_product(C, inv):
     inverse."""
     C, V = csr_matrix(C), len(inv)
     return np.hstack([C[:, c * V:(c + 1) * V] @ inv for c in range(3)])
+
+
+def pinv_coarse_solve(level, b):
+    """The bottom solve of a multigrid hierarchy as a dense pseudoinverse:
+    pinv(P (I_3 kron scale A) P) b with the level's projector P."""
+    V = level.net.n_vertices
+    P = level.project(np.eye(3 * V))
+    A = level.scale * level.metric.apply(np.eye(V))
+    return np.linalg.pinv(P @ np.kron(np.eye(3), A) @ P, rcond=1e-10) @ b
 
 
 def swept_boxes(net, base, velocity, cap):

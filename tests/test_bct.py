@@ -11,9 +11,10 @@ from knotflow.metric import (MetricOperator, dense_kernel_matrices,
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
-from oracles import (bct_dfs, coverage_count, hier_apply_high,
-                     hier_apply_low, kernel_value, perturbed_polygon,
-                     regular_polygon, smooth_circle, theta_and_loop)
+from oracles import (bct_dfs, coverage_count, eager_far_field,
+                     hier_apply_high, hier_apply_low, kernel_value,
+                     mixed_circle, perturbed_polygon, regular_polygon,
+                     smooth_circle, theta_and_loop)
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
@@ -479,3 +480,21 @@ class TestSweep:
                           shape=(len(bct.far_nodes), net.n_edges))
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(bct.up, part), getattr(want, part))
+
+    def test_far_field_is_built_on_first_use(self):
+        # a tree that only counts near pairs leaves the far field unbuilt;
+        # once read, it equals the clusters the constructor built eagerly
+        net = mixed_circle()
+        bct = BlockClusterTree(EdgeBvh(net))
+        lazy = ("far_nodes", "adm_rows", "adm_cols", "up")
+        assert not set(lazy) & set(vars(bct))
+        want = eager_far_field(bct)
+        for name, expected in zip(lazy[:3], want):
+            assert np.array_equal(getattr(bct, name), expected)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(bct.up, part),
+                                  getattr(want[3], part))
+        # HierMetric's far field reads the same clusters
+        metric = HierMetric(net, SIGMA, bct=bct)
+        assert np.array_equal(metric.k_high.up.indices, want[3].indices)
+        assert metric.K_blk.nnz > 0

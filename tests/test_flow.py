@@ -19,7 +19,8 @@ from knotflow.network import CurveNetwork
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import export_frames, generate_test_curve
 
-from oracles import octahedron_sphere, perturbed_polygon, regular_polygon
+from oracles import (mixed_circle, octahedron_sphere, perturbed_polygon,
+                     regular_polygon)
 
 P36 = validate_params(3, 6)
 
@@ -222,18 +223,37 @@ class TestRunFlow:
         assert np.all(np.diff(energies) <= 2e-2 * energies[0])
 
     def test_unconverged_vcycles_reported(self, tmp_path):
-        net = smooth_perturbed_circle(64, seed=14)
+        # a finest level that applies HierMetric, so the solves run V-cycles
+        net = mixed_circle()
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         config = FlowConfig(max_iters=2, mg=MgConfig(max_vcycles=1))
         result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
         assert len(result.reports) > 0
         assert all(r.mg_cycles > 0 for r in result.reports)
         assert sum(r.mg_unconverged for r in result.reports) > 0
+        assert all(r.mg_levels >= 2 for r in result.reports)
         export_frames(result, net.edges, tmp_path)
         with open(tmp_path / "log.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(row["mg_unconverged"]) for row in rows] \
             == [r.mg_unconverged for r in result.reports]
+        assert [int(row["mg_levels"]) for row in rows] \
+            == [r.mg_levels for r in result.reports]
+
+    def test_dense_finest_level_is_one_exact_level(self):
+        # the n = 64 circle's finest level is dense: its hierarchy is the
+        # saddle factor alone, and its solves run no V-cycle
+        net = smooth_perturbed_circle(64, seed=14)
+        cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs-mg",
+                          config=FlowConfig(max_iters=2))
+        assert len(result.reports) > 0
+        for r in result.reports:
+            assert r.mg_levels == 1 and r.mg_solves > 0
+            assert r.mg_cycles == r.mg_unconverged == r.mg_hier_levels == 0
+        exact = run_flow(net, P36, cs, strategy="hs",
+                         config=FlowConfig(accel="bh", max_iters=2))
+        assert [r.mg_levels for r in exact.reports] == [0] * 2
 
     def test_multigrid_metric_shares_objective_tree(self):
         # at n = 512 the finest level's near field is sparse enough for
@@ -287,8 +307,8 @@ class TestRunFlow:
             constraint_residual=0.0, projection_iters=3, ls_trials=2,
             rejected_projection_iters=1, wall_time=1 / 3,
             collision_limited=True, mg_cycles=12, mg_unconverged=0,
-            mg_residual=2e-09, mg_solves=4, mg_hier_levels=1, bh_far=100,
-            bh_leaf_pairs=2000)
+            mg_residual=2e-09, mg_solves=4, mg_hier_levels=1, mg_levels=2,
+            bh_far=100, bh_leaf_pairs=2000)
         net = smooth_perturbed_circle(8, seed=1)
         result = FlowResult(reports=[report], net=net, stop_reason="max_iters",
                             frames=[], stop_detail="")
@@ -297,9 +317,9 @@ class TestRunFlow:
             b"iteration,energy,gradient_norm,step_size,constraint_residual,"
             b"projection_iters,ls_trials,rejected_projection_iters,wall_time,"
             b"collision_limited,mg_cycles,mg_unconverged,mg_residual,"
-            b"mg_solves,mg_hier_levels,bh_far,bh_leaf_pairs\r\n"
+            b"mg_solves,mg_hier_levels,mg_levels,bh_far,bh_leaf_pairs\r\n"
             b"2,0.1,1.5e-07,0.25,0.0,3,2,1,0.3333333333333333,1,12,0,2e-09,"
-            b"4,1,100,2000\r\n")
+            b"4,1,2,100,2000\r\n")
 
     @pytest.mark.parametrize("strategy, accel", [("hs-mg", "bh"),
                                                  ("hs", "exact")])
@@ -343,14 +363,14 @@ class TestRunFlow:
             steps.append([])
             init(self, *args, **kwargs)
 
-        def recorded_solve(self, b):
-            y, info = vcycle_solve(self, b)
+        def recorded_solve(self, b, *args):
+            y, info = vcycle_solve(self, b, *args)
             steps[-1].append(info["residuals"][-1])
             return y, info
 
         monkeypatch.setattr(StepSolver, "__init__", new_step)
         monkeypatch.setattr(MultigridHierarchy, "vcycle_solve", recorded_solve)
-        net = smooth_perturbed_circle(64, seed=14)
+        net = mixed_circle()
         # feasible from the start, so every StepSolver belongs to one step
         cs = ConstraintSet([Barycenter.from_network(net),
                             TotalLength(net.total_length())])
