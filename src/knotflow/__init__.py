@@ -17,12 +17,13 @@ from .energy import (EnergyParams, ParameterError, SelfContactError,
 from .flow import (FlowConfig, FlowResult, StepReport, collision_step_limit,
                    line_search, run_flow)
 from .metric import MetricOperator, SaddleFactor
-from .multigrid import MgConfig, MultigridHierarchy, coarsen_network
+from .multigrid import MultigridHierarchy, coarsen_network
 from .network import (CurveNetwork, EdgeGeometry, InvalidNetworkError,
                       edge_average, edge_geometry)
 from .potentials import (ConstantField, FieldPotential,
-                         LengthDifferencePotential, RotationField,
-                         SurfacePotential, TotalLengthPotential)
+                         LengthDifferencePotential, ObstacleContactError,
+                         RotationField, SurfacePotential,
+                         TotalLengthPotential)
 from .scenes import (Scene, SceneError, export_frames, generate_test_curve,
                      load_obj_curve, parse_scene, save_obj_curve,
                      serialize_scene)

@@ -27,8 +27,7 @@ from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
 from .bvh import EdgeBvh, run_pairs, sweep
 from .energy import SelfContactError, _dot3, _pair_samples
-from .metric import (average_matrix, dense_kernel_matrices, derivative_matrix,
-                     metric_parts)
+from .metric import average_matrix, derivative_matrix, metric_parts
 from .network import CurveNetwork, exact_pairs
 
 
@@ -40,10 +39,9 @@ from .network import CurveNetwork, exact_pairs
 DEFAULT_BCT_EPS = 0.125
 
 # Fill of a square matrix from which dense storage costs no more than CSR
-# (8 bytes per dense entry against 12 per nonzero).  `HierMetric` stores S
-# dense from this fill on, and a multigrid level whose near blocks hold this
-# share of the E^2 ordered edge pairs applies the exact dense metric instead
-# (`multigrid.MgLevel`).
+# (8 bytes per dense entry against 12 per nonzero).  A multigrid level whose
+# near blocks hold this share of the E^2 ordered edge pairs applies the exact
+# dense metric instead of a `HierMetric` (`multigrid.MgLevel`).
 DENSE_FILL = 2 / 3
 
 
@@ -235,12 +233,6 @@ class HierKernelMatrix:
         return self._row_sums
 
 
-def dense_kernel_matrix(net: CurveNetwork, spec: KernelSpec) -> np.ndarray:
-    """Exact dense K of one kind, for oracles and the acceptance bench."""
-    high, low = dense_kernel_matrices(net, spec.sigma)
-    return high if spec.kind == "high" else low
-
-
 class HierMetric:
     """Hierarchical fractional metric A = B + B0, compiled into fixed factors.
 
@@ -250,29 +242,26 @@ class HierMetric:
     the near and the far field, it is compiled once into A = S - W^T K_blk W:
 
         S     = sum_c D_c^T (diag(K 1) - K_near) D_c
-                + E^T (diag(K0 1) - K0_near) E (V x V, sparse or dense by fill)
+                + E^T (diag(K0 1) - K0_near) E (V x V, CSR)
         W     = [Up D_0; Up D_1; Up D_2; Up E]
         K_blk = blockdiag(K_adm, K_adm, K_adm, K0_adm)
 
     S is `metric.metric_parts` of the sparse near fields with the row sums
     of the same approximate K, far field included, so constants are
-    annihilated regardless of the block approximation error.  S is kept
-    dense when it holds at least DENSE_FILL V^2 entries, where 8 bytes per
-    dense entry cost no more than CSR's 12 per nonzero, and as CSR
-    otherwise.  A multigrid level never builds a `HierMetric` whose near
-    field reaches that fill; it takes the exact dense metric instead.
-    `k_high` and `k_low` keep the two kernel matrices and `bct` the block
-    partition: the given one, on a tree fitted to `net`, or one built at
-    `eps` on a new tree.
+    annihilated regardless of the block approximation error.  A multigrid
+    level never builds a `HierMetric` whose near field reaches DENSE_FILL of
+    the edge pairs; it takes the exact dense metric instead, so S stays
+    sparse.  `k_high` and `k_low` keep the two kernel matrices and `bct` the
+    block partition: the given one, on a tree fitted to `net`, or one at
+    DEFAULT_BCT_EPS on a new tree.  Another partition is passed in, as
+    `bct=BlockClusterTree(EdgeBvh(net), eps)`.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
-                 eps: float = DEFAULT_BCT_EPS,
                  bct: BlockClusterTree | None = None):
         self.net = net
         self.sigma = float(sigma)
-        self.bct = bct if bct is not None \
-            else BlockClusterTree(EdgeBvh(net), eps=eps)
+        self.bct = bct if bct is not None else BlockClusterTree(EdgeBvh(net))
         self.bvh = self.bct.bvh
         I, J = self.bct.near_pair_arrays(net)
         high, low = trapezoid_kernels(net, self.sigma, I, J)
@@ -283,8 +272,7 @@ class HierMetric:
         self.n = net.n_vertices
         B, B0 = metric_parts(net, self.k_high.near, self.k_low.near,
                              self.k_high.row_sums(), self.k_low.row_sums())
-        S = B + B0
-        self.S = S.toarray() if S.nnz >= DENSE_FILL * self.n ** 2 else S
+        self.S = B + B0
         D, up = derivative_matrix(net), self.k_high.up
         self.W = vstack([up @ D[c::3] for c in range(3)]
                         + [up @ average_matrix(net)], format="csr")

@@ -56,6 +56,18 @@ from .network import CurveNetwork, exact_pairs
 # Edges (faces, for `meshes.FaceTree`) per leaf when no size is given.
 LEAF_SIZE = 8
 
+# Default Barnes-Hut admissibility parameter, of `FlowConfig`, `Objective`,
+# `bh_energy` and `bh_differential`.  Its error grows with n; against
+# `discrete_energy` / `discrete_differential` on perturbed-circle seed 5
+# (relative energy error E, max-entry differential error over max |grad| dE):
+#     n      eps 0.25: E, dE    eps 0.125: E, dE   eps 0.0625: E, dE
+#     256    1.4e-3, 2.0e-2     1.0e-3, 1.6e-3     1.3e-4, 6.0e-5
+#     1024   7.1e-3, 6.8e-2     1.5e-3, 9.4e-3     1.8e-4, 1.7e-3
+#     2048   9.3e-3, 1.16e-1    2.3e-3, 1.6e-2     3.4e-4, 2.8e-3
+# At n = 2048 the plan doubles from eps 0.25 to 0.125 (far entries 71 348 to
+# 127 276, leaf pairs 67 584 to 141 400).
+BH_EPS = 0.25
+
 
 def median_split_tree(points: np.ndarray, leaf_size: int = LEAF_SIZE):
     """Binary tree over the rows of `points` by median splits.
@@ -337,7 +349,7 @@ def _far_terms(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
 
 
 def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
-              eps: float = 0.25) -> float:
+              eps: float = BH_EPS) -> float:
     """Barnes-Hut estimate of the discrete tangent-point energy."""
     plan = bvh.plan(net, eps)
     # the leaf pairs are ordered (I traversing): only the T_I order counts
@@ -346,7 +358,7 @@ def bh_energy(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
 
 
 def bh_differential(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
-                    eps: float = 0.25) -> tuple[float, np.ndarray]:
+                    eps: float = BH_EPS) -> tuple[float, np.ndarray]:
     """Barnes-Hut estimates of the energy and its differential, (V, 3), from
     one pass over the plan.
 

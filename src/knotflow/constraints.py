@@ -30,6 +30,9 @@ from .network import CurveNetwork, unstack_fields
 
 # infinity norm of Phi at which a projection counts as converged
 PROJECTION_TOL = 1e-8
+# corrections one projection may take, read at call time; a flow's initial
+# projection, which may start far from feasible, takes three times as many
+PROJECTION_MAX_ITERS = 10
 
 
 class RankDeficientConstraintsError(ValueError):
@@ -339,13 +342,14 @@ class ConstraintSet:
 
 
 def project_onto_constraints(correction: Callable, constraints: ConstraintSet,
-                             net: CurveNetwork, max_iters: int = 10):
+                             net: CurveNetwork, max_iters: int | None = None):
     """Return positions to the constraint set by repeated metric-nearest steps.
 
     Each iteration adds the stacked displacement x = correction(Phi(current)),
     which solves the saddle system with RHS (0, -Phi), so C x = -Phi; the
     metric and Jacobian stay frozen in the solver behind `correction` (a
-    `solve_projection_step`).  Returns (network, iterations).
+    `solve_projection_step`).  `max_iters` defaults to PROJECTION_MAX_ITERS.
+    Returns (network, iterations).
 
     With C frozen this is a chord method, which contracts |Phi|_inf by a
     roughly steady ratio per iteration.  From the second iteration on, rho
@@ -363,6 +367,8 @@ def project_onto_constraints(correction: Callable, constraints: ConstraintSet,
     max_iters iterations or is predicted not to be; callers treat that as a
     rejected step.
     """
+    if max_iters is None:
+        max_iters = PROJECTION_MAX_ITERS
     current = net
     phi = constraints.evaluate(current)
     norm = np.linalg.norm(phi, np.inf) if phi.size else 0.0

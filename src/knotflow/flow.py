@@ -14,26 +14,36 @@ line search's refitted tree, the next step's start value from a rebuilt one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .bvh import BhPlan, EdgeBvh, bh_differential, bh_energy, overlap_pairs
+from .bvh import (BH_EPS, BhPlan, EdgeBvh, bh_differential, bh_energy,
+                  overlap_pairs)
 from .constraints import PROJECTION_TOL, ConstraintSet, ProjectionFailure
-from .energy import EnergyParams, discrete_differential, discrete_energy
+from .energy import (EnergyParams, SelfContactError, discrete_differential,
+                     discrete_energy)
 from .metric import MetricOperator, SaddleFactor
-from .multigrid import MgConfig, MultigridHierarchy
-from .network import CurveNetwork, stack_fields, unstack_fields
+from .multigrid import MultigridHierarchy
+from .network import (CurveNetwork, InvalidNetworkError, stack_fields,
+                      unstack_fields)
+from .potentials import ObstacleContactError
 
 STRATEGIES = ("hs", "hs-mg", "l2", "h1", "h2")
 ACCEL_MODES = ("exact", "bh")
 # the line search starts at tau <= 1, so the CCD looks no further than this
 COLLISION_HORIZON = 1.5
+# step size below which the line search gives up, read at call time
+TAU_FLOOR = 1e-12
 
 
 @dataclass
 class FlowConfig:
+    """The settings a flow may vary.  The fixed ones are module constants,
+    read at call time: TAU_FLOOR, `constraints.PROJECTION_MAX_ITERS` and
+    `multigrid.SMOOTHER_ITERS`, `MAX_VCYCLES` and `TARGET_REL_RESIDUAL`."""
+
     mode: str = "normalized"            # "normalized" or "collision"
     armijo: float = 1e-4
     backtrack: float = 0.5
@@ -41,10 +51,7 @@ class FlowConfig:
     stop_energy: float | None = None
     max_iters: int = 500
     accel: str = "exact"
-    bh_eps: float = 0.25
-    projection_max_iters: int = 10
-    tau_floor: float = 1e-12
-    mg: MgConfig = field(default_factory=MgConfig)
+    bh_eps: float = BH_EPS
 
     def __post_init__(self):
         if self.mode not in ("normalized", "collision"):
@@ -156,7 +163,7 @@ class Objective:
     """
 
     def __init__(self, params: EnergyParams, potentials=(),
-                 accel: str = "exact", bh_eps: float = 0.25,
+                 accel: str = "exact", bh_eps: float = BH_EPS,
                  metric_sums: bool = False):
         self.params = params
         self.potentials = tuple(potentials)
@@ -251,8 +258,8 @@ class StepSolver:
     """
 
     def __init__(self, strategy: str, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, config: FlowConfig,
-                 bvh: EdgeBvh | None = None, sums: np.ndarray | None = None):
+                 constraints: ConstraintSet, bvh: EdgeBvh | None = None,
+                 sums: np.ndarray | None = None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.constraints = constraints
@@ -262,8 +269,7 @@ class StepSolver:
                 "at least one translation-fixing constraint is required")
         try:
             if strategy == "hs-mg":
-                self.saddle = MultigridHierarchy(net, params, constraints,
-                                                 config.mg, bvh=bvh)
+                self.saddle = MultigridHierarchy(net, params, constraints, bvh)
             else:
                 A = MetricOperator(net, params, sums).A if strategy == "hs" \
                     else baseline_metric_matrix(net, strategy)
@@ -279,13 +285,15 @@ class StepSolver:
         return unstack_fields(
             self.saddle.solve_gradient(stack_fields(differential)))
 
-    def project(self, net: CurveNetwork, max_iters: int):
-        """Constraint restoration; returns (net, iterations) or raises."""
-        from .constraints import project_onto_constraints
+    def project(self, net: CurveNetwork, initial: bool = False):
+        """Constraint restoration in PROJECTION_MAX_ITERS corrections, three
+        times as many for the `initial` projection of a flow; returns (net,
+        iterations) or raises."""
+        from . import constraints
 
-        return project_onto_constraints(self.saddle.solve_projection_step,
-                                        self.constraints, net,
-                                        max_iters=max_iters)
+        return constraints.project_onto_constraints(
+            self.saddle.solve_projection_step, self.constraints, net,
+            max_iters=(3 if initial else 1) * constraints.PROJECTION_MAX_ITERS)
 
 
 def _segment_distance_params(p1, p2, q1, q2):
@@ -435,14 +443,16 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
     projection gives up as soon as its own contraction rate, the first ratio
     left out, predicts it cannot reach tolerance within the budget (see
     `project_onto_constraints`), so hopeless trials usually cost two
-    corrections instead of the whole budget.  Raises StuckFlow on underflow.
+    corrections instead of the whole budget.  A trial that runs into
+    contact (self or obstacle) or breaks the network is rejected too; any
+    other error propagates.  Raises StuckFlow on underflow below TAU_FLOOR.
     """
     collision_limited = False
     if config.mode == "collision":
         # a short CCD horizon keeps swept-box pruning effective
         tau_max = collision_step_limit(net, direction, cap=COLLISION_HORIZON,
                                        bvh=objective.ccd_tree(net))
-        if tau_max <= config.tau_floor:
+        if tau_max <= TAU_FLOOR:
             raise StuckFlow("collision limit is zero; curve is in contact")
         collision_limited = tau_max < COLLISION_HORIZON
         tau = min((2.0 / 3.0) * tau_max, 1.0)
@@ -455,13 +465,12 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
         tau = 1.0
 
     trials = rejected_iters = 0
-    while tau > config.tau_floor:
+    while tau > TAU_FLOOR:
         trials += 1
         candidate = net.with_positions(net.vertices - tau * direction)
         try:
             if solver is not None and solver.constraints.k > 0:
-                projected, proj_iters = solver.project(
-                    candidate, config.projection_max_iters)
+                projected, proj_iters = solver.project(candidate)
             else:
                 projected, proj_iters = candidate, 0
             f_new = objective.energy(projected)
@@ -469,14 +478,14 @@ def line_search(net: CurveNetwork, direction: np.ndarray, objective: Objective,
             rejected_iters += exc.iterations
             tau *= config.backtrack
             continue
-        except ValueError:
+        except (SelfContactError, InvalidNetworkError, ObstacleContactError):
             tau *= config.backtrack
             continue
         if np.isfinite(f_new) and f_new <= f0 - config.armijo * tau * slope:
             return (tau, projected, f_new, proj_iters, collision_limited,
                     trials, rejected_iters)
         tau *= config.backtrack
-    raise StuckFlow(f"line search underflow below {config.tau_floor:g}")
+    raise StuckFlow(f"line search underflow below {TAU_FLOOR:g}")
 
 
 def run_flow(net: CurveNetwork, params: EnergyParams,
@@ -495,10 +504,9 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
     # handle the small drift introduced by a line-search step
     phi0 = constraints.evaluate(current)
     if len(phi0) and np.linalg.norm(phi0, np.inf) > PROJECTION_TOL:
-        solver = StepSolver(strategy, current, params, constraints, config)
+        solver = StepSolver(strategy, current, params, constraints)
         try:
-            current, _ = solver.project(current,
-                                        3 * config.projection_max_iters)
+            current, _ = solver.project(current, initial=True)
         except ProjectionFailure as exc:
             return FlowResult(reports=[], net=current, stop_reason="stuck",
                               frames=[current.vertices.copy()]
@@ -510,7 +518,7 @@ def run_flow(net: CurveNetwork, params: EnergyParams,
         tic = time.perf_counter()
         constraints.advance_schedules()
         f0, dE = objective.energy_and_differential(current)
-        solver = StepSolver(strategy, current, params, constraints, config,
+        solver = StepSolver(strategy, current, params, constraints,
                             bvh=objective.bvh, sums=objective.sums)
         g = solver.direction(dE)
         grad_norm = mass_norm(current, g)

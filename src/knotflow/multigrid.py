@@ -21,15 +21,15 @@ which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.
 A level applies the assembled dense metric (`MetricOperator`) when the near
 blocks of its block cluster tree hold at least `bct.DENSE_FILL` (2/3) of the
 E^2 ordered edge pairs, and the hierarchical metric (`HierMetric`, built on
-that tree) otherwise.  From that fill on, `HierMetric` stores its near part
-S dense and adds the far field to it, so it builds and applies more than the
-exact metric it approximates; a level without an admissible block is all
-near field.  Both metrics answer `apply` and `apply_stacked`.  Coarsening
-stops at the first dense level (or at COARSEST_SIZE, or when nothing can be
-removed), and one `SaddleFactor` of the last level's metric solves that
-level exactly, once factored per step, where V-cycles below it would only
-approximate that solve.  A hierarchy whose finest level is dense is that
-factor alone.
+that tree) otherwise.  From that fill on, the sparse near part of
+`HierMetric` costs as much as the dense metric and the far field comes on
+top, so it builds and applies more than the exact metric it approximates; a
+level without an admissible block is all near field.  Both metrics answer
+`apply` and `apply_stacked`.  Coarsening stops at the first dense level (or
+at COARSEST_SIZE, or when nothing can be removed), and one `SaddleFactor` of
+the last level's metric solves that level exactly, once factored per step,
+where V-cycles below it would only approximate that solve.  A hierarchy
+whose finest level is dense is that factor alone.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -41,8 +41,6 @@ line-search trials it takes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -65,29 +63,16 @@ COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
 # residuals Phi up to which a projection correction is combined from the
 # stored ones; the combination then meets C x = -phi to this relative error.
 SPAN_TOL = 1e-8
-
-
-@dataclass
-class MgConfig:
-    """Multigrid solve settings.
-
-    `smoother_iters` conjugate gradient steps smooth before and after each
-    coarse correction; `max_vcycles` caps the V-cycles, one per flexible CG
-    iteration, of one solve; a solve stops once its true relative residual
-    |b - M y| / |b| is at most `target_rel_residual` (a projection
-    correction's solve takes its residual relative to the correction's own
-    scale; see `MultigridHierarchy.solve_projection_step`).
-    """
-
-    smoother_iters: int = 3
-    max_vcycles: int = 6
-    target_rel_residual: float = 1e-3
-
-    def __post_init__(self):
-        if self.smoother_iters <= 0 or self.max_vcycles <= 0:
-            raise ValueError("iteration counts must be positive")
-        if not 0 < self.target_rel_residual < 1:
-            raise ValueError("residual target must lie in (0, 1)")
+# Multigrid solve settings, read at call time.  SMOOTHER_ITERS conjugate
+# gradient steps smooth before and after each coarse correction; MAX_VCYCLES
+# caps the V-cycles, one per flexible CG iteration, of one solve; a solve
+# stops once its true relative residual |b - M y| / |b| is at most
+# TARGET_REL_RESIDUAL (a projection correction's solve takes its residual
+# relative to the correction's own scale; see
+# `MultigridHierarchy.solve_projection_step`).
+SMOOTHER_ITERS = 3
+MAX_VCYCLES = 6
+TARGET_REL_RESIDUAL = 1e-3
 
 
 def coarsen_network(net: CurveNetwork, keep: set[int] | None = None):
@@ -313,7 +298,8 @@ class MultigridHierarchy:
     (largest final true relative residual); an answer from the factor adds
     to `solves` alone.  `hier_levels` counts the levels that apply
     `HierMetric`.  `bvh` (optional) is a tree fitted to `net` for the finest
-    level's metric.
+    level's metric.  The solves read SMOOTHER_ITERS, MAX_VCYCLES and
+    TARGET_REL_RESIDUAL at call time.
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`
@@ -322,9 +308,7 @@ class MultigridHierarchy:
     """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, config: MgConfig | None = None,
-                 bvh=None):
-        self.config = config or MgConfig()
+                 constraints: ConstraintSet, bvh=None):
         self.params = params
         self.solves = self.cycles = self.unconverged = 0
         self.residual = 0.0
@@ -391,7 +375,7 @@ class MultigridHierarchy:
             r = b - level.apply_projected(x)
         p = r
         rr = float(r @ r)
-        for _ in range(self.config.smoother_iters):
+        for _ in range(SMOOTHER_ITERS):
             if rr == 0.0:
                 break
             Mp = level.apply_projected(p)
@@ -450,8 +434,7 @@ class MultigridHierarchy:
         residuals = [float(np.linalg.norm(r)) / norm_b]
         cycles = 0
         p = None
-        while residuals[-1] > self.config.target_rel_residual \
-                and cycles < self.config.max_vcycles:
+        while residuals[-1] > TARGET_REL_RESIDUAL and cycles < MAX_VCYCLES:
             z = self._vcycle(0, r)
             cycles += 1
             zr = float(z @ r)
@@ -465,7 +448,7 @@ class MultigridHierarchy:
             r = b - top.apply_projected(x)
             residuals.append(float(np.linalg.norm(r)) / norm_b)
         info = {"residuals": residuals, "cycles": cycles,
-                "converged": residuals[-1] <= self.config.target_rel_residual}
+                "converged": residuals[-1] <= TARGET_REL_RESIDUAL}
         return x, info
 
     def _solve(self, b: np.ndarray, x: np.ndarray | None = None,
@@ -530,8 +513,7 @@ class MultigridHierarchy:
                 xAx, re = float(x @ Ax), float(r @ e)
                 # x.A_bar x <= 0 only at rounding level, when x is a
                 # translation, the exact answer to a barycenter residual
-                if xAx <= 0.0 \
-                        or re <= self.config.target_rel_residual ** 2 * xAx:
+                if xAx <= 0.0 or re <= TARGET_REL_RESIDUAL ** 2 * xAx:
                     break
                 x = x - top.project(self._solve(
                     r, e, float(np.linalg.norm(r)) * np.sqrt(xAx / re)))

@@ -18,6 +18,10 @@ from .meshes import FaceTree, TriangleMesh
 from .network import CurveNetwork
 
 
+class ObstacleContactError(ValueError):
+    """Raised when a curve touches an obstacle mesh."""
+
+
 class VectorField(Protocol):
     def value(self, x: np.ndarray) -> np.ndarray: ...
     def jacobian(self, x: np.ndarray) -> np.ndarray: ...
@@ -177,7 +181,7 @@ class SurfacePotential:
         """Each midpoint's potential, sum a / r^expo over its entries, (E,),
         and its gradient, (E, 3).  A lumped entry takes its node's area and
         centroid, a face entry its face's; chunk by chunk, one kernel serves
-        both.  An entry at r = 0 is contact and raises ValueError."""
+        both.  An entry at r = 0 is contact and raises ObstacleContactError."""
         tree = self._tree
         far_edge, far_node, edge, face = surface_plan(tree, midpoints)
         # one table of sources: the nodes' aggregates, then the faces
@@ -192,7 +196,7 @@ class SurfacePotential:
                 d = midpoints.T.take(e, axis=1) - center.take(s, axis=1)
                 r2 = _dot3(d, d)
                 if np.any(r2 == 0.0):
-                    raise ValueError("curve touches the obstacle mesh")
+                    raise ObstacleContactError("curve touches the obstacle mesh")
                 contrib = area.take(s) / np.sqrt(r2) ** expo
                 values += np.bincount(e, contrib, minlength=E)
                 f = -expo * contrib / r2

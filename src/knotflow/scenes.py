@@ -68,14 +68,19 @@ class SceneError(ValueError):
 CURVE_KINDS = ("circle", "perturbed-circle", "torus-knot", "random-trefoil",
                "grid-braid", "file")
 
+# [flow] keys and their conversions; all but `strategy` set the `FlowConfig`
+# field of the same name, `stepping` its `mode`
+_FLOW_KEYS = {"strategy": str, "stepping": str, "accel": str, "max_iters": int,
+              "stop_tolerance": float, "armijo": float, "backtrack": float,
+              "bh_eps": float}
+
 _KNOWN_KEYS = {
     "curve": {"kind", "n", "seed", "p", "q", "amplitude", "path", "strands"},
     "energy": {"alpha", "beta"},
     "constraint": {"type", "target", "growth", "vertex", "edge", "surface",
                    "radius", "center", "path"},
     "potential": {"type", "weight", "path", "exponent", "field", "axis"},
-    "flow": {"strategy", "stepping", "accel", "max_iters", "stop_tolerance",
-             "armijo", "backtrack", "bh_eps"},
+    "flow": set(_FLOW_KEYS),
     "output": {"directory", "stride"},
 }
 
@@ -309,31 +314,22 @@ class Scene:
         return pots
 
     def build_flow_config(self, overrides=None) -> tuple[str, FlowConfig]:
-        sec = self._only("flow")
-        get = lambda key, default, conv: (  # noqa: E731
-            default if sec is None
-            else _get(sec, key, default=default, convert=conv,
-                      origin=self.origin))
-        overrides = overrides or {}
-        strategy = overrides.get("strategy", get("strategy", "hs", str))
-        accel = overrides.get("accel", get("accel", "exact", str))
-        stepping = get("stepping", "normalized", str)
-        if stepping not in ("normalized", "collision"):
-            raise SceneError(f"{self.origin}: unknown stepping {stepping!r}")
-        if strategy not in STRATEGIES:
-            raise SceneError(f"{self.origin}: unknown strategy {strategy!r}")
-        if accel not in ACCEL_MODES:
-            raise SceneError(f"{self.origin}: unknown accel {accel!r}")
-        config = FlowConfig(
-            mode=stepping,
-            accel=accel,
-            max_iters=overrides.get("max_iters", get("max_iters", 500, int)),
-            stop_tolerance=get("stop_tolerance", 1e-4, float),
-            armijo=get("armijo", 1e-4, float),
-            backtrack=get("backtrack", 0.5, float),
-            bh_eps=get("bh_eps", 0.25, float),
-        )
-        return strategy, config
+        """The strategy ("hs" unless given) and a `FlowConfig` of the [flow]
+        keys the scene gives, `overrides` taking precedence; `FlowConfig`
+        holds the defaults of the rest."""
+        sec = self._only("flow") or {}
+        given = {key: _get(sec, key, convert=conv, origin=self.origin)
+                 for key, conv in _FLOW_KEYS.items() if key in sec}
+        given.update(overrides or {})
+        for key, known in (("stepping", ("normalized", "collision")),
+                           ("strategy", STRATEGIES), ("accel", ACCEL_MODES)):
+            if key in given and given[key] not in known:
+                raise SceneError(
+                    f"{self.origin}: unknown {key} {given[key]!r}")
+        strategy = given.pop("strategy", "hs")
+        if "stepping" in given:
+            given["mode"] = given.pop("stepping")
+        return strategy, FlowConfig(**given)
 
     def output_settings(self):
         sec = self._only("output")

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec, dense_kernel_matrix)
+                          KernelSpec)
 from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
 from knotflow.metric import (MetricOperator, dense_kernel_matrices,
@@ -18,6 +18,16 @@ from oracles import (bct_dfs, coverage_count, eager_far_field,
 
 P36 = validate_params(3, 6)
 SIGMA = P36.sigma
+
+
+def dense_kernel(net, kind):
+    """The exact dense kernel matrix of one kind."""
+    return dense_kernel_matrices(net, SIGMA)[("high", "low").index(kind)]
+
+
+def hier_metric_at(net, eps):
+    """The `HierMetric` on a new tree partitioned at `eps`."""
+    return HierMetric(net, SIGMA, bct=BlockClusterTree(EdgeBvh(net), eps))
 
 
 def polygon_net(n, seed=None):
@@ -152,7 +162,7 @@ class TestKernelMatvec:
         spec = KernelSpec(kind, SIGMA)
         bct = BlockClusterTree(EdgeBvh(net))
         K = HierKernelMatrix(bct, spec, net)
-        dense = dense_kernel_matrix(net, spec)
+        dense = dense_kernel(net, spec.kind)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=net.n_edges)
         err = np.linalg.norm(K.matvec(psi) - dense @ psi) \
@@ -167,7 +177,7 @@ class TestKernelMatvec:
         bct = BlockClusterTree(EdgeBvh(net), eps=0.0)
         assert len(bct.adm_a) == 0
         K = HierKernelMatrix(bct, spec, net)
-        dense = dense_kernel_matrix(net, spec)
+        dense = dense_kernel(net, spec.kind)
         rng = np.random.default_rng(7)
         psi = rng.normal(size=net.n_edges)
         got = K.matvec(psi)
@@ -183,7 +193,7 @@ class TestKernelMatvec:
     @staticmethod
     def check_accuracy_in_eps(net):
         spec = KernelSpec("high", SIGMA)
-        dense = dense_kernel_matrix(net, spec)
+        dense = dense_kernel(net, spec.kind)
         rng = np.random.default_rng(9)
         psi = rng.normal(size=net.n_edges)
         want = dense @ psi
@@ -207,7 +217,7 @@ class TestKernelMatvec:
     @staticmethod
     def check_symmetric_action(net):
         spec = KernelSpec("low", SIGMA)
-        dense = dense_kernel_matrix(net, spec)
+        dense = dense_kernel(net, spec.kind)
         asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
         assert asym < 1e-12
         bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
@@ -301,7 +311,7 @@ class TestHierMetric:
 
     @staticmethod
     def check_constant_annihilated(net):
-        hm = HierMetric(net, SIGMA, eps=0.25)
+        hm = hier_metric_at(net, 0.25)
         u = np.full(net.n_vertices, 2.3)
         scale = np.linalg.norm(hm.apply(np.random.default_rng(15)
                                         .normal(size=net.n_vertices)))
@@ -352,7 +362,7 @@ class TestHierMetric:
         # with trapezoid near-field entries and no admissible blocks, the
         # decomposition reproduces the assembled Gram matrices exactly
         net = polygon_net(32, seed=20)
-        hm = HierMetric(net, SIGMA, eps=0.0)
+        hm = hier_metric_at(net, 0.0)
         B, B0 = metric_parts(net, *dense_kernel_matrices(net, SIGMA))
         rng = np.random.default_rng(21)
         u = rng.normal(size=net.n_vertices)
@@ -365,26 +375,24 @@ class TestHierMetric:
         # at eps = 0 the compiled near part is the whole metric; two
         # degree-3 junctures and a second component check the stencils
         net = CurveNetwork(*theta_and_loop())
-        S = HierMetric(net, SIGMA, eps=0.0).S
-        S = S if isinstance(S, np.ndarray) else S.toarray()
+        S = hier_metric_at(net, 0.0).S.toarray()
         A = MetricOperator(net, P36).A
         assert np.abs(S - A).max() <= 1e-12 * np.abs(A).max()
 
     def test_compiled_apply_matches_matrix_free(self):
-        self.check_compiled_apply(polygon_net(64), dense=True)
+        self.check_compiled_apply(polygon_net(64))
 
     def test_compiled_apply_matches_matrix_free_with_blocks(self):
-        assert self.check_compiled_apply(smooth_circle(), dense=True) > 0
+        assert self.check_compiled_apply(smooth_circle()) > 0
 
     def test_compiled_apply_matches_matrix_free_sparse_near_field(self):
-        # S is 7% full here, so it stays CSR
+        # S is 7% full here
         net = generate_test_curve("perturbed-circle", 1024, seed=5)
-        assert self.check_compiled_apply(net, dense=False) > 0
+        assert self.check_compiled_apply(net) > 0
 
     @staticmethod
-    def check_compiled_apply(net, dense):
+    def check_compiled_apply(net):
         hm = HierMetric(net, SIGMA)
-        assert isinstance(hm.S, np.ndarray) == dense
         U = np.random.default_rng(30).normal(size=(net.n_vertices, 2))
         want = hier_apply_high(hm, U) + hier_apply_low(hm, U)
         assert np.linalg.norm(hm.apply(U) - want) \
@@ -416,7 +424,7 @@ class TestHierMetric:
 
     @staticmethod
     def check_stacked_is_three_applies(net):
-        hm = HierMetric(net, SIGMA, eps=0.25)
+        hm = hier_metric_at(net, 0.25)
         X = np.random.default_rng(27).normal(size=(3, net.n_vertices))
         out = hm.apply_stacked(X.reshape(-1))
         want = np.concatenate([hm.apply(X[c]) for c in range(3)])

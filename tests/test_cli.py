@@ -9,7 +9,7 @@ import pytest
 
 from knotflow.cli import main
 from knotflow.energy import discrete_energy, validate_params
-from knotflow.flow import minimal_projected_crossings
+from knotflow.flow import FlowConfig, minimal_projected_crossings
 from knotflow.scenes import (SceneError, generate_test_curve, load_obj_curve,
                              parse_scene, save_obj_curve, serialize_scene)
 
@@ -34,6 +34,21 @@ class TestParse:
         assert strategy == "hs"
         assert config.stop_tolerance == 1e-4
         assert config.mode == "normalized"
+
+    def test_flow_defaults_come_from_flow_config(self):
+        # a scene without [flow] takes every default from FlowConfig
+        assert parse_scene(MINIMAL_SCENE).build_flow_config() \
+            == ("hs", FlowConfig())
+
+    def test_every_flow_key_reaches_flow_config(self):
+        text = MINIMAL_SCENE + ("\n[flow]\nstrategy = hs-mg\n"
+                                "stepping = collision\naccel = bh\n"
+                                "max_iters = 7\nstop_tolerance = 1e-6\n"
+                                "armijo = 0.25\nbacktrack = 0.75\n"
+                                "bh_eps = 0.125\n")
+        assert parse_scene(text).build_flow_config() == ("hs-mg", FlowConfig(
+            mode="collision", accel="bh", max_iters=7, stop_tolerance=1e-6,
+            armijo=0.25, backtrack=0.75, bh_eps=0.125))
 
     def test_invalid_energy_window_named(self):
         text = MINIMAL_SCENE + "\n[energy]\nalpha = 2\nbeta = 5\n"

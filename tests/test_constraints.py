@@ -9,8 +9,8 @@ from knotflow.constraints import (PROJECTION_TOL, Barycenter, ConstraintSet,
                                   TangentConstraint, TotalLength,
                                   project_onto_constraints)
 from knotflow.energy import validate_params
-from knotflow.flow import (COLLISION_HORIZON, FlowConfig, Objective,
-                           StepSolver, collision_step_limit)
+from knotflow.flow import (COLLISION_HORIZON, Objective, StepSolver,
+                           collision_step_limit)
 from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
@@ -134,7 +134,7 @@ def dense_correction(net, params, constraints):
 
 def project_gradient(net, params, constraints, differential):
     """Gradient projected onto the constraint tangent space, (V, 3)."""
-    solver = StepSolver("hs", net, params, constraints, FlowConfig())
+    solver = StepSolver("hs", net, params, constraints)
     return solver.direction(differential)
 
 
@@ -250,12 +250,11 @@ def trefoil_trials(n, strategy, accel, count=4):
     P = validate_params(3, 6)
     cs = ConstraintSet([Barycenter.from_network(net),
                         EdgeLengths.from_network(net)])
-    config = FlowConfig(mode="collision", accel=accel)
     objective = Objective(P, accel=accel)
     _, dE = objective.energy_and_differential(net)
 
     def solver():
-        return StepSolver(strategy, net, P, cs, config, bvh=objective.bvh)
+        return StepSolver(strategy, net, P, cs, bvh=objective.bvh)
 
     g = solver().direction(dE)
     tau = min(2.0 / 3.0 * collision_step_limit(net, g, COLLISION_HORIZON), 1.0)

@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
-                                  PointConstraint, ProjectionFailure,
+from knotflow.constraints import (PROJECTION_MAX_ITERS, Barycenter,
+                                  ConstraintSet, EdgeLengths, PointConstraint,
+                                  ProjectionFailure,
                                   RankDeficientConstraintsError, TotalLength)
 from knotflow.energy import discrete_differential, discrete_energy, validate_params
 from knotflow.flow import (FlowConfig, FlowResult, Objective, StepReport,
@@ -13,8 +14,8 @@ from knotflow.flow import (FlowConfig, FlowResult, Objective, StepReport,
                            line_search, mass_norm,
                            minimal_projected_crossings,
                            projected_crossing_count, run_flow)
-from knotflow.meshes import MeshSignedDistance
-from knotflow.multigrid import MgConfig, MultigridHierarchy
+from knotflow.meshes import MeshSignedDistance, TriangleMesh
+from knotflow.multigrid import TARGET_REL_RESIDUAL, MultigridHierarchy
 from knotflow.network import CurveNetwork
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import export_frames, generate_test_curve
@@ -41,7 +42,7 @@ def smooth_perturbed_circle(n, seed, amplitude=0.05, modes=6):
 
 def descent_direction(strategy, net, constraints, differential):
     """Projected descent direction of one step under `strategy`, (V, 3)."""
-    solver = StepSolver(strategy, net, P36, constraints, FlowConfig())
+    solver = StepSolver(strategy, net, P36, constraints)
     return solver.direction(differential)
 
 
@@ -128,7 +129,7 @@ class TestLineSearch:
         config = FlowConfig()
         objective = Objective(P36)
         f0, dE = objective.energy_and_differential(net)
-        solver = StepSolver("hs", net, P36, cs, config)
+        solver = StepSolver("hs", net, P36, cs)
         g = solver.direction(dE)
         slope = float(np.sum(dE * g))
         tau, new_net, f_new, _, _, trials, rejected = line_search(
@@ -136,7 +137,7 @@ class TestLineSearch:
         assert f_new < f0
         assert tau > 0
         # only the rejected trials' corrections count as rejected
-        assert 0 <= rejected <= (trials - 1) * config.projection_max_iters
+        assert 0 <= rejected <= (trials - 1) * PROJECTION_MAX_ITERS
 
     def test_collision_mode_respects_tau_max(self):
         # near-contact configuration: two strands close together
@@ -149,15 +150,51 @@ class TestLineSearch:
         tau_max = collision_step_limit(net, -direction, cap=1e3)
         assert tau_max < 1.0
 
-    def test_underflow_raises_stuck(self):
+    def test_underflow_raises_stuck(self, monkeypatch):
         net = smooth_perturbed_circle(16, seed=8)
         objective = Objective(P36)
         f0, dE = objective.energy_and_differential(net)
-        config = FlowConfig(tau_floor=1e-3)
+        monkeypatch.setattr("knotflow.flow.TAU_FLOOR", 1e-3)
+        config = FlowConfig()
         ascent = -discrete_differential(net, P36)  # ascent direction
         with pytest.raises(StuckFlow):
             line_search(net, ascent, objective, None, f0,
                         float(np.sum(dE * ascent)), config)
+
+    def test_trial_fault_propagates(self):
+        # a shape error in a trial is a fault of the program, not a
+        # rejected step, so the flow does not report it as stuck
+        class BrokenOnTrials:
+            weight = 1.0
+            calls = 0
+
+            def value_and_differential(self, net, params=None):
+                self.calls += 1
+                if self.calls > 1:        # every call after step 1's start
+                    np.zeros(2) + np.zeros(3)
+                return 0.0, np.zeros_like(net.vertices)
+
+        net = smooth_perturbed_circle(16, seed=8)
+        cs = ConstraintSet([Barycenter.from_network(net)])
+        with pytest.raises(ValueError, match="broadcast"):
+            run_flow(net, P36, cs, potentials=[BrokenOnTrials()],
+                     config=FlowConfig(max_iters=2))
+
+    def test_trial_touching_obstacle_rejected(self):
+        # the first collision-mode trial, tau = 1, moves the middle edge's
+        # midpoint exactly onto the centroid of the obstacle's one face
+        net = CurveNetwork([[x, 0.0, 1.0] for x in (-3.0, -1.0, 1.0, 3.0)],
+                           [[0, 1], [1, 2], [2, 3]])
+        mesh = TriangleMesh([[0., 1., 0.], [0., -1., 1.], [0., 0., -1.]],
+                            [[0, 1, 2]])
+        objective = Objective(P36, [SurfacePotential(mesh, exponent=2.0)])
+        f0, _ = objective.energy_and_differential(net)
+        down = np.tile([0.0, 0.0, 1.0], (4, 1))
+        tau, moved, _, _, _, trials, _ = line_search(
+            net, down, objective, None, 10 * f0, 1.0,
+            FlowConfig(mode="collision"))
+        assert (tau, trials) == (0.5, 2)
+        assert np.allclose(moved.vertices[:, 2], 0.5)
 
 
 class TestRunFlow:
@@ -222,11 +259,12 @@ class TestRunFlow:
         assert energies[-1] < energies[0]
         assert np.all(np.diff(energies) <= 2e-2 * energies[0])
 
-    def test_unconverged_vcycles_reported(self, tmp_path):
+    def test_unconverged_vcycles_reported(self, tmp_path, monkeypatch):
         # a finest level that applies HierMetric, so the solves run V-cycles
         net = mixed_circle()
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
-        config = FlowConfig(max_iters=2, mg=MgConfig(max_vcycles=1))
+        monkeypatch.setattr("knotflow.multigrid.MAX_VCYCLES", 1)
+        config = FlowConfig(max_iters=2)
         result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
         assert len(result.reports) > 0
         assert all(r.mg_cycles > 0 for r in result.reports)
@@ -262,8 +300,7 @@ class TestRunFlow:
         cs = ConstraintSet([Barycenter()])
         objective = Objective(P36, accel="bh")
         objective.energy_and_differential(net)
-        solver = StepSolver("hs-mg", net, P36, cs, FlowConfig(accel="bh"),
-                            bvh=objective.bvh)
+        solver = StepSolver("hs-mg", net, P36, cs, bvh=objective.bvh)
         assert solver.saddle.levels[0].metric.bvh is objective.bvh
 
     def test_one_plan_per_step_start(self, monkeypatch):
@@ -374,14 +411,15 @@ class TestRunFlow:
         # feasible from the start, so every StepSolver belongs to one step
         cs = ConstraintSet([Barycenter.from_network(net),
                             TotalLength(net.total_length())])
-        config = FlowConfig(max_iters=2, mg=MgConfig(max_vcycles=1))
+        monkeypatch.setattr("knotflow.multigrid.MAX_VCYCLES", 1)
+        config = FlowConfig(max_iters=2)
         result = run_flow(net, P36, cs, strategy="hs-mg", config=config)
         assert 0 < len(result.reports) <= len(steps)
         for r, finals in zip(result.reports, steps):
             assert r.mg_residual == max(finals) > 0.0
             assert r.mg_solves == len(finals)
             # an unconverged solve stopped above the residual target
-            assert (r.mg_residual > config.mg.target_rel_residual) \
+            assert (r.mg_residual > TARGET_REL_RESIDUAL) \
                 == (r.mg_unconverged > 0)
         export_frames(result, net.edges, tmp_path)
         with open(tmp_path / "log.csv", newline="") as fh:
@@ -399,9 +437,9 @@ class TestRunFlow:
             steps.append([])
             init(self, *args, **kwargs)
 
-        def recorded_project(self, net, max_iters):
+        def recorded_project(self, net, *args):
             try:
-                out = project(self, net, max_iters)
+                out = project(self, net, *args)
             except ProjectionFailure as exc:
                 steps[-1].append(exc.iterations)
                 raise
@@ -422,7 +460,7 @@ class TestRunFlow:
             assert r.ls_trials == len(trials)
             assert r.rejected_projection_iters == sum(trials)
         failed = [it for trials in steps for it in trials if it]
-        assert failed and max(failed) < config.projection_max_iters
+        assert failed and max(failed) < PROJECTION_MAX_ITERS
         export_frames(result, net.edges, tmp_path)
         with open(tmp_path / "log.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -535,12 +573,14 @@ class TestRunFlow:
         assert len(built) == 1
         assert handed == [None] * 5
 
-    def test_stop_detail_names_the_cause(self, tmp_path):
+    def test_stop_detail_names_the_cause(self, tmp_path, monkeypatch):
         import json
 
         net = smooth_perturbed_circle(16, seed=22)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
-        stuck = run_flow(net, P36, cs, config=FlowConfig(tau_floor=1.0))
+        with monkeypatch.context() as patch:
+            patch.setattr("knotflow.flow.TAU_FLOOR", 1.0)
+            stuck = run_flow(net, P36, cs)
         assert stuck.stop_reason == "stuck"
         assert "line search underflow" in stuck.stop_detail
         export_frames(stuck, net.edges, tmp_path)
@@ -549,8 +589,9 @@ class TestRunFlow:
 
         far = ConstraintSet([Barycenter(),
                              EdgeLengths(0.01 * net.geometry().lengths)])
-        stalled = run_flow(net, P36, far,
-                           config=FlowConfig(projection_max_iters=1))
+        with monkeypatch.context() as patch:
+            patch.setattr("knotflow.constraints.PROJECTION_MAX_ITERS", 1)
+            stalled = run_flow(net, P36, far)
         assert stalled.stop_reason == "stuck"
         assert stalled.stop_detail.startswith("initial projection:")
         assert "stalled" in stalled.stop_detail
@@ -586,7 +627,7 @@ class TestRankLoss:
         cs = ConstraintSet([Barycenter.from_network(net),
                             PointConstraint(0, pin), PointConstraint(0, pin)])
         with pytest.raises(RankDeficientConstraintsError, match="point v0"):
-            StepSolver(strategy, net, P36, cs, FlowConfig())
+            StepSolver(strategy, net, P36, cs)
 
     @pytest.mark.parametrize("strategy", ["hs", "hs-mg"])
     def test_weak_pivot_runs_svd_check(self, strategy, monkeypatch):
@@ -601,7 +642,7 @@ class TestRankLoss:
         calls = []
         monkeypatch.setattr(ConstraintSet, "check_rank",
                             lambda self, C: calls.append(C.shape))
-        StepSolver(strategy, net, P36, cs, FlowConfig())
+        StepSolver(strategy, net, P36, cs)
         assert calls == [(5, 3 * net.n_vertices)]
 
     def test_independent_rows_accepted(self):
@@ -609,7 +650,7 @@ class TestRankLoss:
         cs = ConstraintSet([Barycenter.from_network(net),
                             PointConstraint(0, net.vertices[0])])
         for strategy in ("hs", "hs-mg"):
-            StepSolver(strategy, net, P36, cs, FlowConfig())
+            StepSolver(strategy, net, P36, cs)
 
 
 class TestCrossingCounts:

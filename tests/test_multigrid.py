@@ -8,7 +8,7 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
                                   project_onto_constraints)
 from knotflow.energy import discrete_differential, validate_params
 from knotflow.metric import MetricOperator, SaddleFactor
-from knotflow.multigrid import (COARSEST_SIZE, MgConfig, MgLevel,
+from knotflow.multigrid import (COARSEST_SIZE, MAX_VCYCLES, MgLevel,
                                 MultigridHierarchy, coarsen_network,
                                 restrict_constraints)
 from knotflow.network import CurveNetwork, stack_fields
@@ -178,8 +178,8 @@ class TestCoarsening:
         assert C.shape == (cs.k, 3 * coarse.n_vertices)
 
 
-def hierarchy_for(net, constraints, **cfg):
-    return MultigridHierarchy(net, P36, constraints, MgConfig(**cfg))
+def hierarchy_for(net, constraints):
+    return MultigridHierarchy(net, P36, constraints)
 
 
 def metric_norm_gap(metric, x, exact):
@@ -403,11 +403,13 @@ class TestVcycle:
         for a, b2 in zip(res, res[1:]):
             assert b2 <= a * 1.001
 
-    def test_stagnation_reported(self):
+    def test_stagnation_reported(self, monkeypatch):
         net = mixed_circle()
         cs = ConstraintSet([Barycenter()])
-        hier = hierarchy_for(net, cs, max_vcycles=1,
-                             target_rel_residual=1e-14, smoother_iters=1)
+        for name, value in (("MAX_VCYCLES", 1), ("TARGET_REL_RESIDUAL", 1e-14),
+                            ("SMOOTHER_ITERS", 1)):
+            monkeypatch.setattr(f"knotflow.multigrid.{name}", value)
+        hier = hierarchy_for(net, cs)
         dE = stack_fields(discrete_differential(net, P36))
         hier.solve_gradient(dE)
         assert hier.cycles == hier.unconverged == 1
@@ -428,7 +430,7 @@ class TestProjectedSaddle:
         assert metric_norm_gap(metric, x, dense) <= 1e-2
 
     @staticmethod
-    def projection_gap(net, noise=1e-4, **cfg):
+    def projection_gap(net, noise=1e-4):
         """Scale `net` by 1.01 and add `noise` under barycenter + total
         length; returns the metric-norm gap of one projection step to the
         exact one (the length residual dominates) and the hierarchy."""
@@ -438,7 +440,7 @@ class TestProjectedSaddle:
             size=(net.n_vertices, 3))
         moved = net.with_positions(1.01 * net.vertices + noise)
         phi = cs.evaluate(moved)
-        hier = hierarchy_for(moved, cs, **cfg)
+        hier = hierarchy_for(moved, cs)
         x = hier.solve_projection_step(phi)
         metric = MetricOperator(moved, P36)
         dense = SaddleFactor(metric.A, cs.jacobian(moved),
@@ -465,10 +467,11 @@ class TestProjectedSaddle:
         assert hier.cycles > 0 and hier.unconverged == 0
         assert gap <= 1e-2
 
-    def test_projection_mode_inexact_solve_shows(self):
+    def test_projection_mode_inexact_solve_shows(self, monkeypatch):
         # a solve that misses the exact step must be counted as unconverged
-        for cfg in ({}, {"max_vcycles": 1}):
-            gap, hier = self.projection_gap(mixed_circle(), **cfg)
+        for max_vcycles in (MAX_VCYCLES, 1):
+            monkeypatch.setattr("knotflow.multigrid.MAX_VCYCLES", max_vcycles)
+            gap, hier = self.projection_gap(mixed_circle())
             assert isinstance(hier.levels[0].metric, HierMetric)
             assert gap <= 1e-2 or hier.unconverged > 0
         # one V-cycle per solve cannot meet the residual target here
