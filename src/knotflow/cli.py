@@ -1,6 +1,7 @@
 """Command-line front end: run scene files and the acceptance benchmarks.
 
-Exit codes for `solve`: 0 converged, 2 stuck, 3 iteration cap reached.
+Exit codes for `solve`: 0 converged, 1 scene error (printed to stderr as
+`knotflow: <message>`), 2 stuck, 3 iteration cap reached.
 
 BLAS thread pools start when numpy loads, before arguments are parsed: set
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before launch.
@@ -10,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .flow import ACCEL_MODES, STRATEGIES, run_flow
-from .scenes import export_frames, parse_scene
+from .scenes import SceneError, export_frames, parse_scene
 
 
 def _solve(args) -> int:
-    scene = parse_scene(args.scene)
+    scene = parse_scene(Path(args.scene))
     overrides = {}
     if args.strategy:
         overrides["strategy"] = args.strategy
@@ -94,7 +96,11 @@ def main(argv=None) -> int:
     bench.set_defaults(func=_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SceneError as exc:
+        print(f"knotflow: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

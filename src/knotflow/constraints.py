@@ -16,6 +16,10 @@ two corrections, not the whole budget.  The first ratio is left out because
 the first correction carries a nonlinear transient: on the accepted
 `trefoil-dense` trial of step 1 it reads 0.41, the later ones 0.17-0.21,
 and that trial needs all 10 corrections.
+
+The edge constraints declare the partials of their rows in edge length,
+midpoint and tangent; `network.edge_chain` differentiates them and
+`_edge_triplets` lays them out.  Point and surface rows are written directly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .network import CurveNetwork, unstack_fields
+from .network import CurveNetwork, edge_chain, unstack_fields
 
 # infinity norm of Phi at which a projection counts as converged
 PROJECTION_TOL = 1e-8
@@ -70,6 +74,20 @@ class SphereSurface:
         return 2.0 * (np.asarray(x, float) - self.center)
 
 
+# row index of each entry of three-row `edge_chain` derivatives (3, 3, 2, E)
+_THREE_ROWS = np.arange(3)[:, None, None, None]
+
+
+def _edge_triplets(net: CurveNetwork, rows, vals: np.ndarray, edges=None):
+    """Jacobian triplets (row, column, value) of the `edge_chain` derivatives
+    vals, (..., 3, 2, E): entry (..., d, a, I) goes to the row `rows`
+    broadcasts to it and to column d V + (end a of edge I)."""
+    ends = net.edges.T if edges is None else net.edges[edges].T
+    cols = ends + net.n_vertices * np.arange(3)[:, None, None]
+    return (np.broadcast_to(rows, vals.shape).ravel(),
+            np.broadcast_to(cols, vals.shape).ravel(), vals.ravel())
+
+
 class Barycenter:
     """Fix the length-weighted barycenter: sum_I l_I (x_I - x0) = 0; 3 rows."""
 
@@ -93,26 +111,11 @@ class Barycenter:
         return np.einsum("e,ei->i", geom.lengths, geom.midpoints - self.target)
 
     def jacobian_triplets(self, net: CurveNetwork):
-        # Phi_c = sum_I l_I ((x_I)_c - x0_c); both l_I and x_I move with the
-        # endpoints: dPhi_c/dg_{v,d} = sum over edges at v of
-        #   -+ T_{I,d} (x_I - x0)_c + (l_I / 2) delta_cd
+        # row c: dl = (x_I - x0)_c and dmid = l_I e_c
         geom = net.geometry()
-        E = net.n_edges
-        rel = geom.midpoints - self.target               # (E, 3)
-        rows, cols, vals = [], [], []
-        for c in range(3):
-            for d in range(3):
-                at_i2 = geom.tangents[:, d] * rel[:, c]
-                at_i1 = -at_i2
-                if c == d:
-                    at_i2 = at_i2 + 0.5 * geom.lengths
-                    at_i1 = at_i1 + 0.5 * geom.lengths
-                rows.append(np.full(2 * E, c))
-                cols.append(np.concatenate([net.edges[:, 0], net.edges[:, 1]])
-                            + d * net.n_vertices)
-                vals.append(np.concatenate([at_i1, at_i2]))
-        return (np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(vals))
+        vals = edge_chain(net, dl=(geom.midpoints - self.target).T,
+                          dmid=geom.lengths[:, None] * np.eye(3)[:, None])
+        return _edge_triplets(net, _THREE_ROWS, vals)
 
     def describe(self):
         return f"barycenter -> {self.target.tolist()}"
@@ -131,18 +134,7 @@ class TotalLength:
         return np.array([self.target - net.geometry().lengths.sum()])
 
     def jacobian_triplets(self, net: CurveNetwork):
-        geom = net.geometry()
-        E = net.n_edges
-        rows = np.zeros(2 * E * 3, dtype=int)
-        cols = np.empty(2 * E * 3, dtype=int)
-        vals = np.empty(2 * E * 3)
-        for d in range(3):
-            sl = slice(2 * E * d, 2 * E * (d + 1))
-            cols[sl] = np.concatenate([net.edges[:, 0], net.edges[:, 1]]) \
-                + d * net.n_vertices
-            vals[sl] = np.concatenate([geom.tangents[:, d],
-                                       -geom.tangents[:, d]])
-        return rows, cols, vals
+        return _edge_triplets(net, 0, edge_chain(net, dl=-1.0))
 
     def advance_schedule(self):
         self.target *= self.growth
@@ -172,17 +164,8 @@ class EdgeLengths:
         return self.targets - net.geometry().lengths
 
     def jacobian_triplets(self, net: CurveNetwork):
-        geom = net.geometry()
-        E = net.n_edges
-        rows, cols, vals = [], [], []
-        for d in range(3):
-            rows.append(np.tile(np.arange(E), 2))
-            cols.append(np.concatenate([net.edges[:, 0], net.edges[:, 1]])
-                        + d * net.n_vertices)
-            vals.append(np.concatenate([geom.tangents[:, d],
-                                        -geom.tangents[:, d]]))
-        return (np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(vals))
+        return _edge_triplets(net, np.arange(net.n_edges),
+                              edge_chain(net, dl=-1.0))
 
     def advance_schedule(self):
         self.targets = self.targets * self.growth
@@ -250,22 +233,10 @@ class TangentConstraint:
         return net.geometry().tangents[self.edge] - self.target
 
     def jacobian_triplets(self, net: CurveNetwork):
-        geom = net.geometry()
-        T = geom.tangents[self.edge]
-        li = geom.lengths[self.edge]
-        P = (np.eye(3) - np.outer(T, T)) / li            # dT/dg_{i2}
-        i1, i2 = net.edges[self.edge]
-        rows = np.repeat(np.arange(3), 6)
-        cols = np.empty(18, dtype=int)
-        vals = np.empty(18)
-        idx = 0
-        for r in range(3):
-            for v, sign in ((i1, -1.0), (i2, 1.0)):
-                for d in range(3):
-                    cols[idx] = v + d * net.n_vertices
-                    vals[idx] = sign * P[r, d]
-                    idx += 1
-        return rows, cols, vals
+        # row r: dT = e_r
+        edges = [self.edge]
+        vals = edge_chain(net, dT=np.eye(3)[:, None], edges=edges)
+        return _edge_triplets(net, _THREE_ROWS, vals, edges)
 
     def describe(self):
         return f"tangent e{self.edge} -> {self.target.tolist()}"

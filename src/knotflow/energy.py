@@ -34,6 +34,10 @@ shares the pair gather.  `_vertex_terms` keeps its own kernel: per-sample
 (3, P) columns would triple the temporaries of its broadcast (rows x V)
 blocks, whose differential comes from row sums, column sums and (rows x V)
 @ (V x 3) products.
+
+`_vertex_terms` and `_scatter_ends` keep their own edge chain rule, not
+`network.edge_chain`: their d-gradients differ at the two ends of an edge,
+and they are the hot path, whose results stay bit for bit.
 """
 
 from __future__ import annotations

@@ -176,9 +176,8 @@ class MeshSignedDistance:
     SurfaceConstraint.
     """
 
-    def __init__(self, mesh: TriangleMesh, offset: float = 0.0):
+    def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        self.offset = float(offset)
         self._vertex_normals = self._angle_weighted_normals()
 
     def _angle_weighted_normals(self):
@@ -235,7 +234,7 @@ class MeshSignedDistance:
         face, cp, dist = self._closest(x)
         n = self._pseudonormal(face, cp)
         sign = 1.0 if float((x - cp) @ n) >= 0 else -1.0
-        return sign * dist - self.offset
+        return sign * dist
 
     def gradient(self, x):
         x = np.asarray(x, float)

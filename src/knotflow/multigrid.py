@@ -390,33 +390,25 @@ class MultigridHierarchy:
             rr = rr_new
         return x, r
 
-    def _vcycle(self, i: int, b: np.ndarray) -> np.ndarray:
-        """One V-cycle on level i's M x = b from x = 0."""
+    def _vcycle(self, i: int, b: np.ndarray,
+                presmooth: bool = True) -> np.ndarray:
+        """One V-cycle on level i's M x = b from x = 0.  Without `presmooth`
+        it is the initial guess for b: the down leg only restricts b, and
+        the coarse solve is prolonged up with smoothing."""
         if i == len(self.levels) - 1:
             return self._coarse_solve(b)
         level = self.levels[i]
         nxt = self.levels[i + 1]
-        x, r = self._smooth(level, b)
-        e = self._vcycle(i + 1, nxt.project(restrict(nxt, r)))
+        x, r = self._smooth(level, b) if presmooth else (0.0, b)
+        e = self._vcycle(i + 1, nxt.project(restrict(nxt, r)), presmooth)
         x = x + level.project(prolong(nxt, e))
         return self._smooth(level, b, x)[0]
-
-    def _initial_guess(self, b: np.ndarray) -> np.ndarray:
-        """Coarsen the RHS to the bottom, solve, prolong up with smoothing."""
-        rhs = [b]
-        for lvl in self.levels[1:]:
-            rhs.append(lvl.project(restrict(lvl, rhs[-1])))
-        x = self._coarse_solve(rhs[-1])
-        for i in range(len(self.levels) - 2, -1, -1):
-            x = self.levels[i].project(prolong(self.levels[i + 1], x))
-            x = self._smooth(self.levels[i], rhs[i], x)[0]
-        return x
 
     def vcycle_solve(self, b: np.ndarray, x: np.ndarray | None = None,
                      norm_b: float | None = None):
         """Solve P A_bar P y = b for b in null(C); returns (y, info dict).
 
-        Flexible conjugate gradient from x (`_initial_guess(b)` if None),
+        Flexible conjugate gradient from x (the initial guess for b if None),
         preconditioned by one V-cycle per iteration, with the Polak-Ribiere
         beta z.(r - r_old) / (z_old.r_old).  The residual r = b - M y is
         computed anew each iteration; info holds its norms relative to
@@ -429,7 +421,7 @@ class MultigridHierarchy:
             return np.zeros_like(b), {"residuals": [0.0], "converged": True,
                                       "cycles": 0}
         top = self.levels[0]
-        x = self._initial_guess(b) if x is None else x
+        x = self._vcycle(0, b, presmooth=False) if x is None else x
         r = b - top.apply_projected(x)
         residuals = [float(np.linalg.norm(r)) / norm_b]
         cycles = 0
@@ -478,8 +470,8 @@ class MultigridHierarchy:
         would be the wrong scale: a rough z (a noisy curve, or a curve after
         a few flow steps) makes P A_bar z far larger than the residual of
         x's own size, and such a solve left x 5-40% off.  So x starts from z
-        corrected by `_initial_guess` alone, and its error e, which solves
-        M e = r with r = P A_bar x, is estimated by `_initial_guess(r)`:
+        corrected by the initial guess alone, and its error e, which solves
+        M e = r with r = P A_bar x, is estimated by the initial guess for r:
         rel^2 = r.e / x.A_bar x estimates the squared relative error of x in
         the metric norm.  While rel exceeds the residual target, a solve of
         M e = r from that estimate corrects x, its residual taken relative
@@ -504,12 +496,13 @@ class MultigridHierarchy:
         else:
             top = self.levels[0]
             x = top.min_norm_solution(-phi)
-            x = x - top.project(self._initial_guess(
-                top.project(top.scale * top.metric.apply_stacked(x))))
+            x = x - top.project(self._vcycle(
+                0, top.project(top.scale * top.metric.apply_stacked(x)),
+                presmooth=False))
             for _ in range(2):
                 Ax = top.scale * top.metric.apply_stacked(x)
                 r = top.project(Ax)
-                e = top.project(self._initial_guess(r))
+                e = top.project(self._vcycle(0, r, presmooth=False))
                 xAx, re = float(x @ Ax), float(r @ e)
                 # x.A_bar x <= 0 only at rounding level, when x is a
                 # translation, the exact answer to a barycenter residual

@@ -3,6 +3,10 @@
 A network may contain closed loops, open arcs, and junctures where three or
 more edges meet.  Positions are stored in double precision; the repulsive
 kernels downstream divide by near-zero distances, so float32 is not enough.
+
+`edge_chain` is the one chain rule from edge length, midpoint and tangent to
+the vertices: the edge constraints and the penalties declare their partials
+in those and take their derivatives from it (the energy keeps its own).
 """
 
 from __future__ import annotations
@@ -237,3 +241,33 @@ def edge_average(net: CurveNetwork, u: np.ndarray) -> np.ndarray:
     if u.shape[0] != net.n_vertices:
         raise ValueError(f"expected {net.n_vertices} vertex values, got {u.shape[0]}")
     return 0.5 * (u[net.edges[:, 0]] + u[net.edges[:, 1]])
+
+
+def edge_chain(net: CurveNetwork, dl=None, dmid=None, dT=None,
+               edges: np.ndarray | None = None) -> np.ndarray:
+    """Derivatives at both ends of each edge of per-edge terms f_I(l_I, x_I,
+    T_I), from the partials dl, (..., E) or one scalar, and dmid and dT,
+    (..., E, 3), of the edges `edges` (all if None); an absent partial costs
+    nothing.  With dl_I/dx = -+T_I, dx_I/dx = Id / 2 and dT_I/dx =
+    -+(Id - T_I T_I^t) / l_I at the ends i1 and i2, the derivative is
+    -+(dl T_I + (dT - (dT . T_I) T_I) / l_I) + dmid / 2.  Returns
+    (..., 3, 2, E): component d at end a, the layout of `stack_fields`."""
+    geom = net.geometry()
+    T, lengths = geom.tangents.T, geom.lengths
+    if edges is not None:
+        T, lengths = T[:, edges], lengths[edges]
+    T = np.ascontiguousarray(T)         # (3, E) rows, like the results
+
+    def rows(partial):                  # (..., E, 3) -> (..., 3, E)
+        return np.ascontiguousarray(np.swapaxes(partial, -1, -2))
+
+    along = np.zeros_like(T) if dl is None \
+        else np.reshape(dl, np.shape(dl)[:-1] + (1, -1)) * T
+    if dT is not None:
+        dT = rows(dT)
+        along = along + (dT - (dT * T).sum(axis=-2, keepdims=True) * T) \
+            / lengths
+    if dmid is None:
+        return np.stack([-along, along], axis=-2)
+    half = 0.5 * rows(dmid)
+    return np.stack([half - along, half + along], axis=-2)

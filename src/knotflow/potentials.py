@@ -3,6 +3,9 @@
 Each potential returns (value, differential) and is scaled by its weight; the
 sum joins the main energy before preconditioning, since these terms are all of
 lower differential order than the repulsive kernel.
+
+Each potential is a sum of per-edge terms that declares its partials in edge
+length, midpoint and tangent for `network.edge_chain`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from . import bvh
 from .energy import EnergyParams, _dot3, _pair_chunks
 from .meshes import FaceTree, TriangleMesh
-from .network import CurveNetwork
+from .network import CurveNetwork, edge_chain
 
 
 class ObstacleContactError(ValueError):
@@ -81,6 +84,15 @@ class RotationField:
         return np.einsum("nij,jk->nik", proj, cross_mat) / n[:, None, None]
 
 
+def _edge_differential(net: CurveNetwork, **partials) -> np.ndarray:
+    """The (V, 3) differential of a sum of per-edge terms with the partials
+    of `edge_chain` (dl, dmid, dT), summed at the ends of the edges."""
+    ends = edge_chain(net, **partials).reshape(3, -1)
+    at = net.edges.T.reshape(-1)
+    return np.stack([np.bincount(at, ends[d], minlength=net.n_vertices)
+                     for d in range(3)], axis=1)
+
+
 class TotalLengthPotential:
     """Soft counterpart of the total-length constraint: value = sum of lengths."""
 
@@ -89,11 +101,7 @@ class TotalLengthPotential:
 
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):
-        geom = net.geometry()
-        grad = np.zeros_like(net.vertices)
-        np.add.at(grad, net.edges[:, 0], -geom.tangents)
-        np.add.at(grad, net.edges[:, 1], geom.tangents)
-        return float(geom.lengths.sum()), grad
+        return net.total_length(), _edge_differential(net, dl=1.0)
 
 
 class LengthDifferencePotential:
@@ -107,16 +115,11 @@ class LengthDifferencePotential:
         geom = net.geometry()
         _, edges, _ = net.interior_incidence()
         diff = geom.lengths[edges[:, 0]] - geom.lengths[edges[:, 1]]
-        # d|diff|^2 along each edge's tangent, +2 diff on the first, -2 diff
-        # on the second
-        weight = np.bincount(edges.reshape(-1),
-                             (2.0 * diff[:, None] * [1.0, -1.0]).reshape(-1),
-                             minlength=net.n_edges)
-        pull = weight[:, None] * geom.tangents
-        grad = np.zeros_like(net.vertices)
-        np.add.at(grad, net.edges[:, 0], -pull)
-        np.add.at(grad, net.edges[:, 1], pull)
-        return float(diff @ diff), grad
+        # d|diff|^2 / dl: +2 diff on the first edge, -2 diff on the second
+        dl = np.bincount(edges.reshape(-1),
+                         (2.0 * diff[:, None] * [1.0, -1.0]).reshape(-1),
+                         minlength=net.n_edges)
+        return float(diff @ diff), _edge_differential(net, dl=dl)
 
 
 # A face cluster of bounding radius r at distance d from a midpoint is lumped
@@ -169,13 +172,10 @@ class SurfacePotential:
         geom = net.geometry()
         per_edge_value, per_edge_force = self._midpoint_terms(
             geom.midpoints, self._power(params))
-        grad = np.zeros_like(net.vertices)
-        # d(l_I)/dg = -+T_I; d(x_I)/dg = Id/2
-        t = geom.tangents * per_edge_value[:, None]
-        m = 0.5 * geom.lengths[:, None] * per_edge_force
-        np.add.at(grad, net.edges[:, 0], m - t)
-        np.add.at(grad, net.edges[:, 1], m + t)
-        return float(np.sum(geom.lengths * per_edge_value)), grad
+        # the term of edge I is l_I times the potential at its midpoint
+        return float(np.sum(geom.lengths * per_edge_value)), \
+            _edge_differential(net, dl=per_edge_value,
+                               dmid=geom.lengths[:, None] * per_edge_force)
 
     def _midpoint_terms(self, midpoints, expo):
         """Each midpoint's potential, sum a / r^expo over its entries, (E,),
@@ -220,25 +220,10 @@ class FieldPotential:
         T = geom.tangents
         cross = np.cross(T, X)
         cr2 = np.einsum("ei,ei->e", cross, cross)
-        value = float(np.sum(geom.lengths * cr2))
-
-        # d(cr2)/dT = 2(|X|^2 T - <T,X> X); d(cr2)/dX = 2(|T|^2 X - <T,X> T)
-        tx = np.einsum("ei,ei->e", T, X)
-        x2 = np.einsum("ei,ei->e", X, X)
-        d_dT = 2.0 * (x2[:, None] * T - tx[:, None] * X)
-        d_dX = 2.0 * (X - tx[:, None] * T)               # |T| = 1
-        d_dmid = np.einsum("ei,eij->ej", d_dX, JX)       # chain rule through X
-
-        grad = np.zeros_like(net.vertices)
-        # through l_I
-        np.add.at(grad, net.edges[:, 0], -T * cr2[:, None])
-        np.add.at(grad, net.edges[:, 1], T * cr2[:, None])
-        # through T_I: l_I cancels against dT/dg = (Id - T T^t)/l_I
-        t_term = d_dT - np.einsum("ei,ei->e", d_dT, T)[:, None] * T
-        np.add.at(grad, net.edges[:, 0], -t_term)
-        np.add.at(grad, net.edges[:, 1], t_term)
-        # through x_I: half to each endpoint
-        mid_term = 0.5 * geom.lengths[:, None] * d_dmid
-        np.add.at(grad, net.edges[:, 0], mid_term)
-        np.add.at(grad, net.edges[:, 1], mid_term)
-        return value, grad
+        # d(cr2)/dX = 2(|T|^2 X - <T,X> T) with |T| = 1, and d(cr2)/dT =
+        # 2(|X|^2 T - <T,X> X), whose part along T `edge_chain` projects away
+        tx = np.einsum("ei,ei->e", T, X)[:, None]
+        d_dmid = np.einsum("ei,eij->ej", 2.0 * (X - tx * T), JX)
+        lengths = geom.lengths[:, None]
+        return float(np.sum(geom.lengths * cr2)), _edge_differential(
+            net, dl=cr2, dT=-2.0 * lengths * tx * X, dmid=lengths * d_dmid)

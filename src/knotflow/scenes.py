@@ -329,7 +329,11 @@ class Scene:
         strategy = given.pop("strategy", "hs")
         if "stepping" in given:
             given["mode"] = given.pop("stepping")
-        return strategy, FlowConfig(**given)
+        try:
+            return strategy, FlowConfig(**given)
+        except ValueError as exc:
+            where = f":{sec['__line__']}" if sec else ""
+            raise SceneError(f"{self.origin}{where}: [flow] {exc}") from None
 
     def output_settings(self):
         sec = self._only("output")
@@ -344,7 +348,10 @@ class Scene:
 
 
 def parse_scene(path_or_text, origin=None) -> Scene:
-    """Parse a scene file (path) or literal scene text."""
+    """Parse a scene file (path) or literal scene text; a `Path` is always
+    a file, and SceneError names one that does not exist."""
+    if isinstance(path_or_text, Path) and not path_or_text.exists():
+        raise SceneError(f"scene file not found: {path_or_text}")
     try:
         is_file = isinstance(path_or_text, (str, Path)) \
             and "\n" not in str(path_or_text) and Path(path_or_text).exists()

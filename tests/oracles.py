@@ -7,14 +7,17 @@ deliberately separate from the library's vectorized implementations.
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags_array
+from scipy.sparse import coo_matrix, csr_matrix, diags_array
 
 from knotflow.bct import trapezoid_kernels
 from knotflow.bvh import run_pairs
-from knotflow.constraints import PROJECTION_TOL, ProjectionFailure
+from knotflow.constraints import (PROJECTION_TOL, Barycenter, EdgeLengths,
+                                  ProjectionFailure, TangentConstraint,
+                                  TotalLength)
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import (_congruence, _tangent_scaled, average_matrix,
                              derivative_matrix, difference_matrix)
+from knotflow.multigrid import prolong, restrict
 from knotflow.network import (CurveNetwork, edges_share_vertex, exact_pairs,
                               unstack_fields)
 from knotflow.potentials import SURFACE_THETA, SurfacePotential
@@ -516,6 +519,116 @@ def project_full_budget(correction, constraints, net, max_iters=10):
     residual = float(np.linalg.norm(phi, np.inf))
     raise ProjectionFailure(f"stalled at {residual:.3e}", residual=residual,
                             iterations=max_iters, predicted=residual)
+
+
+def _barycenter_triplets(spec, net):
+    # Phi_c = sum_I l_I ((x_I)_c - x0_c); both l_I and x_I move with the
+    # endpoints: dPhi_c/dg_{v,d} = sum over edges at v of
+    #   -+ T_{I,d} (x_I - x0)_c + (l_I / 2) delta_cd
+    geom = net.geometry()
+    E = net.n_edges
+    rel = geom.midpoints - spec.target               # (E, 3)
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        for d in range(3):
+            at_i2 = geom.tangents[:, d] * rel[:, c]
+            at_i1 = -at_i2
+            if c == d:
+                at_i2 = at_i2 + 0.5 * geom.lengths
+                at_i1 = at_i1 + 0.5 * geom.lengths
+            rows.append(np.full(2 * E, c))
+            cols.append(np.concatenate([net.edges[:, 0], net.edges[:, 1]])
+                        + d * net.n_vertices)
+            vals.append(np.concatenate([at_i1, at_i2]))
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(vals))
+
+
+def _total_length_triplets(spec, net):
+    geom = net.geometry()
+    E = net.n_edges
+    rows = np.zeros(2 * E * 3, dtype=int)
+    cols = np.empty(2 * E * 3, dtype=int)
+    vals = np.empty(2 * E * 3)
+    for d in range(3):
+        sl = slice(2 * E * d, 2 * E * (d + 1))
+        cols[sl] = np.concatenate([net.edges[:, 0], net.edges[:, 1]]) \
+            + d * net.n_vertices
+        vals[sl] = np.concatenate([geom.tangents[:, d],
+                                   -geom.tangents[:, d]])
+    return rows, cols, vals
+
+
+def _edge_lengths_triplets(spec, net):
+    geom = net.geometry()
+    E = net.n_edges
+    rows, cols, vals = [], [], []
+    for d in range(3):
+        rows.append(np.tile(np.arange(E), 2))
+        cols.append(np.concatenate([net.edges[:, 0], net.edges[:, 1]])
+                    + d * net.n_vertices)
+        vals.append(np.concatenate([geom.tangents[:, d],
+                                    -geom.tangents[:, d]]))
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(vals))
+
+
+def _tangent_triplets(spec, net):
+    geom = net.geometry()
+    T = geom.tangents[spec.edge]
+    li = geom.lengths[spec.edge]
+    P = (np.eye(3) - np.outer(T, T)) / li            # dT/dg_{i2}
+    i1, i2 = net.edges[spec.edge]
+    rows = np.repeat(np.arange(3), 6)
+    cols = np.empty(18, dtype=int)
+    vals = np.empty(18)
+    idx = 0
+    for r in range(3):
+        for v, sign in ((i1, -1.0), (i2, 1.0)):
+            for d in range(3):
+                cols[idx] = v + d * net.n_vertices
+                vals[idx] = sign * P[r, d]
+                idx += 1
+    return rows, cols, vals
+
+
+_LOOP_TRIPLETS = {Barycenter: _barycenter_triplets,
+                  TotalLength: _total_length_triplets,
+                  EdgeLengths: _edge_lengths_triplets,
+                  TangentConstraint: _tangent_triplets}
+
+
+def loop_jacobian(constraints, net):
+    """The stacked constraint Jacobian (k x 3V, CSR) with each edge-based
+    constraint's chain rule written out by hand, per component and end: the
+    reference for their `network.edge_chain` triplets.  Other constraints
+    give their own triplets; the stacking is `ConstraintSet.jacobian`'s."""
+    rows, cols, vals = [], [], []
+    offset = 0
+    for s in constraints.specs:
+        r, c, v = _LOOP_TRIPLETS.get(type(s), type(s).jacobian_triplets)(
+            s, net)
+        rows.append(np.asarray(r) + offset)
+        cols.append(np.asarray(c))
+        vals.append(np.asarray(v, dtype=float))
+        offset += s.size
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(offset, 3 * net.n_vertices)).tocsr()
+
+
+def initial_guess_sweep(hier, b):
+    """Coarsen the RHS to the bottom, solve, prolong up with smoothing: the
+    start of a multigrid solve written as its own sweep, the reference for
+    `MultigridHierarchy._vcycle` without pre-smoothing."""
+    rhs = [b]
+    for lvl in hier.levels[1:]:
+        rhs.append(lvl.project(restrict(lvl, rhs[-1])))
+    x = hier._coarse_solve(rhs[-1])
+    for i in range(len(hier.levels) - 2, -1, -1):
+        x = hier.levels[i].project(prolong(hier.levels[i + 1], x))
+        x = hier._smooth(hier.levels[i], rhs[i], x)[0]
+    return x
 
 
 def coarsen_walk(net, keep=None):

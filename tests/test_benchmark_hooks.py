@@ -77,7 +77,8 @@ def test_traced_operation_reads_its_layer_stats():
     assert out["layers"]["bvh.refits"] > 0
 
 
-@pytest.mark.parametrize("workload", ["trefoil-dense", "trefoil-mg"])
+@pytest.mark.parametrize("workload", ["trefoil-dense", "circle-mg",
+                                      "trefoil-mg"])
 def test_untraced_workload_passes_its_output_checks(workload):
     # one untraced operation each (about 2 s): the run reaches the target
     # energy and every output check of `flowbench/worker.py` passes

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -328,6 +329,25 @@ max_iters = 3
         rows = (out / "log.csv").read_text().strip().splitlines()
         summary = json.loads((out / "summary.json").read_text())
         assert len(rows) - 1 == summary["iterations"]
+
+    @pytest.mark.parametrize("flow, message", [
+        ("armijo = 0.9", ":9: \\[flow\\] armijo parameter must lie in "
+                         "\\(0, 0.5\\]"),
+        ("strategy = bogus", ": unknown strategy 'bogus'")],
+        ids=["out-of-range", "unknown-strategy"])
+    def test_flow_error_reported_without_traceback(self, tmp_path, capsys,
+                                                   flow, message):
+        path = self.scene_file(tmp_path, f"\n[flow]\n{flow}\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"knotflow: {re.escape(str(path))}{message}\n",
+                            err), err
+
+    def test_missing_scene_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "missing.knot"
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err \
+            == f"knotflow: scene file not found: {path}\n"
 
     def test_solve_prints_stop_detail(self, tmp_path, capsys):
         path = tmp_path / "scene.knot"

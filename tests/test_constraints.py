@@ -15,7 +15,8 @@ from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
 
-from oracles import perturbed_polygon, project_full_budget, regular_polygon
+from oracles import (loop_jacobian, perturbed_polygon, project_full_budget,
+                     regular_polygon, theta_and_loop)
 
 CENTERED_SQUARE = CurveNetwork(
     [[-0.5, -0.5, 0.], [0.5, -0.5, 0.], [0.5, 0.5, 0.], [-0.5, 0.5, 0.]],
@@ -37,6 +38,21 @@ def fd_jacobian(constraints, net, h=1e-6):
             fm = constraints.evaluate(net.with_positions(m))
             J[:, v + d * net.n_vertices] = (fp - fm) / (2 * h)
     return J
+
+
+# the workload curves, an open braid and a network with junctures
+JACOBIAN_SCENES = {
+    "random-trefoil-128": lambda: generate_test_curve("random-trefoil", 128,
+                                                      seed=8),
+    "random-trefoil-384": lambda: generate_test_curve("random-trefoil", 384,
+                                                      seed=8),
+    "perturbed-circle-256": lambda: generate_test_curve("perturbed-circle",
+                                                        256, seed=5),
+    "perturbed-circle-4096": lambda: generate_test_curve("perturbed-circle",
+                                                         4096, seed=5),
+    "grid-braid-60": lambda: generate_test_curve("grid-braid", 60),
+    "theta-and-loop": lambda: CurveNetwork(*theta_and_loop()),
+}
 
 
 def random_net(n=10, seed=0):
@@ -104,6 +120,22 @@ class TestJacobians:
         fd = fd_jacobian(cs, net)
         scale = max(np.abs(fd).max(), 1.0)
         assert np.abs(C - fd).max() < 1e-6 * scale
+
+    @pytest.mark.parametrize("name", list(JACOBIAN_SCENES))
+    def test_edge_constraints_match_loop_oracle(self, name):
+        # the per-component loops each edge constraint had before it took
+        # its derivatives from `edge_chain`: the same CSR arrays
+        net = JACOBIAN_SCENES[name]()
+        E, T = net.n_edges, net.geometry().tangents
+        cs = ConstraintSet(
+            [Barycenter.from_network(net), Barycenter([0.1, -0.2, 0.3]),
+             TotalLength(1.0), EdgeLengths.from_network(net),
+             PointConstraint(1, [0.3, 0.4, 0.5])]
+            + [TangentConstraint(e, T[e]) for e in (0, E // 3, E - 1)])
+        got, want = cs.jacobian(net), loop_jacobian(cs, net)
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_edge_length_row_signs(self):
         net = random_net(n=6, seed=4)

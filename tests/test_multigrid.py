@@ -14,8 +14,9 @@ from knotflow.multigrid import (COARSEST_SIZE, MAX_VCYCLES, MgLevel,
 from knotflow.network import CurveNetwork, stack_fields
 from knotflow.scenes import generate_test_curve
 
-from oracles import (coarsen_walk, mixed_circle, perturbed_polygon,
-                     pinv_coarse_solve, regular_polygon, theta_and_loop)
+from oracles import (coarsen_walk, initial_guess_sweep, mixed_circle,
+                     perturbed_polygon, pinv_coarse_solve, regular_polygon,
+                     theta_and_loop)
 
 P36 = validate_params(3, 6)
 
@@ -389,6 +390,23 @@ class TestVcycle:
         # the admissible blocks of the finest level, 0 when it is dense
         metric = hier.levels[0].metric
         return len(metric.bct.adm_a) if isinstance(metric, HierMetric) else 0
+
+    @pytest.mark.parametrize("kind, n, lengths", [
+        ("circle", 512, TotalLength),
+        ("perturbed-circle", 2048, EdgeLengths)])
+    def test_initial_guess_is_vcycle_without_presmoothing(self, kind, n,
+                                                          lengths):
+        # the coarse solve prolonged up with smoothing, bit for bit
+        net = generate_test_curve(kind, n, seed=5)
+        keep = lengths(net.total_length()) if lengths is TotalLength \
+            else EdgeLengths.from_network(net)
+        hier = hierarchy_for(net, ConstraintSet(
+            [Barycenter.from_network(net), keep]))
+        assert len(hier.levels) >= 3
+        b = hier.levels[0].project(stack_fields(
+            np.random.default_rng(6).normal(size=(net.n_vertices, 3))))
+        assert np.array_equal(hier._vcycle(0, b, presmooth=False),
+                              initial_guess_sweep(hier, b))
 
     def test_residual_history_non_increasing(self):
         verts, edges = perturbed_polygon(96, seed=4)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from knotflow.network import (CurveNetwork, InvalidNetworkError,
-                              edge_average, edge_geometry, stack_fields,
-                              unstack_fields)
+                              edge_average, edge_chain, edge_geometry,
+                              stack_fields, unstack_fields)
 
-from oracles import component_labels, regular_polygon
+from oracles import (component_labels, finite_difference_gradient,
+                     regular_polygon, theta_and_loop)
 
 SQUARE_VERTS = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.], [0., 1., 0.]])
 SQUARE_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -65,6 +66,57 @@ def test_edge_geometry_values():
     assert geom.lengths[1] == pytest.approx(3.0)
     assert np.allclose(geom.tangents[1], [0, 0, -1])
     assert np.allclose(geom.midpoints[1], [0, 0, -1.5])
+
+
+def random_edge_partials(net, seed, terms=()):
+    """Random dl, dmid and dT for `terms` leading axes of terms."""
+    rng = np.random.default_rng(seed)
+    E = net.n_edges
+    return (rng.normal(size=terms + (E,)), rng.normal(size=terms + (E, 3)),
+            rng.normal(size=terms + (E, 3)))
+
+
+def test_edge_chain_matches_finite_differences():
+    # F = sum_I a_I l_I + b_I . x_I + c_I . T_I on a network with junctures
+    net = CurveNetwork(*theta_and_loop())
+    a, b, c = random_edge_partials(net, seed=7)
+
+    def F(verts):
+        geom = net.with_positions(verts).geometry()
+        return a @ geom.lengths + np.sum(b * geom.midpoints) \
+            + np.sum(c * geom.tangents)
+
+    ends = edge_chain(net, dl=a, dmid=b, dT=c)
+    assert ends.shape == (3, 2, net.n_edges)
+    grad = np.zeros_like(net.vertices)
+    for end in range(2):
+        np.add.at(grad, net.edges[:, end], ends[:, end].T)
+    fd = finite_difference_gradient(F, net.vertices, h=1e-6)
+    assert np.abs(grad - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+def test_edge_chain_terms_partials_and_edge_subsets():
+    net = CurveNetwork(*theta_and_loop())
+    a, b, c = random_edge_partials(net, seed=8, terms=(2,))
+    both = edge_chain(net, dl=a, dmid=b, dT=c)
+    assert both.shape == (2, 3, 2, net.n_edges)
+    for k in range(2):
+        one = edge_chain(net, dl=a[k], dmid=b[k], dT=c[k])
+        np.testing.assert_allclose(both[k], one, rtol=1e-15, atol=1e-15)
+    # each partial on its own, and the three add up
+    parts = [edge_chain(net, dl=a[0]), edge_chain(net, dmid=b[0]),
+             edge_chain(net, dT=c[0])]
+    np.testing.assert_allclose(sum(parts), both[0], rtol=1e-13, atol=1e-13)
+    # a scalar dl is one value for every edge
+    np.testing.assert_array_equal(
+        edge_chain(net, dl=-1.0), edge_chain(net, dl=np.full(net.n_edges,
+                                                             -1.0)))
+    # `edges` gives the derivatives of those edges alone
+    sel = np.array([0, 5, 40, net.n_edges - 1])
+    sub = edge_chain(net, dl=a[0, sel], dmid=b[0, sel], dT=c[0, sel],
+                     edges=sel)
+    np.testing.assert_allclose(sub, both[0][..., sel], rtol=1e-15,
+                               atol=1e-15)
 
 
 def test_reconstruction_identity():
