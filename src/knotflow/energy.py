@@ -11,8 +11,12 @@ The exact energy and differential sum over vertices, not edge pairs: the
 inner sum over the endpoints x_w of the edges J disjoint from I folds into a
 weight M[I, w], the total length of those edges at w.  `_vertex_blocks`
 walks row blocks of edges against all vertices and takes the differences by
-broadcasting, so `_vertex_terms` evaluates 2 E V kernels, where the pair
-form takes 4 E^2.
+broadcasting.  Both samples x(I_0), x(I_1) of edge I lie on its tangent
+line, so c = |T_I x d|, the distance from x_w to that line, is one number
+per (I, w), and T_I.d grows by l_I from the first end to the second: each
+(I, w) takes one set of differences, one c and one power of c, which
+serves the kernels c^alpha r^-beta of both ends.  The pass evaluates 2 E V
+kernels from E V differences, where the pair form takes 4 E^2 of each.
 
 The dense H^s metric reads the same samples.  Its kernel matrices sum
 r^-(2 sigma + 1), and r^-(2 sigma + 1) |T_I x d|^2 / r^4, over the four
@@ -21,7 +25,9 @@ of I against each vertex w (`metric_kernel_sums`), which
 `metric.dense_kernel_matrices` gathers at the ends of J.  On the dense
 "hs" path the step's differential pass fills those sums alongside the
 differential (`discrete_differential` with `sums`); elsewhere
-`metric_kernel_sums` walks `_vertex_blocks` for them alone.
+`metric_kernel_sums` walks the same blocks for them alone.  Both call
+`_add_kernel_sums`, so the energy, the differential and the sums read one
+code.
 
 The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
 chunks of 4096: k is even in p - q, so one set of endpoint differences,
@@ -32,12 +38,12 @@ scatters its differential, for the four samples of a pair here and the one
 sample at the aggregates of a Barnes-Hut far entry; `bct.trapezoid_kernels`
 shares the pair gather.  `_vertex_terms` keeps its own kernel: per-sample
 (3, P) columns would triple the temporaries of its broadcast (rows x V)
-blocks, whose differential comes from row sums, column sums and (rows x V)
-@ (V x 3) products.
+blocks, whose differential comes from two (4 rows x V) products, one for
+the row terms and one for the column terms of both ends.
 
 `_vertex_terms` and `_scatter_ends` keep their own edge chain rule, not
 `network.edge_chain`: their d-gradients differ at the two ends of an edge,
-and they are the hot path, whose results stay bit for bit.
+and they are the hot path.
 """
 
 from __future__ import annotations
@@ -254,45 +260,49 @@ def _row_blocks(n_edges: int, n_vertices: int):
         yield start, min(start + step, n_edges)
 
 
+def _coincident_vertices(vertices: np.ndarray) -> bool:
+    """True when two rows of the (V, 3) `vertices` are the same point."""
+    ordered = vertices[np.lexsort(vertices.T)]
+    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
+
+
+def _differences(p: np.ndarray, XT: np.ndarray, t: np.ndarray | None = None):
+    """r2 = |d|^2 for the differences d = p_i - x_w of the (rows, 3) points
+    p and the (3, V) vertex columns XT, and with the (rows, 3) tangents t
+    also td = t_i.d, as (rows x V) arrays; None without t."""
+    d = p.T[:, :, None] - XT[:, None, :]
+    return (np.einsum("kij,kij->ij", d, d),
+            None if t is None else np.einsum("kij,ik->ij", d, t))
+
+
 def _vertex_blocks(net: CurveNetwork):
     """The row blocks of the vertex-form passes: edges r0:r1 against all
     vertices, differences broadcast, not gathered.
 
-    Yields (r0, r1, u, pos, zero, X, samples): the block's slice u of
+    Yields (r0, r1, u, pos, zero, X, ends, c2): the block's slice u of
     `adjacent_vertex_triples`, the flat positions pos of its (I, w) pairs in
     the (rows x V) block and zero those of them where every edge at w is
     adjacent to I (w = I_a among them); the vertex positions X relative to
-    the block's center; and an iterator over the ends a of the block's
-    edges, to be consumed before the next block, giving (a, p, r2, td, cr2):
-    the ends p = x(I_a) in the same frame, and r2 = |d|^2, td = T_I.d and
-    cr2 = |T_I x d|^2 for d = p - x_w.  r2 reads 1 at the positions zero,
-    whose kernels the passes zero; a zero distance at any other vertex with
-    an edge raises SelfContactError.
+    the block's center; for each end a of the block's edges, (p, r2, td):
+    the ends p = x(I_a) in the same frame, r2 = |d|^2 and td = T_I.d for
+    d = p - x_w; and c2 = |T_I x d|^2, the squared distance from x_w to the
+    tangent line of I, which both ends share.
+
+    Both ends lie on that line, so only the first end's differences are
+    formed: c2 = r2 - td^2 there, and the second end has td + l_I and
+    c2 + (td + l_I)^2.  r2 reads 1 at the positions zero, whose kernels the
+    passes zero; a zero distance at any other vertex with an edge raises
+    SelfContactError.  A derived r2 need not be 0 where x_w = x(I_1), so the
+    second end's r2 is taken from its differences in every block of a
+    network where two vertices coincide, and in a block where the derived
+    r2 reads 0.
     """
-    tangents, edges = net.geometry().tangents, net.edges
+    geom = net.geometry()
+    tangents, lengths, edges = geom.tangents, geom.lengths, net.edges
     E, V = net.n_edges, net.n_vertices
     rows, cols, full, _, _ = net.adjacent_vertex_triples()
     isolated = net.degrees == 0
-
-    def samples(r0, r1, zero, X):
-        t = tangents[r0:r1]
-        for a in range(2):
-            p = X[edges[r0:r1, a]]
-            dx, dy, dz = (p[:, c, None] - X[:, c] for c in range(3))
-            r2 = dx * dx + dy * dy + dz * dz
-            r2.flat[zero] = 1.0
-            if r2.min() == 0.0:
-                hit = r2 == 0.0
-                if np.any(hit[:, ~isolated]):
-                    raise SelfContactError("coincident vertices on "
-                                           "non-adjacent edges; curve "
-                                           "touches itself")
-                r2[hit] = 1.0
-            td = dx * t[:, 0, None]
-            td += dy * t[:, 1, None]
-            td += dz * t[:, 2, None]
-            del dx, dy, dz
-            yield a, p, r2, td, np.maximum(r2 - td * td, 0.0)
+    coincident = _coincident_vertices(net.vertices)
 
     for r0, r1 in _row_blocks(E, V):
         u = slice(*np.searchsorted(rows, (r0, r1)))
@@ -302,19 +312,49 @@ def _vertex_blocks(net: CurveNetwork):
         # expanded as p sum_w A - A X, whose rounding grows with |p|
         X = net.vertices[edges[r0:r1]].reshape(-1, 3)
         X = net.vertices - X.mean(axis=0)
-        yield r0, r1, u, pos, zero, X, samples(r0, r1, zero, X)
+        p0, p1 = X[edges[r0:r1, 0]], X[edges[r0:r1, 1]]
+        t = tangents[r0:r1]
+        XT = np.ascontiguousarray(X.T)
+        r2_0, td0 = _differences(p0, XT, t)
+        c2 = np.square(td0)
+        np.subtract(r2_0, c2, out=c2)
+        np.maximum(c2, 0.0, out=c2)
+        td1 = td0 + lengths[r0:r1, None]
+        r2_1 = np.square(td1)
+        r2_1 += c2
+        r2_0.flat[zero] = 1.0
+        r2_1.flat[zero] = 1.0
+        direct = [r2_0]
+        if coincident or r2_1.min() == 0.0:
+            r2_1 = _differences(p1, XT)[0]
+            r2_1.flat[zero] = 1.0
+            direct.append(r2_1)
+        for r2 in direct:
+            if r2.min() == 0.0:
+                hit = r2 == 0.0
+                if np.any(hit[:, ~isolated]):
+                    raise SelfContactError("coincident vertices on "
+                                           "non-adjacent edges; curve "
+                                           "touches itself")
+                r2[hit] = 1.0
+        yield (r0, r1, u, pos, zero, X,
+               ((p0, r2_0, td0), (p1, r2_1, td1)), c2)
 
 
-def _add_kernel_sums(sums: np.ndarray, r2: np.ndarray, cr2: np.ndarray,
+def _add_kernel_sums(sums: np.ndarray, ends, c2: np.ndarray,
                      zero: np.ndarray, expo: float):
-    """Add one end's r^-expo and r^-expo |T_I x d|^2 / r^4 to a (2, rows, V)
-    block of the metric kernel sums, zeroed at the flat positions `zero`."""
-    h = r2 ** (-expo / 2)
-    h.flat[zero] = 0.0
-    sums[0] += h
-    h *= cr2
-    h /= r2 * r2
-    sums[1] += h
+    """Add r^-expo and r^-expo c2 / r^4 over both ends of a block of
+    `_vertex_blocks` to a (2, rows, V) block of the metric kernel sums,
+    zeroed at the flat positions `zero`."""
+    h = [r2 ** (-expo / 2) for _, r2, _ in ends]
+    for h_a, (_, r2, _) in zip(h, ends):
+        h_a.flat[zero] = 0.0
+        sums[0] += h_a
+        h_a /= r2
+        h_a /= r2
+    h[0] += h[1]
+    h[0] *= c2
+    sums[1] += h[0]
 
 
 def _vertex_terms(net: CurveNetwork, params: EnergyParams,
@@ -326,13 +366,16 @@ def _vertex_terms(net: CurveNetwork, params: EnergyParams,
     I: the incident length S[w] less the adjacent edges of
     `adjacent_vertex_triples`, and exactly zero where every edge at w is
     adjacent to I.  The pass walks `_vertex_blocks`; kernels where M = 0 are
-    zeroed, not evaluated.  When grad, a (V, 3) array, is given, the
-    differential is added to it: row sums, column sums and (rows x V) @ (V
-    x 3) products give the partials in the endpoints, the tangents and the
-    lengths l_I, and column sums less the same adjacency correction give
-    the dependence of M on l_J.  When sums, a (2, E, V) array, is given,
-    the metric kernel sums of `metric_kernel_sums` are added to it from the
-    same samples.
+    zeroed, not evaluated.  Each (I, w) takes one c^(alpha - 2) for the
+    kernels c^alpha r^-beta of both ends, and the energy reads the weights
+    W = (1/4) l_I M[I, w] as the outer product of (1/4) l_I and S,
+    corrected at the adjacent pairs.  When grad, a (V, 3) array, is given,
+    the differential is added to it: two (rows x V) products with the four
+    partials A_a, B_a of both ends stacked give the partials in the
+    endpoints, the tangents and the lengths l_I, and column sums less the
+    same adjacency correction give the dependence of M on l_J.  When sums,
+    a (2, E, V) array, is given, the metric kernel sums of
+    `metric_kernel_sums` are added to it from the same samples.
     """
     alpha, beta = params.alpha, params.beta
     geom = net.geometry()
@@ -343,6 +386,8 @@ def _vertex_terms(net: CurveNetwork, params: EnergyParams,
     M = S[cols] - np.bincount(group, weights=lengths[J], minlength=len(rows))
     M[full] = 0.0
     lq = 0.25 * lengths
+    w_adj = lq[rows] * M                # W at the adjacent pairs
+    w_fix = w_adj - lq[rows] * S[cols]  # less its outer-product value
     energy = 0.0
     if grad is not None:
         g_end = np.zeros((2, E, 3))     # d-partials at the ends x(I_a)
@@ -351,52 +396,67 @@ def _vertex_terms(net: CurveNetwork, params: EnergyParams,
         dl = np.zeros(E)                # partials in the lengths
         col_k = np.zeros(V)             # column sums of (1/4) l_I sum_a k
         k_adj = np.zeros(len(rows))     # the same at the (I, w) pairs
+        work = None                     # the A_a, B_a of the first block
     # near-contact overflow is deliberate: an inf energy makes the line
     # search reject the trial, so the warning is suppressed, not guarded
     with np.errstate(over="ignore", divide="ignore"):
-        for r0, r1, u, pos, zero, X, samples in _vertex_blocks(net):
-            W = np.multiply.outer(lq[r0:r1], S)
-            W.flat[pos] = lq[rows[u]] * M[u]
-            t = tangents[r0:r1]
-            ks = np.zeros_like(W)
-            for a, p, r2, td, cr2 in samples:
-                if sums is not None:
-                    _add_kernel_sums(sums[:, r0:r1], r2, cr2, zero,
-                                     2 * params.sigma + 1)
-                rb = r2 ** (-beta / 2)
-                if grad is None:
-                    k = cr2 ** (alpha / 2)
-                    k *= rb
-                else:
-                    # cr^(alpha-2), zero where cr = 0: the factors it scales
-                    # are O(cr), so the limit is zero for alpha > 1
-                    q = np.zeros_like(cr2)
-                    np.power(cr2, (alpha - 2) / 2, out=q, where=cr2 > 0)
-                    q *= rb
-                    k = cr2 * q
-                    # for unit T, dk/dd = c (d - (T.d) T) - beta k d / r2
-                    # and dk/dT = c (r2 T - (T.d) d), with c = alpha
-                    # cr^(alpha-2) / r^beta
-                    q *= W
-                    cr2 /= r2           # alpha - beta cr2 / r2, in place
-                    cr2 *= -beta
-                    cr2 += alpha
-                    A = cr2 * q         # W (c - beta k / r2)
-                    B = q * td          # W c (T.d) / alpha
-                    a_rows, b_rows = A.sum(axis=1), B.sum(axis=1)
-                    g_end[a, r0:r1] += (p * a_rows[:, None] - A @ X
-                                        - alpha * b_rows[:, None] * t)
-                    s_t[r0:r1] += alpha * (p * b_rows[:, None] - B @ X)
-                    g_col += A.T @ p - X * A.sum(axis=0)[:, None] \
-                        - alpha * (B.T @ t)
-                k.flat[zero] = 0.0
-                ks += k
-            e_rows = np.einsum("ij,ij->i", W, ks)
+        for r0, r1, u, pos, zero, X, ends, c2 in _vertex_blocks(net):
+            if sums is not None:
+                _add_kernel_sums(sums[:, r0:r1], ends, c2, zero,
+                                 2 * params.sigma + 1)
+            rb = [r2 ** (-beta / 2) for _, r2, _ in ends]
+            q = c2 ** ((alpha - 2) / 2)
+            if alpha < 2:
+                # c^(alpha-2) is infinite at c = 0, but the factors it
+                # scales are O(c), so the limit is zero for alpha > 1
+                q[c2 == 0.0] = 0.0
+            ks = rb[0] + rb[1]
+            ks *= c2
+            ks *= q                     # sum_a c^alpha r_a^-beta
+            ks.flat[zero] = 0.0
+            lq_rows, k_pos = lq[r0:r1], ks.flat[pos]
+            e_rows = lq_rows * (ks @ S) + np.bincount(
+                rows[u] - r0, weights=w_fix[u] * k_pos, minlength=r1 - r0)
             energy += float(e_rows.sum())
-            if grad is not None:
-                dl[r0:r1] += e_rows / lengths[r0:r1]
-                col_k += lq[r0:r1] @ ks
-                k_adj[u] = lq[rows[u]] * ks.flat[pos]
+            if grad is None:
+                continue
+            dl[r0:r1] += e_rows / lengths[r0:r1]
+            col_k += lq_rows @ ks
+            k_adj[u] = lq[rows[u]] * k_pos
+            # for unit T, dk/dd = c (d - (T.d) T) - beta k d / r2 and dk/dT
+            # = c (r2 T - (T.d) d), with c = alpha c^(alpha-2) / r^beta
+            W = np.multiply.outer(lq_rows, S)
+            W.flat[pos] = w_adj[u]
+            q *= W
+            n = r1 - r0
+            if work is None:            # the first block is the largest
+                work = np.empty(4 * n * V)
+            G = work[:4 * n * V].reshape(4, n, V)   # A_0, A_1, B_0, B_1
+            cb = c2 * -beta
+            for a, (_, r2, td) in enumerate(ends):
+                A, B = G[a], G[2 + a]
+                np.multiply(q, rb[a], out=B)    # W c / alpha
+                np.divide(cb, r2, out=A)
+                A += alpha
+                A *= B                  # W (c - beta k / r2)
+                B *= td                 # W c (T.d) / alpha
+            G = G.reshape(4 * n, V)
+            # one product gives every A_a X and B_a X with its row sums ...
+            R = (G @ np.hstack([X, np.ones((V, 1))])).reshape(4, n, 4)
+            t = tangents[r0:r1]
+            (p0, _, _), (p1, _, _) = ends
+            for a, p in enumerate((p0, p1)):
+                g_end[a, r0:r1] += p * R[a, :, 3:] - R[a, :, :3] \
+                    - alpha * R[2 + a, :, 3:] * t
+            s_t[r0:r1] += alpha * (p0 * R[2, :, 3:] + p1 * R[3, :, 3:]
+                                   - R[2, :, :3] - R[3, :, :3])
+            # ... and one the column terms sum_I A_a (p_a - x_w) - alpha B_a
+            # T of both ends, its last column the column sums of the A_a
+            ones = np.ones((n, 1))
+            bt = np.hstack([-alpha * t, np.zeros((n, 1))])
+            C = G.T @ np.vstack([np.hstack([p0, ones]),
+                                 np.hstack([p1, ones]), bt, bt])
+            g_col += C[:, :3] - X * C[:, 3:]
     if grad is None:
         return energy
     # each l_J enters M[I, w] at its ends w for the I it does not touch
@@ -417,16 +477,17 @@ def metric_kernel_sums(net: CurveNetwork, sigma: float) -> np.ndarray:
     """The (2, E, V) vertex sums of the metric kernels over the ends of
     each edge I: r^-(2 sigma + 1) and r^-(2 sigma + 1) |T_I x d|^2 / r^4,
     with d = x(I_a) - x_w and r = |d|, summed over both ends a and zero
-    where every edge at w is adjacent to I.
+    where every edge at w is adjacent to I.  |T_I x d| is the distance from
+    x_w to the tangent line of I, one number for both ends.
 
     `metric.dense_kernel_matrices` forms the dense kernel matrices from
     them.  `discrete_differential` fills the same sums in its own pass when
-    asked; this runs `_vertex_blocks` for the sums alone.
+    asked; this walks `_vertex_blocks` and `_add_kernel_sums`, the same
+    code, for the sums alone.
     """
     sums = np.zeros((2, net.n_edges, net.n_vertices))
-    for r0, r1, _, _, zero, _, samples in _vertex_blocks(net):
-        for _, _, r2, _, cr2 in samples:
-            _add_kernel_sums(sums[:, r0:r1], r2, cr2, zero, 2 * sigma + 1)
+    for r0, r1, _, _, zero, _, ends, c2 in _vertex_blocks(net):
+        _add_kernel_sums(sums[:, r0:r1], ends, c2, zero, 2 * sigma + 1)
     return sums
 
 
@@ -436,13 +497,14 @@ def discrete_energy(net: CurveNetwork, params: EnergyParams) -> float:
 
 
 def discrete_differential(net: CurveNetwork, params: EnergyParams,
-                          sums: np.ndarray | None = None) -> np.ndarray:
-    """Exact gradient of the discrete energy w.r.t. vertex positions, (V, 3).
+                          sums: np.ndarray | None = None
+                          ) -> tuple[float, np.ndarray]:
+    """The discrete energy and its exact gradient w.r.t. vertex positions,
+    (V, 3), from one pass, as `bvh.bh_differential` returns them.
 
     When `sums`, a (2, E, V) array, is given, the same pass adds the metric
     kernel sums of `metric_kernel_sums` to it, for the dense H^s metric of
     the step.
     """
     grad = np.zeros((net.n_vertices, 3))
-    _vertex_terms(net, params, grad=grad, sums=sums)
-    return grad
+    return _vertex_terms(net, params, grad=grad, sums=sums), grad

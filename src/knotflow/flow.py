@@ -151,9 +151,8 @@ def baseline_metric_matrix(net: CurveNetwork, strategy: str) -> np.ndarray:
 class Objective:
     """Energy + weighted potentials with exact or Barnes-Hut evaluation.
 
-    On the exact path the last evaluated total is kept with its network, so
-    the step start does not recompute the energy of the accepted trial.
-    With `metric_sums`, the step start's differential pass also fills the
+    On the exact path the step start takes the energy and the differential
+    from one pass.  With `metric_sums`, that pass also fills the
     metric kernel sums of the dense H^s metric (`discrete_differential`),
     kept in `sums` for the step's `StepSolver`.  On the Barnes-Hut path
     each tree fit makes one plan (`EdgeBvh.plan`): the step start builds a
@@ -180,7 +179,6 @@ class Objective:
         self.sums: np.ndarray | None = None
         # the exact path's broad-phase tree, built once (`ccd_tree`)
         self._ccd_tree: EdgeBvh | None = None
-        self._last: tuple[CurveNetwork, float] | None = None
 
     def energy(self, net: CurveNetwork) -> float:
         """Line-search trial value; the Barnes-Hut tree is refitted to `net`
@@ -197,20 +195,16 @@ class Objective:
         for pot in self.potentials:
             v, _ = pot.value_and_differential(net, self.params)
             value += pot.weight * v
-        if self.accel == "exact":
-            self._last = (net, value)
         return value
 
     def energy_and_differential(self, net: CurveNetwork):
         """Step-start value and differential; the Barnes-Hut tree is rebuilt
         for `net`, and one plan serves both."""
-        cached = self._last is not None and self._last[0] is net
         if self.accel == "exact":
-            value = self._last[1] if cached \
-                else discrete_energy(net, self.params)
             self.sums = np.zeros((2, net.n_edges, net.n_vertices)) \
                 if self.metric_sums else None
-            grad = discrete_differential(net, self.params, sums=self.sums)
+            value, grad = discrete_differential(net, self.params,
+                                                sums=self.sums)
         else:
             self.bvh, self._bvh_net = EdgeBvh(net), net
             value, grad = bh_differential(net, self.bvh, self.params,
@@ -218,11 +212,8 @@ class Objective:
             self.plan = self.bvh.plan(net, self.bh_eps)
         for pot in self.potentials:
             v, g = pot.value_and_differential(net, self.params)
-            if not cached:
-                value += pot.weight * v
+            value += pot.weight * v
             grad = grad + pot.weight * g
-        if self.accel == "exact":
-            self._last = (net, value)
         return value, grad
 
     def ccd_tree(self, net: CurveNetwork) -> EdgeBvh:

@@ -192,7 +192,10 @@ class Scene:
         if kind == "grid-braid":
             kwargs["strands"] = _get(sec, "strands", default=3, convert=int,
                                      origin=self.origin)
-        return generate_test_curve(kind, n, seed, **kwargs)
+        try:
+            return generate_test_curve(kind, n, seed, **kwargs)
+        except ValueError as exc:
+            raise SceneError(f"{self.origin}:{sec['__line__']}: {exc}")
 
     def build_params(self) -> EnergyParams:
         sec = self._only("energy")
@@ -214,36 +217,44 @@ class Scene:
             growth = _get(sec, "growth", default=1.0, convert=float,
                           origin=self.origin)
             if kind == "barycenter":
-                raw = _get(sec, "target", default="auto", origin=self.origin)
-                specs.append(Barycenter.from_network(net) if raw == "auto"
-                             else Barycenter(_vector(raw)))
+                target = self._target(sec, _vector)
+                specs.append(Barycenter.from_network(net) if target is None
+                             else Barycenter(target))
             elif kind == "total-length":
-                raw = _get(sec, "target", default="auto", origin=self.origin)
-                target = net.total_length() if raw == "auto" else float(raw)
-                specs.append(TotalLength(target, growth=growth))
+                target = self._target(sec, float)
+                specs.append(TotalLength(
+                    net.total_length() if target is None else target,
+                    growth=growth))
             elif kind == "edge-length":
                 specs.append(EdgeLengths.from_network(net, growth=growth))
             elif kind == "point":
                 vertex = self._index(sec, "vertex", net.n_vertices)
-                raw = _get(sec, "target", default="auto", origin=self.origin)
-                target = net.vertices[vertex] if raw == "auto" \
-                    else _vector(raw)
-                specs.append(PointConstraint(vertex, target))
+                target = self._target(sec, _vector)
+                specs.append(PointConstraint(
+                    vertex, net.vertices[vertex] if target is None
+                    else target))
             elif kind == "surface":
                 vertex = self._index(sec, "vertex", net.n_vertices)
                 specs.append(SurfaceConstraint(
                     vertex, self._surface_for(sec)))
             elif kind == "tangent":
                 edge = self._index(sec, "edge", net.n_edges)
-                raw = _get(sec, "target", default="auto", origin=self.origin)
-                target = net.geometry().tangents[edge] if raw == "auto" \
-                    else _vector(raw) / np.linalg.norm(_vector(raw))
-                specs.append(TangentConstraint(edge, target))
+                target = self._target(sec, _vector)
+                specs.append(TangentConstraint(
+                    edge, net.geometry().tangents[edge] if target is None
+                    else target / np.linalg.norm(target)))
             else:
                 raise SceneError(
                     f"{self.origin}:{sec['__line__']}: unknown constraint "
                     f"type {kind!r}")
         return ConstraintSet(specs)
+
+    def _target(self, sec, convert):
+        """A constraint's `target` by `convert`, None where it is "auto" or
+        not given; a value `convert` rejects names its line."""
+        if _get(sec, "target", default="auto", origin=self.origin) == "auto":
+            return None
+        return _get(sec, "target", convert=convert, origin=self.origin)
 
     def _index(self, sec, key, count):
         """The integer `key` of a section, checked to lie in 0..count-1."""

@@ -343,6 +343,23 @@ max_iters = 3
         assert re.fullmatch(f"knotflow: {re.escape(str(path))}{message}\n",
                             err), err
 
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL_SCENE.replace("n = 24", "n = 2"), ":2: need n >= 4"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = total-length\n"
+                         "target = abc\n",
+         ":11: bad value for 'target': could not convert string to float: "
+         "'abc'"),
+        (MINIMAL_SCENE + "target = 1 2\n",
+         ":8: bad value for 'target': expected three numbers")],
+        ids=["curve-n", "total-length-target", "barycenter-target"])
+    def test_scene_value_reported_without_traceback(self, tmp_path, capsys,
+                                                     text, message):
+        path = tmp_path / "scene.knot"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err \
+            == f"knotflow: {path}{message}\n"
+
     def test_missing_scene_file_reported(self, tmp_path, capsys):
         path = tmp_path / "missing.knot"
         assert main(["solve", str(path)]) == 1

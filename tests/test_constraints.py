@@ -197,7 +197,7 @@ class TestProjectGradient:
         p = validate_params(3, 6)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
         C = cs.jacobian(net)
-        dE = discrete_differential(net, p)
+        _, dE = discrete_differential(net, p)
         g = project_gradient(net, p, cs, dE)
         gs = stack_fields(g)
         assert np.linalg.norm(C @ gs) < 1e-8 * max(np.linalg.norm(gs), 1e-30)
@@ -216,7 +216,7 @@ class TestProjectGradient:
         net = random_net(n=12, seed=9)
         p = validate_params(3, 6)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
-        dE = discrete_differential(net, p)
+        _, dE = discrete_differential(net, p)
         g = project_gradient(net, p, cs, dE)
         assert float(np.sum(dE * g)) > 0.0
 

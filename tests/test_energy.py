@@ -7,7 +7,7 @@ from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
 from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
                              SelfContactError, _row_blocks,
                              discrete_differential, discrete_energy, kernel,
-                             validate_params)
+                             metric_kernel_sums, validate_params)
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
@@ -175,6 +175,24 @@ class TestEnergy:
         with pytest.raises(SelfContactError):
             discrete_differential(net, validate_params(2, 4))
 
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.7, 0.1)],
+                             ids=["unit", "scaled"])
+    def test_self_contact_rejected_at_second_ends(self, scale, shift):
+        # every edge reversed: the coincident vertices 0 and 3 are only the
+        # second ends of their edges, whose distances the pass derives; in
+        # the scaled copy the derived squared distance is 1e-32, not 0
+        verts = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.],
+                          [0., 0., 0.], [-1., 0., 0.], [-1., -1., 0.]])
+        net = CurveNetwork(scale * verts + shift * np.array([1., 2., 3.]),
+                           [[1, 0], [2, 1], [4, 3], [5, 4]])
+        p = validate_params(2, 4)
+        with pytest.raises(SelfContactError):
+            discrete_energy(net, p)
+        with pytest.raises(SelfContactError):
+            discrete_differential(net, p)
+        with pytest.raises(SelfContactError):
+            metric_kernel_sums(net, p.sigma)
+
     def test_self_contact_in_barnes_hut_leaf(self):
         verts, edges = touching_loops()
         net = CurveNetwork(verts, edges)
@@ -192,7 +210,7 @@ class TestEnergy:
                            [[0, 1], [1, 2]])
         p = validate_params(3, 6)
         assert discrete_energy(net, p) == 0.0
-        assert np.all(discrete_differential(net, p) == 0.0)
+        assert np.all(discrete_differential(net, p)[1] == 0.0)
 
     def test_vertex_on_no_edge_is_ignored(self):
         # a vertex on no edge lies on no disjoint pair, even where it
@@ -201,8 +219,8 @@ class TestEnergy:
         net = CurveNetwork(verts, SQUARE.edges)
         p = validate_params(3, 6)
         assert discrete_energy(net, p) == discrete_energy(SQUARE, p)
-        grad = discrete_differential(net, p)
-        assert np.allclose(grad[:4], discrete_differential(SQUARE, p),
+        _, grad = discrete_differential(net, p)
+        assert np.allclose(grad[:4], discrete_differential(SQUARE, p)[1],
                            rtol=1e-14, atol=1e-14)
         assert np.all(grad[4] == 0.0)
 
@@ -224,7 +242,7 @@ class TestEnergy:
         p = validate_params(3, 6)
         assert bh_energy(net, bvh, p, eps=0.0) == pytest.approx(
             discrete_energy(net, p), rel=1e-12)
-        exact = discrete_differential(net, p)
+        _, exact = discrete_differential(net, p)
         assert np.allclose(bh_differential(net, bvh, p, eps=0.0)[1], exact,
                            rtol=1e-12, atol=1e-12 * np.abs(exact).max())
 
@@ -248,12 +266,14 @@ class TestTwins:
     def test_differential(self, scene, alpha, beta):
         net = CurveNetwork(*TWINS[scene]())
         p = validate_params(alpha, beta)
-        dense = discrete_differential(net, p)
+        dense_energy, dense = discrete_differential(net, p)
         energy, bh = bh_differential(net, EdgeBvh(net, leaf_size=1), p,
                                      eps=0.0)
         assert np.allclose(dense, bh, rtol=1e-12,
                            atol=1e-12 * np.abs(dense).max())
         assert energy == pytest.approx(discrete_energy(net, p), rel=1e-12)
+        # the flow's step start reads this energy in place of a trial's
+        assert dense_energy == discrete_energy(net, p)
 
 
 class TestDifferential:
@@ -261,7 +281,7 @@ class TestDifferential:
         # (3, 6) is not scale-invariant, so the polygon gradient is nonzero
         verts, edges = regular_polygon(16)
         net = CurveNetwork(verts, edges)
-        grad = discrete_differential(net, validate_params(3, 6))
+        _, grad = discrete_differential(net, validate_params(3, 6))
         radial = verts / np.linalg.norm(verts, axis=1)[:, None]
         mags = np.linalg.norm(grad, axis=1)
         assert mags[0] > 0
@@ -273,7 +293,7 @@ class TestDifferential:
         verts, edges = perturbed_polygon(32, seed=7)
         net = CurveNetwork(verts, edges)
         p = validate_params(3, 6)
-        grad = discrete_differential(net, p)
+        _, grad = discrete_differential(net, p)
 
         def energy_of(pos):
             return discrete_energy(CurveNetwork(pos, edges), p)
@@ -286,7 +306,7 @@ class TestDifferential:
         verts, edges = MULTI_CHUNK[scene]()
         net = CurveNetwork(verts, edges)
         p = validate_params(2, 4.5)
-        grad = discrete_differential(net, p)
+        _, grad = discrete_differential(net, p)
 
         def energy_of(pos):
             return discrete_energy(net.with_positions(pos), p)
@@ -297,8 +317,9 @@ class TestDifferential:
     def test_translation_invariance(self):
         verts, edges = perturbed_polygon(12, seed=9)
         p = validate_params(3, 6)
-        g0 = discrete_differential(CurveNetwork(verts, edges), p)
-        g1 = discrete_differential(CurveNetwork(verts + [2.5, -1.0, 0.75], edges), p)
+        _, g0 = discrete_differential(CurveNetwork(verts, edges), p)
+        _, g1 = discrete_differential(
+            CurveNetwork(verts + [2.5, -1.0, 0.75], edges), p)
         assert np.allclose(g0, g1, rtol=1e-12, atol=1e-12 * np.abs(g0).max())
 
     def test_rotation_equivariance(self):
@@ -307,13 +328,13 @@ class TestDifferential:
         verts, edges = perturbed_polygon(12, seed=11)
         p = validate_params(3, 6)
         R = Rotation.from_rotvec([0.3, -0.2, 0.9]).as_matrix()
-        g0 = discrete_differential(CurveNetwork(verts, edges), p)
-        g1 = discrete_differential(CurveNetwork(verts @ R.T, edges), p)
+        _, g0 = discrete_differential(CurveNetwork(verts, edges), p)
+        _, g1 = discrete_differential(CurveNetwork(verts @ R.T, edges), p)
         assert np.allclose(g1, g0 @ R.T, rtol=1e-10, atol=1e-10 * np.abs(g0).max())
 
     def test_differential_sums_to_zero(self):
         verts, edges = perturbed_polygon(20, seed=13)
-        grad = discrete_differential(CurveNetwork(verts, edges),
+        _, grad = discrete_differential(CurveNetwork(verts, edges),
                                      validate_params(2, 4.5))
         assert np.allclose(grad.sum(axis=0), 0.0,
                            atol=1e-12 * np.abs(grad).max())

@@ -331,7 +331,7 @@ class TestCoarseSolve:
         assert len(hier.levels) == 1
         exact = SaddleFactor(MetricOperator(net, P36).A, cs.jacobian(net),
                              net.dual_masses())
-        dE = stack_fields(discrete_differential(net, P36))
+        dE = stack_fields(discrete_differential(net, P36)[1])
         want = exact.solve_gradient(dE)
         assert np.linalg.norm(hier.solve_gradient(dE) - want) \
             <= 1e-10 * np.linalg.norm(want)
@@ -378,7 +378,7 @@ class TestVcycle:
     def check_close_to_dense_solve(net):
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
-        dE = stack_fields(discrete_differential(net, P36))
+        dE = stack_fields(discrete_differential(net, P36)[1])
         x = hier.solve_gradient(dE)
         # dense oracle
         metric = MetricOperator(net, P36)
@@ -428,7 +428,7 @@ class TestVcycle:
                             ("SMOOTHER_ITERS", 1)):
             monkeypatch.setattr(f"knotflow.multigrid.{name}", value)
         hier = hierarchy_for(net, cs)
-        dE = stack_fields(discrete_differential(net, P36))
+        dE = stack_fields(discrete_differential(net, P36)[1])
         hier.solve_gradient(dE)
         assert hier.cycles == hier.unconverged == 1
         assert hier.residual > 0
@@ -440,7 +440,7 @@ class TestProjectedSaddle:
         net = CurveNetwork(verts, edges)
         cs = ConstraintSet([Barycenter()])
         hier = hierarchy_for(net, cs)
-        dE = stack_fields(discrete_differential(net, P36))
+        dE = stack_fields(discrete_differential(net, P36)[1])
         x = hier.solve_gradient(dE)
         metric = MetricOperator(net, P36)
         C = cs.jacobian(net).toarray()

@@ -308,7 +308,7 @@ class TestTotalObjective:
         base = discrete_energy(net, P36)
         assert value == pytest.approx(base + 0.25 * net.total_length())
         _, pot_grad = pot.value_and_differential(net, P36)
-        assert np.allclose(grad, discrete_differential(net, P36)
+        assert np.allclose(grad, discrete_differential(net, P36)[1]
                            + 0.25 * pot_grad, rtol=1e-12, atol=0.0)
 
 
