@@ -26,7 +26,8 @@ import numpy as np
 from scipy.sparse import block_diag, coo_matrix, csr_matrix, vstack
 
 from .bvh import EdgeBvh, run_pairs, sweep
-from .energy import SelfContactError, _dot3, _pair_samples
+from .energy import (PairChunk, SelfContactError, _dot3, _pair_chunks,
+                     _pair_sampler, _sum4, _tangent_line)
 from .metric import average_matrix, derivative_matrix, metric_parts
 from .network import CurveNetwork, exact_pairs
 
@@ -57,25 +58,24 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
 
-def _metric_sample(d, r2, ti, tj, tti, ttj, expo):
-    """Both metric kernels at one sample, on (3, P) columns with r2 = |d|^2
-    and tti, ttj the |T|^2: r^-expo, and r^-expo (|T_I x d|^2 + |T_J x
-    d|^2) / r^4, the low-order term symmetrized over the argument order."""
+def _metric_sample(r2, c2i, c2j, expo):
+    """Both metric kernels at samples with r2 = r^2 and the squared
+    distances c2i, c2j = |T x d|^2 to the tangent lines of I and J, which
+    broadcast against r2: r^-expo, and r^-expo (c2i + c2j) / r^4, the
+    low-order term symmetrized over the argument order."""
     term = r2 ** (-expo / 2)
-    cri = np.maximum(tti * r2 - _dot3(ti, d) ** 2, 0.0)
-    crj = np.maximum(ttj * r2 - _dot3(tj, d) ** 2, 0.0)
-    return term, term * ((cri + crj) / r2 ** 2)
+    return term, term * ((c2i + c2j) / np.square(r2))
 
 
 def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
     """Far-field kernel at aggregate tangent-points, without length factors:
     one `_metric_sample` where the exact entries take four."""
-    d, ti, tj = (xi - xj).T, ti.T, tj.T
+    d = (xi - xj).T
     r2 = _dot3(d, d)
     if np.any(r2 == 0.0):
         raise SelfContactError("coincident tangent-points in kernel matrix")
-    high, low = _metric_sample(d, r2, ti, tj, _dot3(ti, ti), _dot3(tj, tj),
-                               2 * spec.sigma + 1)
+    c2 = [_tangent_line(t.T, d, r2)[1] for t in (ti, tj)]
+    high, low = _metric_sample(r2, *c2, 2 * spec.sigma + 1)
     return 2.0 * high if spec.kind == "high" else low
 
 
@@ -91,22 +91,30 @@ def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
     same entries, up to rounding, from the vertex sums of
     `metric.dense_kernel_matrices`, so the eps -> 0 metric matvec
     reproduces the dense Gram matrices to rounding.  The samples come from
-    the energy's chunked pair gather.
+    the energy's pair gather (`energy._pair_sampler`): two gathered
+    differences per pair, |T_I x d|^2 one number per end of J and |T_J x
+    d|^2 one per end of I, so one `_metric_sample` call on the (2, 2, P)
+    samples of a chunk evaluates all four.
     """
     geom = net.geometry()
     expo = 2 * sigma + 1
-    high = np.zeros(len(I))
-    low = np.zeros(len(I))
-    for sl, ti, tj, samples in _pair_samples(net, I, J):
-        tti, ttj = _dot3(ti, ti), _dot3(tj, tj)
-        for _, _, d, r2 in samples:
-            h, lo = _metric_sample(d, r2, ti, tj, tti, ttj, expo)
-            high[sl] += h
-            low[sl] += lo
+    high = np.empty(len(I))
+    low = np.empty(len(I))
+    sample = _pair_sampler(net, both=True)
+    for sl in _pair_chunks(len(I)):
+        high[sl], low[sl] = _chunk_kernels(sample(I[sl], J[sl]), expo)
     w = 0.25 * geom.lengths[I] * geom.lengths[J]
     high *= 2.0 * w
     low *= w
     return high, low
+
+
+def _chunk_kernels(ch: PairChunk, expo: float):
+    """The sums over the four samples of both metric kernels, for one
+    `energy.PairChunk` with both tangent lines."""
+    (_, c2i, _), (_, c2j, _) = ch.lines
+    high, low = _metric_sample(ch.r2, c2i, c2j, expo)
+    return _sum4(high), _sum4(low)
 
 
 class BlockClusterTree:

@@ -4,12 +4,19 @@ Each criterion function measures one verifiable claim about the library and
 returns a CriterionResult with pass/fail plus the observed numbers.  The CLI
 `bench` subcommand and the acceptance test suite both run these; `quick`
 shrinks sizes for smoke testing and is never the acceptance configuration.
+`append_ledger` appends one JSON record of a run to a perf ledger such as
+`BENCH_scaling.json` (`knotflow bench --ledger PATH`).
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +41,8 @@ class CriterionResult:
     passed: bool
     runtime: float
     details: list = field(default_factory=list)
+    # the observed numbers a perf ledger records, by name
+    numbers: dict = field(default_factory=dict)
 
     def format_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -382,7 +391,11 @@ def criterion_7(quick=False) -> CriterionResult:
         [f"accelerated per-iteration [{fast_detail}] exponent "
          f"{fast_exp:.2f} (<=1.3)",
          f"dense per-iteration [{dense_detail}] exponent "
-         f"{dense_exp:.2f} (>=1.8)"])
+         f"{dense_exp:.2f} (>=1.8)"],
+        {"accelerated": {"n": list(fast_sizes), "step_s": fast_times,
+                         "exponent": fast_exp},
+         "dense": {"n": list(dense_sizes), "step_s": dense_times,
+                   "exponent": dense_exp}})
 
 
 def criterion_8(quick=False) -> CriterionResult:
@@ -418,9 +431,6 @@ def run_benchmarks(only=None, quick=False, out_dir=None):
     numbers = sorted(only) if only else sorted(CRITERIA)
     results = [CRITERIA[k](quick=quick) for k in numbers]
     if out_dir:
-        import json
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         payload = [{"criterion": r.number, "name": r.name,
@@ -428,3 +438,55 @@ def run_benchmarks(only=None, quick=False, out_dir=None):
                     "details": r.details} for r in results]
         (out / "benchmarks.json").write_text(json.dumps(payload, indent=2))
     return results
+
+
+def _git(*args) -> str | None:
+    """The output of a git command in the package's source tree, None
+    outside a git checkout or without git."""
+    try:
+        out = subprocess.run(["git", *args], capture_output=True, text=True,
+                             cwd=Path(__file__).resolve().parent, timeout=30)
+    except OSError:
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def ledger_record(results, quick: bool = False) -> dict:
+    """One perf-ledger record of a benchmark run: each criterion's pass
+    flag, runtime and numbers, with nproc, the BLAS numpy uses, and the git
+    revision of the source tree with the tracked files changed since it."""
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    revision = _git("rev-parse", "HEAD")
+    changed = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "time": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "git_revision": revision.strip() if revision else None,
+        "git_changed": None if changed is None
+        else [line[3:] for line in changed.splitlines()],
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {k: os.environ.get(k) for k in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")},
+        "quick": quick,
+        "criteria": [{"number": r.number, "name": r.name,
+                      "passed": r.passed, "runtime_s": r.runtime,
+                      **r.numbers} for r in results],
+    }
+
+
+def append_ledger(path, results, quick: bool = False) -> dict:
+    """Append the `ledger_record` of `results` to the JSON list in `path`,
+    which is created when missing; earlier records are kept as they are."""
+    path = Path(path)
+    entries = json.loads(path.read_text()) if path.exists() else []
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: a perf ledger is a JSON list")
+    record = ledger_record(results, quick)
+    entries.append(record)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(entries, indent=2) + "\n")
+    tmp.replace(path)
+    return record

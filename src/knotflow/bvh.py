@@ -35,11 +35,14 @@ A Barnes-Hut evaluation follows a plan (`bh_plan`), made once per tree fit
 and eps by that sweep of every edge from the root.  The plan lists the far
 field as flat (edge, node) entries, each edge lumped against a node's
 aggregates, and the leaf pairs (I, J) as one ordered pair list for the
-energy module's chunked pair kernel.  A far entry is one sample of that
-kernel at the aggregates, with the leaf pairs' scatter of the length and
-tangent variations, so one pass over the plan yields the energy and the
-differential, and the eps -> 0 limit reproduces the exact energy and
-differential up to summation order.
+energy module's chunked pair kernel, which gathers two endpoint
+differences per pair and derives the other two samples on the tangent line
+of I.  A far entry is one sample of that kernel at the aggregates: the
+same `energy._sample_kernels` on its r^2 and the tangent lines of T_I and
+the node's average tangent, and the same coefficient scatter of the
+d-gradient and the length and tangent variations, so one pass over the
+plan yields the energy and the differential, and the eps -> 0 limit
+reproduces the exact energy and differential up to summation order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energy import (EnergyParams, _dot3, _pair_chunks, _pair_terms,
-                     _sample_kernels, _scatter_ends)
+                     _sample_kernels, _scatter_ends, _tangent_line)
 from .network import CurveNetwork, exact_pairs
 
 
@@ -322,29 +325,36 @@ def _far_terms(net: CurveNetwork, bvh: EdgeBvh, params: EnergyParams,
     against node a.
 
     Each entry is one sample of the leaf pairs' kernel code: d = x_I -
-    xbar_a, tangents (T_I, Tbar_a), weight l_I m_a.  When grad, a (3, V)
-    array, is given, the differential of both orders, node aggregates held
-    constant, is added at the ends of I, each taking half the d-gradient.
+    xbar_a, the tangent lines of T_I and Tbar_a, weight l_I m_a.  When grad,
+    a (3, V) array, is given, the differential of both orders, node
+    aggregates held constant, is added at the ends of I: each takes half
+    the d-gradient A d - u_I T_I - u_a Tbar_a, and -+ m_a (k T_I + (s.T_I)
+    T_I - s) with s = u_I d is the length and tangent variation.
     """
     geom = net.geometry()
     mid, T, com, tbar = (x.T for x in (geom.midpoints, geom.tangents, bvh.com,
                                        bvh.avg_tangent))
+    ET = np.ascontiguousarray(net.edges.T)
     energy = 0.0
     with np.errstate(over="ignore", divide="ignore"):
         for sl in _pair_chunks(len(plan.far_edge)):
             e, a = plan.far_edge[sl], plan.far_node[sl]
             ti = T.take(e, axis=1)
             d = mid.take(e, axis=1) - com.take(a, axis=1)
-            m = bvh.mass.take(a)
-            w = geom.lengths.take(e) * m
+            r2 = _dot3(d, d)
+            m, li = bvh.mass.take(a), geom.lengths.take(e)
             tangents = (ti,) if grad is None else (ti, tbar.take(a, axis=1))
-            ks, g, s = _sample_kernels(d, _dot3(d, d), tangents,
-                                       [_dot3(t, t) for t in tangents],
-                                       params, grad is not None)
-            energy += float(w @ ks[0])
+            lines = [_tangent_line(t, d, r2) for t in tangents]
+            ks, A, us = _sample_kernels(r2, lines, params, grad is not None)
+            energy += float((li * m) @ ks[0])
             if grad is not None:
-                _scatter_ends(grad, net, e, 0.5 * w, (g, g), m,
-                              ks[0] + ks[1], s, ti)
+                u, hl = us[0], 0.5 * li
+                z = ks[0] + ks[1] + u * lines[0][0]
+                ha, hu = hl * A, hl * u
+                _scatter_ends(grad, ET.take(e, axis=1), m,
+                              ((np.stack([ha + u, ha - u]), d),
+                               (np.stack([-hu - z, z - hu]), ti),
+                               (-hl * us[1], tangents[1])))
     return energy
 
 

@@ -57,6 +57,8 @@ def _bench(args) -> int:
 
     results = bench.run_benchmarks(only=args.only, quick=args.quick,
                                    out_dir=args.out)
+    if args.ledger:
+        bench.append_ledger(args.ledger, results, quick=args.quick)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(r.format_line())
@@ -93,6 +95,10 @@ def main(argv=None) -> int:
                             "acceptance configuration)")
     bench.add_argument("--out", default=None,
                        help="directory for benchmark artifacts")
+    bench.add_argument("--ledger", default=None, metavar="PATH",
+                       help="append one JSON record of this run (pass "
+                            "flags, criterion 7's step times and exponents, "
+                            "nproc, BLAS, git revision) to the list in PATH")
     bench.set_defaults(func=_bench)
 
     args = parser.parse_args(argv)

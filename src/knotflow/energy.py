@@ -30,18 +30,26 @@ differential (`discrete_differential` with `sums`); elsewhere
 code.
 
 The Barnes-Hut leaf pairs are a pair list, which `_pair_terms` walks in
-chunks of 4096: k is even in p - q, so one set of endpoint differences,
-gathered as (3, E) columns with np.take, gives both orders k(d, T_I) and
-k(d, T_J) that the differential needs.  One kernel code serves exact and
-lumped terms: `_sample_kernels` evaluates a sample and `_scatter_ends`
-scatters its differential, for the four samples of a pair here and the one
-sample at the aggregates of a Barnes-Hut far entry; `bct.trapezoid_kernels`
-shares the pair gather.  `_vertex_terms` keeps its own kernel: per-sample
-(3, P) columns would triple the temporaries of its broadcast (rows x V)
-blocks, whose differential comes from two (4 rows x V) products, one for
+chunks of PAIR_CHUNK pairs, on the same tangent lines.  `_pair_sampler`
+gathers only d_b = x(I_0) - x(J_b) for the two ends of J: the second end
+of I lies on T_I's line, so |T_I x d|^2 is one number per end of J and the
+samples of x(I_1) follow by scalar updates, and |T_J x d|^2 is likewise one
+number per end of I.  k is even in p - q, so those samples give both
+orders k(d, T_I) and k(d, T_J) that the differential needs, which
+`_pair_coefficients` builds as scalar coefficients on d_0, d_1, T_I and
+T_J per end of I, combined once before the scatter.  Four kernels take 4 +
+2 powers of r and c (8 with both orders), where four independent samples
+take 8 (12).  One kernel code serves exact and lumped terms:
+`_sample_kernels` evaluates samples from per-sample scalars (r^2, and T.d,
+|T x d|^2 and |T|^2 per tangent) and `_scatter_ends` scatters coefficient
+terms, for the four samples of a pair here and the one sample at the
+aggregates of a Barnes-Hut far entry; `bct.trapezoid_kernels` reads the
+same samples.  Like the vertex pass, both take |T x d|^2 as max(r^2 -
+(T.d)^2, 0).  `_vertex_terms` keeps its own kernel: its broadcast (rows x
+V) blocks take their differential from two (4 rows x V) products, one for
 the row terms and one for the column terms of both ends.
 
-`_vertex_terms` and `_scatter_ends` keep their own edge chain rule, not
+`_vertex_terms` and the pair kernel keep their own edge chain rule, not
 `network.edge_chain`: their d-gradients differ at the two ends of an edge,
 and they are the hot path.
 """
@@ -49,6 +57,7 @@ and they are the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,54 +110,84 @@ def kernel(p, q, T, params: EnergyParams) -> float:
     T = np.asarray(T, dtype=float)
     if abs(np.linalg.norm(T) - 1.0) > 1e-9:
         raise ValueError("T must be a unit vector")
-    r2 = np.array([d @ d])
+    d = d[:, None]
+    r2 = _dot3(d, d)
     if r2[0] == 0.0:
         raise SelfContactError("kernel undefined at p == q")
-    ks, _, _ = _sample_kernels(d[:, None], r2, (T[:, None],), (T @ T,),
+    ks, _, _ = _sample_kernels(r2, [_tangent_line(T[:, None], d, r2)],
                                params)
     return float(ks[0][0])
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Columnwise dot products of two (3, P) arrays."""
+    """Dot products over the first axis of two (3, ...) arrays."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _sample_kernels(d: np.ndarray, r2: np.ndarray, tangents, tt,
-                    params: EnergyParams, grad: bool = False):
-    """k(d, T) = |T x d|^alpha / r^beta at one sample, for each T of
-    `tangents`; d and T are (3, P) columns, r2 = |d|^2 and tt the |T|^2.
+def _tangent_line(t: np.ndarray, d: np.ndarray, r2: np.ndarray):
+    """The line (T.d, c2, |T|^2) of `_sample_kernels` for the (3, P) tangents
+    t at the differences d, r2 = |d|^2: c2 = |T x d|^2 is max(|T|^2 r2 -
+    (T.d)^2, 0), as in the vertex pass."""
+    td, tt = _dot3(t, d), _dot3(t, t)
+    return td, np.maximum(tt * r2 - td * td, 0.0), tt
 
-    Returns (ks, dk_dd, s): the kernel per tangent and, with grad, dk/dd
-    summed over the tangents and s = c (T.d) d for the first, c = alpha
-    cr^(alpha-2) / r^beta (else None, None): the tangent variation of
-    dk/dT = c (r2 T - (T.d) d) needs only s.
+
+def _sample_kernels(r2: np.ndarray, lines, params: EnergyParams,
+                    grad: bool = False):
+    """k = c^alpha / r^beta at samples with r2 = r^2, for each tangent line
+    (td, c2, tt) of `lines`: td = T.d, c2 = c^2 = |T x d|^2, the squared
+    distance from the sample to the line, and tt = |T|^2, None for a unit T.
+
+    Each line's arrays broadcast against r2, so a c2 that several samples
+    share takes its power c^(alpha - 2) once.  Returns (ks, A, us): the
+    kernel per line and, with grad, the scalars of dk/dd = A d - sum_T u_T
+    T, summed over the lines, with A = sum_T c_T |T|^2 - beta sum_T k_T / r2,
+    u_T = c_T (T.d) and c_T = alpha c^(alpha - 2) / r^beta (else None,
+    None).  The tangent variation dk/dT = c_T (r2 T - (T.d) d) needs only
+    u_T.
     """
     alpha, beta = params.alpha, params.beta
     rb = r2 ** (-beta / 2)
-    ks, cd, g_t, s = [], 0.0, 0.0, None
-    for t, t2 in zip(tangents, tt):
-        td = _dot3(t, d)
-        cr2 = np.maximum(t2 * r2 - td * td, 0.0)
-        # cr^(alpha-2), zero where cr = 0: the factors it scales are O(cr),
-        # so the limit is zero for alpha > 1
-        cam = np.zeros_like(cr2)
-        np.power(cr2, (alpha - 2) / 2, out=cam, where=cr2 > 0)
-        k = cr2 * cam * rb
-        ks.append(k)
-        if not grad:
-            continue
-        # dk/dd = c (|T|^2 d - (T.d) T) - beta k d / r2
-        c = alpha * cam * rb
-        u = c * td
-        cd = cd + c * t2 - beta * k / r2
-        g_t = g_t + u * t
-        if s is None:
-            s = u * d
-    return ks, cd * d - g_t if grad else None, s
+    ks, A, us = [], None, []
+    for td, c2, tt in lines:
+        q = c2 ** ((alpha - 2) / 2)
+        if alpha < 2:
+            # c^(alpha-2) is infinite at c = 0, but the factors it scales
+            # are O(c), so the limit is zero for alpha > 1
+            q[c2 == 0.0] = 0.0
+        if grad:
+            # the first line's c_T starts A; a later one becomes its u_T
+            c = alpha * q * rb
+            if A is None:
+                A = c if tt is None else c * tt
+                us.append(c * td)
+            else:
+                A += c if tt is None else c * tt
+                c *= td
+                us.append(c)
+        q *= c2                 # c^alpha
+        ks.append(q * rb)
+    if not grad:
+        return ks, None, None
+    k = rb                      # spent: it takes beta sum_T k_T / r2
+    np.copyto(k, ks[0])
+    for k_t in ks[1:]:
+        k += k_t
+    k *= beta
+    k /= r2
+    A -= k
+    return ks, A, us
 
 
-# pairs per chunk: the temporaries of one chunk stay within a few MiB
+# Pairs per chunk of the pair kernel and the Barnes-Hut far field.  Per-call
+# medians (nproc 2) of `bh_differential` on perturbed-circle n = 256 and
+# 4096 (seed 5), and peak allocation of `bh_energy` / `bh_differential` on
+# random-trefoil n = 384 (seed 8, plan cached), which the per-sample kernel
+# this one replaced held to 0.97 / 2.01 MiB at 4096:
+#     chunk   n = 256   n = 4096   peak, energy / differential
+#     2048    3.09 ms   47.1 ms    0.40 / 1.00 MiB
+#     4096    2.79 ms   41.5 ms    0.79 / 1.95 MiB
+#     8192    2.60 ms   37.8 ms    1.51 / 3.73 MiB
 PAIR_CHUNK = 4096
 
 
@@ -157,57 +196,110 @@ def _pair_chunks(n_pairs: int):
         yield slice(start, min(start + PAIR_CHUNK, n_pairs))
 
 
-def _pair_samples(net: CurveNetwork, I: np.ndarray, J: np.ndarray):
-    """The 4-point trapezoid samples of the edge pairs (I, J), chunk by chunk.
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """The sum over the four samples [a, b] of a (2, 2, P) array."""
+    return x.reshape(4, -1).sum(axis=0)
 
-    Yields (sl, ti, tj, samples): the chunk's slice of the pair list, the
-    tangents of its I and J edges, and an iterator over the endpoint pairs
-    (a, b) giving (a, b, d, r2) with d = x(I_a) - x(J_b) and r2 = |d|^2, to
-    be consumed before the next chunk.  Vectors are (3, P) columns: np.take
-    gathers them and the dot products run over contiguous rows.  Raises
-    SelfContactError where some r2 is zero.
+
+class PairChunk(NamedTuple):
+    """P edge pairs (I, J) and their four trapezoid samples d_ab = x(I_a) -
+    x(J_b), indexed [a, b], from `_pair_sampler`."""
+
+    I: np.ndarray           # (P,) the edges I
+    li: np.ndarray          # (P,) l_I
+    lj: np.ndarray          # (P,) l_J
+    ti: np.ndarray | None   # (3, P) T_I, with both orders
+    tj: np.ndarray | None   # (3, P) T_J, with both orders
+    d: np.ndarray | None    # (2, 3, P) d_0b = x(I_0) - x(J_b), with both
+    r2: np.ndarray          # (2, 2, P) |d_ab|^2
+    lines: tuple            # the tangent lines of T_I (and T_J)
+
+
+def _pair_sampler(net: CurveNetwork, both: bool = False):
+    """sample(I, J), the 4-point trapezoid samples of a chunk of edge pairs
+    (I, J) of `net` as a `PairChunk`.  Callers pass each chunk straight to
+    the code that consumes it, so one chunk's temporaries are freed before
+    the next is gathered.
+
+    Both samples x(I_0), x(I_1) of edge I lie on its tangent line, and
+    x(I_1) = x(I_0) + l_I T_I.  So only d_b = x(I_0) - x(J_b), b = 0, 1,
+    are gathered, with np.take from the (6, E) end positions of the edges:
+    c2 = |T_I x d_ab|^2 is one number per b, T_I.d_1b = T_I.d_0b + l_I and
+    r2_1b = c2 + (T_I.d_1b)^2.  The tangent lines of `_sample_kernels` are
+    those of T_I, (T_I.d, c2) broadcast over a, and with both those of T_J:
+    d_a1 = d_a0 - l_J T_J, so |T_J x d_ab|^2 is one number per a, from r2_a0
+    and T_J.d_a0 = T_J.d_00 + a l_I T_I.T_J, broadcast over b.  The
+    tangents are unit, so their tt is None.  Without both, the chunk keeps
+    only what the energy reads: r2 and c2 (its T_I line has no T_I.d).
+
+    A derived r2 need not be 0 where x(I_1) = x(J_b), so r2_1b is taken from
+    gathered differences in every chunk of a network where two vertices
+    coincide (one `_coincident_vertices` test per pass), and in a chunk
+    where a derived r2 reads 0.  sample raises SelfContactError where some
+    r2 is zero.
     """
-    ends = [np.ascontiguousarray(net.vertices[net.edges[:, a]].T)
-            for a in range(2)]
-    T = np.ascontiguousarray(net.geometry().tangents.T)
+    geom = net.geometry()
+    X = np.ascontiguousarray(
+        net.vertices[net.edges].transpose(1, 2, 0).reshape(6, -1))
+    T = np.ascontiguousarray(geom.tangents.T)
+    lengths = geom.lengths
+    coincident = _coincident_vertices(net.vertices)
 
-    def samples(Ic, Jc):
-        pj = [e.take(Jc, axis=1) for e in ends]
-        for a in range(2):
-            pi = ends[a].take(Ic, axis=1)
-            for b in range(2):
-                d = pi - pj[b]
-                r2 = _dot3(d, d)
-                if np.any(r2 == 0.0):
-                    raise SelfContactError("coincident vertices on "
-                                           "non-adjacent edges; curve "
-                                           "touches itself")
-                yield a, b, d, r2
+    def sample(I: np.ndarray, J: np.ndarray) -> PairChunk:
+        P = len(I)
+        d = X.take(J, axis=1).reshape(2, 3, P)
+        np.subtract(X[:3].take(I, axis=1), d, out=d)
+        ti, li = T.take(I, axis=1), lengths.take(I)
+        r2 = np.empty((2, 2, P))
+        td = np.empty_like(r2)
+        np.einsum("bkp,bkp->bp", d, d, out=r2[0])
+        np.einsum("kp,bkp->bp", ti, d, out=td[0])
+        np.add(td[0], li, out=td[1])
+        c2 = np.square(td[0])
+        np.subtract(r2[0], c2, out=c2)
+        np.maximum(c2, 0.0, out=c2)
+        np.square(td[1], out=r2[1])
+        r2[1] += c2
+        if coincident or r2[1].min() == 0.0:
+            e = X[3:].take(I, axis=1) - X.take(J, axis=1).reshape(2, 3, P)
+            np.einsum("bkp,bkp->bp", e, e, out=r2[1])
+        if not r2.all():
+            raise SelfContactError("coincident vertices on non-adjacent "
+                                   "edges; curve touches itself")
+        lj = lengths.take(J)
+        if not both:
+            return PairChunk(I, li, lj, None, None, None, r2,
+                             ((None, c2[None], None),))
+        tj = T.take(J, axis=1)
+        sd = np.empty_like(r2)
+        np.einsum("kp,bkp->bp", tj, d, out=sd[0])
+        np.add(sd[0], li * _dot3(ti, tj), out=sd[1])
+        c2j = np.square(sd[:, 0])
+        np.subtract(r2[:, 0], c2j, out=c2j)
+        np.maximum(c2j, 0.0, out=c2j)
+        return PairChunk(I, li, lj, ti, tj, d, r2,
+                         ((td, c2[None], None), (sd, c2j[:, None], None)))
 
-    for sl in _pair_chunks(len(I)):
-        Ic, Jc = I[sl], J[sl]
-        yield sl, T.take(Ic, axis=1), T.take(Jc, axis=1), samples(Ic, Jc)
+    return sample
 
 
-def _scatter_ends(grad: np.ndarray, net: CurveNetwork, I: np.ndarray,
-                  w: np.ndarray, g_end, m: np.ndarray, k: np.ndarray,
-                  s: np.ndarray, t: np.ndarray):
-    """Add the differential of pair terms at the ends of the edges I to the
-    (3, V) grad: w g_end[end] from the d-gradients, and -+ m (k T + (s.T) T
-    - s), the variation of the length (dl/dx = -+T) and of the tangent of
-    terms m l_I k, k summed over both orders and s from `_sample_kernels`.
-    """
-    v = m * (k * t + _dot3(s, t) * t - s)
-    P = len(I)
-    idx = np.empty(2 * P, dtype=int)
-    vals = np.empty((3, 2 * P))
-    for end, sign in enumerate((-1.0, 1.0)):
-        cols = slice(end * P, (end + 1) * P)
-        net.edges[:, end].take(I, out=idx[cols])
-        np.multiply(w, g_end[end], out=vals[:, cols])
-        vals[:, cols] += sign * v
-    for c in range(3):
-        grad[c] += np.bincount(idx, weights=vals[c], minlength=grad.shape[1])
+def _scatter_ends(grad: np.ndarray, ends: np.ndarray, m: np.ndarray,
+                  terms):
+    """Add m sum_n c_n v_n at the ends of P edges to the (3, V) grad, for
+    the (2, P) vertex indices `ends` of their two ends, the terms (c_n, v_n)
+    of (2, P) coefficients, one row per end (or (P,), the same at both),
+    and (3, P) vectors: each coordinate's end values are combined once,
+    then scattered by np.bincount."""
+    idx = ends.reshape(-1)
+    row = np.empty(ends.shape)
+    for k in range(3):
+        (c, v), *rest = terms
+        np.multiply(c, v[k], out=row)
+        for c, v in rest:
+            row += c * v[k]
+        row *= m
+        grad[k] += np.bincount(idx, weights=row.reshape(-1),
+                               minlength=grad.shape[1])
 
 
 def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
@@ -219,34 +311,76 @@ def _pair_terms(net: CurveNetwork, params: EnergyParams, I: np.ndarray,
     When grad, a (3, V) array, is given, the differential of e_I + e_J in the
     endpoints of I is added to it, where e_J is the same sum with T_J: over
     an ordered list holding (J, I) with each (I, J), that is the whole
-    differential.  k is even in d, so one set of endpoint differences serves
-    both orders; without grad only the T_I order is evaluated.
+    differential.  k is even in d, so the samples of `_pair_sampler` serve
+    both orders; without grad only the T_I order is evaluated.  The pairs go
+    in chunks of PAIR_CHUNK to `_chunk_terms`.
     """
-    lengths = net.geometry().lengths
+    sample = _pair_sampler(net, both=grad is not None)
+    ends = np.ascontiguousarray(net.edges.T)
     energy = 0.0
     # near-contact overflow is deliberate: an inf energy makes the line
     # search reject the trial, so the warning is suppressed, not guarded
     with np.errstate(over="ignore", divide="ignore"):
-        for sl, ti, tj, samples in _pair_samples(net, I, J):
-            Ic, lj = I[sl], lengths.take(J[sl])
-            w = 0.25 * lengths.take(Ic) * lj
-            tangents = (ti,) if grad is None else (ti, tj)
-            tt = [_dot3(t, t) for t in tangents]
-            k_i, k_j, s_t = 0.0, 0.0, 0.0
-            g_end = [0.0, 0.0]      # d-gradients at the two ends of I
-            for a, _, d, r2 in samples:
-                ks, g, s = _sample_kernels(d, r2, tangents, tt, params,
-                                           grad is not None)
-                k_i = k_i + ks[0]
-                if grad is not None:
-                    k_j, s_t = k_j + ks[1], s_t + s
-                    g_end[a] = g_end[a] + g
-            energy += w @ k_i
-            if grad is not None:
-                # w / l_I = l_J / 4 scales the length and tangent variations
-                _scatter_ends(grad, net, Ic, w, g_end, 0.25 * lj, k_i + k_j,
-                              s_t, ti)
+        for sl in _pair_chunks(len(I)):
+            energy += _chunk_terms(sample(I[sl], J[sl]), params, ends, grad)
     return energy
+
+
+def _chunk_terms(ch: PairChunk, params: EnergyParams, ends: np.ndarray,
+                 grad: np.ndarray | None) -> float:
+    """The energy of one `PairChunk` and, into grad, its differential at
+    the ends of I, given by `ends`, the (2, E) end vertices of the edges."""
+    m = 0.25 * ch.lj            # the pair weight is l_I m
+    if grad is None:
+        ks, _, _ = _sample_kernels(ch.r2, ch.lines, params)
+        return float((ch.li * m) @ _sum4(ks[0]))
+    # the kernel values die with `_pair_coefficients`, before the scatter
+    k, terms = _pair_coefficients(
+        ch, *_sample_kernels(ch.r2, ch.lines, params, grad=True))
+    _scatter_ends(grad, ends.take(ch.I, axis=1), m, terms)
+    return float((ch.li * m) @ k)
+
+
+def _pair_coefficients(ch: PairChunk, ks, A: np.ndarray, us):
+    """sum_ab k(d_ab, T_I) per pair of a chunk, and the differential's
+    terms of `_scatter_ends`: scalar coefficients on d_0, d_1, T_I and T_J
+    per end of I, to be scaled by l_J / 4.
+
+    With d_1b = d_0b + l_I T_I, they fold the d-gradients A_ab d_ab - u_I
+    T_I - u_J T_J of `_sample_kernels` at end a, the length variation (dl/dx
+    = -+T) of the pair weight l_I l_J / 4, and the tangent variation (Id - T
+    T^t) / l_I of the sum s = sum_ab u_I,ab d_ab.  Buffers of `ks`, A and
+    `us` are reused.
+    """
+    li, (u_i, u_j), td = ch.li, us, ch.lines[0][0]
+    k = _sum4(ks[0])
+    ua = u_i.sum(axis=1)        # over b
+    a1 = A[1, 0] + A[1, 1]
+    cd = A                      # on d_b at end a: l_I A_ab -+ sum_a u_I,ab
+    cd *= li
+    for u in u_i:
+        cd[0] += u
+        cd[1] -= u
+    # K + sum_ab u_I,ab T_I.d_ab: the length and tangent variations, less
+    # the l_I T_I part of s
+    z = ks[0]
+    z += ks[1]
+    u_i *= td
+    z += u_i
+    z = _sum4(z)
+    z -= li * ua[1]
+    # on T_I: -l_I U_0 - z at end 0 and l_I (l_I sum_b A_1b - U_1) + z at
+    # end 1, with U_a = sum_b u_I,ab
+    ct = ua
+    ct[1] -= li * a1
+    ct[1] *= -li
+    ct[1] += z
+    ct[0] *= -li
+    ct[0] -= z
+    cj = u_j.sum(axis=1)        # on T_J
+    cj *= -li
+    return k, ((cd[:, 0], ch.d[0]), (cd[:, 1], ch.d[1]), (ct, ch.ti),
+               (cj, ch.tj))
 
 
 # (edge, vertex) entries per row block of the vertex-form pass: the

@@ -174,8 +174,8 @@ class Objective:
         self._bvh_net: CurveNetwork | None = None
         # the step-start plan (None on the exact path)
         self.plan: BhPlan | None = None
-        # the step start's metric kernel sums (None unless the exact path
-        # was asked for them)
+        # the step start's metric kernel sums, refilled in place at each
+        # step start (None unless the exact path was asked for them)
         self.sums: np.ndarray | None = None
         # the exact path's broad-phase tree, built once (`ccd_tree`)
         self._ccd_tree: EdgeBvh | None = None
@@ -201,8 +201,14 @@ class Objective:
         """Step-start value and differential; the Barnes-Hut tree is rebuilt
         for `net`, and one plan serves both."""
         if self.accel == "exact":
-            self.sums = np.zeros((2, net.n_edges, net.n_vertices)) \
-                if self.metric_sums else None
+            if self.metric_sums:
+                # one buffer per flow: the dense metric copies out of it
+                # (`dense_kernel_matrices`), so no step holds it
+                shape = (2, net.n_edges, net.n_vertices)
+                if self.sums is None or self.sums.shape != shape:
+                    self.sums = np.zeros(shape)
+                else:
+                    self.sums.fill(0.0)
             value, grad = discrete_differential(net, self.params,
                                                 sums=self.sums)
         else:

@@ -14,6 +14,7 @@ from knotflow.bvh import run_pairs
 from knotflow.constraints import (PROJECTION_TOL, Barycenter, EdgeLengths,
                                   ProjectionFailure, TangentConstraint,
                                   TotalLength)
+from knotflow.energy import SelfContactError
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import (_congruence, _tangent_scaled, average_matrix,
                              derivative_matrix, difference_matrix)
@@ -936,3 +937,118 @@ def min_pair_gap_all_pairs(net, min_index_gap=1, cutoff=None, bvh=None):
     gaps = _segment_gap(p[net.edges[ii, 0]], p[net.edges[ii, 1]],
                         p[net.edges[jj, 0]], p[net.edges[jj, 1]])
     return float(gaps.min()) if len(gaps) else np.inf
+
+
+def _per_sample_kernels(d, r2, tangents, params, grad):
+    """k(d, T) = |T x d|^alpha / r^beta at one sample for each (3, P) T of
+    `tangents`, |T x d|^2 from |T|^2 r2 - (T.d)^2; with grad also dk/dd
+    summed over the tangents and s = c (T.d) d for the first, c = alpha
+    |T x d|^(alpha-2) / r^beta."""
+    alpha, beta = params.alpha, params.beta
+    rb = r2 ** (-beta / 2)
+    ks, cd, g_t, s = [], 0.0, 0.0, None
+    for t in tangents:
+        t2 = np.einsum("ip,ip->p", t, t)
+        td = np.einsum("ip,ip->p", t, d)
+        cr2 = np.maximum(t2 * r2 - td * td, 0.0)
+        cam = np.zeros_like(cr2)
+        np.power(cr2, (alpha - 2) / 2, out=cam, where=cr2 > 0)
+        k = cr2 * cam * rb
+        ks.append(k)
+        if grad:
+            c = alpha * cam * rb
+            cd = cd + c * t2 - beta * k / r2
+            g_t = g_t + c * td * t
+            if s is None:
+                s = c * td * d
+    return ks, (cd * d - g_t if grad else None), s
+
+
+def _per_sample_pairs(net, I, J):
+    """The four trapezoid samples of each pair (I, J), each from its own
+    gathered difference: (a, b, d, r2) with d = x(I_a) - x(J_b)."""
+    ends = [net.vertices[net.edges[:, a]].T for a in range(2)]
+    for a in range(2):
+        for b in range(2):
+            d = ends[a][:, I] - ends[b][:, J]
+            r2 = np.einsum("ip,ip->p", d, d)
+            if np.any(r2 == 0.0):
+                raise SelfContactError("coincident vertices on non-adjacent "
+                                       "edges")
+            yield a, b, d, r2
+
+
+def pair_terms_per_sample(net, params, I, J, grad=None):
+    """The pair-list energy e_I = sum (1/4) l_I l_J sum_ab k(d_ab, T_I) and,
+    into the given (3, V) grad, the differential of e_I + e_J in the ends of
+    I, with every sample's differences, dot products and powers formed on
+    their own: the per-sample form that `energy._pair_terms` replaces."""
+    geom = net.geometry()
+    lengths, T = geom.lengths, geom.tangents.T
+    ti, tj = T[:, I], T[:, J]
+    li, lj = lengths[I], lengths[J]
+    w = 0.25 * li * lj
+    k_i, k_j, s_t = 0.0, 0.0, 0.0
+    g_end = [0.0, 0.0]
+    tangents = (ti,) if grad is None else (ti, tj)
+    for a, _, d, r2 in _per_sample_pairs(net, I, J):
+        ks, g, s = _per_sample_kernels(d, r2, tangents, params,
+                                       grad is not None)
+        k_i = k_i + ks[0]
+        if grad is not None:
+            k_j, s_t = k_j + ks[1], s_t + s
+            g_end[a] = g_end[a] + g
+    if grad is not None:
+        _scatter_per_sample(grad, net, I, w, g_end, 0.25 * lj, k_i + k_j,
+                            s_t, ti)
+    return float(w @ k_i)
+
+
+def _scatter_per_sample(grad, net, I, w, g_end, m, k, s, t):
+    """Add w g_end[end] -+ m (k T + (s.T) T - s) at the ends of the edges
+    I: the d-gradients, and the length variation dl/dx = -+T and tangent
+    variation (Id - T T^t) / l of terms m l_I k."""
+    v = m * (k * t + np.einsum("ip,ip->p", s, t) * t - s)
+    for end, sign in enumerate((-1.0, 1.0)):
+        vals = w * g_end[end] + sign * v
+        for c in range(3):
+            np.add.at(grad[c], net.edges[I, end], vals[c])
+
+
+def far_terms_per_entry(net, bvh, params, plan, grad=None):
+    """The Barnes-Hut far field l_I m_a k(x_I - xbar_a, T_I) over the plan's
+    (edge, node) entries and, into the given (3, V) grad, its differential
+    in both orders with the node aggregates held constant, each end of I
+    taking half the d-gradient: the form that `bvh._far_terms` replaces."""
+    geom = net.geometry()
+    e, a = plan.far_edge, plan.far_node
+    ti = geom.tangents[e].T
+    d = (geom.midpoints[e] - bvh.com[a]).T
+    m = bvh.mass[a]
+    w = geom.lengths[e] * m
+    tangents = (ti,) if grad is None else (ti, bvh.avg_tangent[a].T)
+    ks, g, s = _per_sample_kernels(d, np.einsum("ip,ip->p", d, d), tangents,
+                                   params, grad is not None)
+    if grad is not None:
+        _scatter_per_sample(grad, net, e, 0.5 * w, (g, g), m, ks[0] + ks[1],
+                            s, ti)
+    return float(w @ ks[0])
+
+
+def trapezoid_kernels_per_sample(net, sigma, I, J):
+    """(high, low) of `bct.trapezoid_kernels` with every sample's
+    differences and dot products formed on their own."""
+    geom = net.geometry()
+    T = geom.tangents.T
+    ti, tj = T[:, I], T[:, J]
+    expo = 2 * sigma + 1
+    high, low = 0.0, 0.0
+    for _, _, d, r2 in _per_sample_pairs(net, I, J):
+        term = r2 ** (-expo / 2)
+        cr = [np.maximum(np.einsum("ip,ip->p", t, t) * r2
+                         - np.einsum("ip,ip->p", t, d) ** 2, 0.0)
+              for t in (ti, tj)]
+        high = high + term
+        low = low + term * (cr[0] + cr[1]) / r2 ** 2
+    w = 0.25 * geom.lengths[I] * geom.lengths[J]
+    return 2.0 * w * high, w * low

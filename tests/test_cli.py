@@ -394,3 +394,46 @@ def test_python_m_knotflow_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: knotflow")
     assert "bench" in proc.stdout
+
+
+def test_bench_ledger_appends_one_record_per_run(tmp_path, monkeypatch,
+                                                 capsys):
+    # step times stand in for the flows: n on the accelerated path, n^2 on
+    # the dense one, so criterion 7 reads exponents 1 and 2
+    import knotflow.bench as bench
+
+    monkeypatch.setattr(
+        bench, "_median_step_time",
+        lambda net, params, strategy, accel:
+        1e-3 * net.n_edges ** (1 if accel == "bh" else 2))
+    ledger = tmp_path / "BENCH_scaling.json"
+    assert main(["bench", "--only", "7", "--quick",
+                 "--ledger", str(ledger)]) == 0
+    first = json.loads(ledger.read_text())
+    assert main(["bench", "--only", "1", "7", "--quick",
+                 "--ledger", str(ledger)]) == 0
+    capsys.readouterr()
+    entries = json.loads(ledger.read_text())
+    assert len(entries) == 2 and entries[0] == first[0]
+    record = entries[1]
+    assert record["quick"] is True and record["nproc"] >= 1
+    assert record["blas"]["name"] and "git_revision" in record
+    assert [(c["number"], c["passed"]) for c in record["criteria"]] \
+        == [(1, True), (7, True)]
+    scaling = record["criteria"][1]
+    assert scaling["accelerated"]["n"] == [128, 256, 512]
+    assert scaling["accelerated"]["step_s"] == pytest.approx([0.128, 0.256,
+                                                              0.512])
+    assert scaling["accelerated"]["exponent"] == pytest.approx(1.0)
+    assert scaling["dense"]["n"] == [128, 256]
+    assert scaling["dense"]["exponent"] == pytest.approx(2.0)
+
+
+def test_bench_ledger_keeps_a_file_that_is_not_a_list(tmp_path):
+    from knotflow.bench import CriterionResult, append_ledger
+
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text('{"not": "a list"}')
+    with pytest.raises(ValueError, match="JSON list"):
+        append_ledger(ledger, [CriterionResult(1, "x", True, 0.0)])
+    assert ledger.read_text() == '{"not": "a list"}'

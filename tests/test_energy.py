@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import knotflow.energy
+from knotflow.bct import trapezoid_kernels
 from knotflow.bvh import EdgeBvh, bh_differential, bh_energy
 from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
                              SelfContactError, _row_blocks,
@@ -11,8 +13,10 @@ from knotflow.energy import (PAIR_CHUNK, EnergyParams, ParameterError,
 from knotflow.network import CurveNetwork
 from knotflow.scenes import generate_test_curve
 
-from oracles import (brute_energy, finite_difference_gradient,
-                     perturbed_polygon, regular_polygon, theta_and_loop)
+from oracles import (brute_energy, far_terms_per_entry,
+                     finite_difference_gradient, pair_terms_per_sample,
+                     perturbed_polygon, regular_polygon, theta_and_loop,
+                     trapezoid_kernels_per_sample)
 
 
 def scale_invariant(params: EnergyParams) -> bool:
@@ -50,6 +54,25 @@ def open_arc(n=40, seed=6):
 TWINS = {"theta-and-loop": theta_and_loop, "open-arc": open_arc,
          "trefoil": trefoil_144}
 TWIN_PARAMS = [(3, 6), (2, 4.5)]
+
+
+def circle_256():
+    net = generate_test_curve("perturbed-circle", 256, seed=5)
+    return net.vertices, net.edges
+
+
+# the scenes of the per-sample pair oracle: the curves of the three
+# benchmark workloads (the circle's near leaf pairs nearly collinear), an
+# open arc and a network with junctures
+PAIR_SCENES = {"trefoil-128": lambda: trefoil(128),
+               "trefoil-384": lambda: trefoil(384),
+               "circle-256": circle_256, "open-arc": open_arc,
+               "theta-and-loop": theta_and_loop}
+
+
+def close_to(new, old, rel=1e-12):
+    """new matches old entrywise to rel of the largest |old|."""
+    return np.allclose(new, old, rtol=0.0, atol=rel * np.abs(old).max())
 
 
 # at least two row blocks of the vertex-form pass (the last one partial),
@@ -175,16 +198,24 @@ class TestEnergy:
         with pytest.raises(SelfContactError):
             discrete_differential(net, validate_params(2, 4))
 
-    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.7, 0.1)],
-                             ids=["unit", "scaled"])
-    def test_self_contact_rejected_at_second_ends(self, scale, shift):
+    @pytest.mark.parametrize("scale, shift, rotvec",
+                             [(1.0, 0.0, None), (0.7, 0.1, None),
+                              (0.7, 0.1, [0.3, -0.2, 0.9])],
+                             ids=["unit", "scaled", "rotated"])
+    def test_self_contact_rejected_at_second_ends(self, scale, shift,
+                                                  rotvec):
         # every edge reversed: the coincident vertices 0 and 3 are only the
-        # second ends of their edges, whose distances the pass derives; in
-        # the scaled copy the derived squared distance is 1e-32, not 0
+        # second ends of their edges, whose distances the passes derive; in
+        # the scaled copy the vertex pass derives a squared distance of
+        # 1e-32, not 0, and in the rotated one the pair kernel does too
+        from scipy.spatial.transform import Rotation
+
         verts = np.array([[0., 0., 0.], [1., 0., 0.], [1., 1., 0.],
                           [0., 0., 0.], [-1., 0., 0.], [-1., -1., 0.]])
-        net = CurveNetwork(scale * verts + shift * np.array([1., 2., 3.]),
-                           [[1, 0], [2, 1], [4, 3], [5, 4]])
+        verts = scale * verts + shift * np.array([1., 2., 3.])
+        if rotvec is not None:
+            verts = verts @ Rotation.from_rotvec(rotvec).as_matrix().T
+        net = CurveNetwork(verts, [[1, 0], [2, 1], [4, 3], [5, 4]])
         p = validate_params(2, 4)
         with pytest.raises(SelfContactError):
             discrete_energy(net, p)
@@ -192,6 +223,14 @@ class TestEnergy:
             discrete_differential(net, p)
         with pytest.raises(SelfContactError):
             metric_kernel_sums(net, p.sigma)
+        # the pair kernel derives its second-end samples the same way
+        bvh = EdgeBvh(net, leaf_size=1)
+        with pytest.raises(SelfContactError):
+            bh_energy(net, bvh, p, eps=0.0)
+        with pytest.raises(SelfContactError):
+            bh_differential(net, bvh, p, eps=0.0)
+        with pytest.raises(SelfContactError):
+            trapezoid_kernels(net, p.sigma, *net.disjoint_edge_pairs())
 
     def test_self_contact_in_barnes_hut_leaf(self):
         verts, edges = touching_loops()
@@ -245,6 +284,46 @@ class TestEnergy:
         _, exact = discrete_differential(net, p)
         assert np.allclose(bh_differential(net, bvh, p, eps=0.0)[1], exact,
                            rtol=1e-12, atol=1e-12 * np.abs(exact).max())
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.0])
+@pytest.mark.parametrize("scene", sorted(PAIR_SCENES))
+class TestPairKernelOracle:
+    """The tangent-line pair kernel, and the far field on its sample code,
+    against the per-sample forms they replaced (`oracles`): at eps 0.25 on
+    the default tree, and at eps 0 on one-edge leaves, where every disjoint
+    pair is a leaf pair and the list spans three chunks or more."""
+
+    @pytest.fixture
+    def case(self, scene, eps, monkeypatch):
+        net = CurveNetwork(*PAIR_SCENES[scene]())
+        bvh = EdgeBvh(net, leaf_size=1 if eps == 0.0 else 8)
+        plan = bvh.plan(net, eps)
+        if eps == 0.0:
+            monkeypatch.setattr(knotflow.energy, "PAIR_CHUNK",
+                                min(PAIR_CHUNK, len(plan.I) // 3 + 1))
+            assert len(plan.I) > 2 * knotflow.energy.PAIR_CHUNK
+        return net, bvh, plan
+
+    @pytest.mark.parametrize("alpha, beta", TWIN_PARAMS)
+    def test_energy_and_differential(self, case, eps, alpha, beta):
+        net, bvh, plan = case
+        p = validate_params(alpha, beta)
+        grad = np.zeros((3, net.n_vertices))
+        want = far_terms_per_entry(net, bvh, p, plan, grad) \
+            + pair_terms_per_sample(net, p, plan.I, plan.J, grad)
+        assert bh_energy(net, bvh, p, eps) == pytest.approx(want, rel=1e-12)
+        energy, got = bh_differential(net, bvh, p, eps)
+        assert energy == pytest.approx(want, rel=1e-12)
+        assert close_to(got, grad.T)
+
+    def test_trapezoid_kernels(self, case):
+        net, _, plan = case
+        sigma = validate_params(3, 6).sigma
+        for got, want in zip(
+                trapezoid_kernels(net, sigma, plan.I, plan.J),
+                trapezoid_kernels_per_sample(net, sigma, plan.I, plan.J)):
+            assert close_to(got, want)
 
 
 @pytest.mark.parametrize("alpha, beta", TWIN_PARAMS)
@@ -342,7 +421,10 @@ class TestDifferential:
 
 class TestMemory:
     """The vertex-form pass works row block by row block: its peak
-    allocation does not grow with the 384 x 384 (edge, vertex) pairs here."""
+    allocation does not grow with the 384 x 384 (edge, vertex) pairs here.
+    The Barnes-Hut pass works chunk by chunk over its plan: its bounds are
+    the peaks measured for the per-sample pair kernel it replaced, 0.97
+    and 2.01 MiB, so a chunk holds no more than it did."""
 
     @pytest.mark.parametrize("func, limit_mib",
                              [(discrete_energy, 4), (discrete_differential, 8)])
@@ -353,6 +435,21 @@ class TestMemory:
         tracemalloc.start()
         try:
             func(net, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
+
+    @pytest.mark.parametrize("func, limit_mib",
+                             [(bh_energy, 0.97), (bh_differential, 2.01)])
+    def test_barnes_hut_peak_allocation(self, func, limit_mib):
+        net = generate_test_curve("random-trefoil", 384, seed=8)
+        p = validate_params(3, 6)
+        bvh = EdgeBvh(net)
+        func(net, bvh, p)       # caches the plan
+        tracemalloc.start()
+        try:
+            func(net, bvh, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,7 +7,8 @@ from knotflow.constraints import (PROJECTION_MAX_ITERS, Barycenter,
                                   ConstraintSet, EdgeLengths, PointConstraint,
                                   ProjectionFailure,
                                   RankDeficientConstraintsError, TotalLength)
-from knotflow.energy import discrete_differential, discrete_energy, validate_params
+from knotflow.energy import (discrete_differential, discrete_energy,
+                             metric_kernel_sums, validate_params)
 from knotflow.flow import (FlowConfig, FlowResult, Objective, StepReport,
                            StepSolver, StuckFlow, baseline_metric_matrix,
                            collision_step_limit, crossings_during_motion,
@@ -549,6 +550,31 @@ class TestRunFlow:
         result = run_flow(net, P36, cs, strategy="hs",
                           config=FlowConfig(accel="bh", max_iters=2))
         assert calls["own"] == len(result.reports) == 2
+
+    def test_metric_sums_buffer_is_refilled_not_held(self, monkeypatch):
+        # every step start refills one (2, E, V) buffer; each step's dense
+        # metric reads the sums of its own network and keeps no view of it
+        import knotflow.metric as metric
+
+        seen = []
+        init = metric.MetricOperator.__init__
+
+        def spy(self, net, params, sums=None):
+            init(self, net, params, sums)
+            seen.append((sums, sums.copy(), self.A, net))
+
+        monkeypatch.setattr(metric.MetricOperator, "__init__", spy)
+        net = smooth_perturbed_circle(24, seed=20)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        result = run_flow(net, P36, cs, strategy="hs",
+                          config=FlowConfig(max_iters=3))
+        assert len(result.reports) == len(seen) == 3
+        assert all(sums is seen[0][0] for sums, *_ in seen)
+        for sums, filled, A, step_net in seen:
+            assert not np.shares_memory(A, sums)
+            assert np.allclose(filled, metric_kernel_sums(step_net, P36.sigma),
+                               rtol=1e-13, atol=0.0)
 
     def test_exact_collision_flow_builds_one_tree(self, monkeypatch):
         # the exact path's broad phase keeps one tree topology for the whole
