@@ -5,7 +5,7 @@ constraints, preconditioned by a fractional Sobolev inner product, with
 optional Barnes-Hut, hierarchical-matrix, and multigrid acceleration.
 """
 
-from .bct import BlockClusterTree, HierKernelMatrix, HierMetric, KernelSpec
+from .bct import BlockClusterTree, HierKernelMatrix, HierMetric
 from .bvh import EdgeBvh, bh_differential, bh_energy
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,

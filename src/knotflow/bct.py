@@ -1,4 +1,4 @@
-"""Block cluster tree over BVH node pairs and hierarchical kernel matvecs.
+"""Block cluster tree over BVH node pairs and the hierarchical metric.
 
 Kernel matrices K_IJ = k(p_I, p_J) l_I l_J over edge pairs are partitioned
 into admissible blocks (approximated by the rank-1 outer product of cluster
@@ -14,12 +14,14 @@ The two kernels used by the metric are the high-order inverse power
 k0(p, q) = 1/|p-q|^(2 sigma + 1) and the low-order tangent-point compound
 k2(p, q, T) = |T x (p-q)|^2 / |p-q|^(2 sigma + 5), both symmetrized over the
 argument order per the metric's ordered double sum.  `_metric_sample`
-evaluates both: four samples give an exact entry, one an admissible block.
+evaluates both at once: `trapezoid_kernels` at four samples per near edge
+pair, `_far_values` at one per admissible block.  `HierMetric` is the one
+place that builds the two kernel matrices, in one pass on one tree; each
+`HierKernelMatrix` is a view of its factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,18 +48,6 @@ DEFAULT_BCT_EPS = 0.125
 DENSE_FILL = 2 / 3
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Selects the kernel entering the hierarchical matrix."""
-
-    kind: str            # "high" or "low"
-    sigma: float
-
-    def __post_init__(self):
-        if self.kind not in ("high", "low"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-
 def _metric_sample(r2, c2i, c2j, expo):
     """Both metric kernels at samples with r2 = r^2 and the squared
     distances c2i, c2j = |T x d|^2 to the tangent lines of I and J, which
@@ -67,16 +57,19 @@ def _metric_sample(r2, c2i, c2j, expo):
     return term, term * ((c2i + c2j) / np.square(r2))
 
 
-def _kernel_values(spec: KernelSpec, xi, xj, ti, tj):
-    """Far-field kernel at aggregate tangent-points, without length factors:
-    one `_metric_sample` where the exact entries take four."""
-    d = (xi - xj).T
+def _far_values(bvh: EdgeBvh, adm_a: np.ndarray, adm_b: np.ndarray,
+                sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both kernels of the admissible blocks (adm_a, adm_b) at the aggregate
+    tangent-points of their nodes, without length factors: (2 high, low)
+    from one `_metric_sample` where the exact entries take four."""
+    d = (bvh.com[adm_a] - bvh.com[adm_b]).T
     r2 = _dot3(d, d)
     if np.any(r2 == 0.0):
         raise SelfContactError("coincident tangent-points in kernel matrix")
-    c2 = [_tangent_line(t.T, d, r2)[1] for t in (ti, tj)]
-    high, low = _metric_sample(r2, *c2, 2 * spec.sigma + 1)
-    return 2.0 * high if spec.kind == "high" else low
+    c2 = [_tangent_line(bvh.avg_tangent[nodes].T, d, r2)[1]
+          for nodes in (adm_a, adm_b)]
+    high, low = _metric_sample(r2, *c2, 2 * sigma + 1)
+    return 2.0 * high, low
 
 
 def trapezoid_kernels(net: CurveNetwork, sigma: float, I: np.ndarray,
@@ -148,7 +141,6 @@ class BlockClusterTree:
 
         self.adm_a, self.adm_b, self.near_a, self.near_b = sweep(
             bvh, np.array([0]), np.array([0]), admissible)
-        self._near_pairs = None
 
     # a multigrid level that takes the dense metric never reads these
     @cached_property
@@ -177,68 +169,43 @@ class BlockClusterTree:
                           shape=(len(sizes), len(bvh.order)))
 
     def near_pair_arrays(self, net: CurveNetwork):
-        """All exact near-field edge pairs (excluded pairs removed), cached.
+        """All exact near-field edge pairs, excluded pairs removed.
 
         Near block (a, b) holds n_a n_b pairs, listed row-major (`run_pairs`):
         its k-th pair takes edge k // n_b of side a and edge k % n_b of side b.
         """
-        if self._near_pairs is None:
-            bvh = self.bvh
-            a, b = self.near_a, self.near_b
-            I, J = run_pairs(bvh.start[a], bvh.end[a] - bvh.start[a],
-                             bvh.start[b], bvh.end[b] - bvh.start[b])
-            self._near_pairs = exact_pairs(net, bvh.order[I], bvh.order[J])
-        return self._near_pairs
+        bvh = self.bvh
+        a, b = self.near_a, self.near_b
+        I, J = run_pairs(bvh.start[a], bvh.end[a] - bvh.start[a],
+                         bvh.start[b], bvh.end[b] - bvh.start[b])
+        return exact_pairs(net, bvh.order[I], bvh.order[J])
 
 
 class HierKernelMatrix:
-    """Matrix-free K with rank-1 far field and precomputed sparse near field."""
+    """One kernel matrix of a `HierMetric`, K = K_near + Up^T K_adm Up: a
+    view of the factors the metric built, evaluating no kernel itself.
 
-    def __init__(self, bct: BlockClusterTree, spec: KernelSpec,
-                 net: CurveNetwork, near_entries: np.ndarray | None = None):
+    `kbar` holds the block kernel values in the order of `bct.adm_a`, which
+    K_adm places at rows `bct.adm_rows` and columns `bct.adm_cols`; `near`
+    is the sparse exact near field, `up` the length-weighted membership
+    matrix Up and `down` its transpose, both shared by the two kernels.
+    """
+
+    def __init__(self, bct: BlockClusterTree, kbar: np.ndarray,
+                 near: csr_matrix, up: csr_matrix, down: csr_matrix):
         self.bct = bct
-        self.spec = spec
-        bvh = bct.bvh
-        geom = net.geometry()
-        self.lengths = geom.lengths
-        self.n_edges = net.n_edges
-
-        # far field: one kernel evaluation per admissible block, compiled
-        # into K_far = Up^T K_adm Up with Up weighted by the edge lengths
-        if len(bct.adm_a):
-            self.kbar = _kernel_values(
-                spec,
-                bvh.com[bct.adm_a], bvh.com[bct.adm_b],
-                bvh.avg_tangent[bct.adm_a], bvh.avg_tangent[bct.adm_b])
-        else:
-            self.kbar = np.zeros(0)
-        n_far = len(bct.far_nodes)
-        self.k_adm = coo_matrix((self.kbar, (bct.adm_rows, bct.adm_cols)),
+        self.kbar = kbar
+        self.near = near
+        n_far = up.shape[0]
+        self.k_adm = coo_matrix((kbar, (bct.adm_rows, bct.adm_cols)),
                                 shape=(n_far, n_far)).tocsr()
-        self.up = bct.up.copy()
-        self.up.data = self.lengths[self.up.indices]
-        self.down = self.up.T.tocsr()
-
-        # near field: exact trapezoid entries at bct.near_pair_arrays (given,
-        # or computed here), excluded pairs zeroed
-        I, J = bct.near_pair_arrays(net)
-        if near_entries is None:
-            high, low = trapezoid_kernels(net, spec.sigma, I, J)
-            near_entries = high if spec.kind == "high" else low
-        self.near = coo_matrix((near_entries, (I, J)),
-                               shape=(self.n_edges, self.n_edges)).tocsr()
-        self._row_sums = None
+        self.up = up
+        self.down = down
 
     def matvec(self, psi: np.ndarray) -> np.ndarray:
         """K @ psi for psi of shape (E,) or (E, m)."""
         psi = np.asarray(psi, dtype=float)
         return self.down @ (self.k_adm @ (self.up @ psi)) + self.near @ psi
-
-    def row_sums(self) -> np.ndarray:
-        """K @ ones, cached; the diagonal of the metric decomposition."""
-        if self._row_sums is None:
-            self._row_sums = self.matvec(np.ones(self.n_edges))
-        return self._row_sums
 
 
 class HierMetric:
@@ -246,42 +213,49 @@ class HierMetric:
 
     A follows the formula of `metric.py`,
     A = sum_c D_c^T (diag(K 1) - K) D_c + E^T (diag(K0 1) - K0) E, with each
-    K = K_near + Up^T K_adm Up taken from the block cluster tree.  Split along
-    the near and the far field, it is compiled once into A = S - W^T K_blk W:
+    K = K_near + Up^T K_adm Up taken from the block cluster tree `bct`, which
+    must be partitioned on a tree fitted to `net`.  Split along the near and
+    the far field, it is compiled once into A = S - W^T K_blk W:
 
         S     = sum_c D_c^T (diag(K 1) - K_near) D_c
                 + E^T (diag(K0 1) - K0_near) E (V x V, CSR)
         W     = [Up D_0; Up D_1; Up D_2; Up E]
         K_blk = blockdiag(K_adm, K_adm, K_adm, K0_adm)
 
-    S is `metric.metric_parts` of the sparse near fields with the row sums
-    of the same approximate K, far field included, so constants are
-    annihilated regardless of the block approximation error.  A multigrid
-    level never builds a `HierMetric` whose near field reaches DENSE_FILL of
-    the edge pairs; it takes the exact dense metric instead, so S stays
-    sparse.  `k_high` and `k_low` keep the two kernel matrices and `bct` the
-    block partition: the given one, on a tree fitted to `net`, or one at
-    DEFAULT_BCT_EPS on a new tree.  Another partition is passed in, as
-    `bct=BlockClusterTree(EdgeBvh(net), eps)`.
+    Both kernels come from one pass: one `trapezoid_kernels` call over the
+    near edge pairs, one `_far_values` call over the admissible blocks, and
+    one length-weighted Up with its transpose, which `k_high`, `k_low` and W
+    share.  S is `metric.metric_parts` of the sparse near fields with the
+    row sums K 1 of the same approximate K, far field included, so constants
+    are annihilated regardless of the block approximation error.  A
+    multigrid level never builds a `HierMetric` whose near field reaches
+    DENSE_FILL of the edge pairs; it takes the exact dense metric instead,
+    so S stays sparse.  `k_high` and `k_low` keep the two kernel matrices.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
-                 bct: BlockClusterTree | None = None):
+                 bct: BlockClusterTree):
         self.net = net
         self.sigma = float(sigma)
-        self.bct = bct if bct is not None else BlockClusterTree(EdgeBvh(net))
-        self.bvh = self.bct.bvh
-        I, J = self.bct.near_pair_arrays(net)
-        high, low = trapezoid_kernels(net, self.sigma, I, J)
-        self.k_high = HierKernelMatrix(
-            self.bct, KernelSpec("high", self.sigma), net, near_entries=high)
-        self.k_low = HierKernelMatrix(
-            self.bct, KernelSpec("low", self.sigma), net, near_entries=low)
+        self.bct = bct
+        self.bvh = bct.bvh
+        n_edges = net.n_edges
+        up = bct.up.copy()
+        up.data = net.geometry().lengths[up.indices]
+        down = up.T.tocsr()
+        I, J = bct.near_pair_arrays(net)
+        near = trapezoid_kernels(net, self.sigma, I, J)
+        far = _far_values(self.bvh, bct.adm_a, bct.adm_b, self.sigma)
+        self.k_high, self.k_low = (
+            HierKernelMatrix(bct, kbar, coo_matrix(
+                (entries, (I, J)), shape=(n_edges, n_edges)).tocsr(), up, down)
+            for kbar, entries in zip(far, near))
         self.n = net.n_vertices
+        ones = np.ones(n_edges)
         B, B0 = metric_parts(net, self.k_high.near, self.k_low.near,
-                             self.k_high.row_sums(), self.k_low.row_sums())
+                             self.k_high.matvec(ones), self.k_low.matvec(ones))
         self.S = B + B0
-        D, up = derivative_matrix(net), self.k_high.up
+        D = derivative_matrix(net)
         self.W = vstack([up @ D[c::3] for c in range(3)]
                         + [up @ average_matrix(net)], format="csr")
         self.WT = self.W.T.tocsr()

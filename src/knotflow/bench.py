@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bct import (DEFAULT_BCT_EPS, BlockClusterTree, HierKernelMatrix,
-                  KernelSpec)
+from .bct import DEFAULT_BCT_EPS, BlockClusterTree, HierMetric
 from .bvh import EdgeBvh, bh_differential
 from .constraints import Barycenter, ConstraintSet, EdgeLengths, TotalLength
 from .energy import discrete_differential, discrete_energy, validate_params
@@ -217,19 +216,16 @@ def criterion_4(quick=False) -> CriterionResult:
     for n, seed in ((64, 2), (256, 5)):
         net = generate_test_curve("perturbed-circle", n, seed=seed)
         psi = rng.normal(size=net.n_edges)
-        errs = {"default": 0.0, "exact": 0.0}
-        blocks = {}
-        for kind, dense in zip(("high", "low"),
-                               dense_kernel_matrices(net, sigma)):
-            spec = KernelSpec(kind, sigma)
-            want = dense @ psi
-            for eps, bucket in ((DEFAULT_BCT_EPS, "default"), (0.0, "exact")):
-                bct = BlockClusterTree(EdgeBvh(net), eps=eps)
-                blocks[bucket] = len(bct.adm_a)
-                K = HierKernelMatrix(bct, spec, net)
-                errs[bucket] = max(errs[bucket], float(
-                    np.linalg.norm(K.matvec(psi) - want)
-                    / np.linalg.norm(want)))
+        wants = [dense @ psi for dense in dense_kernel_matrices(net, sigma)]
+        errs, blocks = {}, {}
+        for eps, bucket in ((DEFAULT_BCT_EPS, "default"), (0.0, "exact")):
+            metric = HierMetric(net, sigma,
+                                BlockClusterTree(EdgeBvh(net), eps=eps))
+            blocks[bucket] = len(metric.bct.adm_a)
+            errs[bucket] = max(
+                float(np.linalg.norm(K.matvec(psi) - want)
+                      / np.linalg.norm(want))
+                for K, want in zip((metric.k_high, metric.k_low), wants))
         worst_default = max(worst_default, errs["default"])
         worst_exact = max(worst_exact, errs["exact"])
         details.append(

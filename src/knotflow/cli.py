@@ -1,7 +1,8 @@
 """Command-line front end: run scene files and the acceptance benchmarks.
 
 Exit codes for `solve`: 0 converged, 1 scene error (printed to stderr as
-`knotflow: <message>`), 2 stuck, 3 iteration cap reached.
+`knotflow: <message>`; dependent constraints, found once the flow factors
+the constraint Jacobian, count as one), 2 stuck, 3 iteration cap reached.
 
 BLAS thread pools start when numpy loads, before arguments are parsed: set
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS before launch.
@@ -13,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .constraints import RankDeficientConstraintsError
 from .flow import ACCEL_MODES, STRATEGIES, run_flow
 from .scenes import SceneError, export_frames, parse_scene
 
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SceneError as exc:
+    except (SceneError, RankDeficientConstraintsError) as exc:
         print(f"knotflow: {exc}", file=sys.stderr)
         return 1
 

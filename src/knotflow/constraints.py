@@ -226,7 +226,7 @@ class TangentConstraint:
         self.edge = int(edge)
         self.target = np.asarray(target, dtype=float)
         norm = np.linalg.norm(self.target)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:             # NaN fails too
             raise ValueError("tangent target must be a unit vector")
 
     def evaluate(self, net: CurveNetwork) -> np.ndarray:

@@ -249,9 +249,10 @@ class StepSolver:
     Rank loss of the Jacobian shows in the factorization the solver builds
     (the constraint block of the saddle factor, the level-0 C C^T factor on
     "hs-mg"); only then does the SVD of `ConstraintSet.check_rank` run, to
-    name the dependent rows.  `run_flow` has no check of its own: its first
-    solver, for the initial projection or the first step, finds rank loss
-    present from the start.
+    name the dependent rows.  The factor alone assembles the Jacobian; the
+    check assembles it again.  `run_flow` has no check of its own: its
+    first solver, for the initial projection or the first step, finds rank
+    loss present from the start.
     """
 
     def __init__(self, strategy: str, net: CurveNetwork, params: EnergyParams,
@@ -260,8 +261,7 @@ class StepSolver:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.constraints = constraints
-        C = constraints.jacobian(net)
-        if C.shape[0] == 0:
+        if constraints.k == 0:
             raise ValueError(
                 "at least one translation-fixing constraint is required")
         try:
@@ -270,12 +270,13 @@ class StepSolver:
             else:
                 A = MetricOperator(net, params, sums).A if strategy == "hs" \
                     else baseline_metric_matrix(net, strategy)
-                self.saddle = SaddleFactor(A, C, net.dual_masses())
+                self.saddle = SaddleFactor(A, constraints.jacobian(net),
+                                           net.dual_masses())
         except np.linalg.LinAlgError:
-            constraints.check_rank(C)
+            constraints.check_rank(constraints.jacobian(net))
             raise
         if self.saddle.rank_suspect:
-            constraints.check_rank(C)
+            constraints.check_rank(constraints.jacobian(net))
 
     def direction(self, differential: np.ndarray) -> np.ndarray:
         """Projected preconditioned gradient, (V, 3)."""

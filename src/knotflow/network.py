@@ -192,6 +192,16 @@ class CurveNetwork:
         return self._topology["ordered"]
 
 
+def unit_vector(vector, name: str) -> np.ndarray:
+    """`vector` scaled to unit length; a zero or non-finite one raises a
+    ValueError naming it as `name`."""
+    vector = np.asarray(vector, float)
+    norm = np.linalg.norm(vector)
+    if not 0.0 < norm < np.inf:                     # NaN fails too
+        raise ValueError(f"{name} must be a finite nonzero vector")
+    return vector / norm
+
+
 def _checked_positions(vertices) -> np.ndarray:
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 3:

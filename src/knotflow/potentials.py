@@ -18,7 +18,7 @@ import numpy as np
 from . import bvh
 from .energy import EnergyParams, _dot3, _pair_chunks
 from .meshes import FaceTree, TriangleMesh
-from .network import CurveNetwork, edge_chain
+from .network import CurveNetwork, edge_chain, unit_vector
 
 
 class ObstacleContactError(ValueError):
@@ -37,8 +37,7 @@ class ConstantField:
     direction: np.ndarray = field(default_factory=lambda: np.array([0., 0., 1.]))
 
     def __post_init__(self):
-        self.direction = np.asarray(self.direction, float)
-        self.direction = self.direction / np.linalg.norm(self.direction)
+        self.direction = unit_vector(self.direction, "field direction")
 
     def value(self, x):
         x = np.atleast_2d(x)
@@ -56,8 +55,7 @@ class RotationField:
     axis: np.ndarray = field(default_factory=lambda: np.array([0., 0., 1.]))
 
     def __post_init__(self):
-        self.axis = np.asarray(self.axis, float)
-        self.axis = self.axis / np.linalg.norm(self.axis)
+        self.axis = unit_vector(self.axis, "rotation axis")
 
     def _raw(self, x):
         return np.cross(np.broadcast_to(self.axis, x.shape), x)

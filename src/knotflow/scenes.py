@@ -43,6 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -55,7 +56,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from .energy import EnergyParams, discrete_energy, validate_params
 from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult, StepReport
 from .meshes import MeshSignedDistance, load_obj_mesh, read_obj
-from .network import CurveNetwork
+from .network import CurveNetwork, unit_vector
 from .potentials import (ConstantField, FieldPotential,
                          LengthDifferencePotential, RotationField,
                          SurfacePotential, TotalLengthPotential)
@@ -162,6 +163,18 @@ class Scene:
     def _all(self, name):
         return [s for s in self.sections if s["__name__"] == name]
 
+    @contextmanager
+    def _section(self, sec):
+        """Re-raise a ValueError of the code it wraps, one that the section's
+        values cause, as a SceneError naming the section's line."""
+        try:
+            yield
+        except SceneError:
+            raise
+        except ValueError as exc:
+            raise SceneError(
+                f"{self.origin}:{sec['__line__']}: {exc}") from None
+
     def build_curve(self, seed_override=None) -> CurveNetwork:
         sec = self._only("curve", required=True)
         kind = _get(sec, "kind", origin=self.origin)
@@ -192,10 +205,8 @@ class Scene:
         if kind == "grid-braid":
             kwargs["strands"] = _get(sec, "strands", default=3, convert=int,
                                      origin=self.origin)
-        try:
+        with self._section(sec):
             return generate_test_curve(kind, n, seed, **kwargs)
-        except ValueError as exc:
-            raise SceneError(f"{self.origin}:{sec['__line__']}: {exc}")
 
     def build_params(self) -> EnergyParams:
         sec = self._only("energy")
@@ -205,49 +216,48 @@ class Scene:
                      origin=self.origin)
         beta = _get(sec, "beta", default=6.0, convert=float,
                     origin=self.origin)
-        try:
+        with self._section(sec):
             return validate_params(alpha, beta)
-        except ValueError as exc:
-            raise SceneError(f"{self.origin}:{sec['__line__']}: {exc}")
 
     def build_constraints(self, net: CurveNetwork) -> ConstraintSet:
         specs = []
         for sec in self._all("constraint"):
-            kind = _get(sec, "type", origin=self.origin)
-            growth = _get(sec, "growth", default=1.0, convert=float,
-                          origin=self.origin)
-            if kind == "barycenter":
-                target = self._target(sec, _vector)
-                specs.append(Barycenter.from_network(net) if target is None
-                             else Barycenter(target))
-            elif kind == "total-length":
-                target = self._target(sec, float)
-                specs.append(TotalLength(
-                    net.total_length() if target is None else target,
-                    growth=growth))
-            elif kind == "edge-length":
-                specs.append(EdgeLengths.from_network(net, growth=growth))
-            elif kind == "point":
-                vertex = self._index(sec, "vertex", net.n_vertices)
-                target = self._target(sec, _vector)
-                specs.append(PointConstraint(
-                    vertex, net.vertices[vertex] if target is None
-                    else target))
-            elif kind == "surface":
-                vertex = self._index(sec, "vertex", net.n_vertices)
-                specs.append(SurfaceConstraint(
-                    vertex, self._surface_for(sec)))
-            elif kind == "tangent":
-                edge = self._index(sec, "edge", net.n_edges)
-                target = self._target(sec, _vector)
-                specs.append(TangentConstraint(
-                    edge, net.geometry().tangents[edge] if target is None
-                    else target / np.linalg.norm(target)))
-            else:
-                raise SceneError(
-                    f"{self.origin}:{sec['__line__']}: unknown constraint "
-                    f"type {kind!r}")
+            with self._section(sec):
+                specs.append(self._constraint(sec, net))
         return ConstraintSet(specs)
+
+    def _constraint(self, sec, net: CurveNetwork):
+        """The constraint of one [constraint] section.  A value error that
+        `_get` does not name raises a plain ValueError, which `_section`
+        names by the section's line, as in `_surface_for` and `_potential`."""
+        kind = _get(sec, "type", origin=self.origin)
+        growth = _get(sec, "growth", default=1.0, convert=float,
+                      origin=self.origin)
+        if kind == "barycenter":
+            target = self._target(sec, _vector)
+            return Barycenter.from_network(net) if target is None \
+                else Barycenter(target)
+        if kind == "total-length":
+            target = self._target(sec, float)
+            return TotalLength(net.total_length() if target is None
+                               else target, growth=growth)
+        if kind == "edge-length":
+            return EdgeLengths.from_network(net, growth=growth)
+        if kind == "point":
+            vertex = self._index(sec, "vertex", net.n_vertices)
+            target = self._target(sec, _vector)
+            return PointConstraint(vertex, net.vertices[vertex]
+                                   if target is None else target)
+        if kind == "surface":
+            vertex = self._index(sec, "vertex", net.n_vertices)
+            return SurfaceConstraint(vertex, self._surface_for(sec))
+        if kind == "tangent":
+            edge = self._index(sec, "edge", net.n_edges)
+            target = self._target(sec, _vector)
+            return TangentConstraint(
+                edge, net.geometry().tangents[edge] if target is None
+                else unit_vector(target, "tangent target"))
+        raise ValueError(f"unknown constraint type {kind!r}")
 
     def _target(self, sec, convert):
         """A constraint's `target` by `convert`, None where it is "auto" or
@@ -275,54 +285,50 @@ class Scene:
         if kind == "mesh":
             rel = _get(sec, "path", default=None, origin=self.origin)
             if rel is None:
-                raise SceneError(f"{self.origin}:{sec['__line__']}: mesh "
-                                 f"surface needs a path")
+                raise ValueError("mesh surface needs a path")
             path = self.base_dir / rel
             if not path.exists():
-                raise SceneError(
-                    f"{self.origin}:{sec['__line__']}: mesh not found: {path}")
+                raise ValueError(f"mesh not found: {path}")
             return MeshSignedDistance(load_obj_mesh(path))
-        raise SceneError(f"{self.origin}:{sec['__line__']}: unknown surface "
-                         f"kind {kind!r}")
+        raise ValueError(f"unknown surface kind {kind!r}")
 
     def build_potentials(self, params: EnergyParams):
         pots = []
         for sec in self._all("potential"):
-            kind = _get(sec, "type", origin=self.origin)
-            weight = _get(sec, "weight", default=1.0, convert=float,
-                          origin=self.origin)
-            if kind == "total-length":
-                pots.append(TotalLengthPotential(weight))
-            elif kind == "length-difference":
-                pots.append(LengthDifferencePotential(weight))
-            elif kind == "surface":
-                rel = _get(sec, "path", default=None, origin=self.origin)
-                if rel is None:
-                    raise SceneError(f"{self.origin}:{sec['__line__']}: "
-                                     f"surface potential needs a path")
-                path = self.base_dir / rel
-                if not path.exists():
-                    raise SceneError(f"{self.origin}:{sec['__line__']}: "
-                                     f"obstacle not found: {path}")
-                exponent = _get(sec, "exponent", default=None,
-                                convert=float, origin=self.origin)
-                pots.append(SurfacePotential(load_obj_mesh(path), weight,
-                                             exponent=exponent))
-            elif kind == "field":
-                name = _get(sec, "field", default="constant",
-                            origin=self.origin)
-                axis = _get(sec, "axis", default="0 0 1", convert=_vector,
-                            origin=self.origin)
-                fld = ConstantField(axis) if name == "constant" \
-                    else RotationField(axis)
-                if name not in ("constant", "rotation"):
-                    raise SceneError(f"{self.origin}:{sec['__line__']}: "
-                                     f"unknown field {name!r}")
-                pots.append(FieldPotential(fld, weight))
-            else:
-                raise SceneError(f"{self.origin}:{sec['__line__']}: unknown "
-                                 f"potential type {kind!r}")
+            with self._section(sec):
+                pots.append(self._potential(sec))
         return pots
+
+    def _potential(self, sec):
+        """The potential of one [potential] section."""
+        kind = _get(sec, "type", origin=self.origin)
+        weight = _get(sec, "weight", default=1.0, convert=float,
+                      origin=self.origin)
+        if kind == "total-length":
+            return TotalLengthPotential(weight)
+        if kind == "length-difference":
+            return LengthDifferencePotential(weight)
+        if kind == "surface":
+            rel = _get(sec, "path", default=None, origin=self.origin)
+            if rel is None:
+                raise ValueError("surface potential needs a path")
+            path = self.base_dir / rel
+            if not path.exists():
+                raise ValueError(f"obstacle not found: {path}")
+            exponent = _get(sec, "exponent", default=None, convert=float,
+                            origin=self.origin)
+            return SurfacePotential(load_obj_mesh(path), weight,
+                                    exponent=exponent)
+        if kind == "field":
+            name = _get(sec, "field", default="constant", origin=self.origin)
+            if name not in ("constant", "rotation"):
+                raise ValueError(f"unknown field {name!r}")
+            axis = _get(sec, "axis", default="0 0 1", convert=_vector,
+                        origin=self.origin)
+            fld = ConstantField(axis) if name == "constant" \
+                else RotationField(axis)
+            return FieldPotential(fld, weight)
+        raise ValueError(f"unknown potential type {kind!r}")
 
     def build_flow_config(self, overrides=None) -> tuple[str, FlowConfig]:
         """The strategy ("hs" unless given) and a `FlowConfig` of the [flow]

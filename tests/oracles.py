@@ -356,12 +356,14 @@ def octahedron_sphere(radius=1.0, subdivisions=2):
 
 def hier_apply_high(hm, u):
     """B u from `hm`'s kernel matrices, matrix-free: sum_c D_c^T (diag(K 1) -
-    K) D_c u with K applied through `HierKernelMatrix.matvec`; the reference
-    for the compiled `HierMetric.apply`."""
+    K) D_c u with K, and the row sums K 1, applied through
+    `HierKernelMatrix.matvec`; the reference for the compiled
+    `HierMetric.apply`."""
     D = derivative_matrix(hm.net)
     du = D @ u                                           # (3E,) or (3E, m)
     t = du.reshape(hm.net.n_edges, -1)                   # (E, 3) or (E, 3m)
-    y = hm.k_high.row_sums()[:, None] * t - hm.k_high.matvec(t)
+    K = hm.k_high
+    y = K.matvec(np.ones(len(t)))[:, None] * t - K.matvec(t)
     return D.T @ y.reshape(du.shape)
 
 
@@ -371,7 +373,8 @@ def hier_apply_low(hm, u):
     E = average_matrix(hm.net)
     a = E @ u                                            # (E,) or (E, m)
     t = a.reshape(hm.net.n_edges, -1)
-    y = hm.k_low.row_sums()[:, None] * t - hm.k_low.matvec(t)
+    K = hm.k_low
+    y = K.matvec(np.ones(len(t)))[:, None] * t - K.matvec(t)
     return E.T @ y.reshape(a.shape)
 
 

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from knotflow.bct import (BlockClusterTree, HierKernelMatrix, HierMetric,
-                          KernelSpec)
+from knotflow import bct as bct_module
+from knotflow.bct import (DEFAULT_BCT_EPS, BlockClusterTree, HierKernelMatrix,
+                          HierMetric)
+from knotflow.bench import criterion_4
 from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
 from knotflow.metric import (MetricOperator, dense_kernel_matrices,
@@ -25,9 +29,15 @@ def dense_kernel(net, kind):
     return dense_kernel_matrices(net, SIGMA)[("high", "low").index(kind)]
 
 
-def hier_metric_at(net, eps):
-    """The `HierMetric` on a new tree partitioned at `eps`."""
-    return HierMetric(net, SIGMA, bct=BlockClusterTree(EdgeBvh(net), eps))
+def hier_metric_at(net, eps, bvh=None):
+    """The `HierMetric` partitioned at `eps`, on `bvh` or a new tree."""
+    bvh = bvh if bvh is not None else EdgeBvh(net)
+    return HierMetric(net, SIGMA, BlockClusterTree(bvh, eps))
+
+
+def hier_kernel(net, kind, eps=DEFAULT_BCT_EPS, bvh=None):
+    """The `kind` ("high" or "low") kernel matrix of `hier_metric_at`."""
+    return getattr(hier_metric_at(net, eps, bvh), f"k_{kind}")
 
 
 def polygon_net(n, seed=None):
@@ -144,10 +154,9 @@ class TestKernelMatvec:
 
     @staticmethod
     def check_zero_vector(net, kind):
-        bct = BlockClusterTree(EdgeBvh(net))
-        K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
+        K = hier_kernel(net, kind)
         assert np.all(K.matvec(np.zeros(net.n_edges)) == 0.0)
-        return len(bct.adm_a)
+        return len(K.bct.adm_a)
 
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_matches_dense_at_default_eps(self, kind):
@@ -159,25 +168,21 @@ class TestKernelMatvec:
 
     @staticmethod
     def check_matches_dense(net, kind):
-        spec = KernelSpec(kind, SIGMA)
-        bct = BlockClusterTree(EdgeBvh(net))
-        K = HierKernelMatrix(bct, spec, net)
-        dense = dense_kernel(net, spec.kind)
+        K = hier_kernel(net, kind)
+        dense = dense_kernel(net, kind)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=net.n_edges)
         err = np.linalg.norm(K.matvec(psi) - dense @ psi) \
             / np.linalg.norm(dense @ psi)
         assert err <= 1e-2
-        return len(bct.adm_a)
+        return len(K.bct.adm_a)
 
     @pytest.mark.parametrize("kind", ["high", "low"])
     def test_exact_fallback_at_eps_zero(self, kind):
         net = polygon_net(48, seed=6)
-        spec = KernelSpec(kind, SIGMA)
-        bct = BlockClusterTree(EdgeBvh(net), eps=0.0)
-        assert len(bct.adm_a) == 0
-        K = HierKernelMatrix(bct, spec, net)
-        dense = dense_kernel(net, spec.kind)
+        K = hier_kernel(net, kind, eps=0.0)
+        assert len(K.bct.adm_a) == 0
+        dense = dense_kernel(net, kind)
         rng = np.random.default_rng(7)
         psi = rng.normal(size=net.n_edges)
         got = K.matvec(psi)
@@ -192,18 +197,16 @@ class TestKernelMatvec:
 
     @staticmethod
     def check_accuracy_in_eps(net):
-        spec = KernelSpec("high", SIGMA)
-        dense = dense_kernel(net, spec.kind)
+        dense = dense_kernel(net, "high")
         rng = np.random.default_rng(9)
         psi = rng.normal(size=net.n_edges)
         want = dense @ psi
         bvh = EdgeBvh(net)
         errs, blocks = [], 0
         for eps in (0.4, 0.2, 0.1, 0.05):
-            bct = BlockClusterTree(bvh, eps=eps)
-            K = HierKernelMatrix(bct, spec, net)
+            K = hier_kernel(net, "high", eps, bvh)
             errs.append(np.linalg.norm(K.matvec(psi) - want))
-            blocks = max(blocks, len(bct.adm_a))
+            blocks = max(blocks, len(K.bct.adm_a))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-12
         return blocks
@@ -216,12 +219,10 @@ class TestKernelMatvec:
 
     @staticmethod
     def check_symmetric_action(net):
-        spec = KernelSpec("low", SIGMA)
-        dense = dense_kernel(net, spec.kind)
+        dense = dense_kernel(net, "low")
         asym = np.abs(dense - dense.T).max() / np.abs(dense).max()
         assert asym < 1e-12
-        bct = BlockClusterTree(EdgeBvh(net), eps=0.25)
-        K = HierKernelMatrix(bct, spec, net)
+        K = hier_kernel(net, "low", eps=0.25)
         rng = np.random.default_rng(11)
         psi = rng.normal(size=net.n_edges)
         chi = rng.normal(size=net.n_edges)
@@ -229,7 +230,7 @@ class TestKernelMatvec:
         rhs = psi @ K.matvec(chi)
         scale = np.abs(dense).max() * np.linalg.norm(psi) * np.linalg.norm(chi)
         assert abs(lhs - rhs) <= 2e-2 * scale
-        return len(bct.adm_a)
+        return len(K.bct.adm_a)
 
     def test_matrix_rhs_matches_columnwise(self):
         self.check_matrix_rhs(polygon_net(32, seed=12))
@@ -239,14 +240,13 @@ class TestKernelMatvec:
 
     @staticmethod
     def check_matrix_rhs(net):
-        bct = BlockClusterTree(EdgeBvh(net))
-        K = HierKernelMatrix(bct, KernelSpec("high", SIGMA), net)
+        K = hier_kernel(net, "high")
         rng = np.random.default_rng(13)
         block = rng.normal(size=(net.n_edges, 3))
         batched = K.matvec(block)
         for c in range(3):
             assert np.allclose(batched[:, c], K.matvec(block[:, c]))
-        return len(bct.adm_a)
+        return len(K.bct.adm_a)
 
 
 def block_sum_oracle(K, net, psi):
@@ -270,10 +270,8 @@ class TestCompiledFarField:
     def test_matches_block_sum_oracle(self, kind, leaf_size, shape):
         # at leaf size 8 the 96-gon has no admissible block
         net = smooth_circle() if leaf_size == 8 else polygon_net(96, seed=24)
-        bvh = EdgeBvh(net, leaf_size=leaf_size)
-        bct = BlockClusterTree(bvh, eps=0.25)
-        assert len(bct.adm_a) > 0
-        K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
+        K = hier_kernel(net, kind, 0.25, EdgeBvh(net, leaf_size=leaf_size))
+        assert len(K.bct.adm_a) > 0
         psi = np.random.default_rng(25).normal(size=(net.n_edges, *shape))
         got = K.matvec(psi)
         want = block_sum_oracle(K, net, psi)
@@ -288,9 +286,9 @@ class TestBlockKernels:
         # 2 / r^(2 sigma + 1), or sum_T |T x d|^2 / r^(2 sigma + 5) over the
         # two (non-unit) average tangents
         net = smooth_circle()
-        bct = BlockClusterTree(EdgeBvh(net))
+        K = hier_kernel(net, kind)
+        bct = K.bct
         assert len(bct.adm_a) > 0
-        K = HierKernelMatrix(bct, KernelSpec(kind, SIGMA), net)
         com, tbar = bct.bvh.com, bct.bvh.avg_tangent
         expo = 2 * SIGMA + 1
         for a, b, kbar in zip(bct.adm_a, bct.adm_b, K.kbar):
@@ -328,7 +326,7 @@ class TestHierMetric:
 
     @staticmethod
     def check_linearity(net):
-        hm = HierMetric(net, SIGMA)
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
         rng = np.random.default_rng(17)
         u = rng.normal(size=net.n_vertices)
         v = rng.normal(size=net.n_vertices)
@@ -347,7 +345,7 @@ class TestHierMetric:
 
     @staticmethod
     def check_dense_gram(net, which):
-        hm = HierMetric(net, SIGMA)
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
         B, B0 = metric_parts(net, *dense_kernel_matrices(net, SIGMA))
         dense = B if which == "B" else B0
         rng = np.random.default_rng(19)
@@ -392,7 +390,7 @@ class TestHierMetric:
 
     @staticmethod
     def check_compiled_apply(net):
-        hm = HierMetric(net, SIGMA)
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
         U = np.random.default_rng(30).normal(size=(net.n_vertices, 2))
         want = hier_apply_high(hm, U) + hier_apply_low(hm, U)
         assert np.linalg.norm(hm.apply(U) - want) \
@@ -403,13 +401,13 @@ class TestHierMetric:
         # S holds at most the 4 vertex pairs of each near edge pair plus
         # the 3 entries per vertex of the edge stencils: no V x V storage
         net = generate_test_curve("perturbed-circle", 2048, seed=5)
-        hm = HierMetric(net, SIGMA)
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
         assert hm.S.nnz <= 4 * hm.k_high.near.nnz + 3 * net.n_vertices
         assert hm.S.nnz < net.n_vertices ** 2 // 16
 
     def test_stacked_apply(self):
         net = polygon_net(32, seed=22)
-        hm = HierMetric(net, SIGMA)
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
         rng = np.random.default_rng(23)
         X = rng.normal(size=(3, net.n_vertices))
         out = hm.apply_stacked(X.reshape(-1)).reshape(3, -1)
@@ -431,6 +429,30 @@ class TestHierMetric:
         assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
         return len(hm.bct.adm_a)
 
+    def test_one_pass_builds_both_kernels(self, monkeypatch):
+        # one far-field and one near-field kernel evaluation serve both
+        # kernel matrices, which share the length-weighted membership
+        # matrix; the row sums take one matvec per kernel
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
+
+        for name in ("_far_values", "trapezoid_kernels"):
+            monkeypatch.setattr(bct_module, name,
+                                counted(name, getattr(bct_module, name)))
+        monkeypatch.setattr(HierKernelMatrix, "matvec",
+                            counted("matvec", HierKernelMatrix.matvec))
+        hm = hier_metric_at(smooth_circle(), DEFAULT_BCT_EPS)
+        assert len(hm.bct.adm_a) > 0
+        assert calls == {"_far_values": 1, "trapezoid_kernels": 1,
+                         "matvec": 2}
+        assert hm.k_high.up is hm.k_low.up
+        assert hm.k_high.down is hm.k_low.down
+
     def test_refitting_shared_tree_leaves_metric_unchanged(self):
         self.check_refit_leaves_metric(polygon_net(96, seed=28))
 
@@ -440,7 +462,7 @@ class TestHierMetric:
     @staticmethod
     def check_refit_leaves_metric(net):
         bvh = EdgeBvh(net)
-        hm = HierMetric(net, SIGMA, bct=BlockClusterTree(bvh))
+        hm = hier_metric_at(net, DEFAULT_BCT_EPS, bvh)
         assert hm.bvh is bvh
         vec = np.random.default_rng(29).normal(size=3 * net.n_vertices)
         before = hm.apply_stacked(vec)
@@ -503,6 +525,15 @@ class TestSweep:
             assert np.array_equal(getattr(bct.up, part),
                                   getattr(want[3], part))
         # HierMetric's far field reads the same clusters
-        metric = HierMetric(net, SIGMA, bct=bct)
+        metric = HierMetric(net, SIGMA, bct)
         assert np.array_equal(metric.k_high.up.indices, want[3].indices)
         assert metric.K_blk.nnz > 0
+
+
+def test_criterion_4_quick_passes():
+    # the acceptance check of the hierarchical matvecs against the dense
+    # kernels; the n = 256 circle's far field has 190 admissible blocks
+    result = criterion_4(quick=True)
+    assert result.passed, result.format_line()
+    assert result.details[1].startswith("n=256: ")
+    assert ", 190 admissible blocks; exact" in result.details[1]

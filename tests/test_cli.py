@@ -350,8 +350,20 @@ max_iters = 3
          ":11: bad value for 'target': could not convert string to float: "
          "'abc'"),
         (MINIMAL_SCENE + "target = 1 2\n",
-         ":8: bad value for 'target': expected three numbers")],
-        ids=["curve-n", "total-length-target", "barycenter-target"])
+         ":8: bad value for 'target': expected three numbers"),
+        (MINIMAL_SCENE + "target = inf 0 0\n",
+         ":6: barycenter target must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = tangent\nedge = 0\n"
+                         "target = 0 0 0\n",
+         ":9: tangent target must be a finite nonzero vector"),
+        (MINIMAL_SCENE + "\n[potential]\ntype = field\naxis = 0 0 0\n",
+         ":9: field direction must be a finite nonzero vector"),
+        (MINIMAL_SCENE + "\n[potential]\ntype = field\nfield = rotation\n"
+                         "axis = nan 0 1\n",
+         ":9: rotation axis must be a finite nonzero vector")],
+        ids=["curve-n", "total-length-target", "barycenter-target",
+             "barycenter-infinite", "tangent-zero", "field-zero-axis",
+             "rotation-nan-axis"])
     def test_scene_value_reported_without_traceback(self, tmp_path, capsys,
                                                      text, message):
         path = tmp_path / "scene.knot"
@@ -359,6 +371,18 @@ max_iters = 3
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err \
             == f"knotflow: {path}{message}\n"
+
+    def test_dependent_constraints_reported_without_traceback(
+            self, tmp_path, capsys):
+        # two barycenter sections: the flow's first factor finds the rank
+        # loss, and the message names the dependent rows
+        path = self.scene_file(tmp_path, "\n[constraint]\ntype = barycenter\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("knotflow: constraint Jacobian is rank "
+                              "deficient; dependent rows involve: "
+                              "['barycenter -> "), err
+        assert err.count("barycenter") == 2 and err.endswith("]\n")
 
     def test_missing_scene_file_reported(self, tmp_path, capsys):
         path = tmp_path / "missing.knot"

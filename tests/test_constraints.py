@@ -74,6 +74,13 @@ class TestEvaluate:
         phi = ConstraintSet([TangentConstraint(1, T)]).evaluate(CENTERED_SQUARE)
         assert np.allclose(phi, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("target", [[0.0, 0.0, 2.0], [np.nan, 0.0, 1.0],
+                                        [0.0, 0.0, 0.0]],
+                             ids=["long", "nan", "zero"])
+    def test_tangent_target_must_be_unit(self, target):
+        with pytest.raises(ValueError, match="must be a unit vector"):
+            TangentConstraint(1, target)
+
     def test_stacking_order_and_count(self):
         cs = ConstraintSet([Barycenter(), TotalLength(4.0),
                             PointConstraint(0, [0, 0, 0])])

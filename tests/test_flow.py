@@ -680,6 +680,22 @@ class TestRankLoss:
             StepSolver(strategy, net, P36, cs)
 
 
+    @pytest.mark.parametrize("strategy", ["hs", "hs-mg"])
+    def test_one_jacobian_per_solver(self, strategy, monkeypatch):
+        # the factor assembles C (on "hs-mg", the finest level of a one-level
+        # hierarchy); the solver assembles it again only for a rank check
+        net = smooth_perturbed_circle(64, seed=23)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            PointConstraint(0, net.vertices[0])])
+        calls = []
+        jacobian = ConstraintSet.jacobian
+        monkeypatch.setattr(
+            ConstraintSet, "jacobian",
+            lambda self, net: calls.append(1) or jacobian(self, net))
+        solver = StepSolver(strategy, net, P36, cs)
+        assert len(solver.saddle.levels) == (strategy == "hs-mg")
+        assert len(calls) == 1
+
 class TestCrossingCounts:
     def test_circle_has_no_crossings(self):
         verts, edges = regular_polygon(32)

@@ -289,6 +289,14 @@ class TestFieldPotential:
         net = CurveNetwork(verts, edges)
         fd_check(FieldPotential(RotationField([0, 0, 1])), net)
 
+    @pytest.mark.parametrize("field", [ConstantField, RotationField])
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [np.nan, 0, 1],
+                                      [np.inf, 0, 0]],
+                             ids=["zero", "nan", "inf"])
+    def test_degenerate_axis_rejected(self, field, axis):
+        with pytest.raises(ValueError, match="must be a finite nonzero"):
+            field(axis)
+
     def test_nonnegative(self):
         verts, edges = perturbed_polygon(16, seed=6)
         net = CurveNetwork(verts, edges)
