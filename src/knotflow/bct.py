@@ -44,7 +44,7 @@ DEFAULT_BCT_EPS = 0.125
 # Fill of a square matrix from which dense storage costs no more than CSR
 # (8 bytes per dense entry against 12 per nonzero).  A multigrid level whose
 # near blocks hold this share of the E^2 ordered edge pairs applies the exact
-# dense metric instead of a `HierMetric` (`multigrid.MgLevel`).
+# dense metric instead of a `HierMetric` (`multigrid.level_metric`).
 DENSE_FILL = 2 / 3
 
 

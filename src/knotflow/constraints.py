@@ -30,7 +30,8 @@ from typing import Callable, Protocol
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .network import CurveNetwork, edge_chain, unstack_fields
+from .network import (CurveNetwork, edge_chain, finite_array,
+                      unstack_fields)
 
 # infinity norm of Phi at which a projection counts as converged
 PROJECTION_TOL = 1e-8
@@ -66,6 +67,12 @@ class SphereSurface:
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     radius: float = 1.0
 
+    def __post_init__(self):
+        self.center = finite_array(self.center, "sphere center")
+        self.radius = float(self.radius)
+        if not 0.0 < self.radius < np.inf:         # NaN fails too
+            raise ValueError("sphere radius must be finite and positive")
+
     def value(self, x):
         d = np.asarray(x, float) - self.center
         return float(d @ d - self.radius ** 2)
@@ -94,9 +101,7 @@ class Barycenter:
     size = 3
 
     def __init__(self, target=(0.0, 0.0, 0.0)):
-        self.target = np.asarray(target, dtype=float)
-        if not np.all(np.isfinite(self.target)):
-            raise ValueError("barycenter target must be finite")
+        self.target = finite_array(target, "barycenter target")
 
     @staticmethod
     def from_network(net: CurveNetwork) -> "Barycenter":
@@ -127,8 +132,8 @@ class TotalLength:
     size = 1
 
     def __init__(self, target: float, growth: float = 1.0):
-        self.target = float(target)
-        self.growth = float(growth)
+        self.target = float(finite_array(target, "total-length target"))
+        self.growth = float(finite_array(growth, "total-length growth"))
 
     def evaluate(self, net: CurveNetwork) -> np.ndarray:
         return np.array([self.target - net.geometry().lengths.sum()])
@@ -148,7 +153,7 @@ class EdgeLengths:
 
     def __init__(self, targets, growth: float = 1.0):
         self.targets = np.asarray(targets, dtype=float)
-        self.growth = float(growth)
+        self.growth = float(finite_array(growth, "edge-length growth"))
 
     @property
     def size(self):
@@ -181,7 +186,7 @@ class PointConstraint:
 
     def __init__(self, vertex: int, target):
         self.vertex = int(vertex)
-        self.target = np.asarray(target, dtype=float)
+        self.target = finite_array(target, "point target")
 
     def evaluate(self, net: CurveNetwork) -> np.ndarray:
         return net.vertices[self.vertex] - self.target

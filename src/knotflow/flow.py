@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix
 
 from .bvh import (BH_EPS, BhPlan, EdgeBvh, bh_differential, bh_energy,
                   overlap_pairs)
@@ -25,7 +25,7 @@ from .constraints import PROJECTION_TOL, ConstraintSet, ProjectionFailure
 from .energy import (EnergyParams, SelfContactError, discrete_differential,
                      discrete_energy)
 from .metric import MetricOperator, SaddleFactor
-from .multigrid import MultigridHierarchy
+from .multigrid import MultigridHierarchy, level_metric
 from .network import (CurveNetwork, InvalidNetworkError, stack_fields,
                       unstack_fields)
 from .potentials import ObstacleContactError
@@ -60,7 +60,7 @@ class FlowConfig:
             raise ValueError("armijo parameter must lie in (0, 0.5]")
         if not 0 < self.backtrack < 1:
             raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.stop_tolerance <= 0:
+        if not self.stop_tolerance > 0:               # NaN fails too
             raise ValueError("stop tolerance must be positive")
         if self.accel not in ACCEL_MODES:
             raise ValueError(f"unknown accel mode {self.accel!r}")
@@ -85,10 +85,10 @@ class StepReport:
     mg_unconverged: int                 # solves ending above the target
     mg_residual: float                  # largest final true relative residual
     mg_solves: int                      # multigrid solves of the step
-    mg_hier_levels: int                 # levels applying HierMetric (0 on
-                                        # the exact path)
-    mg_levels: int                      # multigrid levels (0 on the exact
-                                        # path)
+    mg_hier_levels: int                 # levels applying HierMetric
+    mg_levels: int                      # multigrid levels; each mg_ field
+                                        # is 0 on the exact factor, which
+                                        # "hs-mg" takes on a dense level 0
     bh_far: int                         # far (edge, node) entries and leaf
     bh_leaf_pairs: int                  # pairs of the step-start Barnes-Hut
                                         # plan (0 on the exact path)
@@ -171,7 +171,6 @@ class Objective:
         self.metric_sums = metric_sums
         # tree fitted to the last evaluated network (None on the exact path)
         self.bvh: EdgeBvh | None = None
-        self._bvh_net: CurveNetwork | None = None
         # the step-start plan (None on the exact path)
         self.plan: BhPlan | None = None
         # the step start's metric kernel sums, refilled in place at each
@@ -188,9 +187,8 @@ class Objective:
         else:
             if self.bvh is None:
                 self.bvh = EdgeBvh(net)
-            elif self._bvh_net is not net:
+            else:
                 self.bvh.refit(net)
-            self._bvh_net = net
             value = bh_energy(net, self.bvh, self.params, eps=self.bh_eps)
         for pot in self.potentials:
             v, _ = pot.value_and_differential(net, self.params)
@@ -212,7 +210,7 @@ class Objective:
             value, grad = discrete_differential(net, self.params,
                                                 sums=self.sums)
         else:
-            self.bvh, self._bvh_net = EdgeBvh(net), net
+            self.bvh = EdgeBvh(net)
             value, grad = bh_differential(net, self.bvh, self.params,
                                           eps=self.bh_eps)
             self.plan = self.bvh.plan(net, self.bh_eps)
@@ -238,8 +236,9 @@ class Objective:
 class StepSolver:
     """Per-step frozen preconditioner: direction solve + projection solve.
 
-    `saddle` is the exact `SaddleFactor` or, on "hs-mg", the
-    `MultigridHierarchy`; both answer `solve_gradient`,
+    `saddle` is the exact `SaddleFactor` or, on "hs-mg" where the finest
+    `multigrid.level_metric` is a `HierMetric`, the `MultigridHierarchy`
+    seeded with it; both answer `solve_gradient`,
     `solve_projection_step`, `rank_suspect` and the V-cycle tallies
     `solves`, `cycles`, `unconverged` and `residual` (zeros on the exact
     factor), and `levels` (empty on it).
@@ -247,9 +246,9 @@ class StepSolver:
     and `sums` (optional) the metric kernel sums of `net` for the dense
     "hs" metric, as `Objective.energy_and_differential` leaves them.
     Rank loss of the Jacobian shows in the factorization the solver builds
-    (the constraint block of the saddle factor, the level-0 C C^T factor on
-    "hs-mg"); only then does the SVD of `ConstraintSet.check_rank` run, to
-    name the dependent rows.  The factor alone assembles the Jacobian; the
+    (the constraint block of the saddle factor, the level-0 C C^T factor of
+    a hierarchy); only then does the SVD of `ConstraintSet.check_rank` run,
+    to name the dependent rows.  The factor alone assembles the Jacobian; the
     check assembles it again.  `run_flow` has no check of its own: its
     first solver, for the initial projection or the first step, finds rank
     loss present from the start.
@@ -265,11 +264,19 @@ class StepSolver:
             raise ValueError(
                 "at least one translation-fixing constraint is required")
         try:
+            A = None
             if strategy == "hs-mg":
-                self.saddle = MultigridHierarchy(net, params, constraints, bvh)
+                metric = level_metric(net, params, bvh)
+                if isinstance(metric, MetricOperator):
+                    A = metric.A
+                else:
+                    self.saddle = MultigridHierarchy(net, params, constraints,
+                                                     metric)
+            elif strategy == "hs":
+                A = MetricOperator(net, params, sums).A
             else:
-                A = MetricOperator(net, params, sums).A if strategy == "hs" \
-                    else baseline_metric_matrix(net, strategy)
+                A = baseline_metric_matrix(net, strategy)
+            if A is not None:
                 self.saddle = SaddleFactor(A, constraints.jacobian(net),
                                            net.dual_masses())
         except np.linalg.LinAlgError:

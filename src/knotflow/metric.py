@@ -271,7 +271,10 @@ class SaddleFactor:
         for c in range(3):
             Q[c * V:(c + 1) * V, c] = self._q
         s_cu = np.asarray(C @ Q)                    # C A_bar'^-1 U, (k x 3)
-        s_uu = (m @ self._q - 1.0) * np.eye(3)
+        # S's U block (m . q - 1) I from (m . q)(1 - m . q) = q . A q, which
+        # A' q = m gives; taken as that difference, it would cancel to
+        # rounding noise where A kills constants and the block is 0
+        s_uu = -(self._q @ (A @ self._q)) / (m @ self._q) * np.eye(3)
         self._cc, self.rank_suspect = checked_cholesky(
             np.asarray(C @ self._Zt.T))
         self._x = scipy.linalg.cho_solve(self._cc, s_cu, check_finite=False)
@@ -280,6 +283,9 @@ class SaddleFactor:
         # below; on the hs metric one is 0 for each translation C leaves free,
         # where the saddle system is singular.  Eigenvalues at rounding level
         # are dropped, so consistent systems (projections) still get a solve.
+        # A length-weighted barycenter couples to the smooth modes, which
+        # shrinks the remainder to 1e-4 on a near-planar curve, so noise of
+        # 1e-13 in the U block would put errors of 1e-9 into every solve.
         self._r3_pinv = scipy.linalg.pinvh(s_uu - s_cu.T @ self._x,
                                            atol=1e-12, rtol=0.0)
         self._inv, self._C, self._m = inv, C, m

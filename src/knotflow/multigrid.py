@@ -21,15 +21,16 @@ which make it a nonlinear map, hence the flexible (Polak-Ribiere) beta.
 A level applies the assembled dense metric (`MetricOperator`) when the near
 blocks of its block cluster tree hold at least `bct.DENSE_FILL` (2/3) of the
 E^2 ordered edge pairs, and the hierarchical metric (`HierMetric`, built on
-that tree) otherwise.  From that fill on, the sparse near part of
-`HierMetric` costs as much as the dense metric and the far field comes on
-top, so it builds and applies more than the exact metric it approximates; a
-level without an admissible block is all near field.  Both metrics answer
-`apply` and `apply_stacked`.  Coarsening stops at the first dense level (or
-at COARSEST_SIZE, or when nothing can be removed), and one `SaddleFactor` of
-the last level's metric solves that level exactly, once factored per step,
-where V-cycles below it would only approximate that solve.  A hierarchy
-whose finest level is dense is that factor alone.
+that tree) otherwise (`level_metric`).  From that fill on, the sparse near
+part of `HierMetric` costs as much as the dense metric and the far field
+comes on top, so it builds and applies more than the exact metric it
+approximates; a level without an admissible block is all near field.  Both
+metrics answer `apply` and `apply_stacked`.  Coarsening stops at the first
+dense level (or at COARSEST_SIZE, or when nothing can be removed), and one
+`SaddleFactor` of the last level's metric solves that level exactly, once
+factored per step, where V-cycles below it would only approximate that
+solve.  A hierarchy whose finest level is dense is that factor alone, so
+`flow.StepSolver` factors a dense finest `level_metric` directly instead.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -190,8 +191,20 @@ def restrict_constraints(constraints: ConstraintSet, coarse_net: CurveNetwork,
     return ConstraintSet(specs)
 
 
+def level_metric(net: CurveNetwork, params: EnergyParams, bvh=None):
+    """The metric of a level on `net`: the exact `MetricOperator` when the
+    near blocks of the block cluster tree on `bvh` (fitted to `net`; a new
+    tree if None) hold at least DENSE_FILL of the E^2 ordered edge pairs,
+    and the `HierMetric` on that tree otherwise (module docstring)."""
+    bct = BlockClusterTree(bvh if bvh is not None else EdgeBvh(net))
+    sizes = bct.bvh.end - bct.bvh.start
+    if sizes[bct.near_a] @ sizes[bct.near_b] >= DENSE_FILL * net.n_edges ** 2:
+        return MetricOperator(net, params)
+    return HierMetric(net, params.sigma, bct=bct)
+
+
 class MgLevel:
-    """One hierarchy level: network, metric apply, constraints, projector.
+    """One hierarchy level: network, metric apply, projector.
 
     The projector P = I - C^T (C C^T)^{-1} C follows the fill of the
     (k x 3V) Jacobian C.  When C is at least half full (3V k <= 2 nnz(C):
@@ -202,12 +215,9 @@ class MgLevel:
     None and C C^T gets a sparse LU.  A tiny relative pivot of either
     factor sets `rank_suspect`.
 
-    `metric` is the exact `MetricOperator` when the near blocks of the
-    level's block cluster tree, on `bvh` (a tree fitted to `net`) or a new
-    one, hold at least DENSE_FILL of the E^2 ordered edge pairs (the sum of
-    n_a n_b over the near blocks (a, b)), and the `HierMetric` on that tree
-    otherwise (module docstring).  A level with the dense metric is the last
-    of its hierarchy, which factors it instead of smoothing it.
+    `metric` is the level's `level_metric`, and C the Jacobian of
+    `constraints` on `net`.  A level with the dense metric is the last of
+    its hierarchy, which factors it instead of smoothing it.
 
     `scale` corrects the rediscretized coarse metric toward the Galerkin
     operator J^T A_fine J: the nonlocal Gram matrices are not refinement-
@@ -216,22 +226,15 @@ class MgLevel:
     fitted at setup by matching Rayleigh quotients on smooth probe functions.
     """
 
-    def __init__(self, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, prolongation=None, bvh=None):
+    def __init__(self, net: CurveNetwork, metric, constraints: ConstraintSet,
+                 prolongation=None):
         self.net = net
         self.J = prolongation          # maps this level's values to the finer
         self.JT = None if prolongation is None else prolongation.T.tocsr()
-        self.constraints = constraints
+        self.metric = metric
         self.scale = 1.0
         C = constraints.jacobian(net)
         self.C = C
-        bvh = bvh if bvh is not None else EdgeBvh(net)
-        bct = BlockClusterTree(bvh)
-        sizes = bvh.end - bvh.start
-        near = sizes[bct.near_a] @ sizes[bct.near_b]
-        self.metric = MetricOperator(net, params) \
-            if near >= DENSE_FILL * net.n_edges ** 2 \
-            else HierMetric(net, params.sigma, bct=bct)
         self.Q = None
         if 3 * net.n_vertices * C.shape[0] <= 2 * C.nnz:
             factor, self.rank_suspect = checked_cholesky((C @ C.T).toarray())
@@ -292,14 +295,12 @@ class MultigridHierarchy:
     `rank_suspect` (from the finest level's C C^T factor, Cholesky or LU).
     The levels apply `HierMetric` down to the first dense level, the last
     one, whose projected system one `SaddleFactor` (`_saddle`) solves
-    exactly.  A one-level hierarchy answers both calls from that factor.
-    Every solve adds to the tallies `solves` (solves), `cycles` (V-cycles),
-    `unconverged` (solves ending above the residual target) and `residual`
-    (largest final true relative residual); an answer from the factor adds
-    to `solves` alone.  `hier_levels` counts the levels that apply
-    `HierMetric`.  `bvh` (optional) is a tree fitted to `net` for the finest
-    level's metric.  The solves read SMOOTHER_ITERS, MAX_VCYCLES and
-    TARGET_REL_RESIDUAL at call time.
+    exactly.  Every solve adds to the tallies `solves` (solves), `cycles`
+    (V-cycles), `unconverged` (solves ending above the residual target) and
+    `residual` (largest final true relative residual).  `hier_levels`
+    counts the levels that apply `HierMetric`.  `metric` is the finest
+    level's `level_metric`; the coarse levels compute their own.  The solves
+    read SMOOTHER_ITERS, MAX_VCYCLES and TARGET_REL_RESIDUAL at call time.
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`
@@ -308,16 +309,14 @@ class MultigridHierarchy:
     """
 
     def __init__(self, net: CurveNetwork, params: EnergyParams,
-                 constraints: ConstraintSet, bvh=None):
-        self.params = params
+                 constraints: ConstraintSet, metric):
         self.solves = self.cycles = self.unconverged = 0
         self.residual = 0.0
         self._phis = np.zeros((constraints.k, 0))
         self._xs = np.zeros((3 * net.n_vertices, 0))
         keep = {s.vertex for s in constraints.specs
                 if isinstance(s, (PointConstraint, SurfaceConstraint))}
-        self.levels: list[MgLevel] = [
-            MgLevel(net, params, constraints, bvh=bvh)]
+        self.levels: list[MgLevel] = [MgLevel(net, metric, constraints)]
         self.rank_suspect = self.levels[0].rank_suspect
         current, cs = net, constraints
         while isinstance(self.levels[-1].metric, HierMetric) \
@@ -328,8 +327,8 @@ class MultigridHierarchy:
             coarse, J, vmap, emap = out
             cs = restrict_constraints(cs, coarse, vmap, emap)
             keep = {vmap[v] for v in keep}
-            self.levels.append(
-                MgLevel(coarse, params, cs, prolongation=J))
+            self.levels.append(MgLevel(coarse, level_metric(coarse, params),
+                                       cs, prolongation=J))
             current = coarse
         self.hier_levels = sum(isinstance(level.metric, HierMetric)
                                for level in self.levels)
@@ -342,9 +341,7 @@ class MultigridHierarchy:
     def _fit_coarse_scales(self):
         """Match each coarse metric's smooth-mode response to the Galerkin
         operator of the (already corrected) finer level."""
-        for i in range(1, len(self.levels)):
-            fine = self.levels[i - 1]
-            level = self.levels[i]
+        for fine, level in zip(self.levels, self.levels[1:]):
             pos = level.net.vertices
             probes = [pos[:, 0], pos[:, 1], pos[:, 2],
                       pos[:, 0] * pos[:, 1]]
@@ -361,8 +358,8 @@ class MultigridHierarchy:
                 level.scale *= num / den
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        """The last level's M x = b for b in null(C), by the saddle factor
-        of its unscaled metric."""
+        """The last level's M x = P b, by the saddle factor of its unscaled
+        metric, which drops the C^T part of b itself."""
         return self._saddle.solve_gradient(b) / self.levels[-1].scale
 
     def _smooth(self, level: MgLevel, b: np.ndarray,
@@ -392,15 +389,22 @@ class MultigridHierarchy:
 
     def _vcycle(self, i: int, b: np.ndarray,
                 presmooth: bool = True) -> np.ndarray:
-        """One V-cycle on level i's M x = b from x = 0.  Without `presmooth`
-        it is the initial guess for b: the down leg only restricts b, and
-        the coarse solve is prolonged up with smoothing."""
-        if i == len(self.levels) - 1:
-            return self._coarse_solve(b)
+        """One V-cycle on level i's M x = P b from x = 0.  Without
+        `presmooth` it is the initial guess for b: the down leg only
+        restricts b, and the coarse solve is prolonged up with smoothing.
+
+        Each level but the last projects its b.  The last level's factor
+        takes b as it is: where most of b lies in the span of C^T (A_bar z
+        for a least-norm start z), projecting it first cancels to a
+        rounding error that the solve amplifies, and the saddle system
+        drops that part exactly."""
         level = self.levels[i]
+        if level is self.levels[-1]:
+            return self._coarse_solve(b)
+        b = level.project(b)
         nxt = self.levels[i + 1]
         x, r = self._smooth(level, b) if presmooth else (0.0, b)
-        e = self._vcycle(i + 1, nxt.project(restrict(nxt, r)), presmooth)
+        e = self._vcycle(i + 1, restrict(nxt, r), presmooth)
         x = x + level.project(prolong(nxt, e))
         return self._smooth(level, b, x)[0]
 
@@ -455,9 +459,6 @@ class MultigridHierarchy:
 
     def solve_gradient(self, differential_stacked: np.ndarray) -> np.ndarray:
         """Multigrid version of the tangent-space gradient saddle solve."""
-        if len(self.levels) == 1:
-            self.solves += 1
-            return self._saddle.solve_gradient(differential_stacked)
         top = self.levels[0]
         return top.project(self._solve(top.project(differential_stacked)))
 
@@ -484,32 +485,27 @@ class MultigridHierarchy:
         instead of a solve.  Each stored pair meets C x_j = -phi_j (z is
         exact and every correction is projected onto null(C)), so X c meets
         C x = -phi up to the span residual.  Any other phi is solved, and
-        the pair is stored; a one-level hierarchy solves it by its factor.
+        the pair is stored.
         """
         c = np.linalg.lstsq(self._phis, phi, rcond=None)[0]
         if np.linalg.norm(phi - self._phis @ c) \
                 <= SPAN_TOL * np.linalg.norm(phi):
             return self._xs @ c
-        if len(self.levels) == 1:
-            self.solves += 1
-            x = self._saddle.solve_projection_step(phi)
-        else:
-            top = self.levels[0]
-            x = top.min_norm_solution(-phi)
-            x = x - top.project(self._vcycle(
-                0, top.project(top.scale * top.metric.apply_stacked(x)),
-                presmooth=False))
-            for _ in range(2):
-                Ax = top.scale * top.metric.apply_stacked(x)
-                r = top.project(Ax)
-                e = top.project(self._vcycle(0, r, presmooth=False))
-                xAx, re = float(x @ Ax), float(r @ e)
-                # x.A_bar x <= 0 only at rounding level, when x is a
-                # translation, the exact answer to a barycenter residual
-                if xAx <= 0.0 or re <= TARGET_REL_RESIDUAL ** 2 * xAx:
-                    break
-                x = x - top.project(self._solve(
-                    r, e, float(np.linalg.norm(r)) * np.sqrt(xAx / re)))
+        top = self.levels[0]
+        x = top.min_norm_solution(-phi)
+        x = x - top.project(self._vcycle(
+            0, top.scale * top.metric.apply_stacked(x), presmooth=False))
+        for _ in range(2):
+            Ax = top.scale * top.metric.apply_stacked(x)
+            r = top.project(Ax)
+            e = top.project(self._vcycle(0, Ax, presmooth=False))
+            xAx, re = float(x @ Ax), float(r @ e)
+            # x.A_bar x <= 0 only at rounding level, when x is a
+            # translation, the exact answer to a barycenter residual
+            if xAx <= 0.0 or re <= TARGET_REL_RESIDUAL ** 2 * xAx:
+                break
+            x = x - top.project(self._solve(
+                r, e, float(np.linalg.norm(r)) * np.sqrt(xAx / re)))
         self._phis = np.column_stack([self._phis, phi])
         self._xs = np.column_stack([self._xs, x])
         return x

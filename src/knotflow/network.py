@@ -202,6 +202,15 @@ def unit_vector(vector, name: str) -> np.ndarray:
     return vector / norm
 
 
+def finite_array(value, name: str) -> np.ndarray:
+    """`value` as a float array, 0-d for a number; a non-finite entry raises
+    a ValueError naming it as `name`."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _checked_positions(vertices) -> np.ndarray:
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     if vertices.ndim != 2 or vertices.shape[1] != 3:

@@ -18,7 +18,7 @@ import numpy as np
 from . import bvh
 from .energy import EnergyParams, _dot3, _pair_chunks
 from .meshes import FaceTree, TriangleMesh
-from .network import CurveNetwork, edge_chain, unit_vector
+from .network import CurveNetwork, edge_chain, finite_array, unit_vector
 
 
 class ObstacleContactError(ValueError):
@@ -95,7 +95,7 @@ class TotalLengthPotential:
     """Soft counterpart of the total-length constraint: value = sum of lengths."""
 
     def __init__(self, weight: float = 1.0):
-        self.weight = float(weight)
+        self.weight = float(finite_array(weight, "potential weight"))
 
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):
@@ -106,7 +106,7 @@ class LengthDifferencePotential:
     """Penalizes unequal adjacent edge lengths at interior (degree-2) vertices."""
 
     def __init__(self, weight: float = 1.0):
-        self.weight = float(weight)
+        self.weight = float(finite_array(weight, "potential weight"))
 
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):
@@ -154,7 +154,7 @@ class SurfacePotential:
     def __init__(self, mesh: TriangleMesh, weight: float = 1.0,
                  exponent: float | None = None):
         self.mesh = mesh
-        self.weight = float(weight)
+        self.weight = float(finite_array(weight, "potential weight"))
         self.exponent = exponent
         self._tree = FaceTree(mesh)
 
@@ -208,7 +208,7 @@ class FieldPotential:
 
     def __init__(self, fieldspec: VectorField, weight: float = 1.0):
         self.field = fieldspec
-        self.weight = float(weight)
+        self.weight = float(finite_array(weight, "potential weight"))
 
     def value_and_differential(self, net: CurveNetwork,
                                params: EnergyParams | None = None):

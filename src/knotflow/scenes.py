@@ -53,7 +53,7 @@ from .bvh import EdgeBvh, overlap_pairs
 from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
                           PointConstraint, SphereSurface, SurfaceConstraint,
                           TangentConstraint, TotalLength)
-from .energy import EnergyParams, discrete_energy, validate_params
+from .energy import EnergyParams, validate_params
 from .flow import ACCEL_MODES, STRATEGIES, FlowConfig, FlowResult, StepReport
 from .meshes import MeshSignedDistance, load_obj_mesh, read_obj
 from .network import CurveNetwork, unit_vector

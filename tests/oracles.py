@@ -624,10 +624,12 @@ def loop_jacobian(constraints, net):
 def initial_guess_sweep(hier, b):
     """Coarsen the RHS to the bottom, solve, prolong up with smoothing: the
     start of a multigrid solve written as its own sweep, the reference for
-    `MultigridHierarchy._vcycle` without pre-smoothing."""
+    `MultigridHierarchy._vcycle` without pre-smoothing.  Each level but the
+    last projects its RHS; the bottom solve takes its RHS unprojected."""
     rhs = [b]
-    for lvl in hier.levels[1:]:
-        rhs.append(lvl.project(restrict(lvl, rhs[-1])))
+    for fine, coarse in zip(hier.levels, hier.levels[1:]):
+        rhs[-1] = fine.project(rhs[-1])
+        rhs.append(restrict(coarse, rhs[-1]))
     x = hier._coarse_solve(rhs[-1])
     for i in range(len(hier.levels) - 2, -1, -1):
         x = hier.levels[i].project(prolong(hier.levels[i + 1], x))

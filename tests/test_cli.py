@@ -333,8 +333,10 @@ max_iters = 3
     @pytest.mark.parametrize("flow, message", [
         ("armijo = 0.9", ":9: \\[flow\\] armijo parameter must lie in "
                          "\\(0, 0.5\\]"),
-        ("strategy = bogus", ": unknown strategy 'bogus'")],
-        ids=["out-of-range", "unknown-strategy"])
+        ("strategy = bogus", ": unknown strategy 'bogus'"),
+        ("stop_tolerance = nan", ":9: \\[flow\\] stop tolerance must be "
+                                 "positive")],
+        ids=["out-of-range", "unknown-strategy", "nan-stop-tolerance"])
     def test_flow_error_reported_without_traceback(self, tmp_path, capsys,
                                                    flow, message):
         path = self.scene_file(tmp_path, f"\n[flow]\n{flow}\n")
@@ -360,10 +362,41 @@ max_iters = 3
          ":9: field direction must be a finite nonzero vector"),
         (MINIMAL_SCENE + "\n[potential]\ntype = field\nfield = rotation\n"
                          "axis = nan 0 1\n",
-         ":9: rotation axis must be a finite nonzero vector")],
+         ":9: rotation axis must be a finite nonzero vector"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = total-length\n"
+                         "target = inf\n",
+         ":9: total-length target must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = total-length\n"
+                         "target = nan\n",
+         ":9: total-length target must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = total-length\n"
+                         "growth = nan\n",
+         ":9: total-length growth must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = edge-length\n"
+                         "growth = inf\n",
+         ":9: edge-length growth must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = point\nvertex = 0\n"
+                         "target = 0 0 inf\n",
+         ":9: point target must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = point\nvertex = 0\n"
+                         "target = nan 0 0\n",
+         ":9: point target must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = surface\nvertex = 0\n"
+                         "center = 0 0 inf\n",
+         ":9: sphere center must be finite"),
+        (MINIMAL_SCENE + "\n[constraint]\ntype = surface\nvertex = 0\n"
+                         "radius = nan\n",
+         ":9: sphere radius must be finite and positive"),
+        (MINIMAL_SCENE + "\n[potential]\ntype = total-length\n"
+                         "weight = nan\n",
+         ":9: potential weight must be finite")],
         ids=["curve-n", "total-length-target", "barycenter-target",
              "barycenter-infinite", "tangent-zero", "field-zero-axis",
-             "rotation-nan-axis"])
+             "rotation-nan-axis", "total-length-infinite",
+             "total-length-nan", "total-length-growth-nan",
+             "edge-length-growth-infinite", "point-infinite", "point-nan",
+             "sphere-center-infinite", "sphere-radius-nan",
+             "potential-weight-nan"])
     def test_scene_value_reported_without_traceback(self, tmp_path, capsys,
                                                      text, message):
         path = tmp_path / "scene.knot"

@@ -16,7 +16,9 @@ from knotflow.flow import (FlowConfig, FlowResult, Objective, StepReport,
                            minimal_projected_crossings,
                            projected_crossing_count, run_flow)
 from knotflow.meshes import MeshSignedDistance, TriangleMesh
-from knotflow.multigrid import TARGET_REL_RESIDUAL, MultigridHierarchy
+from knotflow.metric import SaddleFactor
+from knotflow.multigrid import (TARGET_REL_RESIDUAL, MgLevel,
+                                MultigridHierarchy)
 from knotflow.network import CurveNetwork
 from knotflow.potentials import SurfacePotential
 from knotflow.scenes import export_frames, generate_test_curve
@@ -280,31 +282,72 @@ class TestRunFlow:
             == [r.mg_levels for r in result.reports]
 
     def test_dense_finest_level_is_one_exact_level(self):
-        # the n = 64 circle's finest level is dense: its hierarchy is the
-        # saddle factor alone, and its solves run no V-cycle
+        # the n = 64 circle's finest level is dense: "hs-mg" takes the "hs"
+        # saddle factor, so its steps report no multigrid work and its flow
+        # is the "hs" flow on the same Barnes-Hut energies
         net = smooth_perturbed_circle(64, seed=14)
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length())])
-        result = run_flow(net, P36, cs, strategy="hs-mg",
-                          config=FlowConfig(max_iters=2))
-        assert len(result.reports) > 0
-        for r in result.reports:
-            assert r.mg_levels == 1 and r.mg_solves > 0
-            assert r.mg_cycles == r.mg_unconverged == r.mg_hier_levels == 0
-        exact = run_flow(net, P36, cs, strategy="hs",
-                         config=FlowConfig(accel="bh", max_iters=2))
-        assert [r.mg_levels for r in exact.reports] == [0] * 2
+        flows = [run_flow(net, P36, cs, strategy=strategy,
+                          config=FlowConfig(accel="bh", max_iters=2))
+                 for strategy in ("hs-mg", "hs")]
+        for result in flows:
+            assert len(result.reports) == 2
+            for r in result.reports:
+                assert r.mg_levels == r.mg_solves == r.mg_cycles == 0
+                assert r.mg_unconverged == r.mg_hier_levels == 0
+        assert np.array_equal(*(result.energies for result in flows))
 
-    def test_multigrid_metric_shares_objective_tree(self):
+    def test_dense_hs_mg_step_is_the_hs_step(self, monkeypatch):
+        # on a dense finest level both strategies factor the same metric:
+        # equal directions and projection steps, bit for bit, and no
+        # multigrid level is built
+        levels = []
+        init = MgLevel.__init__
+        monkeypatch.setattr(MgLevel, "__init__", lambda self, *args, **kw:
+                            levels.append(1) or init(self, *args, **kw))
+        net = smooth_perturbed_circle(64, seed=15)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        objective = Objective(P36, accel="bh")
+        _, dE = objective.energy_and_differential(net)
+        solvers = [StepSolver(strategy, net, P36, cs, bvh=objective.bvh,
+                              sums=objective.sums)
+                   for strategy in ("hs-mg", "hs")]
+        assert all(isinstance(s.saddle, SaddleFactor) for s in solvers)
+        assert levels == []
+        mg, hs = solvers
+        assert np.array_equal(mg.direction(dE), hs.direction(dE))
+        phi = 1e-3 * np.random.default_rng(15).normal(size=cs.k)
+        assert np.array_equal(mg.saddle.solve_projection_step(phi),
+                              hs.saddle.solve_projection_step(phi))
+
+    def test_multigrid_metric_shares_objective_tree(self, monkeypatch):
         # at n = 512 the finest level's near field is sparse enough for
-        # HierMetric, which keeps the tree
+        # HierMetric, which keeps the tree; that metric decides for the
+        # hierarchy and seeds it, so the finest network gets one block
+        # cluster tree and one Jacobian, and each level one tree
+        import knotflow.bct as bct
+
+        trees, jacobians = [], []
+        init, jacobian = bct.BlockClusterTree.__init__, ConstraintSet.jacobian
+        monkeypatch.setattr(bct.BlockClusterTree, "__init__",
+                            lambda self, bvh, *args: trees.append(
+                                len(bvh.order)) or init(self, bvh, *args))
+        monkeypatch.setattr(ConstraintSet, "jacobian",
+                            lambda self, net: jacobians.append(
+                                net.n_vertices) or jacobian(self, net))
         net = smooth_perturbed_circle(512, seed=16)
         cs = ConstraintSet([Barycenter()])
         objective = Objective(P36, accel="bh")
         objective.energy_and_differential(net)
         solver = StepSolver("hs-mg", net, P36, cs, bvh=objective.bvh)
         assert solver.saddle.levels[0].metric.bvh is objective.bvh
+        assert trees.count(net.n_edges) == jacobians.count(512) == 1
+        assert len(trees) == len(solver.saddle.levels) >= 2
 
     def test_one_plan_per_step_start(self, monkeypatch):
+        # one plan per tree fit: each step start builds a tree, and each
+        # line-search trial refits it
         import knotflow.bvh as bvh_module
 
         plans = []
@@ -317,9 +360,10 @@ class TestRunFlow:
             f0, _ = objective.energy_and_differential(net)
         assert len(plans) == 2
         assert f0 == pytest.approx(objective.energy(net), rel=1e-13)
-        assert len(plans) == 2
-        objective.energy(net.with_positions(1.01 * net.vertices))
         assert len(plans) == 3
+        for scale in (1.01, 1.005):
+            objective.energy(net.with_positions(scale * net.vertices))
+        assert len(plans) == 5
 
     def test_flow_around_obstacle(self):
         # a loop around a sphere, close to it: the surface potential keeps
@@ -682,8 +726,8 @@ class TestRankLoss:
 
     @pytest.mark.parametrize("strategy", ["hs", "hs-mg"])
     def test_one_jacobian_per_solver(self, strategy, monkeypatch):
-        # the factor assembles C (on "hs-mg", the finest level of a one-level
-        # hierarchy); the solver assembles it again only for a rank check
+        # the factor assembles C (on "hs-mg" too: the finest level is
+        # dense); the solver assembles it again only for a rank check
         net = smooth_perturbed_circle(64, seed=23)
         cs = ConstraintSet([Barycenter.from_network(net),
                             PointConstraint(0, net.vertices[0])])
@@ -693,7 +737,7 @@ class TestRankLoss:
             ConstraintSet, "jacobian",
             lambda self, net: calls.append(1) or jacobian(self, net))
         solver = StepSolver(strategy, net, P36, cs)
-        assert len(solver.saddle.levels) == (strategy == "hs-mg")
+        assert isinstance(solver.saddle, SaddleFactor)
         assert len(calls) == 1
 
 class TestCrossingCounts:

@@ -10,6 +10,7 @@ from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
                              cholesky_inverse, dense_kernel_matrices,
                              derivative_matrix, metric_parts)
 from knotflow.network import CurveNetwork, stack_fields, unstack_fields
+from knotflow.scenes import generate_test_curve
 
 from oracles import (brute_high_order_form, brute_low_order_form,
                      diags_metric_parts, four_congruence_parts,
@@ -105,8 +106,6 @@ class TestWeights:
 
 def oracle_net(shape):
     if shape == "random-trefoil-384":
-        from knotflow.scenes import generate_test_curve
-
         return generate_test_curve("random-trefoil", 384, seed=8)
     return CurveNetwork(*theta_and_loop())
 
@@ -336,6 +335,23 @@ def _constraint_case(name, net):
                           TotalLength(net.total_length())])
 
 
+def assert_matches_full_lu(A, C, masses):
+    factor = SaddleFactor(A, C, masses)
+    assert not factor.rank_suspect
+    rng = np.random.default_rng(31)
+    top = rng.normal(size=3 * len(A))
+    bottom = rng.normal(size=C.shape[0])
+    for t, b in ((top, None), (None, bottom), (top, bottom)):
+        x, lam = factor.solve(t, b)
+        want_x, want_lam = lu_saddle_solve(A, C.toarray(), t, b)
+        assert np.linalg.norm(x - want_x) <= 1e-10 * np.linalg.norm(want_x)
+        # multipliers vanish for (None, b) with a point constraint, so
+        # they are compared within the whole solution vector
+        got = np.concatenate([x, lam])
+        want = np.concatenate([want_x, want_lam])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 class TestSaddleFactorOracle:
     """SaddleFactor against an LU solve of the full (3V + k)^2 system."""
 
@@ -353,21 +369,17 @@ class TestSaddleFactorOracle:
         C = cs.jacobian(net)
         A = MetricOperator(net, P36).A if strategy == "hs" \
             else baseline_metric_matrix(net, strategy)
-        factor = SaddleFactor(A, C, net.dual_masses())
-        assert not factor.rank_suspect
-        rng = np.random.default_rng(31)
-        top = rng.normal(size=3 * net.n_vertices)
-        bottom = rng.normal(size=C.shape[0])
-        for t, b in ((top, None), (None, bottom), (top, bottom)):
-            x, lam = factor.solve(t, b)
-            want_x, want_lam = lu_saddle_solve(A, C.toarray(), t, b)
-            assert np.linalg.norm(x - want_x) \
-                <= 1e-10 * np.linalg.norm(want_x)
-            # multipliers vanish for (None, b) with a point constraint, so
-            # they are compared within the whole solution vector
-            got = np.concatenate([x, lam])
-            want = np.concatenate([want_x, want_lam])
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert_matches_full_lu(A, C, net.dual_masses())
+
+    def test_small_translation_remainder(self):
+        # the length weights of the barycenter couple it to the smooth modes:
+        # on this near-planar curve two eigenvalues of the 3 x 3 remainder
+        # are 1e-4, which magnify any rounding noise in S's U block
+        net = generate_test_curve("perturbed-circle", 256, seed=5)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            TotalLength(net.total_length())])
+        assert_matches_full_lu(MetricOperator(net, P36).A, cs.jacobian(net),
+                               net.dual_masses())
 
     def test_dependent_rows_show_as_weak_pivot(self):
         # a row repeated up to 1e-6 leaves the constraint block positive
