@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -451,8 +452,9 @@ def _git(*args) -> str | None:
 
 def ledger_record(results, quick: bool = False) -> dict:
     """One perf-ledger record of a benchmark run: each criterion's pass
-    flag, runtime and numbers, with nproc, the BLAS numpy uses, and the git
-    revision of the source tree with the tracked files changed since it."""
+    flag, runtime and numbers, with nproc, the BLAS numpy uses, the peak
+    resident memory of the run so far, and the git revision of the source
+    tree with the tracked files changed since it."""
     import numpy
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -469,6 +471,8 @@ def ledger_record(results, quick: bool = False) -> dict:
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                           "MKL_NUM_THREADS")},
         "quick": quick,
+        "peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "criteria": [{"number": r.number, "name": r.name,
                       "passed": r.passed, "runtime_s": r.runtime,
                       **r.numbers} for r in results],

@@ -31,13 +31,15 @@ translation-fixing constraint row in C.
 
 `SaddleFactor` solves that system exactly without forming it.  With m the
 (scaled) dual masses and U = blockdiag(m, m, m), A' = A + m m^T is SPD; it
-is Cholesky-factored and inverted once per step, and C A_bar'^-1 is one
-sparse product with C reindexed as (3k x V).  Writing A_bar = A_bar' -
+is Cholesky-factored and inverted once per step.  Writing A_bar = A_bar' -
 U U^T turns the saddle system into one bordered by B = [C; U^T], whose
 Schur complement S = B A_bar'^-1 B^T - diag(0_k, I_3) is solved through a
 Cholesky factor of its SPD (k x k) block C A_bar'^-1 C^T and a dense 3 x 3
-remainder.  One factorization serves the direction solve and every
-projection iteration of a step.
+remainder.  That Gram is formed a column block at a time from row blocks
+of C A_bar'^-1, each one sparse product with C reindexed as (3k x V), and
+the solves apply A_bar'^-1 to C^T lambda, so the factor holds O(V^2 + k^2)
+numbers and no (k x 3V) array.  One factorization serves the direction
+solve and every projection iteration of a step.
 """
 
 from __future__ import annotations
@@ -53,6 +55,20 @@ from .network import CurveNetwork
 # constraint block is suspected to be rank deficient; rounding puts the pivot
 # of an exactly dependent row near 1e-16.
 RANK_PIVOT_TOL = 1e-10
+
+# Rows per block of the dense row-block loops: the kernel matrices' gather,
+# scaling and symmetrization, and the saddle factor's Gram.  Best of 40
+# calls (nproc 2, one BLAS thread) and tracemalloc peak on random-trefoil
+# n = 384 (seed 8), best of 12 on perturbed-circle n = 1024 (seed 5), both
+# with barycenter + edge lengths:
+#     rows   dense_kernel_matrices        SaddleFactor
+#            n = 384          n = 1024    n = 384          n = 1024
+#     16     1.45 ms 2.48 MiB 18.5 ms     11.6 ms 3.61 MiB 83.7 ms
+#     32     1.35    2.65     16.6        10.5    3.61     76.9
+#     64     1.27    2.91     19.3        10.6    3.74     74.9
+#     128    1.45    3.38     19.3        11.6    5.06     81.7
+#     256    1.53    3.75     21.7        12.4    7.68     87.5
+ROW_BLOCK = 64
 
 
 def derivative_matrix(net: CurveNetwork) -> csr_matrix:
@@ -103,17 +119,35 @@ def dense_kernel_matrices(net: CurveNetwork, sigma: float,
         sums = metric_kernel_sums(net, sigma)
     lengths = net.geometry().lengths
     ends = net.edges.T
-    ll = np.multiply.outer(lengths, lengths)
-    K, L = (s.take(ends[0], axis=1) + s.take(ends[1], axis=1) for s in sums)
-    K *= ll
-    K *= 0.5
-    L *= ll
-    L *= 0.25
-    K0 = L + L.T
+    K, L = (s.take(ends[0], axis=1) for s in sums)
+    for r in _row_blocks(len(lengths)):
+        ll = np.multiply.outer(lengths[r], lengths)
+        for M, s, weight in ((K, sums[0], 0.5), (L, sums[1], 0.25)):
+            block = M[r]
+            block += s[r].take(ends[1], axis=1)
+            block *= ll
+            block *= weight
+    K0 = _add_transpose(L)
     rows, _, _, group, J = net.adjacent_vertex_triples()
     K[rows[group], J] = 0.0
     K0[rows[group], J] = 0.0
     return K, K0
+
+
+def _row_blocks(n: int):
+    """Slices of ROW_BLOCK consecutive rows covering range(n)."""
+    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
+
+
+def _add_transpose(M: np.ndarray) -> np.ndarray:
+    """M + M^T formed in M, a row block and its mirrored column block at a
+    time, so no second (n x n) array is made.  Block r reads only entries
+    that earlier blocks have not written."""
+    for r in _row_blocks(len(M)):
+        sym = M[r, r.start:] + M[r.start:, r].T
+        M[r, r.start:] = sym
+        M[r.start:, r] = sym.T
+    return M
 
 
 def _congruence(op: csr_matrix, M):
@@ -126,7 +160,9 @@ def _congruence(op: csr_matrix, M):
 def _tangent_scaled(K, U: np.ndarray):
     """K o U U^T, the entries K[I, J] scaled by U_I . U_J, in K's storage."""
     if not issparse(K):
-        return K * (U @ U.T)
+        scaled = U @ U.T
+        scaled *= K
+        return scaled
     K = csr_matrix(K)
     I = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     scale = np.einsum("ij,ij->i", U[I], U[K.indices])
@@ -159,10 +195,10 @@ def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
         rows0 = np.asarray(K0.sum(axis=1)).ravel()
     geom = net.geometry()
     U = geom.tangents / geom.lengths[:, None]
-    scaled = _diag_minus(rows * np.einsum("ij,ij->i", U, U),
-                         _tangent_scaled(K, U), overwrite=True)
-    return (_congruence(difference_matrix(net), scaled),
-            _congruence(average_matrix(net), _diag_minus(rows0, K0)))
+    B = _congruence(difference_matrix(net),
+                    _diag_minus(rows * np.einsum("ij,ij->i", U, U),
+                                _tangent_scaled(K, U), overwrite=True))
+    return B, _congruence(average_matrix(net), _diag_minus(rows0, K0))
 
 
 class MetricOperator:
@@ -228,12 +264,14 @@ class SaddleFactor:
     """Exact solves of [[A_bar, C^T], [C, 0]] [x; lam] = [top; bottom] from
     the (V x V) metric A, the (k x 3V) Jacobian C and the dual masses.
 
-    See the module docstring for the bordered Schur complement.  The same
-    factorization serves the gradient projection and every iteration of
-    constraint projection within one time step.  `rank_suspect` is True when
-    a pivot of the (k x k) constraint block was tiny, which is how rank loss
-    of C shows; numpy's LinAlgError is raised when that block is not positive
-    definite at all.
+    See the module docstring for the bordered Schur complement.  The factor
+    keeps A'^-1, the Cholesky factor of the Gram C A_bar'^-1 C^T (formed
+    from row blocks of C A_bar'^-1) and O(V + k) vectors; its solves apply
+    A_bar'^-1 to C^T lam.  The same factorization serves the gradient
+    projection and every iteration of constraint projection within one time
+    step.  `rank_suspect` is True when a pivot of the (k x k) constraint
+    block was tiny, which is how rank loss of C shows; numpy's LinAlgError
+    is raised when that block is not positive definite at all.
 
     `solve_gradient` and `solve_projection_step` are the calls
     `MultigridHierarchy` answers too; an exact solve leaves its V-cycle
@@ -262,10 +300,10 @@ class SaddleFactor:
         m = m * np.sqrt(np.trace(A) / (V * (m @ m)))
         chol = scipy.linalg.cho_factor(A + np.outer(m, m), lower=True,
                                        check_finite=False)
-        # the explicit inverse A'^-1 (O(V^3) once) turns A_bar'^-1 C^T into
-        # sparse products, cheaper than 3k triangular solves for k ~ V
+        # the explicit inverse A'^-1 (O(V^3) once) turns the rows of
+        # C A_bar'^-1 into sparse products, cheaper than 3k triangular solves
+        # for k ~ V; it is the factor's only (V x V) array
         inv = cholesky_inverse(chol)
-        self._Zt = (C3 @ inv).reshape(k, 3 * V)     # C A_bar'^-1
         self._q = inv @ m                           # A'^-1 m
         Q = np.zeros((3 * V, 3))
         for c in range(3):
@@ -275,8 +313,13 @@ class SaddleFactor:
         # A' q = m gives; taken as that difference, it would cancel to
         # rounding noise where A kills constants and the block is 0
         s_uu = -(self._q @ (A @ self._q)) / (m @ self._q) * np.eye(3)
-        self._cc, self.rank_suspect = checked_cholesky(
-            np.asarray(C @ self._Zt.T))
+        # C A_bar'^-1 C^T column block by column block from row blocks of
+        # C A_bar'^-1, so no (k x 3V) array is held
+        gram = np.empty((k, k))
+        for r in _row_blocks(k):
+            block = C3[3 * r.start:3 * r.stop] @ inv
+            gram[:, r] = C @ block.reshape(-1, 3 * V).T
+        self._cc, self.rank_suspect = checked_cholesky(gram)
         self._x = scipy.linalg.cho_solve(self._cc, s_cu, check_finite=False)
         self._s_cu = s_cu
         # dense 3 x 3 remainder, symmetric, with eigenvalues of order 1 or
@@ -288,24 +331,33 @@ class SaddleFactor:
         # 1e-13 in the U block would put errors of 1e-9 into every solve.
         self._r3_pinv = scipy.linalg.pinvh(s_uu - s_cu.T @ self._x,
                                            atol=1e-12, rtol=0.0)
-        self._inv, self._C, self._m = inv, C, m
+        # C^T in CSR: C.T of a CSR matrix is a CSC view whose product with
+        # lam costs three times as much at k = 4, V = 256
+        self._inv, self._C, self._Ct, self._m = inv, C, C.T.tocsr(), m
         self.n, self.k = 3 * V, k
 
     def solve(self, top: np.ndarray | None, bottom: np.ndarray | None):
-        """Solve for primal (3V,) and multipliers (k,) given RHS blocks."""
-        V = self.n // 3
+        """Solve for primal (3V,) and multipliers (k,) given RHS blocks.
+
+        Without `top` (a projection) y = A_bar'^-1 top is zero, so neither
+        y nor C y and y . m is formed."""
         if top is None:
-            y = np.zeros((3, V))
+            y, r_c, y_m = 0.0, -bottom, 0.0
         else:
-            y = (self._inv @ np.reshape(top, (3, V)).T).T
-        r_c = self._C @ y.reshape(-1)
-        if bottom is not None:
-            r_c = r_c - bottom
+            y = self._apply_inv(top)
+            r_c = self._C @ y.reshape(-1)
+            if bottom is not None:
+                r_c = r_c - bottom
+            y_m = y @ self._m
         w = scipy.linalg.cho_solve(self._cc, r_c, check_finite=False)
-        nu_u = self._r3_pinv @ (y @ self._m - self._s_cu.T @ w)
+        nu_u = self._r3_pinv @ (y_m - self._s_cu.T @ w)
         lam = w - self._x @ nu_u
-        x = y - np.outer(nu_u, self._q)
-        return x.reshape(-1) - lam @ self._Zt, lam
+        x = y - np.outer(nu_u, self._q) - self._apply_inv(self._Ct @ lam)
+        return x.reshape(-1), lam
+
+    def _apply_inv(self, vec: np.ndarray) -> np.ndarray:
+        """A_bar'^-1 vec as a (3, V) array, for a stacked (3V,) vec."""
+        return (self._inv @ np.reshape(vec, (3, -1)).T).T
 
     def solve_gradient(self, b: np.ndarray) -> np.ndarray:
         """Projected gradient x (3V,) of the stacked differential b."""

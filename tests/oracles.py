@@ -847,9 +847,9 @@ def diags_metric_parts(net, K, K0):
 
 
 def saddle_product(C, inv):
-    """C A_bar'^-1 as three column-block products side by side: the
-    reference for `SaddleFactor._Zt`, from C (k x 3V) and the (V x V)
-    inverse."""
+    """C A_bar'^-1 as three column-block products side by side, from C
+    (k x 3V) and the (V x V) inverse: the reference for the row blocks from
+    which `SaddleFactor` forms its Gram C A_bar'^-1 C^T."""
     C, V = csr_matrix(C), len(inv)
     return np.hstack([C[:, c * V:(c + 1) * V] @ inv for c in range(3)])
 

@@ -475,6 +475,8 @@ def test_bench_ledger_appends_one_record_per_run(tmp_path, monkeypatch,
     record = entries[1]
     assert record["quick"] is True and record["nproc"] >= 1
     assert record["blas"]["name"] and "git_revision" in record
+    assert isinstance(record["peak_rss_mb"], float) \
+        and record["peak_rss_mb"] > 0
     assert [(c["number"], c["passed"]) for c in record["criteria"]] \
         == [(1, True), (7, True)]
     scaling = record["criteria"][1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, issparse
@@ -7,8 +9,9 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import validate_params
 from knotflow.flow import baseline_metric_matrix
 from knotflow.metric import (MetricOperator, SaddleFactor, average_matrix,
-                             cholesky_inverse, dense_kernel_matrices,
-                             derivative_matrix, metric_parts)
+                             checked_cholesky, cholesky_inverse,
+                             dense_kernel_matrices, derivative_matrix,
+                             metric_parts)
 from knotflow.network import CurveNetwork, stack_fields, unstack_fields
 from knotflow.scenes import generate_test_curve
 
@@ -178,7 +181,10 @@ class TestDenseAssemblyOracles:
         C = cs.jacobian(net)
         factor = SaddleFactor(MetricOperator(net, P36).A, C,
                               net.dual_masses())
-        assert np.array_equal(factor._Zt, saddle_product(C, factor._inv))
+        (want, lower), weak = checked_cholesky(
+            C @ saddle_product(C, factor._inv).T)
+        assert np.array_equal(factor._cc[0], want)
+        assert factor._cc[1] == lower and factor.rank_suspect == weak
 
 
 class TestGramMatrices:
@@ -393,3 +399,56 @@ class TestSaddleFactorOracle:
         assert not independent.rank_suspect
         factor = SaddleFactor(A, np.vstack([C, row, near]), net.dual_masses())
         assert factor.rank_suspect
+
+
+def trefoil_saddle_inputs():
+    """(A, C, masses) on random-trefoil n = 384 with barycenter + edge
+    lengths, the `trefoil-dense` benchmark scene (k = V + 3)."""
+    net = oracle_net("random-trefoil-384")
+    cs = ConstraintSet([Barycenter.from_network(net),
+                        EdgeLengths.from_network(net)])
+    return MetricOperator(net, P36).A, cs.jacobian(net), net.dual_masses()
+
+
+class TestSaddleFactorMemory:
+    """The factor keeps A'^-1 and the Cholesky factor of its (k x k) Gram,
+    O(V^2 + k^2) numbers, and no (k x 3V) array."""
+
+    def test_holds_no_array_larger_than_its_square_blocks(self):
+        A, C, masses = trefoil_saddle_inputs()
+        factor = SaddleFactor(A, C, masses)
+        held = [v for value in vars(factor).values()
+                for v in (value if isinstance(value, tuple) else (value,))]
+        sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+        sizes += [v.data.size for v in held if issparse(v)]
+        assert max(sizes) <= max(A.shape[0], C.shape[0]) ** 2
+
+    def test_build_peak_allocation(self):
+        A, C, masses = trefoil_saddle_inputs()
+        # A'^-1, the Gram and its Cholesky factor are three (V or k)^2
+        # arrays; a stored C A_bar'^-1 and its transposed copy would add six
+        # (9.2 MiB in all, against 3.7 MiB without them)
+        bound = 5 * 8 * max(A.shape[0], C.shape[0]) ** 2
+        tracemalloc.start()
+        try:
+            SaddleFactor(A, C, masses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("shape", ["random-trefoil-384",
+                                       "theta-and-loop"])
+    def test_projection_skips_the_zero_primal_block(self, shape):
+        # solve(None, b) drops A'^-1 0, C 0 and 0 . m; the results are
+        # those of an explicit zero top, signed zeros aside
+        net = oracle_net(shape)
+        cs = ConstraintSet([Barycenter.from_network(net),
+                            EdgeLengths.from_network(net)])
+        C = cs.jacobian(net)
+        factor = SaddleFactor(MetricOperator(net, P36).A, C,
+                              net.dual_masses())
+        bottom = np.random.default_rng(35).normal(size=C.shape[0])
+        got = factor.solve(None, bottom)
+        want = factor.solve(np.zeros(3 * net.n_vertices), bottom)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
