@@ -231,6 +231,8 @@ class HierMetric:
     multigrid level never builds a `HierMetric` whose near field reaches
     DENSE_FILL of the edge pairs; it takes the exact dense metric instead,
     so S stays sparse.  `k_high` and `k_low` keep the two kernel matrices.
+    `apply` takes per-vertex values; a stacked (3V,) field meets it through
+    `network.per_coordinate`, one apply per coordinate row.
     """
 
     def __init__(self, net: CurveNetwork, sigma: float,
@@ -250,7 +252,6 @@ class HierMetric:
             HierKernelMatrix(bct, kbar, coo_matrix(
                 (entries, (I, J)), shape=(n_edges, n_edges)).tocsr(), up, down)
             for kbar, entries in zip(far, near))
-        self.n = net.n_vertices
         ones = np.ones(n_edges)
         B, B0 = metric_parts(net, self.k_high.near, self.k_low.near,
                              self.k_high.matvec(ones), self.k_low.matvec(ones))
@@ -268,8 +269,4 @@ class HierMetric:
         if self.K_blk.nnz:         # small curves often have no far field
             out -= self.WT @ (self.K_blk @ (self.W @ u))
         return out
-
-    def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
-        """blockdiag(A, A, A) @ vec for stacked (3V,) vectors."""
-        return self.apply(vec.reshape(3, self.n).T).T.reshape(-1)
 

@@ -29,7 +29,7 @@ from .flow import (FlowConfig, StepSolver, crossings_during_motion,
                    minimal_projected_crossings, run_flow)
 from .metric import (MetricOperator, SaddleFactor, dense_kernel_matrices,
                      metric_parts)
-from .network import CurveNetwork, stack_fields
+from .network import CurveNetwork, per_coordinate, stack_fields
 from .scenes import generate_test_curve
 
 
@@ -250,8 +250,8 @@ def criterion_4(quick=False) -> CriterionResult:
         dense_x = SaddleFactor(metric.A, cs.jacobian(cnet),
                                cnet.dual_masses()).solve_gradient(dE)
         diff = x - dense_x
-        rel = float(np.sqrt(max(diff @ metric.apply_stacked(diff), 0.0))
-                    / np.sqrt(dense_x @ metric.apply_stacked(dense_x)))
+        dd, xx = (v @ per_coordinate(metric.apply, v) for v in (diff, dense_x))
+        rel = float(np.sqrt(max(dd, 0.0)) / np.sqrt(xx))
         worst_mg = max(worst_mg, rel)
         answered.append(f"{saddle.cycles} V-cycles at n={n}" if saddle.levels
                         else f"exact factor at n={n}")

@@ -62,6 +62,10 @@ class FlowConfig:
             raise ValueError("backtrack factor must lie in (0, 1)")
         if not self.stop_tolerance > 0:               # NaN fails too
             raise ValueError("stop tolerance must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
+        if not 0 <= self.bh_eps < np.inf:             # NaN fails too
+            raise ValueError("bh_eps must be finite and non-negative")
         if self.accel not in ACCEL_MODES:
             raise ValueError(f"unknown accel mode {self.accel!r}")
 

@@ -202,7 +202,7 @@ def metric_parts(net: CurveNetwork, K, K0, rows=None, rows0=None):
 
 
 class MetricOperator:
-    """Assembled dense metric A = B + B0 with the `HierMetric` applies.
+    """Assembled dense metric A = B + B0 with the `HierMetric` apply.
 
     `sums` are the metric kernel sums of `net`, as `discrete_differential`
     fills them; without them `dense_kernel_matrices` computes its own.
@@ -214,16 +214,10 @@ class MetricOperator:
                                                          sums))
         A += B0
         self.A = A
-        self.n = net.n_vertices
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A u for a (V,) field or the columns of a (V, m) array."""
         return self.A @ u
-
-    def apply_stacked(self, vec: np.ndarray) -> np.ndarray:
-        """Apply blockdiag(A, A, A) to a stacked (3V,) vector."""
-        X = vec.reshape(3, self.n)
-        return self.apply(X.T).T.reshape(-1)
 
 
 def checked_cholesky(M: np.ndarray):

@@ -24,13 +24,14 @@ E^2 ordered edge pairs, and the hierarchical metric (`HierMetric`, built on
 that tree) otherwise (`level_metric`).  From that fill on, the sparse near
 part of `HierMetric` costs as much as the dense metric and the far field
 comes on top, so it builds and applies more than the exact metric it
-approximates; a level without an admissible block is all near field.  Both
-metrics answer `apply` and `apply_stacked`.  Coarsening stops at the first
-dense level (or at COARSEST_SIZE, or when nothing can be removed), and one
-`SaddleFactor` of the last level's metric solves that level exactly, once
-factored per step, where V-cycles below it would only approximate that
-solve.  A hierarchy whose finest level is dense is that factor alone, so
-`flow.StepSolver` factors a dense finest `level_metric` directly instead.
+approximates; a level without an admissible block is all near field.  The
+metric, J and J^T meet stacked (3V,) operands row by row, through
+`network.per_coordinate`.  Coarsening stops at the first dense level (or at
+COARSEST_SIZE, or when nothing can be removed), and one `SaddleFactor` of
+the last level's metric solves that level exactly, once factored per step,
+where V-cycles below it would only approximate that solve.  A hierarchy
+whose finest level is dense is that factor alone, so `flow.StepSolver`
+factors a dense finest `level_metric` directly instead.
 
 Within one step the metric and the Jacobian are frozen, so the projection
 correction x(phi) is linear in the constraint residual phi.  A hierarchy
@@ -57,7 +58,7 @@ from .constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from .energy import EnergyParams
 from .metric import (RANK_PIVOT_TOL, MetricOperator, SaddleFactor,
                      checked_cholesky)
-from .network import CurveNetwork
+from .network import CurveNetwork, per_coordinate
 
 COARSEST_SIZE = 32      # coarsening stops at or below this many vertices
 # Relative distance |phi - Phi c| / |phi| from the span of a step's solved
@@ -166,9 +167,9 @@ def coarsen_network(net: CurveNetwork, keep: set[int] | None = None):
     return coarse_net, J, vertex_map, edge_map
 
 
-def restrict_constraints(constraints: ConstraintSet, coarse_net: CurveNetwork,
-                         vertex_map: np.ndarray,
-                         edge_map: np.ndarray) -> ConstraintSet:
+def coarsen_constraints(constraints: ConstraintSet, coarse_net: CurveNetwork,
+                        vertex_map: np.ndarray,
+                        edge_map: np.ndarray) -> ConstraintSet:
     """Rebuild the constraint set on a coarse level (Jacobian structure only;
     targets are refreshed from the coarse geometry where needed)."""
     specs = []
@@ -217,7 +218,9 @@ class MgLevel:
 
     `metric` is the level's `level_metric`, and C the Jacobian of
     `constraints` on `net`.  A level with the dense metric is the last of
-    its hierarchy, which factors it instead of smoothing it.
+    its hierarchy, which factors it instead of smoothing it.  `J` prolongs
+    to the finer level and `JT` restricts from it; they and `metric.apply`
+    meet a stacked vector through `network.per_coordinate`.
 
     `scale` corrects the rediscretized coarse metric toward the Galerkin
     operator J^T A_fine J: the nonlocal Gram matrices are not refinement-
@@ -265,7 +268,7 @@ class MgLevel:
         iteration only pass such operands: projected right-hand sides,
         residuals and corrections built from them.
         """
-        return self.project(self.scale * self.metric.apply_stacked(v))
+        return self.project(self.scale * per_coordinate(self.metric.apply, v))
 
     def min_norm_solution(self, phi: np.ndarray) -> np.ndarray:
         """z = C^T (C C^T)^{-1} phi, the least-norm solution of C z = phi."""
@@ -273,18 +276,6 @@ class MgLevel:
             return self.Q @ scipy.linalg.solve_triangular(
                 self._L, phi, lower=True, check_finite=False)
         return self._CT @ self._lu.solve(phi)
-
-
-def prolong(level: "MgLevel", vec_coarse: np.ndarray) -> np.ndarray:
-    """Apply blockdiag(J, J, J) to a stacked coarse vector."""
-    n_c = level.J.shape[1]
-    return (level.J @ vec_coarse.reshape(3, n_c).T).T.reshape(-1)
-
-
-def restrict(level: "MgLevel", vec_fine: np.ndarray) -> np.ndarray:
-    """Apply blockdiag(J, J, J)^T to a stacked fine vector."""
-    n_f = level.J.shape[0]
-    return (level.JT @ vec_fine.reshape(3, n_f).T).T.reshape(-1)
 
 
 class MultigridHierarchy:
@@ -301,6 +292,8 @@ class MultigridHierarchy:
     counts the levels that apply `HierMetric`.  `metric` is the finest
     level's `level_metric`; the coarse levels compute their own.  The solves
     read SMOOTHER_ITERS, MAX_VCYCLES and TARGET_REL_RESIDUAL at call time.
+    Their operands are stacked (3V,) vectors, dotted as they are; metric
+    applies and transfers take one product per row (`per_coordinate`).
 
     The geometry is frozen, so a projection correction is linear in its
     residual: the residuals solved so far are the columns of `_phis`
@@ -325,7 +318,7 @@ class MultigridHierarchy:
             if out is None:
                 break
             coarse, J, vmap, emap = out
-            cs = restrict_constraints(cs, coarse, vmap, emap)
+            cs = coarsen_constraints(cs, coarse, vmap, emap)
             keep = {vmap[v] for v in keep}
             self.levels.append(MgLevel(coarse, level_metric(coarse, params),
                                        cs, prolongation=J))
@@ -404,8 +397,8 @@ class MultigridHierarchy:
         b = level.project(b)
         nxt = self.levels[i + 1]
         x, r = self._smooth(level, b) if presmooth else (0.0, b)
-        e = self._vcycle(i + 1, restrict(nxt, r), presmooth)
-        x = x + level.project(prolong(nxt, e))
+        e = self._vcycle(i + 1, per_coordinate(nxt.JT.dot, r), presmooth)
+        x = x + level.project(per_coordinate(nxt.J.dot, e))
         return self._smooth(level, b, x)[0]
 
     def vcycle_solve(self, b: np.ndarray, x: np.ndarray | None = None,
@@ -494,9 +487,10 @@ class MultigridHierarchy:
         top = self.levels[0]
         x = top.min_norm_solution(-phi)
         x = x - top.project(self._vcycle(
-            0, top.scale * top.metric.apply_stacked(x), presmooth=False))
+            0, top.scale * per_coordinate(top.metric.apply, x),
+            presmooth=False))
         for _ in range(2):
-            Ax = top.scale * top.metric.apply_stacked(x)
+            Ax = top.scale * per_coordinate(top.metric.apply, x)
             r = top.project(Ax)
             e = top.project(self._vcycle(0, Ax, presmooth=False))
             xAx, re = float(x @ Ax), float(r @ e)

@@ -34,6 +34,13 @@ def unstack_fields(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(3, n).T.copy()
 
 
+def per_coordinate(apply, vec: np.ndarray) -> np.ndarray:
+    """blockdiag(op, op, op) @ vec for a stacked vector, which is a C-ordered
+    (3, n) array in memory: `apply`, op's single-vector product, is called
+    once per coordinate row of that view, with no copy on the way in."""
+    return np.concatenate([apply(row) for row in vec.reshape(3, -1)])
+
+
 @dataclass(frozen=True)
 class EdgeGeometry:
     """Per-edge length, unit tangent, and midpoint arrays."""

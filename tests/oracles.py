@@ -18,7 +18,6 @@ from knotflow.energy import SelfContactError
 from knotflow.meshes import TriangleMesh
 from knotflow.metric import (_congruence, _tangent_scaled, average_matrix,
                              derivative_matrix, difference_matrix)
-from knotflow.multigrid import prolong, restrict
 from knotflow.network import (CurveNetwork, edges_share_vertex, exact_pairs,
                               unstack_fields)
 from knotflow.potentials import SURFACE_THETA, SurfacePotential
@@ -629,10 +628,11 @@ def initial_guess_sweep(hier, b):
     rhs = [b]
     for fine, coarse in zip(hier.levels, hier.levels[1:]):
         rhs[-1] = fine.project(rhs[-1])
-        rhs.append(restrict(coarse, rhs[-1]))
+        rhs.append((coarse.JT @ rhs[-1].reshape(3, -1).T).T.ravel())
     x = hier._coarse_solve(rhs[-1])
     for i in range(len(hier.levels) - 2, -1, -1):
-        x = hier.levels[i].project(prolong(hier.levels[i + 1], x))
+        J = hier.levels[i + 1].J
+        x = hier.levels[i].project((J @ x.reshape(3, -1).T).T.ravel())
         x = hier._smooth(hier.levels[i], rhs[i], x)[0]
     return x
 

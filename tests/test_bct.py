@@ -12,7 +12,7 @@ from knotflow.bvh import EdgeBvh
 from knotflow.energy import validate_params
 from knotflow.metric import (MetricOperator, dense_kernel_matrices,
                              metric_parts)
-from knotflow.network import CurveNetwork
+from knotflow.network import CurveNetwork, per_coordinate
 from knotflow.scenes import generate_test_curve
 
 from oracles import (bct_dfs, coverage_count, eager_far_field,
@@ -407,26 +407,23 @@ class TestHierMetric:
 
     def test_stacked_apply(self):
         net = polygon_net(32, seed=22)
-        hm = hier_metric_at(net, DEFAULT_BCT_EPS)
-        rng = np.random.default_rng(23)
-        X = rng.normal(size=(3, net.n_vertices))
-        out = hm.apply_stacked(X.reshape(-1)).reshape(3, -1)
-        for c in range(3):
-            assert np.allclose(out[c], hm.apply(X[c]))
+        self.check_per_coordinate_apply(net, DEFAULT_BCT_EPS, 23)
 
     def test_stacked_apply_is_three_applies(self):
-        self.check_stacked_is_three_applies(polygon_net(128, seed=26))
+        net = polygon_net(128, seed=26)
+        assert self.check_per_coordinate_apply(net, 0.25, 27) == 0
 
     def test_stacked_apply_is_three_applies_with_blocks(self):
-        assert self.check_stacked_is_three_applies(smooth_circle()) > 0
+        assert self.check_per_coordinate_apply(smooth_circle(), 0.25, 27) > 0
 
     @staticmethod
-    def check_stacked_is_three_applies(net):
-        hm = hier_metric_at(net, 0.25)
-        X = np.random.default_rng(27).normal(size=(3, net.n_vertices))
-        out = hm.apply_stacked(X.reshape(-1))
-        want = np.concatenate([hm.apply(X[c]) for c in range(3)])
-        assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want)
+    def check_per_coordinate_apply(net, eps, seed):
+        # one apply per coordinate row of a stacked vector equals the
+        # (V, 3) multi-column apply bit for bit
+        hm = hier_metric_at(net, eps)
+        X = np.random.default_rng(seed).normal(size=(3, net.n_vertices))
+        assert np.array_equal(per_coordinate(hm.apply, X.reshape(-1)),
+                              hm.apply(X.T).T.ravel())
         return len(hm.bct.adm_a)
 
     def test_one_pass_builds_both_kernels(self, monkeypatch):
@@ -465,10 +462,10 @@ class TestHierMetric:
         hm = hier_metric_at(net, DEFAULT_BCT_EPS, bvh)
         assert hm.bvh is bvh
         vec = np.random.default_rng(29).normal(size=3 * net.n_vertices)
-        before = hm.apply_stacked(vec)
+        before = per_coordinate(hm.apply, vec)
         moved = net.with_positions(net.vertices * 1.5 + 0.1)
         bvh.refit(moved)
-        assert np.array_equal(hm.apply_stacked(vec), before)
+        assert np.array_equal(per_coordinate(hm.apply, vec), before)
         return len(hm.bct.adm_a)
 
 

@@ -335,8 +335,17 @@ max_iters = 3
                          "\\(0, 0.5\\]"),
         ("strategy = bogus", ": unknown strategy 'bogus'"),
         ("stop_tolerance = nan", ":9: \\[flow\\] stop tolerance must be "
-                                 "positive")],
-        ids=["out-of-range", "unknown-strategy", "nan-stop-tolerance"])
+                                 "positive"),
+        ("max_iters = -3", ":9: \\[flow\\] max_iters must be non-negative"),
+        ("bh_eps = -0.5", ":9: \\[flow\\] bh_eps must be finite and "
+                          "non-negative"),
+        ("bh_eps = nan", ":9: \\[flow\\] bh_eps must be finite and "
+                         "non-negative"),
+        ("bh_eps = inf", ":9: \\[flow\\] bh_eps must be finite and "
+                         "non-negative")],
+        ids=["out-of-range", "unknown-strategy", "nan-stop-tolerance",
+             "negative-max-iters", "negative-bh-eps", "nan-bh-eps",
+             "infinite-bh-eps"])
     def test_flow_error_reported_without_traceback(self, tmp_path, capsys,
                                                    flow, message):
         path = self.scene_file(tmp_path, f"\n[flow]\n{flow}\n")
@@ -344,6 +353,12 @@ max_iters = 3
         err = capsys.readouterr().err
         assert re.fullmatch(f"knotflow: {re.escape(str(path))}{message}\n",
                             err), err
+
+    def test_negative_max_iters_option_reported(self, tmp_path, capsys):
+        path = self.scene_file(tmp_path, "\n[flow]\nmax_iters = 4\n")
+        assert main(["solve", str(path), "--max-iters", "-3"]) == 1
+        assert capsys.readouterr().err == (
+            f"knotflow: {path}:9: [flow] max_iters must be non-negative\n")
 
     @pytest.mark.parametrize("text, message", [
         (MINIMAL_SCENE.replace("n = 24", "n = 2"), ":2: need n >= 4"),

@@ -12,7 +12,8 @@ from knotflow.energy import validate_params
 from knotflow.flow import (COLLISION_HORIZON, Objective, StepSolver,
                            collision_step_limit)
 from knotflow.metric import MetricOperator, SaddleFactor
-from knotflow.network import CurveNetwork, stack_fields
+from knotflow.multigrid import MultigridHierarchy
+from knotflow.network import CurveNetwork, per_coordinate, stack_fields
 from knotflow.scenes import generate_test_curve
 
 from oracles import (loop_jacobian, perturbed_polygon, project_full_budget,
@@ -210,7 +211,7 @@ class TestProjectGradient:
         assert np.linalg.norm(C @ gs) < 1e-8 * max(np.linalg.norm(gs), 1e-30)
         # full saddle residual against the dense solve
         metric = MetricOperator(net, p)
-        res = metric.apply_stacked(gs) - stack_fields(dE)
+        res = per_coordinate(metric.apply, gs) - stack_fields(dE)
         # residual must lie in the row space of C (A g + C^T lambda = dE)
         Cd = C.toarray()
         coeffs, *_ = np.linalg.lstsq(Cd.T, res, rcond=None)
@@ -319,16 +320,18 @@ def scripted_projection(project, norms, max_iters=10):
 
 class TestProjectionEarlyStop:
     @pytest.mark.parametrize("n, strategy, accel", [(128, "hs-mg", "bh"),
-                                                    (384, "hs", "exact")])
+                                                    (384, "hs", "exact"),
+                                                    (768, "hs-mg", "bh")])
     def test_real_trials_decided_as_full_budget(self, n, strategy, accel):
         trials, cs, solver = trefoil_trials(n, strategy, accel)
-        accepted = []
+        accepted, saddles = [], []
         for trial in trials:
             outcomes = []
             for project in (project_onto_constraints, project_full_budget):
+                saddles.append(solver().saddle)
                 try:
                     outcomes.append(project(
-                        solver().saddle.solve_projection_step, cs, trial))
+                        saddles[-1].solve_projection_step, cs, trial))
                 except ProjectionFailure as exc:
                     outcomes.append(exc)
             early, full = outcomes
@@ -342,6 +345,10 @@ class TestProjectionEarlyStop:
             accepted.append(not isinstance(full, ProjectionFailure))
         # both kinds of trial occur on these scenes
         assert True in accepted and False in accepted
+        if n == 768:
+            # a hierarchical finest level: V-cycles, not the exact factor
+            assert all(isinstance(s, MultigridHierarchy) for s in saddles)
+            assert all(s.cycles > 0 for s in saddles)
 
     def test_rate_reaching_tolerance_at_budget_runs_to_it(self):
         # |Phi| halves exactly and meets the tolerance at the 10th correction

@@ -206,6 +206,24 @@ class TestLineSearch:
         assert np.allclose(moved.vertices[:, 2], 0.5)
 
 
+class TestFlowConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iters", -3, "max_iters must be non-negative"),
+        ("bh_eps", -0.5, "bh_eps must be finite and non-negative"),
+        ("bh_eps", np.nan, "bh_eps must be finite and non-negative"),
+        ("bh_eps", np.inf, "bh_eps must be finite and non-negative")],
+        ids=["negative-max-iters", "negative-bh-eps", "nan-bh-eps",
+             "infinite-bh-eps"])
+    def test_meaningless_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            FlowConfig(**{field: value})
+
+    def test_zero_iterations_and_eps_accepted(self):
+        # no step at all, and a Barnes-Hut plan that lumps nothing
+        config = FlowConfig(max_iters=0, bh_eps=0.0)
+        assert (config.max_iters, config.bh_eps) == (0, 0.0)
+
+
 class TestRunFlow:
     def test_already_converged_zero_iterations(self):
         net = smooth_perturbed_circle(24, seed=9)

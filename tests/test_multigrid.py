@@ -9,9 +9,9 @@ from knotflow.constraints import (Barycenter, ConstraintSet, EdgeLengths,
 from knotflow.energy import discrete_differential, validate_params
 from knotflow.metric import MetricOperator, SaddleFactor
 from knotflow.multigrid import (COARSEST_SIZE, MAX_VCYCLES, MgLevel,
-                                MultigridHierarchy, coarsen_network,
-                                level_metric, restrict_constraints)
-from knotflow.network import CurveNetwork, stack_fields
+                                MultigridHierarchy, coarsen_constraints,
+                                coarsen_network, level_metric)
+from knotflow.network import CurveNetwork, per_coordinate, stack_fields
 from knotflow.scenes import generate_test_curve
 
 from oracles import (coarsen_walk, initial_guess_sweep, mixed_circle,
@@ -173,7 +173,7 @@ class TestCoarsening:
         cs = ConstraintSet([Barycenter(), TotalLength(net.total_length()),
                             PointConstraint(3, net.vertices[3])])
         coarse, J, vmap, emap = coarsen_network(net, keep={3})
-        rcs = restrict_constraints(cs, coarse, vmap, emap)
+        rcs = coarsen_constraints(cs, coarse, vmap, emap)
         assert rcs.k == cs.k
         C = rcs.jacobian(coarse)
         assert C.shape == (cs.k, 3 * coarse.n_vertices)
@@ -201,8 +201,8 @@ def count_starts(monkeypatch):
 def metric_norm_gap(metric, x, exact):
     """|x - exact| / |exact| in the norm of blockdiag(A, A, A)."""
     diff = x - exact
-    return np.sqrt(diff @ metric.apply_stacked(diff)) \
-        / np.sqrt(exact @ metric.apply_stacked(exact))
+    return np.sqrt(diff @ per_coordinate(metric.apply, diff)) \
+        / np.sqrt(exact @ per_coordinate(metric.apply, exact))
 
 
 class TestProjector:
@@ -262,8 +262,8 @@ class TestProjector:
         kinds = set()
         for level in (hier.levels[0], hier.levels[-1]):
             u = level.project(rng.normal(size=3 * level.net.n_vertices))
-            want = level.project(
-                level.scale * level.metric.apply_stacked(level.project(u)))
+            want = level.project(level.scale * per_coordinate(
+                level.metric.apply, level.project(u)))
             assert np.linalg.norm(level.apply_projected(u) - want) \
                 <= 1e-12 * np.linalg.norm(want)
             kinds.add(type(level.metric))
@@ -407,6 +407,19 @@ class TestVcycle:
         # the admissible blocks of the finest level, 0 when it is dense
         metric = hier.levels[0].metric
         return len(metric.bct.adm_a) if isinstance(metric, HierMetric) else 0
+
+    def test_per_coordinate_transfer_is_multi_column_product(self):
+        # prolongation and restriction one coordinate row at a time equal
+        # the (V, 3) multi-column products bit for bit
+        net = mixed_circle()
+        hier = hierarchy_for(net, ConstraintSet(
+            [Barycenter(), TotalLength(net.total_length())]))
+        level = hier.levels[1]
+        rng = np.random.default_rng(32)
+        for op in (level.J, level.JT):
+            X = rng.normal(size=(3, op.shape[1]))
+            assert np.array_equal(per_coordinate(op.dot, X.reshape(-1)),
+                                  (op @ X.T).T.ravel())
 
     @pytest.mark.parametrize("kind, n, lengths", [
         ("circle", 512, TotalLength),
